@@ -44,17 +44,14 @@ _INT_KEYS = {
     "max_states",
 }
 _FLOAT_KEYS = {"euclid_eps"}
-_STR_KEYS = {"experiment", "potential", "phi", "custom_maps", "custom_marked", "out", "kind"}
+_STR_KEYS = {"experiment", "potential", "phi", "out"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    # doubling / custom system
+    # doubling system
     m: int = 100003
-    kind: str = "doubling"  # doubling | disk | custom
-    custom_maps: str = ""  # per-generator maps, e.g. "1,2,0;0,1,2"
-    custom_marked: str = ""  # comma-separated state indices
     # disk grid
     rings: int = 64
     sectors: int = 256

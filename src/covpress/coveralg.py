@@ -1,14 +1,21 @@
-"""Covers and partitions of a finite system as bitset families.
+"""Covers and partitions of a finite system, stored as atoms plus incidence.
 
-A family is a list of state subsets covering the state space, stored either
-as arbitrary-precision bitmasks or, for partitions, as a per-state label
-array (the label form scales to large grids where materializing one bitmask
-per class would be wasteful).  On top of families sit the operations every
-pressure computation needs: preimages, joins over orbit boxes, the
-refinement preorder, admissibility classification against the system's
-marked states, the strongly-admissible cover built from an admissible
-partition, the potential-level cover, and the closeness graph that encodes
-which states share a member.
+Every family has one representation.  Its *atoms* are its membership
+classes: two states share an atom exactly when they lie in the same
+members.  `atoms` holds one int64 label per state, and each member is a
+bitmask over atoms.  A family whose members are pairwise disjoint is a
+partition: each member is then a single atom, the incidence is the identity,
+and it is never stored, so a partition is just its label array however many
+classes it has.  Partition-ness is read off the data, never declared.
+
+Joins and preimages work on the atom labels with one numpy label join; only
+covers with overlapping members also lift their member bitmasks onto the
+finer atoms (the atoms of a joined cover are the join of its atoms).  On top
+of families sit the operations every pressure computation needs: preimages,
+joins over orbit boxes, the refinement preorder, admissibility
+classification against the system's marked states, the strongly-admissible
+cover built from an admissible partition, the potential-level cover, and the
+closeness graph that encodes which states share a member.
 """
 
 from __future__ import annotations
@@ -24,257 +31,211 @@ from covpress.lattice import Coords, as_point, box_cardinality
 DEFAULT_MEMBER_BUDGET = 4096
 DEFAULT_LAMBDA_BUDGET = 1_000_000
 
-# Bitmask materialization of a label-form partition is refused beyond this
-# many total bits; the label form answers every query the big grids need.
-_MATERIALIZE_BIT_LIMIT = 2**28
-
 
 class CoverBudgetError(RuntimeError):
     """A join exceeded the configured member or box budget."""
 
 
-def mask_from_states(states: Iterable[int]) -> int:
-    mask = 0
-    for s in states:
-        mask |= 1 << s
-    return mask
+def _bits(mask: int, width: int) -> np.ndarray:
+    """A bitmask as a bool array of the given width."""
+    raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
 
 
-def states_from_mask(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _mask(flags: np.ndarray) -> int:
+    """A bool array as a bitmask."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class SetFamily:
-    """An immutable cover or partition over states 0..M-1.
+    """An immutable cover or partition of states 0..M-1: atoms plus incidence.
 
-    Members are deduplicated and empty sets dropped at construction; for
-    partitions the number of dropped empties is kept (preimages of a
-    partition can kill classes).  Partitions may live purely in label form.
+    `atoms[s]` is the membership class of state s, numbered 0..atom_count-1.
+    A cover keeps each member as a bitmask over atoms; a partition (pairwise
+    disjoint members) stores no incidence, and its atom i is its member i.
+    Members are deduplicated and empty ones dropped at construction;
+    `dropped_empty` counts the dropped empties (preimages can kill classes).
     """
 
-    __slots__ = ("state_count", "kind", "_masks", "_labels", "_count", "dropped_empty")
+    __slots__ = ("atoms", "atom_count", "_incidence", "dropped_empty")
 
     def __init__(
         self,
-        state_count: int,
-        kind: str,
-        masks: Sequence[int] | None = None,
-        labels: np.ndarray | None = None,
+        atoms: np.ndarray,
+        incidence: Sequence[int] | None = None,
         dropped_empty: int = 0,
     ):
-        if kind not in ("cover", "partition"):
-            raise ValueError(f"unknown family kind {kind!r}")
-        self.state_count = int(state_count)
-        self.kind = kind
+        """`atoms` must already be the membership classes, labelled densely;
+        `incidence` lists the members as atom bitmasks, or is None when
+        atom i is member i."""
+        atoms = np.asarray(atoms, dtype=np.int64)
+        atom_count = int(atoms.max()) + 1 if len(atoms) else 0
+        if incidence is not None:
+            dropped_empty += sum(1 for m in incidence if not m)
+            incidence = tuple(dict.fromkeys(m for m in incidence if m))
+            if sum(m.bit_count() for m in incidence) == atom_count:
+                # Pairwise disjoint: every member is one atom; number atoms by member.
+                order = np.empty(atom_count, dtype=np.int64)
+                order[[m.bit_length() - 1 for m in incidence]] = np.arange(len(incidence))
+                atoms = order[atoms]
+                incidence = None
+        atoms.setflags(write=False)
+        self.atoms = atoms
+        self.atom_count = atom_count
+        self._incidence = incidence
         self.dropped_empty = int(dropped_empty)
-        if (masks is None) == (labels is None):
-            raise ValueError("exactly one of masks/labels must be given")
-        if labels is not None:
-            if kind != "partition":
-                raise ValueError("label storage is only for partitions")
-            labels = np.asarray(labels, dtype=np.int64)
-            if len(labels) != self.state_count:
-                raise ValueError("label array length must equal the state count")
-            count = int(labels.max()) + 1 if len(labels) else 0
-            if count and not np.array_equal(np.unique(labels), np.arange(count)):
-                raise ValueError("labels must be exactly 0..count-1")
-            labels.setflags(write=False)
-            self._labels = labels
-            self._masks = None
-            self._count = count
-            return
-        full = (1 << self.state_count) - 1
-        seen: dict[int, int] = {}
-        kept: list[int] = []
-        dropped = 0
-        union = 0
-        for m in masks:
-            m = int(m)
-            if m == 0:
-                dropped += 1
-                continue
-            if m & ~full:
-                raise ValueError("member mentions states outside the system")
-            if m not in seen:
-                seen[m] = len(kept)
-                kept.append(m)
-                union |= m
-        if union != full:
-            raise ValueError("family members do not cover the state space")
-        if kind == "partition":
-            acc = 0
-            for m in kept:
-                if acc & m:
-                    raise ValueError("partition members must be pairwise disjoint")
-                acc |= m
-        self._masks = tuple(kept)
-        self._labels = None
-        self._count = len(kept)
-        self.dropped_empty = dropped + self.dropped_empty
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _from_flags(cls, atoms: np.ndarray, flags: np.ndarray) -> "SetFamily":
+        """The family whose member i holds the atoms flagged in row i of `flags`.
+
+        Empty and repeated rows are dropped, and atoms lying in the same
+        members are merged, so the result's atoms are its membership classes.
+        """
+        if not flags.any(axis=0).all():
+            raise ValueError("family members do not cover the state space")
+        _, first, merged = np.unique(
+            np.packbits(flags, axis=0).T, axis=0, return_index=True, return_inverse=True
+        )
+        return cls(merged[atoms], [_mask(row) for row in flags[:, first]])
 
     @classmethod
     def from_state_sets(
         cls, state_count: int, sets: Iterable[Iterable[int]], kind: str = "cover"
     ) -> "SetFamily":
-        return cls(state_count, kind, masks=[mask_from_states(s) for s in sets])
+        """Family of the given state sets; `kind="partition"` also checks
+        that they are pairwise disjoint."""
+        if kind not in ("cover", "partition"):
+            raise ValueError(f"unknown family kind {kind!r}")
+        rows = []
+        for states in sets:
+            idx = np.fromiter(states, dtype=np.int64)
+            if len(idx) and (idx.min() < 0 or idx.max() >= state_count):
+                raise ValueError("member mentions states outside the system")
+            row = np.zeros(state_count, dtype=bool)
+            row[idx] = True
+            rows.append(row)
+        flags = np.array(rows, dtype=bool).reshape(len(rows), state_count)
+        family = cls._from_flags(np.arange(state_count), flags)
+        if kind == "partition" and not family.is_partition:
+            raise ValueError("partition members must be pairwise disjoint")
+        return family
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, dropped_empty: int = 0) -> "SetFamily":
-        labels = np.asarray(labels, dtype=np.int64)
-        _, normalized = np.unique(labels, return_inverse=True)
-        return cls(len(labels), "partition", labels=normalized, dropped_empty=dropped_empty)
+        _, normalized = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+        return cls(normalized, dropped_empty=dropped_empty)
 
     @classmethod
     def trivial(cls, state_count: int) -> "SetFamily":
-        return cls(state_count, "cover", masks=[(1 << state_count) - 1])
+        return cls(np.zeros(state_count, dtype=np.int64))
 
     @classmethod
     def singletons(cls, state_count: int) -> "SetFamily":
-        return cls(state_count, "partition", labels=np.arange(state_count))
+        return cls(np.arange(state_count))
 
     # -- basic views ----------------------------------------------------
 
     @property
+    def state_count(self) -> int:
+        return len(self.atoms)
+
+    @property
     def count(self) -> int:
-        return self._count
+        return self.atom_count if self._incidence is None else len(self._incidence)
 
     @property
     def is_partition(self) -> bool:
-        return self.kind == "partition"
+        """Pairwise disjoint members, i.e. the incidence is the identity."""
+        return self._incidence is None
 
     @property
     def labels(self) -> np.ndarray | None:
-        return self._labels
+        """Per-state member index for a partition, None for a cover."""
+        return self.atoms if self._incidence is None else None
 
     def as_labels(self) -> np.ndarray:
         """Per-state member index; partitions only."""
-        if self._labels is not None:
-            return self._labels
-        if self.kind != "partition":
+        if self._incidence is not None:
             raise ValueError("only partitions have a label form")
-        out = np.empty(self.state_count, dtype=np.int64)
-        for i, m in enumerate(self._masks):
-            for s in states_from_mask(m):
-                out[s] = i
-        out.setflags(write=False)
-        return out
+        return self.atoms
+
+    def atom_flags(self, i: int) -> np.ndarray:
+        """Which atoms member i holds, as a bool array over atoms."""
+        if self._incidence is None:
+            return np.arange(self.atom_count) == i
+        return _bits(self._incidence[i], self.atom_count)
+
+    def holders(self, a: int) -> tuple[int, ...]:
+        """Indices of the members holding atom a."""
+        if self._incidence is None:
+            return (int(a),)
+        return tuple(i for i, m in enumerate(self._incidence) if m >> int(a) & 1)
 
     @property
     def members(self) -> tuple[int, ...]:
-        """Members as bitmasks (materialized from labels when necessary)."""
-        if self._masks is not None:
-            return self._masks
-        if self._count * self.state_count > _MATERIALIZE_BIT_LIMIT:
-            raise MemoryError(
-                f"refusing to materialize {self._count} bitmasks over "
-                f"{self.state_count} states; use the label form"
-            )
-        masks = [0] * self._count
-        for s, lab in enumerate(self._labels):
-            masks[lab] |= 1 << s
-        return tuple(masks)
+        """Members as bitmasks over states."""
+        return tuple(_mask(self.atom_flags(i)[self.atoms]) for i in range(self.count))
 
     def member_states(self, i: int) -> list[int]:
-        if self._labels is not None:
-            return np.flatnonzero(self._labels == i).tolist()
-        return states_from_mask(self._masks[i])
+        return np.flatnonzero(self.atom_flags(i)[self.atoms]).tolist()
+
+    def _per_member(self, per_atom: np.ndarray, ufunc) -> np.ndarray:
+        """Combine per-atom values into per-member values with `ufunc`."""
+        if self._incidence is None:
+            return per_atom
+        return np.array(
+            [ufunc.reduce(per_atom[_bits(m, self.atom_count)]) for m in self._incidence]
+        )
 
     def member_sizes(self) -> np.ndarray:
-        if self._labels is not None:
-            return np.bincount(self._labels, minlength=self._count)
-        return np.array([m.bit_count() for m in self._masks])
+        return self._per_member(np.bincount(self.atoms, minlength=self.atom_count), np.add)
 
     def member_masses(self, weights: np.ndarray) -> np.ndarray:
         """Total weight per member; meaningful for partitions."""
-        if self._labels is not None:
-            return np.bincount(self._labels, weights=weights, minlength=self._count)
-        return np.array(
-            [sum(float(weights[s]) for s in states_from_mask(m)) for m in self._masks]
-        )
+        masses = np.bincount(self.atoms, weights=weights, minlength=self.atom_count)
+        return self._per_member(masses, np.add)
 
     def group_extremum(self, values: np.ndarray, mode: str) -> np.ndarray:
         """Per-member min or max of a per-state value array."""
-        if self._labels is not None:
-            out = np.full(self._count, np.inf if mode == "min" else -np.inf)
-            reducer = np.minimum if mode == "min" else np.maximum
-            reducer.at(out, self._labels, values)
-            return out
-        agg = min if mode == "min" else max
-        return np.array(
-            [agg(float(values[s]) for s in states_from_mask(m)) for m in self._masks]
-        )
+        reducer = np.minimum if mode == "min" else np.maximum
+        out = np.full(self.atom_count, np.inf if mode == "min" else -np.inf)
+        reducer.at(out, self.atoms, values)
+        return self._per_member(out, reducer)
 
     def __eq__(self, other) -> bool:
         """Equality as unordered families of sets."""
         if not isinstance(other, SetFamily):
             return NotImplemented
-        if self.state_count != other.state_count or self._count != other._count:
+        if self.state_count != other.state_count or self.count != other.count:
             return False
-        if self._labels is not None and other._labels is not None:
+        if self.is_partition and other.is_partition:
             # Same partition iff labels agree up to renaming.
-            pairs = self._labels * other._count + other._labels
-            return len(np.unique(pairs)) == self._count
+            pairs = self.atoms * other.count + other.atoms
+            return len(np.unique(pairs)) == self.count
         return sorted(self.members) == sorted(other.members)
 
-    def serialize(self) -> str:
-        """One member per line, as sorted space-separated state indices."""
-        lines = []
-        for i in range(self._count):
-            lines.append(" ".join(str(s) for s in sorted(self.member_states(i))))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str, state_count: int, kind: str = "cover") -> "SetFamily":
-        sets = [
-            [int(tok) for tok in line.split()]
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls.from_state_sets(state_count, sets, kind=kind)
-
     def __repr__(self) -> str:
-        return f"SetFamily({self.kind}, M={self.state_count}, members={self._count})"
+        kind = "partition" if self.is_partition else "cover"
+        return f"SetFamily({kind}, M={self.state_count}, members={self.count})"
 
 
 def membership_partition(family: SetFamily) -> SetFamily:
-    """The partition of states by which members contain them.
+    """The partition of states by which members contain them: the atoms.
 
-    Two states land in one class exactly when every member holds either both
-    or neither; for a cover this is the finest distinction its itineraries
-    can ever express, so joining this partition over a box counts the
-    cover's distinct itineraries.
+    For a cover this is the finest distinction its itineraries can ever
+    express, so joining this partition over a box counts the cover's
+    distinct itineraries.
     """
-    labels = np.zeros(family.state_count, dtype=np.int64)
-    for i in range(family.count):
-        step = np.zeros(family.state_count, dtype=np.int64)
-        step[family.member_states(i)] = 1
-        codes = labels * 2 + step
-        _, labels = np.unique(codes, return_inverse=True)
-    return SetFamily.from_labels(labels)
+    return SetFamily(family.atoms)
 
 
-def as_partition_if_disjoint(family: SetFamily) -> SetFamily:
-    """Reinterpret a cover with pairwise disjoint members as a partition.
-
-    Joins of disjoint families stay disjoint, and the partition form unlocks
-    the label representation, so this pays off before deep orbit joins.
-    Returns the family unchanged when members genuinely overlap.
-    """
-    if family.is_partition:
-        return family
-    acc = 0
-    for m in family.members:
-        if acc & m:
-            return family
-        acc |= m
-    return SetFamily(family.state_count, "partition", masks=family.members)
+def _lifted(family: SetFamily, parent: np.ndarray) -> list[int]:
+    """The family's members as bitmasks over finer atoms, where finer atom j
+    lies inside the family's atom parent[j]."""
+    return [_mask(family.atom_flags(i)[parent]) for i in range(family.count)]
 
 
 # -- reports ------------------------------------------------------------
@@ -299,47 +260,27 @@ class PartitionAdmissibilityReport:
 def preimage_family(sys: FiniteSystem, family: SetFamily, k: Coords) -> SetFamily:
     """Pull the family back through the power-k map.
 
-    Partitions stay partitions; classes whose preimage is empty are dropped
-    and counted.  For covers, empty preimages are silently dropped (the
-    constructor already does that).
+    Partitions stay partitions.  Members whose preimage is empty are dropped
+    and counted in `dropped_empty`.
     """
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
-    tk = power_map(sys, k)
+    survivors, atoms = np.unique(family.atoms[power_map(sys, k)], return_inverse=True)
     if family.is_partition:
-        pulled = family.as_labels()[tk]
-        survivors, normalized = np.unique(pulled, return_inverse=True)
-        return SetFamily(
-            sys.state_count,
-            "partition",
-            labels=normalized,
-            dropped_empty=family.count - len(survivors),
-        )
-    masks = []
-    for i in range(family.count):
-        member = np.zeros(sys.state_count, dtype=bool)
-        member[family.member_states(i)] = True
-        pre = member[tk]
-        masks.append(mask_from_states(np.flatnonzero(pre).tolist()))
-    # The constructor drops and counts empty preimages.
-    return SetFamily(sys.state_count, family.kind, masks=masks)
+        return SetFamily(atoms, dropped_empty=family.count - len(survivors))
+    return SetFamily(atoms, _lifted(family, survivors))
 
 
 def join(a: SetFamily, b: SetFamily) -> SetFamily:
     """All nonempty pairwise intersections, deduplicated; refines both inputs."""
     if a.state_count != b.state_count:
         raise ValueError("families live on different systems")
-    if a.labels is not None and b.labels is not None:
-        combined = a.labels * b.count + b.labels
-        return SetFamily.from_labels(combined)
-    kind = "partition" if a.is_partition and b.is_partition else "cover"
-    masks = []
-    for ma in a.members:
-        for mb in b.members:
-            inter = ma & mb
-            if inter:
-                masks.append(inter)
-    return SetFamily(a.state_count, kind, masks=masks)
+    pairs, atoms = np.unique(a.atoms * b.atom_count + b.atoms, return_inverse=True)
+    if a.is_partition and b.is_partition:
+        return SetFamily(atoms)
+    mine = _lifted(a, pairs // b.atom_count)
+    theirs = _lifted(b, pairs % b.atom_count)
+    return SetFamily(atoms, [ma & mb for ma in mine for mb in theirs])
 
 
 def orbit_join(
@@ -351,8 +292,9 @@ def orbit_join(
 ) -> SetFamily:
     """Join of the preimages of the family over the whole box below n.
 
-    For a partition this is the itinerary partition: states are identified
-    exactly when their member index agrees at every box point.
+    The atoms are joined as labels: states are identified exactly when their
+    atom agrees at every box point.  A cover's members are intersected in
+    first-occurrence order over (joined-so-far member, next preimage member).
     """
     n = as_point(n, dim=sys.dim)
     lam = box_cardinality(n)
@@ -361,72 +303,40 @@ def orbit_join(
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
 
-    if family.is_partition:
-        base = family.as_labels()
-        base_count = family.count
-        current = None
-        for _, tk in iter_box_maps(sys, n):
-            step = base[tk]
-            if current is None:
-                current = step
-                continue
-            codes = current * base_count + step
-            _, current = np.unique(codes, return_inverse=True)
-        fam = SetFamily.from_labels(current)
-        if fam.count > member_budget:
+    base = family.atoms
+    width = family.atom_count
+    atoms = None
+    current = family._incidence  # None for a partition
+    for _, tk in iter_box_maps(sys, n):
+        if atoms is None:
+            atoms, count = base[tk], width
+        else:
+            pairs, atoms = np.unique(atoms * width + base[tk], return_inverse=True)
+            if current is not None:
+                mine = [_mask(_bits(m, count)[pairs // width]) for m in current]
+                theirs = _lifted(family, pairs % width)
+                current = list(dict.fromkeys(cm & sm for cm in mine for sm in theirs if cm & sm))
+            count = len(pairs)
+        members = count if current is None else len(current)
+        if members > member_budget:
             raise CoverBudgetError(
-                f"join over box {n} (cardinality {lam}) has {fam.count} members, "
+                f"join over box {n} (cardinality {lam}) has {members} members, "
                 f"budget {member_budget}"
             )
-        return fam
-
-    base_members = [
-        np.asarray(family.member_states(i), dtype=np.int64) for i in range(family.count)
-    ]
-    current: list[int] | None = None
-    for _, tk in iter_box_maps(sys, n):
-        step_masks = []
-        member_bool = np.zeros(sys.state_count, dtype=bool)
-        for states in base_members:
-            member_bool[:] = False
-            member_bool[states] = True
-            pre = member_bool[tk]
-            mask = mask_from_states(np.flatnonzero(pre).tolist())
-            if mask:
-                step_masks.append(mask)
-        if current is None:
-            current = step_masks
-        else:
-            seen: dict[int, None] = {}
-            for cm in current:
-                for sm in step_masks:
-                    inter = cm & sm
-                    if inter and inter not in seen:
-                        seen[inter] = None
-            current = list(seen)
-        if len(current) > member_budget:
-            raise CoverBudgetError(
-                f"join over box {n} (cardinality {lam}) exceeded member budget "
-                f"{member_budget} with {len(current)} members"
-            )
-    return SetFamily(sys.state_count, family.kind, masks=current)
+    return SetFamily(atoms, current)
 
 
 def refines(finer: SetFamily, coarser: SetFamily) -> bool:
     """True iff every member of `finer` is contained in some member of `coarser`."""
     if finer.state_count != coarser.state_count:
         raise ValueError("families live on different systems")
-    if finer.labels is not None and coarser.labels is not None:
+    pairs = np.unique(finer.atoms * coarser.atom_count + coarser.atoms)
+    if finer.is_partition and coarser.is_partition:
         # The coarser label must be constant on each finer class.
-        pairs = np.stack([finer.labels, coarser.labels], axis=1)
-        distinct = np.unique(pairs, axis=0)
-        return len(np.unique(distinct[:, 0])) == len(distinct)
-    coarse_masks = coarser.members
-    for i in range(finer.count):
-        fm = mask_from_states(finer.member_states(i))
-        if not any(fm & ~cm == 0 for cm in coarse_masks):
-            return False
-    return True
+        return len(np.unique(pairs // coarser.atom_count)) == len(pairs)
+    fine = _lifted(finer, pairs // coarser.atom_count)
+    coarse = _lifted(coarser, pairs % coarser.atom_count)
+    return all(any(fm & ~cm == 0 for cm in coarse) for fm in fine)
 
 
 def classify_admissible(sys: FiniteSystem, family: SetFamily) -> AdmissibilityReport:
@@ -437,39 +347,25 @@ def classify_admissible(sys: FiniteSystem, family: SetFamily) -> AdmissibilityRe
         raise ValueError("family does not live on this system")
     if not sys.marked:
         return AdmissibilityReport(True, True, 0 if family.count else None)
-    marked = sorted(sys.marked)
-    if family.labels is not None:
-        labs = set(int(family.labels[s]) for s in marked)
-        if len(labs) == 1:
-            only = labs.pop()
-            # The class containing all marked states is automatically a superset.
-            return AdmissibilityReport(True, family.count == 1, only)
-        return AdmissibilityReport(False, False, None)
-    marked_mask = sys.marked_mask()
-    witness = None
-    all_contain = True
-    for i, m in enumerate(family.members):
-        if marked_mask & ~m == 0:
-            if witness is None:
-                witness = i
-        else:
-            all_contain = False
-    return AdmissibilityReport(witness is not None, all_contain and witness is not None, witness)
+    marked = np.unique(family.atoms[sorted(sys.marked)])
+    # A member holding every marked atom holds the first one.
+    holders = [i for i in family.holders(marked[0]) if family.atom_flags(i)[marked].all()]
+    witness = holders[0] if holders else None
+    return AdmissibilityReport(bool(holders), len(holders) == family.count, witness)
 
 
 def classify_admissible_partition(
     sys: FiniteSystem, family: SetFamily
 ) -> PartitionAdmissibilityReport:
     """Admissible partition: at most one class touches the marked states."""
-    if family.kind != "partition":
+    if not family.is_partition:
         raise ValueError("admissible-partition classification needs a partition")
     if not sys.marked:
         return PartitionAdmissibilityReport(True, None)
-    labels = family.as_labels()
-    touched = sorted({int(labels[s]) for s in sys.marked})
+    touched = np.unique(family.atoms[sorted(sys.marked)])
     if len(touched) > 1:
         return PartitionAdmissibilityReport(False, None)
-    return PartitionAdmissibilityReport(True, touched[0])
+    return PartitionAdmissibilityReport(True, int(touched[0]))
 
 
 def cover_from_partition(sys: FiniteSystem, partition: SetFamily) -> SetFamily:
@@ -481,9 +377,11 @@ def cover_from_partition(sys: FiniteSystem, partition: SetFamily) -> SetFamily:
     if partition.count < 2:
         raise ValueError("need at least two classes to build a cover")
     k0 = report.noncompact_index if report.noncompact_index is not None else 0
-    masks = partition.members
-    built = [masks[k0] | masks[j] for j in range(partition.count) if j != k0]
-    return SetFamily(sys.state_count, "cover", masks=built)
+    others = [j for j in range(partition.count) if j != k0]
+    flags = np.zeros((len(others), partition.count), dtype=bool)
+    flags[:, k0] = True
+    flags[np.arange(len(others)), others] = True
+    return SetFamily._from_flags(partition.atoms, flags)
 
 
 def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
@@ -509,13 +407,9 @@ def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
     step = half
     lo = int(np.floor((vals.min() - half) / step)) - 1
     hi = int(np.ceil((vals.max() + half) / step)) + 1
-    masks = []
-    for t in range(lo, hi + 1):
-        center = t * step
-        inside = np.flatnonzero((vals > center - half) & (vals < center + half))
-        if len(inside):
-            masks.append(mask_from_states(inside.tolist()))
-    return SetFamily(sys.state_count, "cover", masks=masks)
+    centers = np.arange(lo, hi + 1) * step
+    flags = (vals > centers[:, None] - half) & (vals < centers[:, None] + half)
+    return SetFamily._from_flags(np.arange(sys.state_count), flags[flags.any(axis=1)])
 
 
 # -- closeness ------------------------------------------------------------
@@ -524,62 +418,42 @@ def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
 class ClosenessGraph:
     """States are adjacent when some member of the joined family holds both.
 
-    Queries run off membership classes: states with identical member sets.
-    A class is internally a clique, and two classes are adjacent exactly when
-    their member sets intersect, which is all the separated/spanning solvers
-    need.  For a partition the classes are the cells and the graph is a
-    disjoint union of cliques.
+    Queries run off membership classes, i.e. the family's atoms, ordered by
+    their lowest state.  A class is internally a clique, and two classes are
+    adjacent exactly when their member sets intersect, which is all the
+    separated/spanning solvers need.  For a partition the classes are the
+    cells and the graph is a disjoint union of cliques.
     """
 
     def __init__(self, family: SetFamily):
         self.family = family
         self.state_count = family.state_count
-        if family.labels is not None:
-            labels = family.labels
-            self.class_of_state = labels
-            self.class_members = [(int(lab),) for lab in range(family.count)]
-            order = np.argsort(labels, kind="stable")
-            bounds = np.searchsorted(labels[order], np.arange(family.count))
-            self.class_states = [
-                order[bounds[i] : bounds[i + 1] if i + 1 < family.count else None]
-                for i in range(family.count)
-            ]
-            self._partition = True
-            return
-        self._partition = False
-        memberships: list[list[int]] = [[] for _ in range(family.state_count)]
-        for i in range(family.count):
-            for s in family.member_states(i):
-                memberships[s].append(i)
-        keys: dict[tuple[int, ...], int] = {}
-        class_states: list[list[int]] = []
-        class_of_state = np.empty(family.state_count, dtype=np.int64)
-        for s, mem in enumerate(memberships):
-            key = tuple(mem)
-            idx = keys.setdefault(key, len(keys))
-            if idx == len(class_states):
-                class_states.append([])
-            class_states[idx].append(s)
-            class_of_state[s] = idx
-        self.class_of_state = class_of_state
-        self.class_members = [k for k, _ in sorted(keys.items(), key=lambda kv: kv[1])]
-        self.class_states = [np.asarray(c, dtype=np.int64) for c in class_states]
+        _, first = np.unique(family.atoms, return_index=True)
+        self.class_atoms = np.argsort(first)
+        rank = np.empty_like(self.class_atoms)
+        rank[self.class_atoms] = np.arange(family.atom_count)
+        self.class_of_state = rank[family.atoms]
+        order = np.argsort(self.class_of_state, kind="stable")
+        bounds = np.searchsorted(self.class_of_state[order], np.arange(1, family.atom_count))
+        self.class_states = np.split(order, bounds)
+        self.class_members = [family.holders(a) for a in self.class_atoms]
 
     @property
     def class_count(self) -> int:
         return len(self.class_states)
 
-    def class_adjacency(self) -> list[int]:
-        """Bitmask adjacency between membership classes (no self loops)."""
-        count = self.class_count
-        if self._partition:
-            return [0] * count
-        member_to_classes: dict[int, list[int]] = {}
+    def _member_classes(self) -> list[list[int]]:
+        """Per member, the classes it holds."""
+        out: list[list[int]] = [[] for _ in range(self.family.count)]
         for c, mems in enumerate(self.class_members):
             for m in mems:
-                member_to_classes.setdefault(m, []).append(c)
-        adj = [0] * count
-        for classes in member_to_classes.values():
+                out[m].append(c)
+        return out
+
+    def class_adjacency(self) -> list[int]:
+        """Bitmask adjacency between membership classes (no self loops)."""
+        adj = [0] * self.class_count
+        for classes in self._member_classes():
             clique = 0
             for c in classes:
                 clique |= 1 << c
@@ -605,16 +479,11 @@ class ClosenessGraph:
                 a = parent[a]
             return a
 
-        if not self._partition:
-            member_to_classes: dict[int, list[int]] = {}
-            for c, mems in enumerate(self.class_members):
-                for m in mems:
-                    member_to_classes.setdefault(m, []).append(c)
-            for classes in member_to_classes.values():
-                for other in classes[1:]:
-                    ra, rb = find(classes[0]), find(other)
-                    if ra != rb:
-                        parent[rb] = ra
+        for classes in self._member_classes():
+            for other in classes[1:]:
+                ra, rb = find(classes[0]), find(other)
+                if ra != rb:
+                    parent[rb] = ra
         groups: dict[int, set[int]] = {}
         for c in range(self.class_count):
             groups.setdefault(find(c), set()).update(int(s) for s in self.class_states[c])

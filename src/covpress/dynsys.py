@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -68,12 +68,6 @@ class FiniteSystem:
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-    def marked_mask(self) -> int:
-        mask = 0
-        for s in self.marked:
-            mask |= 1 << s
-        return mask
 
 
 @dataclass(frozen=True)
@@ -171,11 +165,6 @@ def birkhoff_sum(sys: FiniteSystem, f: Potential, n: Coords, x: int) -> float:
     for _, tk in iter_box_maps(sys, n):
         total += float(f.values[tk[x]])
     return total
-
-
-def birkhoff_sum_over(sys: FiniteSystem, f: Potential, points: Sequence[Coords], x: int) -> float:
-    """Ergodic sum over an arbitrary finite set of lattice points."""
-    return sum(float(f.values[apply_power(sys, k, x)]) for k in points)
 
 
 def birkhoff_doubling(sys: FiniteSystem, f: Potential, exponent: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from covpress.config import ExperimentConfig
 from covpress.coveralg import (
     CoverBudgetError,
     SetFamily,
-    as_partition_if_disjoint,
     classify_admissible,
     join,
     membership_partition,
@@ -152,22 +151,8 @@ def potential_from_spec(spec: str, m: int, arc_states: Sequence[int] | None = No
 
 
 def system_from_config(cfg: ExperimentConfig) -> FiniteSystem:
-    """Build the configured system: doubling, disk grid, or inline custom maps."""
-    if cfg.kind == "doubling":
-        return make_circle_doubling(cfg.m)
-    if cfg.kind == "disk":
-        return make_disk_system(cfg.rings, cfg.sectors)
-    if cfg.kind == "custom":
-        if not cfg.custom_maps:
-            raise ValueError("custom systems need custom_maps")
-        gens = []
-        for block in cfg.custom_maps.split(";"):
-            gens.append(np.array([int(v) for v in block.split(",")], dtype=np.int64))
-        marked = frozenset(
-            int(v) for v in cfg.custom_marked.split(",") if v.strip() != ""
-        )
-        return FiniteSystem(generators=tuple(gens), marked=marked)
-    raise ValueError(f"unknown system kind {cfg.kind!r}")
+    """Build the configured system: angle doubling on `m` circle points."""
+    return make_circle_doubling(cfg.m)
 
 
 # -- doubling --------------------------------------------------------------
@@ -186,17 +171,12 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
     split = (m + 1) // 2
     upper_arc = range(split, m)
     f = potential_from_spec(cfg.potential, m, arc_states=upper_arc)
-    arcs = SetFamily(
-        m,
-        "partition",
-        labels=(np.arange(m) >= split).astype(np.int64),
-    )
+    arcs = SetFamily.from_labels(np.arange(m) >= split)
     covers: list[tuple[str, SetFamily]] = [("arcs", arcs)]
     spread = float(f.values.max() - f.values.min())
     eps = max(spread, 1e-9) / 2.0
     bfe = potential_cover(sys, f, eps)
-    joined_cover = as_partition_if_disjoint(join(arcs, bfe))
-    covers.append(("arcs_bfe", joined_cover))
+    covers.append(("arcs_bfe", join(arcs, bfe)))
 
     experiment = "doubling"
     rows: list[ResultRow] = []

@@ -93,19 +93,6 @@ class FiniteMeasure:
         return float(math.fsum((self.weights * f.values).tolist()))
 
 
-def load_measure_csv(path, state_count: int) -> FiniteMeasure:
-    """Read `state,weight` lines (header optional) into a measure."""
-    w = np.zeros(state_count)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.lower().startswith("state"):
-                continue
-            state_str, weight_str = line.split(",")
-            w[int(state_str)] = float(weight_str)
-    return FiniteMeasure(w)
-
-
 def pushforward(mu: FiniteMeasure, sys: FiniteSystem, k: Coords) -> FiniteMeasure:
     """Image measure: the new weight of y sums the weights of its preimages."""
     if len(mu.weights) != sys.state_count:
@@ -145,7 +132,7 @@ def _entropy_terms(masses: Iterable[float]) -> float:
 
 def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
     """Entropy of a partition for a finite (not necessarily unit-mass) measure."""
-    if family.kind != "partition":
+    if not family.is_partition:
         raise ValueError("partition entropy needs a partition")
     masses = family.member_masses(mu.weights)
     return _entropy_terms(float(v) for v in masses)
@@ -155,7 +142,7 @@ def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
     """Expected entropy of C under the conditional measures given D's classes."""
     if not mu.is_probability():
         raise ValueError("conditional entropy is defined for probability measures")
-    if c.kind != "partition" or d.kind != "partition":
+    if not (c.is_partition and d.is_partition):
         raise ValueError("conditional entropy needs partitions")
     c_labels = c.as_labels()
     d_labels = d.as_labels()
@@ -197,7 +184,7 @@ def entropy_rate(
     once the join is stable under every generator preimage the limit itself
     is zero: the joined entropy is stuck at a constant while the box grows.
     """
-    if family.kind != "partition":
+    if not family.is_partition:
         raise ValueError("entropy rates are defined for partitions")
     if check_invariance and not is_invariant(mu, sys):
         raise ValueError("measure is not invariant within tolerance")
@@ -372,7 +359,7 @@ def separated_entropy_link_check(
     integrating the box sum against sigma equals integrating the potential
     against the averaged measure, scaled by the box size.
     """
-    if refining.kind != "partition" or not refines(refining, cover):
+    if not refining.is_partition or not refines(refining, cover):
         return SeparatedLinkReport(False, None, None, math.nan, math.nan, math.nan)
     n = as_point(n, dim=sys.dim)
     lam = box_cardinality(n)

@@ -27,6 +27,7 @@ from covpress.coveralg import (
     ClosenessGraph,
     SetFamily,
     classify_admissible,
+    membership_partition,
     orbit_join,
 )
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling, birkhoff_field
@@ -80,9 +81,6 @@ class PressureEstimate:
     samples: list[PressureSample] = field(default_factory=list)
     fekete_bound: float | None = None
     extrapolated: float = math.nan
-
-    def exact_only(self) -> list[PressureSample]:
-        return [s for s in self.samples if s.status == STATUS_EXACT]
 
     def is_monotone(self, tol: float = 1e-9) -> bool:
         rates = [s.rate for s in self.samples]
@@ -159,38 +157,18 @@ def cover_pressure_value(
     return _cover_value_from_joined(sys.state_count, joined, f_field, n, lam, mode, exact_limit)
 
 
-def _class_representatives(
-    graph: ClosenessGraph, f_field: np.ndarray, pick: str
-) -> tuple[list[int], list[float]]:
-    """Per membership class, the state with extreme ergodic sum and its value."""
-    reps: list[int] = []
-    weights: list[float] = []
-    for states in graph.class_states:
-        vals = f_field[states]
-        pos = int(np.argmax(vals)) if pick == "max" else int(np.argmin(vals))
-        reps.append(int(states[pos]))
-        weights.append(float(vals[pos]))
-    return reps, weights
-
-
-def _partition_representatives(
-    joined: SetFamily, f_field: np.ndarray, pick: str
+def _atom_representatives(
+    family: SetFamily, f_field: np.ndarray, pick: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-cell extremes for label partitions.
+    """Per atom, the state with the extreme ergodic sum and that sum.
 
-    Ties go to the lowest state index, matching the list-based path.
+    Ties go to the lowest state index.
     """
-    labels = joined.as_labels()
-    count = joined.count
-    if pick == "max":
-        best = np.full(count, -np.inf)
-        np.maximum.at(best, labels, f_field)
-    else:
-        best = np.full(count, np.inf)
-        np.minimum.at(best, labels, f_field)
-    hits = np.flatnonzero(f_field == best[labels])
-    reps = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(reps, labels[hits], hits)
+    atoms = family.atoms
+    best = membership_partition(family).group_extremum(f_field, pick)
+    hits = np.flatnonzero(f_field == best[atoms])
+    reps = np.full(family.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(reps, atoms[hits], hits)
     return reps, best
 
 
@@ -201,15 +179,14 @@ def _separated_from_joined(
     lam: int,
     exact_limit: int,
 ) -> tuple[PressureSample, tuple[int, ...]]:
+    reps, best = _atom_representatives(joined, f_field, "max")
     if joined.is_partition:
-        reps_arr, best = _partition_representatives(joined, f_field, "max")
         sample = PressureSample(n, lam, log_sum_exp(best.tolist()), STATUS_EXACT)
-        return sample, tuple(int(r) for r in np.sort(reps_arr))
+        return sample, tuple(np.sort(reps).tolist())
     graph = ClosenessGraph(joined)
-    reps, weights = _class_representatives(graph, f_field, "max")
-    adjacency = graph.class_adjacency()
-    res = max_weight_independent_set(adjacency, weights, exact_limit=exact_limit)
-    chosen_states = tuple(sorted(reps[c] for c in res.chosen))
+    reps, best = reps[graph.class_atoms], best[graph.class_atoms]
+    res = max_weight_independent_set(graph.class_adjacency(), best.tolist(), exact_limit=exact_limit)
+    chosen_states = tuple(sorted(int(reps[c]) for c in res.chosen))
     return PressureSample(n, lam, res.log_value, res.status), chosen_states
 
 
@@ -243,12 +220,12 @@ def _spanning_from_joined(
     lam: int,
     exact_limit: int,
 ) -> tuple[PressureSample, tuple[int, ...]]:
+    reps, best = _atom_representatives(joined, f_field, "min")
     if joined.is_partition:
-        reps_arr, best = _partition_representatives(joined, f_field, "min")
         sample = PressureSample(n, lam, log_sum_exp(best.tolist()), STATUS_EXACT)
-        return sample, tuple(int(r) for r in np.sort(reps_arr))
+        return sample, tuple(np.sort(reps).tolist())
     graph = ClosenessGraph(joined)
-    reps, weights = _class_representatives(graph, f_field, "min")
+    reps, best = reps[graph.class_atoms], best[graph.class_atoms]
     members = joined.members
     coverage = []
     for key in graph.class_members:
@@ -257,9 +234,9 @@ def _spanning_from_joined(
             cov |= members[m]
         coverage.append(cov)
     universe = (1 << state_count) - 1
-    inst = WeightedCoverInstance(universe, tuple(coverage), tuple(weights))
+    inst = WeightedCoverInstance(universe, tuple(coverage), tuple(best.tolist()))
     res = min_subcover_value(inst, exact_limit=exact_limit)
-    chosen_states = tuple(sorted(reps[c] for c in res.chosen))
+    chosen_states = tuple(sorted(int(reps[c]) for c in res.chosen))
     return PressureSample(n, lam, res.log_value, res.status), chosen_states
 
 

@@ -68,16 +68,12 @@ def random_functional_system(rng, lo=4, hi=10):
 
 
 def random_cover(rng, m):
-    while True:
-        masks = [int(v) for v in rng.integers(1, 1 << m, size=int(rng.integers(2, 4)))]
-        union = 0
-        for v in masks:
-            union |= v
-        masks[0] |= ((1 << m) - 1) & ~union
-        try:
-            return SetFamily(m, "cover", masks=masks)
-        except ValueError:
-            continue
+    masks = [int(v) for v in rng.integers(1, 1 << m, size=int(rng.integers(2, 4)))]
+    union = 0
+    for v in masks:
+        union |= v
+    masks[0] |= ((1 << m) - 1) & ~union
+    return SetFamily.from_state_sets(m, [[s for s in range(m) if v >> s & 1] for v in masks])
 
 
 def test_criterion_1_doubling_entropy():

@@ -1,5 +1,6 @@
 """Config parsing, experiment drivers, CSV contract, CLI exit codes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -62,18 +63,19 @@ def test_potential_from_spec():
         potential_from_spec("wavelet:1", 4)
 
 
-def test_system_from_config_custom():
-    cfg = ExperimentConfig(
-        experiment="doubling",
-        kind="custom",
-        custom_maps="1,2,0;0,1,2",
-        custom_marked="2",
-    )
-    sys = system_from_config(cfg)
-    assert sys.dim == 2
-    assert sys.marked == frozenset({2})
-    with pytest.raises(ValueError, match="custom_maps"):
-        system_from_config(ExperimentConfig(experiment="doubling", kind="custom"))
+def test_system_from_config_custom(tmp_path):
+    # Only the doubling system is configurable; the old system-kind and
+    # inline-map keys are unknown keys now.
+    assert system_from_config(ExperimentConfig(experiment="doubling", m=7)).state_count == 7
+    for line in ("kind = disk", "custom_maps = 1,2,0;0,1,2", "custom_marked = 2"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_text(line)
+        p = tmp_path / "c.conf"
+        p.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config("doubling", config_path=p)
+    with pytest.raises(ValueError, match="unknown config keys"):
+        load_config("doubling", overrides={"kind": "disk"})
 
 
 def test_rows_roundtrip_and_rate_invariant():
@@ -177,3 +179,21 @@ def test_cli_rerun_identical_bytes(tmp_path):
     assert main(["lattice-check", "--out", str(a), "--seed", "7"]) == 0
     assert main(["lattice-check", "--out", str(b), "--seed", "7"]) == 0
     assert (a / "lattice-check.csv").read_bytes() == (b / "lattice-check.csv").read_bytes()
+
+
+# SHA-256 of each experiment's CSV at its default config.  A refactor that
+# changes any byte of a result must explain the new digest.
+GOLDEN_CSV_SHA256 = {
+    "doubling": "a992f28a2822a58a0c86e62b27b4e523b105669d4aba6e118311911d52072230",
+    "leakage": "c9a1f274ab06939bd42fdebda8f1adbe64b7bb2659417845b042436ab0ccd509",
+    "finite-vp": "1f343fac510e2988ae1cc8e67432c8f46a6f25fb6c55b65f4deda581c117f064",
+    "fullshift": "01e7473fafa1c3fde039725e80e901b914653b7dba404b0c8fd6bb8cf582c6ba",
+    "lattice-check": "502bba233ef48760e44283969dbc9d0aa8e743a4d56e58379a9cd5ab1512f43d",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN_CSV_SHA256))
+def test_cli_default_config_golden_digest(tmp_path, experiment):
+    assert main([experiment, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / f"{experiment}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CSV_SHA256[experiment]

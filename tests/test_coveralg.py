@@ -59,6 +59,13 @@ def test_construction_dedups_and_validates():
         SetFamily.from_state_sets(4, [{0, 1}])
     with pytest.raises(ValueError, match="disjoint"):
         SetFamily.from_state_sets(4, [{0, 1}, {1, 2, 3}], kind="partition")
+    with pytest.raises(ValueError, match="outside"):
+        SetFamily.from_state_sets(4, [{0, 1, 2, 3, 4}])
+    with pytest.raises(ValueError, match="unknown family kind"):
+        SetFamily.from_state_sets(4, [range(4)], kind="bag")
+    # Disjointness is read off the members, whatever kind was asked for.
+    assert SetFamily.from_state_sets(4, [{0, 1}, {2, 3}]).is_partition
+    assert SetFamily.trivial(4).is_partition
 
 
 def test_label_and_mask_forms_agree():
@@ -68,14 +75,6 @@ def test_label_and_mask_forms_agree():
     assert fam == masks_form
     assert fam.member_states(2) == [3]
     assert fam.member_sizes().tolist() == [2, 2, 1]
-
-
-def test_serialize_roundtrip():
-    fam = SetFamily.from_state_sets(5, [{0, 2, 4}, {1, 3}, {2, 3}])
-    text = fam.serialize()
-    assert text == "0 2 4\n1 3\n2 3\n"
-    back = SetFamily.deserialize(text, 5)
-    assert back == fam
 
 
 def test_preimage_identity_and_doubling():
@@ -138,20 +137,84 @@ def test_orbit_join_doubling_101_eight_cells():
     assert brute_itineraries(sys, part, (3,)) == family_as_sets(joined)
 
 
-def test_orbit_join_matches_bruteforce_covers():
-    sys = make_circle_doubling(13)
-    cover = SetFamily.from_state_sets(13, [set(range(8)), set(range(6, 13)), {0, 12}])
-    joined = orbit_join(sys, cover, (3,))
-    # Brute force: all nonempty intersections of one preimage choice per k.
-    gen = sys.generators[0]
-    orbits = {x: [x, int(gen[x]), int(gen[gen[x]])] for x in range(13)}
-    members = set()
-    sets = [frozenset(cover.member_states(i)) for i in range(cover.count)]
-    for choice in itertools.product(range(3), repeat=3):
-        cell = {x for x in range(13) if all(orbits[x][k] in sets[choice[k]] for k in range(3))}
-        if cell:
-            members.add(frozenset(cell))
-    assert family_as_sets(joined) == members
+@st.composite
+def covered_systems(draw):
+    """A small system (one generator, or two commuting ones acting on the
+    two coordinates of a product), an overlapping 2-3 member cover, a box."""
+    dim = draw(st.sampled_from([1, 2]))
+    sizes = [draw(st.integers(2, 8))] if dim == 1 else [draw(st.integers(2, 3)) for _ in range(2)]
+    m = int(np.prod(sizes))
+    coords = np.array(list(itertools.product(*(range(c) for c in sizes))))
+    gens = []
+    for axis, size in enumerate(sizes):
+        local = np.array(draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        moved = coords.copy()
+        moved[:, axis] = local[coords[:, axis]]
+        gens.append(np.ravel_multi_index(moved.T, sizes))
+    state = st.integers(0, m - 1)
+    sets = [set(draw(st.sets(state, min_size=1))) for _ in range(draw(st.integers(2, 3)))]
+    sets[0] |= set(range(m)) - set().union(*sets)
+    if all(not (a & b) for a, b in itertools.combinations(sets, 2)):
+        sets[0].add(min(sets[1]))
+    n = tuple(draw(st.integers(1, 3)) for _ in range(dim))
+    return FiniteSystem(generators=tuple(gens)), sets, n
+
+
+@given(covered_systems())
+@settings(max_examples=60, deadline=None)
+def test_orbit_join_matches_bruteforce_covers(case):
+    sys, sets, n = case
+    m = sys.state_count
+    cover = SetFamily.from_state_sets(m, sets)
+    joined = orbit_join(sys, cover, n, member_budget=10**6)
+    got = [frozenset(joined.member_states(i)) for i in range(joined.count)]
+
+    # Preimage of every member under every box power, in lexicographic order.
+    base = [frozenset(cover.member_states(i)) for i in range(cover.count)]
+    preimages = []
+    for k in itertools.product(*(range(c) for c in n)):
+        image = np.arange(m)
+        for axis, reps in enumerate(k):
+            for _ in range(reps):
+                image = sys.generators[axis][image]
+        preimages.append([frozenset(x for x in range(m) if image[x] in b) for b in base])
+
+    # (1) Members are the nonempty intersections of one preimage per box point.
+    brute = set()
+
+    def descend(depth, acc):
+        if not acc:
+            return
+        if depth == len(preimages):
+            brute.add(acc)
+            return
+        for pre in preimages[depth]:
+            descend(depth + 1, acc & pre)
+
+    descend(0, frozenset(range(m)))
+    assert set(got) == brute
+
+    # (2) Member order: first occurrence over (current member, step member).
+    current = None
+    for step in preimages:
+        step = [p for p in step if p]
+        if current is None:
+            current = step
+        else:
+            current = list(dict.fromkeys(c & p for c in current for p in step if c & p))
+    assert got == list(dict.fromkeys(current))
+
+    # (3) Atoms are exactly the membership classes, labelled 0..A-1.
+    member_sets = [frozenset(i for i, g in enumerate(got) if x in g) for x in range(m)]
+    atoms = joined.atoms.tolist()
+    assert sorted(set(atoms)) == list(range(joined.atom_count))
+    for x in range(m):
+        for y in range(m):
+            assert (atoms[x] == atoms[y]) == (member_sets[x] == member_sets[y])
+
+    # (4) The family is a partition iff its members are pairwise disjoint.
+    disjoint = all(not (a & b) for a, b in itertools.combinations(got, 2))
+    assert joined.is_partition == disjoint
 
 
 def test_orbit_join_doubling_100003_full_words():

@@ -24,7 +24,6 @@ from covpress.measpressure import (
     invariant_cycle_mixture,
     is_invariant,
     ks_entropy,
-    load_measure_csv,
     measure_pressure,
     partition_entropy,
     pushforward,
@@ -393,14 +392,6 @@ def test_doubling_entropy_rate_near_log2():
     arc = SetFamily.from_labels((np.arange(100003) >= 50002).astype(np.int64))
     est = entropy_rate(mu, sys, arc, 10)
     assert abs(est.samples[-1].rate - math.log(2)) < 0.05
-
-
-def test_load_measure_csv(tmp_path):
-    p = tmp_path / "mu.csv"
-    p.write_text("state,weight\n0,0.25\n2,0.75\n", encoding="utf-8")
-    mu = load_measure_csv(p, 3)
-    assert np.allclose(mu.weights, [0.25, 0.0, 0.75])
-    assert mu.mass == pytest.approx(1.0)
 
 
 def test_variation_distance_symmetry():

@@ -35,22 +35,18 @@ def random_system(rng, m=None):
     return FiniteSystem(generators=(gen,))
 
 
-def random_cover(rng, m, kind="cover"):
-    while True:
-        k = int(rng.integers(2, 4))
-        masks = []
-        for _ in range(k):
-            mask = int(rng.integers(1, 1 << m))
-            masks.append(mask)
-        union = 0
-        for mask in masks:
-            union |= mask
-        missing = ((1 << m) - 1) & ~union
-        masks[0] |= missing
-        try:
-            return SetFamily(m, kind, masks=masks)
-        except ValueError:
-            continue
+def random_cover(rng, m):
+    k = int(rng.integers(2, 4))
+    masks = []
+    for _ in range(k):
+        mask = int(rng.integers(1, 1 << m))
+        masks.append(mask)
+    union = 0
+    for mask in masks:
+        union |= mask
+    missing = ((1 << m) - 1) & ~union
+    masks[0] |= missing
+    return SetFamily.from_state_sets(m, [[s for s in range(m) if mask >> s & 1] for mask in masks])
 
 
 def test_zero_potential_counts_minimal_subcover():
