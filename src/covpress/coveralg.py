@@ -12,7 +12,8 @@ Joins and preimages work on the atom labels with one numpy label join; only
 covers with overlapping members also lift their member bitmasks onto the
 finer atoms (the atoms of a joined cover are the join of its atoms).  On top
 of families sit the operations every pressure computation needs: preimages,
-joins over orbit boxes, the refinement preorder, admissibility
+joins over orbit boxes, the incremental sweep of joins and ergodic sums
+along the diagonal boxes, the refinement preorder, admissibility
 classification against the system's marked states, the strongly-admissible
 cover built from an admissible partition, the potential-level cover, and the
 closeness graph that encodes which states share a member.
@@ -21,12 +22,12 @@ closeness graph that encodes which states share a member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from covpress.dynsys import FiniteSystem, Potential, iter_box_maps, power_map
-from covpress.lattice import Coords, as_point, box_cardinality
+from covpress.lattice import Coords, as_point, box_cardinality, diagonal
 
 DEFAULT_MEMBER_BUDGET = 4096
 DEFAULT_LAMBDA_BUDGET = 1_000_000
@@ -283,6 +284,47 @@ def join(a: SetFamily, b: SetFamily) -> SetFamily:
     return SetFamily(atoms, [ma & mb for ma in mine for mb in theirs])
 
 
+def _refine(
+    family: SetFamily, state: tuple | None, image: np.ndarray, n: Coords, member_budget: int
+) -> tuple:
+    """One orbit-join step: refine `state` by the family pulled back through `image`.
+
+    `state` is (atoms, atom count, member incidence or None for a partition),
+    or None before the first step.  Atoms are joined as labels; a cover's
+    members are intersected in first-occurrence order over (joined-so-far
+    member, pulled-back member), with bitmasks lifted onto the finer atoms.
+    A result with more than `member_budget` members, while joining over the
+    box below n, raises CoverBudgetError.
+    """
+    width = family.atom_count
+    step = family.atoms[image]
+    if state is None:
+        atoms, count, current = step, width, family._incidence
+    else:
+        atoms, count, current = state
+        pairs, atoms = np.unique(atoms * width + step, return_inverse=True)
+        if current is not None:
+            mine = [_mask(_bits(m, count)[pairs // width]) for m in current]
+            theirs = _lifted(family, pairs % width)
+            current = list(dict.fromkeys(cm & sm for cm in mine for sm in theirs if cm & sm))
+        count = len(pairs)
+    members = count if current is None else len(current)
+    if members > member_budget:
+        raise CoverBudgetError(
+            f"join over box {n} (cardinality {box_cardinality(n)}) has {members} members, "
+            f"budget {member_budget}"
+        )
+    return atoms, count, current
+
+
+def _check_box(sys: FiniteSystem, family: SetFamily, n: Coords, lambda_budget: int) -> None:
+    lam = box_cardinality(n)
+    if lam > lambda_budget:
+        raise CoverBudgetError(f"box cardinality {lam} exceeds budget {lambda_budget}")
+    if family.state_count != sys.state_count:
+        raise ValueError("family does not live on this system")
+
+
 def orbit_join(
     sys: FiniteSystem,
     family: SetFamily,
@@ -292,38 +334,56 @@ def orbit_join(
 ) -> SetFamily:
     """Join of the preimages of the family over the whole box below n.
 
-    The atoms are joined as labels: states are identified exactly when their
-    atom agrees at every box point.  A cover's members are intersected in
-    first-occurrence order over (joined-so-far member, next preimage member).
+    States are identified exactly when their atom agrees at every box point.
+    A cover's members are intersected in first-occurrence order over
+    (joined-so-far member, next preimage member), box points in lex order.
     """
     n = as_point(n, dim=sys.dim)
-    lam = box_cardinality(n)
-    if lam > lambda_budget:
-        raise CoverBudgetError(f"box cardinality {lam} exceeds budget {lambda_budget}")
-    if family.state_count != sys.state_count:
-        raise ValueError("family does not live on this system")
-
-    base = family.atoms
-    width = family.atom_count
-    atoms = None
-    current = family._incidence  # None for a partition
+    _check_box(sys, family, n, lambda_budget)
+    state = None
     for _, tk in iter_box_maps(sys, n):
-        if atoms is None:
-            atoms, count = base[tk], width
-        else:
-            pairs, atoms = np.unique(atoms * width + base[tk], return_inverse=True)
-            if current is not None:
-                mine = [_mask(_bits(m, count)[pairs // width]) for m in current]
-                theirs = _lifted(family, pairs % width)
-                current = list(dict.fromkeys(cm & sm for cm in mine for sm in theirs if cm & sm))
-            count = len(pairs)
-        members = count if current is None else len(current)
-        if members > member_budget:
-            raise CoverBudgetError(
-                f"join over box {n} (cardinality {lam}) has {members} members, "
-                f"budget {member_budget}"
-            )
-    return SetFamily(atoms, current)
+        state = _refine(family, state, tk, n, member_budget)
+    return SetFamily(state[0], state[2])
+
+
+def diagonal_sweep(
+    sys: FiniteSystem,
+    family: SetFamily,
+    f: Potential | None,
+    n_max: int,
+    member_budget: int = DEFAULT_MEMBER_BUDGET,
+    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
+) -> Iterator[tuple[int, SetFamily, np.ndarray | None]]:
+    """Yield (t, orbit join, ergodic-sum field) over the boxes (t, .., t),
+    t = 1..n_max, extending both by the shell of new box points each step.
+
+    In 1-d the step is join_(t+1) = join_t ^ family o T^t and
+    field_(t+1) = field_t + f o T^t, so atoms, member order and field are
+    bitwise those of `orbit_join` and `birkhoff_field` at (t,).  In N-d the
+    families are equal and the field agrees up to float summation order.
+    The field is None when f is.  A join over budget raises CoverBudgetError
+    and ends the sweep; the depths already yielded stand, and since a
+    partition's join only refines, no deeper box would fit either.
+    """
+    tops = [np.arange(sys.state_count)] * sys.dim  # per axis: generator^(t-1)
+    state = None
+    field = None if f is None else np.zeros(sys.state_count)
+    for t in range(1, n_max + 1):
+        n = diagonal(t, sys.dim)
+        _check_box(sys, family, n, lambda_budget)
+        if t > 1:
+            tops = [g[top] for g, top in zip(sys.generators, tops)]
+        # The shell of box points k with max(k) = t-1, as one slab per axis a:
+        # k_a = t-1, k_b < t before axis a and k_b < t-1 after it.
+        for a in range(sys.dim):
+            slab = tuple(t if b < a else 1 if b == a else t - 1 for b in range(sys.dim))
+            if 0 in slab:
+                continue
+            for _, tk in iter_box_maps(sys, slab, start=tops[a]):
+                state = _refine(family, state, tk, n, member_budget)
+                if field is not None:
+                    field = field + f.values[tk]
+        yield t, SetFamily(state[0], state[2]), field
 
 
 def refines(finer: SetFamily, coarser: SetFamily) -> bool:

@@ -125,8 +125,11 @@ def apply_power(sys: FiniteSystem, k: Coords, x: int) -> int:
     return x
 
 
-def iter_box_maps(sys: FiniteSystem, n: Coords) -> Iterator[tuple[Coords, np.ndarray]]:
-    """Yield (k, power-k map) for every k in the box below n, in lex order.
+def iter_box_maps(
+    sys: FiniteSystem, n: Coords, start: np.ndarray | None = None
+) -> Iterator[tuple[Coords, np.ndarray]]:
+    """Yield (k, power-k map) for every k in the box below n, in lex order;
+    with `start`, each map is applied after it (x -> T^k(start[x])).
 
     Keeps one composed map per axis level, so memory stays at dim arrays no
     matter how large the box is.
@@ -134,9 +137,10 @@ def iter_box_maps(sys: FiniteSystem, n: Coords) -> Iterator[tuple[Coords, np.nda
     n = as_point(n, dim=sys.dim)
     if any(c == 0 for c in n):
         raise EmptyBoxError(f"box {n} is empty")
-    identity = np.arange(sys.state_count, dtype=np.int64)
+    if start is None:
+        start = np.arange(sys.state_count, dtype=np.int64)
     # stack[d] holds the map for the prefix point (k[0], .., k[d-1], 0, .., 0).
-    stack: list[np.ndarray] = [identity] * (sys.dim + 1)
+    stack: list[np.ndarray] = [start] * (sys.dim + 1)
     prev: Coords | None = None
     for k in iter_box(n):
         if prev is not None:

@@ -5,15 +5,16 @@ deterministic for a fixed config (same seeds, same tie-breaking, same float
 formatting) so reruns produce byte-identical CSVs.  Verdict logic reads only
 the rows it refers to, so every judgement can be audited from the CSV.
 
-Per-(cover, box) evaluations are independent; they are fanned out over a
-thread pool and gathered back in task order before anything is written.
+Rates are read along the diagonal boxes, and each cover is swept once:
+`diagonal_sweep` extends the join and the ergodic-sum field by one step per
+depth, and every value at that depth is computed from that one join.  The
+euclidean separated counts of all depths come from one pass as well.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - only perfbench/spans.py uses it
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,9 +25,9 @@ from covpress.coveralg import (
     CoverBudgetError,
     SetFamily,
     classify_admissible,
+    diagonal_sweep,
     join,
     membership_partition,
-    orbit_join,
     potential_cover,
 )
 from covpress.dynsys import (
@@ -49,9 +50,9 @@ from covpress.measpressure import FiniteMeasure, measure_pressure
 from covpress.solvers import STATUS_EXACT, STATUS_GREEDY_LOWER
 from covpress.toppressure import (
     PressureSample,
-    cover_pressure_value,
+    cover_value_from_joined,
     deep_partition_sample,
-    pressure_quadruple,
+    quadruple_from_joined,
 )
 
 CSV_HEADER = "experiment,cover,mode,n,lambda_n,raw_value,rate,bound,solver_status"
@@ -123,16 +124,6 @@ def _count_row(experiment, cover, mode, t, count, status=STATUS_EXACT, bound=Non
     )
 
 
-def _gather(tasks: Sequence[Callable]):
-    """Run independent tasks on a thread pool, results in task order."""
-    if len(tasks) <= 1:
-        return [task() for task in tasks]
-    workers = min(8, os.cpu_count() or 1, len(tasks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def potential_from_spec(spec: str, m: int, arc_states: Sequence[int] | None = None) -> Potential:
     """Decode a `constant:c | arc:a | values:v1,v2,...` potential spec."""
     kind, _, arg = spec.partition(":")
@@ -183,35 +174,22 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
     exact_limit = cfg.exact_limit or 24
     node_limit = cfg.exact_limit or 2000
 
-    def quad_task(name, family, t):
-        def run():
-            try:
-                return name, t, pressure_quadruple(
-                    sys, f, family, (t,),
-                    exact_limit=exact_limit,
-                    node_limit=node_limit,
-                    member_budget=cfg.member_budget,
-                )
-            except CoverBudgetError:
-                return name, t, None
-        return run
-
-    tasks = [
-        quad_task(name, family, t)
-        for name, family in covers
-        for t in range(1, cfg.n_max + 1)
-    ]
-    results = _gather(tasks)
-    p_best: dict[str, float] = {}
-    for name, t, quad in results:
-        if quad is None:
-            continue
-        for mode in ("Q", "P", "S", "G"):
-            bound = None
-            if mode == "P" and quad["P"].status == STATUS_EXACT:
-                p_best[name] = min(p_best.get(name, math.inf), quad["P"].rate)
-                bound = p_best[name]
-            rows.append(_sample_row(experiment, name, mode, quad[mode], bound=bound))
+    stopped = []
+    for name, family in covers:
+        p_best = math.inf
+        reached = 0
+        sweep = diagonal_sweep(sys, family, f, cfg.n_max, member_budget=cfg.member_budget)
+        try:
+            for t, joined, f_field in sweep:
+                quad = quadruple_from_joined(joined, f_field, (t,), exact_limit, node_limit)
+                for mode in ("Q", "P", "S", "G"):
+                    bound = None
+                    if mode == "P" and quad["P"].status == STATUS_EXACT:
+                        p_best = bound = min(p_best, quad["P"].rate)
+                    rows.append(_sample_row(experiment, name, mode, quad[mode], bound=bound))
+                reached = t
+        except CoverBudgetError as exc:
+            stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {exc}")
 
     arc_q = [r for r in rows if r.cover == "arcs" and r.mode == "Q"]
     final = max(arc_q, key=lambda r: r.lam)
@@ -227,6 +205,7 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
         b <= a + 1e-9 for a, b in zip(rates, rates[1:])
     )
     note = "" if monotone else "; note: rate sequence is not monotone"
+    note += "".join(f"; {text}" for text in stopped)
     verdicts = []
     if target is None:
         verdicts.append(
@@ -298,40 +277,58 @@ def annulus_cell_partition(sys: FiniteSystem, rings: int, sectors: int, annulus_
 
 def euclid_separated_count(
     sys: FiniteSystem, rings: int, sectors: int, band: int, eps: float, depth: int
-) -> int:
-    """Greedy maximal set of boundary-band cells whose orbits stay metrically apart.
+) -> list[int]:
+    """Greedy maximal sets of boundary-band cells whose orbits stay metrically
+    apart, for every depth 1..depth in one pass.
 
-    Two cells count as separated when at some time below `depth` their orbit
-    cell centers are more than eps apart in the plane.  Greedy insertion in
-    state order gives a maximal set, hence a certified lower bound for the
-    separated count.
+    Two cells count as separated at depth d when at some time below d their
+    orbit cell centers are more than eps apart in the plane.  Greedy
+    insertion in state order gives a maximal set, hence a certified lower
+    bound for the separated count.  Only pairs close at time 0 can ever be
+    unseparated; each gets its first separation time, and the greedy at
+    depth d lets every chosen cell block the later cells still close to it.
     """
-    band_states = np.array(
-        [
-            _disk_index(sectors, i, j)
-            for i in range(rings - band, rings)
-            for j in range(sectors)
-        ],
-        dtype=np.int64,
-    )
-    gen = sys.generators[0]
-    orbit = np.empty((depth, len(band_states), 2))
-    current = band_states.copy()
-    for k in range(depth):
-        orbit[k] = sys.geometry[current]
-        current = gen[current]
-    chosen = np.empty((len(band_states), depth, 2))
-    count = 0
-    for idx in range(len(band_states)):
-        cand = orbit[:, idx, :]
-        if count:
-            diff = chosen[:count] - cand[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
-            if not (dist.max(axis=1) > eps).all():
-                continue
-        chosen[count] = cand
-        count += 1
-    return count
+    # The outer `band` rings, ring by ring, each in sector order.
+    band_states = np.arange(_disk_index(sectors, rings - band, 0), _disk_index(sectors, rings, 0))
+    count = len(band_states)
+    if not count:
+        return [0] * depth
+
+    def apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        diff = sys.geometry[a] - sys.geometry[b]
+        return np.sqrt((diff**2).sum(axis=-1)) > eps
+
+    # Pairs i < j close at time 0, in row blocks of about 1 MiB of differences.
+    block = max(1, (1 << 20) // (16 * count))
+    firsts, seconds = [], []
+    for lo in range(0, count, block):
+        rows = np.arange(lo, min(lo + block, count))
+        i, j = np.nonzero(~apart(band_states[rows, None], band_states[None, :]))
+        keep = j > rows[i]
+        firsts.append(rows[i][keep])
+        seconds.append(j[keep])
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+
+    # First time each pair is apart; `depth` when it stays close throughout.
+    split = np.full(len(first), depth)
+    pending = np.arange(len(first))
+    current = band_states
+    for k in range(1, depth):
+        current = sys.generators[0][current]
+        now = apart(current[first[pending]], current[second[pending]])
+        split[pending[now]] = k
+        pending = pending[~now]
+
+    counts = []
+    for d in range(1, depth + 1):
+        close = split >= d
+        sources, starts = np.unique(first[close], return_index=True)
+        blocked: set[int] = set()
+        for source, later in zip(sources.tolist(), np.split(second[close], starts[1:])):
+            if source not in blocked:
+                blocked.update(later.tolist())
+        counts.append(count - len(blocked))
+    return counts
 
 
 def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictItem]]:
@@ -359,31 +356,18 @@ def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIte
     assert classify_admissible(sys, admissible).is_admissible
     trivial = SetFamily.trivial(m)
 
-    def pizza_task(t):
-        def run():
-            joined = orbit_join(sys, pizza_cells, (t,), member_budget=cfg.member_budget)
-            return joined.count
-        return run
-
-    def euclid_task(t):
-        def run():
-            return euclid_separated_count(
-                sys, rings, sectors, cfg.euclid_band, cfg.euclid_eps, t
-            )
-        return run
-
-    def admissible_task(family, t):
-        def run():
-            return cover_pressure_value(
-                sys, f0, family, (t,), "Q", member_budget=cfg.member_budget
-            )
-        return run
+    def sweep(family, f=None):
+        return diagonal_sweep(sys, family, f, cfg.n_max, member_budget=cfg.member_budget)
 
     ts = list(range(1, cfg.n_max + 1))
-    pizza_counts = _gather([pizza_task(t) for t in ts])
-    euclid_counts = _gather([euclid_task(t) for t in ts])
-    admissible_samples = _gather([admissible_task(admissible, t) for t in ts])
-    trivial_samples = _gather([admissible_task(trivial, t) for t in ts])
+    pizza_counts = [joined.count for _, joined, _ in sweep(pizza_cells)]
+    euclid_counts = euclid_separated_count(
+        sys, rings, sectors, cfg.euclid_band, cfg.euclid_eps, cfg.n_max
+    )
+    q_samples = {
+        name: [cover_value_from_joined(joined, f_field, (t,)) for t, joined, f_field in sweep(fam, f0)]
+        for name, fam in (("admissible", admissible), ("trivial", trivial))
+    }
 
     for t, count in zip(ts, pizza_counts):
         rows.append(_count_row(experiment, "pizza", "count", t, count))
@@ -398,16 +382,14 @@ def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIte
                 status=STATUS_GREEDY_LOWER,
             )
         )
-    for sample in admissible_samples:
-        rows.append(_sample_row(experiment, "admissible", "Q", sample))
-    for sample in trivial_samples:
-        rows.append(_sample_row(experiment, "trivial", "Q", sample))
+    for name, samples in q_samples.items():
+        rows.extend(_sample_row(experiment, name, "Q", sample) for sample in samples)
 
     pizza_rate = math.log(pizza_counts[-1]) / ts[-1]
     euclid_rate = math.log(euclid_counts[-1]) / ts[-1]
     # The admissible value saturates; the tail slope of its log estimates the
     # limit without the O(count)/depth offset a secant would carry.
-    last, prev = admissible_samples[-1], admissible_samples[-2]
+    last, prev = q_samples["admissible"][-1], q_samples["admissible"][-2]
     admissible_slope = (last.log_value - prev.log_value) / (last.lam - prev.lam)
     verdicts = [
         VerdictItem(
@@ -461,8 +443,8 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
         coarse = SetFamily.from_labels(rng.integers(0, 2, size=m))
         covers = [("cells", cells), ("coarse", coarse), ("trivial", SetFamily.trivial(m))]
         for name, family in covers:
-            for t in range(1, min(cfg.n_max, 8) + 1):
-                quad = pressure_quadruple(sys, f, family, (t,))
+            for t, joined, f_field in diagonal_sweep(sys, family, f, min(cfg.n_max, 8)):
+                quad = quadruple_from_joined(joined, f_field, (t,))
                 for mode in ("Q", "S", "G"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))
 

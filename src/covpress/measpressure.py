@@ -25,6 +25,7 @@ import numpy as np
 from covpress.coveralg import (
     SetFamily,
     classify_admissible_partition,
+    diagonal_sweep,
     join,
     orbit_join,
     preimage_family,
@@ -190,14 +191,10 @@ def entropy_rate(
         raise ValueError("measure is not invariant within tolerance")
     samples = []
     stable_at = None
-    for t in range(1, n_max + 1):
+    for t, joined, _ in diagonal_sweep(sys, family, None, n_max, member_budget=member_budget):
         n = diagonal(t, sys.dim)
-        joined = orbit_join(sys, family, n, member_budget=member_budget)
         h = partition_entropy(mu, joined)
-        lam = box_cardinality(n)
-        samples.append(
-            PressureSample(n, lam, h, STATUS_EXACT)
-        )
+        samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
         if stable_at is None and _is_join_stable(sys, joined):
             stable_at = t
     est = rate_sequence(samples, "H")

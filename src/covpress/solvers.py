@@ -2,9 +2,10 @@
 
 Weights enter as logarithms because the quantities being optimized are sums
 of exponentiated ergodic sums, which overflow floats long before the
-instances get interesting.  Internally each solve shifts by the largest
-log-weight and works with scaled linear weights in [0, 1]; the reported
-value goes back to log scale.
+instances get interesting.  Each search runs on linear weights shifted so
+that its optimum is at least 1 (subcover: log-domain greedy value over the
+greedy ratio H(d); independent set: the largest log-weight), so whatever
+underflows is below float resolution; values go back to log scale.
 
 Exactness is never silently degraded: every result carries a status, and the
 branch-and-bound falls back to the greedy answer (with the greedy status)
@@ -72,18 +73,21 @@ def _canonical_log_sum(log_weights: Sequence[float], chosen: Sequence[int]) -> f
     return shift + math.log(math.fsum(math.exp(log_weights[i] - shift) for i in idx))
 
 
-def _greedy_cover(universe: int, members: Sequence[int], weights: Sequence[float]) -> list[int]:
-    """Classic ratio greedy; ties broken toward the lowest member index."""
+def _greedy_cover(
+    universe: int, members: Sequence[int], log_weights: Sequence[float], candidates: list[int]
+) -> list[int]:
+    """Classic ratio greedy over the candidate members, in the log domain;
+    ties broken toward the lowest member index."""
     chosen: list[int] = []
     remaining = universe
     while remaining:
         best_i = -1
         best_ratio = math.inf
-        for i, m in enumerate(members):
-            gain = (m & remaining).bit_count()
+        for i in candidates:
+            gain = (members[i] & remaining).bit_count()
             if gain == 0:
                 continue
-            ratio = weights[i] / gain
+            ratio = log_weights[i] - math.log(gain)
             if ratio < best_ratio:
                 best_ratio = ratio
                 best_i = i
@@ -107,9 +111,6 @@ def min_subcover_value(
     says which).
     """
     members = [m & inst.universe for m in inst.members]
-    shift = max(inst.log_weights, default=0.0)
-    weights = [math.exp(w - shift) for w in inst.log_weights]
-
     chosen: list[int] = []
     remaining = inst.universe
     active = [i for i, m in enumerate(members) if m]
@@ -140,15 +141,29 @@ def min_subcover_value(
 
     status = STATUS_EXACT
     if remaining:
-        sub_members = [members[i] for i in active]
-        sub_weights = [weights[i] for i in active]
+        log_weights = inst.log_weights
+        greedy = _greedy_cover(remaining, members, log_weights, active)
+        total = _canonical_log_sum(log_weights, greedy)
+        # Greedy is within H(d) of the optimum (Chvatal 1979), so this shift puts
+        # the optimum at >= 1, and no optimal subcover holds a member heavier
+        # than the greedy total.
+        d = max((members[i] & remaining).bit_count() for i in active)
+        shift = total - math.log(math.fsum(1.0 / k for k in range(1, d + 1)))
+        active = [i for i in active if log_weights[i] <= total]
         picked: list[int] | None = None
         if len(active) <= exact_limit:
-            picked = _branch_and_bound_cover(remaining, sub_members, sub_weights, node_budget)
+            picked = _branch_and_bound_cover(
+                remaining,
+                [members[i] for i in active],
+                [math.exp(log_weights[i] - shift) for i in active],
+                [active.index(i) for i in greedy],
+                node_budget,
+            )
         if picked is None:
-            picked = _greedy_cover(remaining, sub_members, sub_weights)
+            chosen.extend(greedy)
             status = STATUS_GREEDY_UPPER
-        chosen.extend(active[i] for i in picked)
+        else:
+            chosen.extend(active[i] for i in picked)
 
     chosen = sorted(set(chosen))
     return SolveResult(_canonical_log_sum(inst.log_weights, chosen), tuple(chosen), status)
@@ -158,10 +173,11 @@ def _branch_and_bound_cover(
     universe: int,
     members: list[int],
     weights: list[float],
+    greedy: list[int],
     node_budget: int,
 ) -> list[int] | None:
-    """Exact minimum-weight cover; None if the node budget runs out."""
-    greedy = _greedy_cover(universe, members, weights)
+    """Exact minimum-weight cover, starting from the greedy cover; None if
+    the node budget runs out."""
     best_value = sum(weights[i] for i in greedy)
     best_set = list(greedy)
     element_members: dict[int, list[int]] = {}

@@ -27,6 +27,7 @@ from covpress.coveralg import (
     ClosenessGraph,
     SetFamily,
     classify_admissible,
+    diagonal_sweep,
     membership_partition,
     orbit_join,
 )
@@ -118,21 +119,21 @@ def member_log_weights(family: SetFamily, f_field: np.ndarray, mode: str) -> np.
     return family.group_extremum(f_field, "min" if mode == "Q" else "max")
 
 
-def _cover_value_from_joined(
-    state_count: int,
+def cover_value_from_joined(
     joined: SetFamily,
     f_field: np.ndarray,
     n: Coords,
-    lam: int,
-    mode: str,
-    exact_limit: int,
+    mode: str = "Q",
+    exact_limit: int = EXACT_LIMIT_FAMILIES,
 ) -> PressureSample:
+    """Q or P value of an already joined family, given the ergodic field at box n."""
+    lam = box_cardinality(n)
     weights = member_log_weights(joined, f_field, mode)
     if joined.is_partition:
         # Every class holds states no other member covers, so the subcover is
         # the whole family and no search is needed.
         return PressureSample(n, lam, log_sum_exp(weights.tolist()), STATUS_EXACT)
-    universe = (1 << state_count) - 1
+    universe = (1 << joined.state_count) - 1
     inst = WeightedCoverInstance(universe, joined.members, tuple(float(w) for w in weights))
     res = min_subcover_value(inst, exact_limit=exact_limit)
     return PressureSample(n, lam, res.log_value, res.status)
@@ -151,10 +152,9 @@ def cover_pressure_value(
     """Cheapest subcover of the box join, weighted per member by the inf (Q)
     or sup (P) of the exponentiated ergodic sum."""
     n = as_point(n, dim=sys.dim)
-    lam = box_cardinality(n)
     joined = orbit_join(sys, family, n, member_budget=member_budget, lambda_budget=lambda_budget)
     f_field = birkhoff_field(sys, f, n)
-    return _cover_value_from_joined(sys.state_count, joined, f_field, n, lam, mode, exact_limit)
+    return cover_value_from_joined(joined, f_field, n, mode, exact_limit)
 
 
 def _atom_representatives(
@@ -173,12 +173,9 @@ def _atom_representatives(
 
 
 def _separated_from_joined(
-    joined: SetFamily,
-    f_field: np.ndarray,
-    n: Coords,
-    lam: int,
-    exact_limit: int,
+    joined: SetFamily, f_field: np.ndarray, n: Coords, exact_limit: int
 ) -> tuple[PressureSample, tuple[int, ...]]:
+    lam = box_cardinality(n)
     reps, best = _atom_representatives(joined, f_field, "max")
     if joined.is_partition:
         sample = PressureSample(n, lam, log_sum_exp(best.tolist()), STATUS_EXACT)
@@ -206,20 +203,15 @@ def separated_value(
     partition the class graph is edgeless and the answer needs no search.
     """
     n = as_point(n, dim=sys.dim)
-    lam = box_cardinality(n)
     joined = orbit_join(sys, family, n, member_budget=member_budget, lambda_budget=lambda_budget)
     f_field = birkhoff_field(sys, f, n)
-    return _separated_from_joined(joined, f_field, n, lam, exact_limit)
+    return _separated_from_joined(joined, f_field, n, exact_limit)
 
 
 def _spanning_from_joined(
-    state_count: int,
-    joined: SetFamily,
-    f_field: np.ndarray,
-    n: Coords,
-    lam: int,
-    exact_limit: int,
+    joined: SetFamily, f_field: np.ndarray, n: Coords, exact_limit: int
 ) -> tuple[PressureSample, tuple[int, ...]]:
+    lam = box_cardinality(n)
     reps, best = _atom_representatives(joined, f_field, "min")
     if joined.is_partition:
         sample = PressureSample(n, lam, log_sum_exp(best.tolist()), STATUS_EXACT)
@@ -233,7 +225,7 @@ def _spanning_from_joined(
         for m in key:
             cov |= members[m]
         coverage.append(cov)
-    universe = (1 << state_count) - 1
+    universe = (1 << joined.state_count) - 1
     inst = WeightedCoverInstance(universe, tuple(coverage), tuple(best.tolist()))
     res = min_subcover_value(inst, exact_limit=exact_limit)
     chosen_states = tuple(sorted(int(reps[c]) for c in res.chosen))
@@ -257,10 +249,9 @@ def spanning_value(
     the cheapest state per class is forced.
     """
     n = as_point(n, dim=sys.dim)
-    lam = box_cardinality(n)
     joined = orbit_join(sys, family, n, member_budget=member_budget, lambda_budget=lambda_budget)
     f_field = birkhoff_field(sys, f, n)
-    return _spanning_from_joined(sys.state_count, joined, f_field, n, lam, exact_limit)
+    return _spanning_from_joined(joined, f_field, n, exact_limit)
 
 
 def pressure_quadruple(
@@ -274,18 +265,25 @@ def pressure_quadruple(
 ) -> dict[str, PressureSample]:
     """All four values at one box, sharing the join and the ergodic field."""
     n = as_point(n, dim=sys.dim)
-    lam = box_cardinality(n)
     joined = orbit_join(sys, family, n, member_budget=member_budget)
     f_field = birkhoff_field(sys, f, n)
-    m = sys.state_count
+    return quadruple_from_joined(joined, f_field, n, exact_limit, node_limit)
+
+
+def quadruple_from_joined(
+    joined: SetFamily,
+    f_field: np.ndarray,
+    n: Coords,
+    exact_limit: int = EXACT_LIMIT_FAMILIES,
+    node_limit: int = EXACT_LIMIT_NODES,
+) -> dict[str, PressureSample]:
+    """Q, P, G and S of an already joined family, given the ergodic field at box n."""
     out = {
-        "Q": _cover_value_from_joined(m, joined, f_field, n, lam, "Q", exact_limit),
-        "P": _cover_value_from_joined(m, joined, f_field, n, lam, "P", exact_limit),
+        "Q": cover_value_from_joined(joined, f_field, n, "Q", exact_limit),
+        "P": cover_value_from_joined(joined, f_field, n, "P", exact_limit),
     }
-    g, _ = _spanning_from_joined(m, joined, f_field, n, lam, node_limit)
-    s, _ = _separated_from_joined(joined, f_field, n, lam, node_limit)
-    out["G"] = g
-    out["S"] = s
+    out["G"], _ = _spanning_from_joined(joined, f_field, n, node_limit)
+    out["S"], _ = _separated_from_joined(joined, f_field, n, node_limit)
     return out
 
 
@@ -366,22 +364,13 @@ def topological_pressure(
             if not verdict.is_admissible:
                 raise ValueError(f"cover {name!r} is not admissible")
         q_samples, s_samples, g_samples = [], [], []
-        for t in range(1, n_max + 1):
+        for t, joined, f_field in diagonal_sweep(
+            sys, family, f, n_max, member_budget=member_budget
+        ):
             n = diagonal(t, sys.dim)
-            q_samples.append(
-                cover_pressure_value(
-                    sys, f, family, n, "Q",
-                    exact_limit=exact_limit, member_budget=member_budget,
-                )
-            )
-            s, _ = separated_value(
-                sys, f, family, n, exact_limit=node_limit, member_budget=member_budget
-            )
-            g, _ = spanning_value(
-                sys, f, family, n, exact_limit=node_limit, member_budget=member_budget
-            )
-            s_samples.append(s)
-            g_samples.append(g)
+            q_samples.append(cover_value_from_joined(joined, f_field, n, "Q", exact_limit))
+            s_samples.append(_separated_from_joined(joined, f_field, n, node_limit)[0])
+            g_samples.append(_spanning_from_joined(joined, f_field, n, node_limit)[0])
         report[name] = {
             "Q": rate_sequence(q_samples, "Q"),
             "S": rate_sequence(s_samples, "S"),

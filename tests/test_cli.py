@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covpress.cli import main
 from covpress.config import ExperimentConfig, load_config, parse_config_text
+from covpress.dynsys import make_disk_system
 from covpress.experiments import (
     ResultRow,
     VerdictItem,
+    euclid_separated_count,
     potential_from_spec,
     rows_to_csv,
     run_experiment,
@@ -108,6 +112,54 @@ def test_doubling_small_modulus():
     assert [r.lam for r in q_rows] == [1, 2, 3, 4, 5]
     # Depth 1 with the two-arc cover needs both members: rate log 2 exactly.
     assert q_rows[0].rate == pytest.approx(math.log(2.0))
+
+
+def test_doubling_budget_stops_the_sweep():
+    cfg = load_config("doubling", overrides={"m": 101, "n_max": 8, "member_budget": 40})
+    rows, verdicts = run_experiment(cfg)
+    # 2**t itinerary cells: depth 5 is the last one within 40 members.
+    assert max(r.lam for r in rows if r.cover == "arcs") == 5
+    assert "arcs swept to depth 5 of 8" in verdicts[0].detail
+    assert len(verdicts) == 1
+
+
+def per_depth_euclid_count(sys, rings, sectors, band, eps, depth):
+    """Reference: the greedy separated count at one depth, cell by cell."""
+    band_states = np.arange(1 + (rings - band) * sectors, 1 + rings * sectors)
+    gen = sys.generators[0]
+    orbit = np.empty((depth, len(band_states), 2))
+    current = band_states.copy()
+    for k in range(depth):
+        orbit[k] = sys.geometry[current]
+        current = gen[current]
+    chosen = np.empty((len(band_states), depth, 2))
+    count = 0
+    for idx in range(len(band_states)):
+        cand = orbit[:, idx, :]
+        if count:
+            diff = chosen[:count] - cand[None, :, :]
+            dist = np.sqrt((diff**2).sum(axis=2))
+            if not (dist.max(axis=1) > eps).all():
+                continue
+        chosen[count] = cand
+        count += 1
+    return count
+
+
+@given(
+    st.integers(8, 16),
+    st.sampled_from([16, 32, 64]),
+    st.integers(1, 8),
+    st.floats(0.01, 0.3),
+    st.integers(1, 7),
+)
+@example(16, 64, 8, 0.05, 6)  # 512 band cells: the pair search runs in several row blocks
+@settings(max_examples=25, deadline=None)
+def test_euclid_counts_match_per_depth_greedy(rings, sectors, band, eps, depth):
+    sys = make_disk_system(rings, sectors)
+    got = euclid_separated_count(sys, rings, sectors, band, eps, depth)
+    want = [per_depth_euclid_count(sys, rings, sectors, band, eps, d) for d in range(1, depth + 1)]
+    assert got == want
 
 
 def test_finite_vp_two_seeds():

@@ -15,14 +15,22 @@ from covpress.coveralg import (
     classify_admissible_partition,
     closeness_graph,
     cover_from_partition,
+    diagonal_sweep,
     join,
     orbit_join,
     potential_cover,
     preimage_family,
     refines,
 )
-from covpress.dynsys import FiniteSystem, Potential, make_circle_doubling, make_disk_system, power_system
-from covpress.lattice import box_cardinality
+from covpress.dynsys import (
+    FiniteSystem,
+    Potential,
+    birkhoff_field,
+    make_circle_doubling,
+    make_disk_system,
+    power_system,
+)
+from covpress.lattice import box_cardinality, diagonal
 
 
 def arc_partition(m, split=None):
@@ -215,6 +223,47 @@ def test_orbit_join_matches_bruteforce_covers(case):
     # (4) The family is a partition iff its members are pairwise disjoint.
     disjoint = all(not (a & b) for a, b in itertools.combinations(got, 2))
     assert joined.is_partition == disjoint
+
+
+@given(covered_systems(), st.booleans(), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_diagonal_sweep_matches_orbit_join(case, as_partition, n_max, data):
+    sys, sets, _ = case
+    m = sys.state_count
+    if as_partition:
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        family = SetFamily.from_labels(np.array(labels))
+    else:
+        family = SetFamily.from_state_sets(m, sets)
+    values = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))
+    f = Potential(np.array(values))
+    depths = []
+    for t, joined, field in diagonal_sweep(sys, family, f, n_max, member_budget=10**6):
+        depths.append(t)
+        n = diagonal(t, sys.dim)
+        ref = orbit_join(sys, family, n, member_budget=10**6)
+        ref_field = birkhoff_field(sys, f, n)
+        assert joined == ref
+        if sys.dim == 1:
+            # One step per depth replays orbit_join's loop and birkhoff_field's sum.
+            assert joined.atoms.tobytes() == ref.atoms.tobytes()
+            assert joined.members == ref.members
+            assert field.tobytes() == ref_field.tobytes()
+        else:
+            # atol covers cancellation: at most 16 terms of size <= 3.
+            np.testing.assert_allclose(field, ref_field, rtol=1e-12, atol=1e-12)
+    assert depths == list(range(1, n_max + 1))
+
+
+def test_diagonal_sweep_stops_at_member_budget():
+    sys = make_circle_doubling(101)
+    sweep = diagonal_sweep(sys, arc_partition(101), None, 6, member_budget=10)
+    seen = []
+    with pytest.raises(CoverBudgetError, match="has 16 members"):
+        for t, joined, field in sweep:
+            assert field is None
+            seen.append((t, joined.count))
+    assert seen == [(1, 2), (2, 4), (3, 8)]
 
 
 def test_orbit_join_doubling_100003_full_words():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpress.solvers import (
     STATUS_EXACT,
@@ -187,3 +189,58 @@ def test_mwis_greedy_status_when_budget_exhausted():
         chosen_mask |= 1 << v
     for v in res.chosen:
         assert adjacency[v] & chosen_mask == 0
+
+
+def test_subcover_light_members_do_not_underflow():
+    # A 1000-heavy member used to set the scale, so the -5 member underflowed
+    # to weight 0 and tied with the two 0-weight members.
+    inst = WeightedCoverInstance(0b11, (0b11, 0b01, 0b10, 0b11), (1000.0, 0.0, 0.0, -5.0))
+    res = min_subcover_value(inst)
+    assert res.status == STATUS_EXACT
+    assert res.chosen == (3,)
+    assert res.log_value == -5.0
+
+
+def test_mwis_scale_is_safe_for_light_vertices():
+    # The optimum is at least the heaviest vertex, so shifting by it can only
+    # underflow vertices below float resolution of the optimum.
+    adjacency = [0b0110, 0b0001, 0b0001, 0b0000]  # star 0-{1,2}, vertex 3 isolated
+    lw = [1000.0, -5.0, -6.0, -2000.0]
+    res = max_weight_independent_set(adjacency, lw)
+    assert res.status == STATUS_EXACT
+    assert res.log_value == 1000.0
+    assert res.log_value == exhaustive_max_independent(adjacency, lw)
+    lw = [-1000.0, 0.0, -5.0, -2000.0]
+    res = max_weight_independent_set(adjacency, lw)
+    assert res.chosen[:2] == (1, 2)
+    assert res.log_value == exhaustive_max_independent(adjacency, lw)
+
+
+@st.composite
+def wide_cover_instances(draw):
+    """Up to 8 members on up to 6 elements, log-weights anywhere in [-2000, 2000]."""
+    n_el = draw(st.integers(1, 6))
+    universe = (1 << n_el) - 1
+    members = draw(st.lists(st.integers(1, universe), min_size=1, max_size=8))
+    union = 0
+    for m in members:
+        union |= m
+    members[0] |= universe & ~union
+    lw = draw(
+        st.lists(st.floats(-2000.0, 2000.0), min_size=len(members), max_size=len(members))
+    )
+    return universe, tuple(members), tuple(lw)
+
+
+@given(wide_cover_instances())
+@settings(max_examples=200, deadline=None)
+def test_subcover_exact_for_wide_log_weight_spreads(case):
+    universe, members, lw = case
+    res = min_subcover_value(WeightedCoverInstance(universe, members, lw))
+    assert res.status == STATUS_EXACT
+    cov = 0
+    for i in res.chosen:
+        cov |= members[i]
+    assert universe & ~cov == 0
+    want = exhaustive_min_cover(universe, members, lw)
+    assert res.log_value == pytest.approx(want, rel=1e-12, abs=1e-12)
