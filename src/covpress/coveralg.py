@@ -352,7 +352,6 @@ def diagonal_sweep(
     f: Potential | None,
     n_max: int,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
-    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
 ) -> Iterator[tuple[int, SetFamily, np.ndarray | None]]:
     """Yield (t, orbit join, ergodic-sum field) over the boxes (t, .., t),
     t = 1..n_max, extending both by the shell of new box points each step.
@@ -370,7 +369,7 @@ def diagonal_sweep(
     field = None if f is None else np.zeros(sys.state_count)
     for t in range(1, n_max + 1):
         n = diagonal(t, sys.dim)
-        _check_box(sys, family, n, lambda_budget)
+        _check_box(sys, family, n, DEFAULT_LAMBDA_BUDGET)
         if t > 1:
             tops = [g[top] for g, top in zip(sys.generators, tops)]
         # The shell of box points k with max(k) = t-1, as one slab per axis a:

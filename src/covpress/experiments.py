@@ -284,51 +284,39 @@ def euclid_separated_count(
     Two cells count as separated at depth d when at some time below d their
     orbit cell centers are more than eps apart in the plane.  Greedy
     insertion in state order gives a maximal set, hence a certified lower
-    bound for the separated count.  Only pairs close at time 0 can ever be
-    unseparated; each gets its first separation time, and the greedy at
-    depth d lets every chosen cell block the later cells still close to it.
+    bound for the separated count.  Only cells close at time 0 can ever be
+    unseparated, and only earlier cells block a later one, so each cell in
+    turn, at every depth where it is still unblocked, blocks its later cells
+    that stay close through that depth.  Memory is O(cells x depth), whatever
+    the number of close pairs.
     """
     # The outer `band` rings, ring by ring, each in sector order.
     band_states = np.arange(_disk_index(sectors, rings - band, 0), _disk_index(sectors, rings, 0))
     count = len(band_states)
-    if not count:
-        return [0] * depth
-
-    def apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = sys.geometry[a] - sys.geometry[b]
-        return np.sqrt((diff**2).sum(axis=-1)) > eps
-
-    # Pairs i < j close at time 0, in row blocks of about 1 MiB of differences.
-    block = max(1, (1 << 20) // (16 * count))
-    firsts, seconds = [], []
-    for lo in range(0, count, block):
-        rows = np.arange(lo, min(lo + block, count))
-        i, j = np.nonzero(~apart(band_states[rows, None], band_states[None, :]))
-        keep = j > rows[i]
-        firsts.append(rows[i][keep])
-        seconds.append(j[keep])
-    first, second = np.concatenate(firsts), np.concatenate(seconds)
-
-    # First time each pair is apart; `depth` when it stays close throughout.
-    split = np.full(len(first), depth)
-    pending = np.arange(len(first))
-    current = band_states
+    orbits = np.empty((depth, count), dtype=np.int64)
+    orbits[0] = band_states
     for k in range(1, depth):
-        current = sys.generators[0][current]
-        now = apart(current[first[pending]], current[second[pending]])
-        split[pending[now]] = k
-        pending = pending[~now]
+        orbits[k] = sys.generators[0][orbits[k - 1]]
+    # Orbit cell centers, one (time, cell) array per plane coordinate.
+    x, y = np.moveaxis(sys.geometry[orbits], -1, 0)
 
-    counts = []
-    for d in range(1, depth + 1):
-        close = split >= d
-        sources, starts = np.unique(first[close], return_index=True)
-        blocked: set[int] = set()
-        for source, later in zip(sources.tolist(), np.split(second[close], starts[1:])):
-            if source not in blocked:
-                blocked.update(later.tolist())
-        counts.append(count - len(blocked))
-    return counts
+    def apart(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        return np.sqrt(dx**2 + dy**2) > eps
+
+    # blocked[d - 1, i]: cell i is close through depth d to an earlier chosen cell.
+    blocked = np.zeros((depth, count), dtype=bool)
+    # Time-0 closeness in row blocks of about 1 MiB of differences.
+    block = max(1, (1 << 20) // (16 * max(count, 1)))
+    for lo in range(0, count, block):
+        near = ~apart(x[0, lo : lo + block, None] - x[0], y[0, lo : lo + block, None] - y[0])
+        for i, row in enumerate(near, start=lo):
+            later = np.flatnonzero(row[i + 1 :]) + (i + 1)
+            chosen = ~blocked[:, i]
+            if later.size and chosen.any():
+                # Row k: still close at every time up to k, so unseparated at depth k + 1.
+                far = apart(x[:, i, None] - x[:, later], y[:, i, None] - y[:, later])
+                blocked[:, later] |= chosen[:, None] & ~np.logical_or.accumulate(far, axis=0)
+    return (count - blocked.sum(axis=1)).tolist()
 
 
 def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictItem]]:

@@ -354,7 +354,11 @@ def topological_pressure(
     Every cover must pass the admissibility check unless the diagnostic
     override is set (used only to demonstrate how non-admissible covers leak
     boundary complexity).  The report carries S and G rate sequences next to
-    Q for cross-validation.
+    Q for cross-validation.  In N-d the sweep adds each depth's new box
+    points slab by slab, not in `orbit_join`'s lex order, so joined members
+    come in another order and the field can differ in its last bits from the
+    per-box functions at the same box: exact values agree up to those bits,
+    greedy-fallback values (ties go to the lowest member index) may differ.
     """
     report: dict[str, dict[str, PressureEstimate]] = {}
     estimate = -math.inf

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,23 @@ def per_depth_euclid_count(sys, rings, sectors, band, eps, depth):
 def test_euclid_counts_match_per_depth_greedy(rings, sectors, band, eps, depth):
     sys = make_disk_system(rings, sectors)
     got = euclid_separated_count(sys, rings, sectors, band, eps, depth)
+    want = [per_depth_euclid_count(sys, rings, sectors, band, eps, d) for d in range(1, depth + 1)]
+    assert got == want
+
+
+def test_euclid_counts_wide_band_large_eps_stay_small():
+    # 2048 band cells with about half a million close pairs at time 0: the
+    # counts still match the reference, and the traced peak stays far below
+    # what storing every close pair would take (over 25 MiB here).
+    rings, sectors, band, eps, depth = 16, 128, 16, 0.3, 4
+    sys = make_disk_system(rings, sectors)
+    tracemalloc.start()
+    try:
+        got = euclid_separated_count(sys, rings, sectors, band, eps, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
     want = [per_depth_euclid_count(sys, rings, sectors, band, eps, d) for d in range(1, depth + 1)]
     assert got == want
 

@@ -312,6 +312,36 @@ def test_topological_pressure_rejects_nonadmissible():
     assert math.isfinite(est)
 
 
+def test_topological_pressure_2d_matches_per_box_values():
+    # Two commuting maps acting on the coordinates of a 4 x 3 product.  The
+    # 2-d sweep joins slab by slab, not in lex order, so only rows that both
+    # sides solve exactly have to agree, up to the field's last bits.
+    rng = np.random.default_rng(7)
+    sizes = (4, 3)
+    coords = np.array([(a, b) for a in range(sizes[0]) for b in range(sizes[1])])
+    gens = []
+    for axis, size in enumerate(sizes):
+        moved = coords.copy()
+        moved[:, axis] = rng.integers(0, size, size=size)[coords[:, axis]]
+        gens.append(np.ravel_multi_index(moved.T, sizes))
+    sys = FiniteSystem(generators=tuple(gens))
+    m = sys.state_count
+    f = Potential(rng.uniform(-1, 1, m))
+    covers = [("cover", random_cover(rng, m)), ("cells", SetFamily.from_labels(rng.integers(0, 3, m)))]
+    _, report = topological_pressure(sys, f, covers, 3)
+    compared = 0
+    for name, family in covers:
+        for t in (1, 2, 3):
+            per_box = pressure_quadruple(sys, f, family, (t, t))
+            for mode in ("Q", "S", "G"):
+                swept = report[name][mode].samples[t - 1]
+                assert swept.n == (t, t)
+                if swept.status == per_box[mode].status == STATUS_EXACT:
+                    assert swept.log_value == pytest.approx(per_box[mode].log_value, rel=1e-12, abs=1e-12)
+                    compared += 1
+    assert compared >= 12
+
+
 def test_member_log_weights_modes():
     fam = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}], kind="partition")
     field = np.array([1.0, 2.0, -1.0, 5.0])
