@@ -9,9 +9,19 @@ underflows is below float resolution; values go back to log scale.
 
 Exactness is never silently degraded: every result carries a status, and the
 branch-and-bound falls back to the greedy answer (with the greedy status)
-when an instance is over the size threshold or the node budget runs out.
+when an instance is over the size threshold or the node budget runs out;
+the result names which (`fallback`) and counts the nodes searched.
 Tie-breaking is by lowest index everywhere, so certificates are
 deterministic.
+
+Both searches fix their branching order once, before the search.  The cover
+search branches on the uncovered element covered by the fewest members (a
+static degree: a member covering an uncovered element always still meets the
+uncovered set), ties to the lowest element, and tries its members by
+(weight, index).  The independent-set search branches on the heaviest
+candidate vertex, ties to the lowest index, taking it before leaving it out.
+Relabelling elements and vertices in that order lets every node find its
+branch as the lowest set bit of one mask.
 """
 
 from __future__ import annotations
@@ -32,12 +42,25 @@ STATUS_EXACT = "exact"
 STATUS_GREEDY_UPPER = "greedy_upper"
 STATUS_GREEDY_LOWER = "greedy_lower"
 
+# Why a result is greedy rather than exact.
+FALLBACK_OVER_EXACT_LIMIT = "over_exact_limit"
+FALLBACK_NODE_BUDGET = "node_budget"
+
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A value in log scale, the chosen indices and how they were found.
+
+    `nodes` counts branch-and-bound nodes visited (0 when nothing was
+    searched; `node_budget + 1` when the budget ran out), and `fallback`
+    says why a greedy status was reported, or is None.
+    """
+
     log_value: float
     chosen: tuple[int, ...]
     status: str
+    nodes: int = 0
+    fallback: str | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -140,6 +163,8 @@ def min_subcover_value(
         active = [i for i in active if members[i] & remaining]
 
     status = STATUS_EXACT
+    nodes = 0
+    fallback = None
     if remaining:
         log_weights = inst.log_weights
         greedy = _greedy_cover(remaining, members, log_weights, active)
@@ -150,23 +175,38 @@ def min_subcover_value(
         d = max((members[i] & remaining).bit_count() for i in active)
         shift = total - math.log(math.fsum(1.0 / k for k in range(1, d + 1)))
         active = [i for i in active if log_weights[i] <= total]
-        picked: list[int] | None = None
-        if len(active) <= exact_limit:
-            picked = _branch_and_bound_cover(
+        if len(active) > exact_limit:
+            fallback = FALLBACK_OVER_EXACT_LIMIT
+        else:
+            position = {i: k for k, i in enumerate(active)}
+            picked, nodes = _branch_and_bound_cover(
                 remaining,
                 [members[i] for i in active],
                 [math.exp(log_weights[i] - shift) for i in active],
-                [active.index(i) for i in greedy],
+                [position[i] for i in greedy],
                 node_budget,
             )
-        if picked is None:
+            if picked is None:
+                fallback = FALLBACK_NODE_BUDGET
+            else:
+                chosen.extend(active[i] for i in picked)
+        if fallback is not None:
             chosen.extend(greedy)
             status = STATUS_GREEDY_UPPER
-        else:
-            chosen.extend(active[i] for i in picked)
 
     chosen = sorted(set(chosen))
-    return SolveResult(_canonical_log_sum(inst.log_weights, chosen), tuple(chosen), status)
+    return SolveResult(
+        _canonical_log_sum(inst.log_weights, chosen), tuple(chosen), status, nodes, fallback
+    )
+
+
+def _set_bits(mask: int) -> list[int]:
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _branch_and_bound_cover(
@@ -175,31 +215,28 @@ def _branch_and_bound_cover(
     weights: list[float],
     greedy: list[int],
     node_budget: int,
-) -> list[int] | None:
-    """Exact minimum-weight cover, starting from the greedy cover; None if
-    the node budget runs out."""
+) -> tuple[list[int] | None, int]:
+    """Exact minimum-weight cover, starting from the greedy cover, and the
+    number of nodes visited; the cover is None if the node budget runs out.
+
+    Elements are relabelled by (degree, index), so the uncovered element with
+    the fewest covering members is the lowest set bit of the uncovered mask.
+    """
+    elements = _set_bits(universe)
+    holders = {b: [i for i, m in enumerate(members) if m >> b & 1] for b in elements}
+    elements.sort(key=lambda b: (len(holders[b]), b))
+    rebased = [0] * len(members)
+    for k, b in enumerate(elements):
+        for i in holders[b]:
+            rebased[i] |= 1 << k
+    options = [sorted(holders[b], key=lambda i: (weights[i], i)) for b in elements]
+
     best_value = sum(weights[i] for i in greedy)
     best_set = list(greedy)
-    element_members: dict[int, list[int]] = {}
-    u = universe
-    while u:
-        low = u & -u
-        b = low.bit_length() - 1
-        element_members[b] = [i for i, m in enumerate(members) if m >> b & 1]
-        u ^= low
     nodes = 0
     exhausted = False
 
-    def lower_bound(remaining: int) -> float:
-        need = remaining.bit_count()
-        best_ratio = math.inf
-        for i, m in enumerate(members):
-            gain = (m & remaining).bit_count()
-            if gain:
-                best_ratio = min(best_ratio, weights[i] / gain)
-        return need * best_ratio * (1.0 - _PRUNE_SLACK)
-
-    def dfs(remaining: int, cost: float, picked: list[int]):
+    def dfs(remaining: int, cost: float, picked: list[int], live: list[tuple[int, float]]):
         nonlocal best_value, best_set, nodes, exhausted
         if exhausted:
             return
@@ -212,27 +249,28 @@ def _branch_and_bound_cover(
                 best_value = cost
                 best_set = list(picked)
             return
-        if cost + lower_bound(remaining) > best_value * (1.0 + _PRUNE_SLACK):
+        # Lower bound: every uncovered element at the best weight-per-element.
+        # A member that misses `remaining` misses it in every subtree too, so
+        # only the (mask, weight) pairs still meeting it are passed down.
+        best_ratio = math.inf
+        still_live = []
+        for term in live:
+            mask, weight = term
+            gain = (mask & remaining).bit_count()
+            if gain:
+                still_live.append(term)
+                if weight / gain < best_ratio:
+                    best_ratio = weight / gain
+        bound = remaining.bit_count() * best_ratio * (1.0 - _PRUNE_SLACK)
+        if cost + bound > best_value * (1.0 + _PRUNE_SLACK):
             return
-        # Branch on the uncovered element with the fewest covering members.
-        target, target_count = -1, None
-        u = remaining
-        while u:
-            low = u & -u
-            b = low.bit_length() - 1
-            c = sum(1 for i in element_members[b] if members[i] & remaining)
-            if target_count is None or c < target_count:
-                target, target_count = b, c
-            u ^= low
-        options = [i for i in element_members[target] if members[i] & remaining]
-        options.sort(key=lambda i: (weights[i], i))
-        for i in options:
+        for i in options[(remaining & -remaining).bit_length() - 1]:
             picked.append(i)
-            dfs(remaining & ~members[i], cost + weights[i], picked)
+            dfs(remaining & ~rebased[i], cost + weights[i], picked, still_live)
             picked.pop()
 
-    dfs(universe, 0.0, [])
-    return None if exhausted else sorted(best_set)
+    dfs((1 << len(elements)) - 1, 0.0, [], list(zip(rebased, weights)))
+    return (None if exhausted else sorted(best_set)), nodes
 
 
 def max_weight_independent_set(
@@ -256,15 +294,23 @@ def max_weight_independent_set(
         chosen = tuple(range(count))
         return SolveResult(_canonical_log_sum(log_weights, chosen), chosen, STATUS_EXACT)
 
+    greedy = _greedy_mwis(adjacency, weights)
     picked: list[int] | None = None
-    status = STATUS_EXACT
-    if count <= exact_limit:
-        picked = _branch_and_bound_mwis(adjacency, weights, node_budget)
+    nodes = 0
+    fallback = None
+    if count > exact_limit:
+        fallback = FALLBACK_OVER_EXACT_LIMIT
+    else:
+        picked, nodes = _branch_and_bound_mwis(adjacency, weights, greedy, node_budget)
+        if picked is None:
+            fallback = FALLBACK_NODE_BUDGET
     if picked is None:
-        picked = _greedy_mwis(adjacency, weights)
-        status = STATUS_GREEDY_LOWER
+        picked = greedy
+    status = STATUS_EXACT if fallback is None else STATUS_GREEDY_LOWER
     picked = sorted(picked)
-    return SolveResult(_canonical_log_sum(log_weights, picked), tuple(picked), status)
+    return SolveResult(
+        _canonical_log_sum(log_weights, picked), tuple(picked), status, nodes, fallback
+    )
 
 
 def _greedy_mwis(adjacency: Sequence[int], weights: Sequence[float]) -> list[int]:
@@ -279,10 +325,27 @@ def _greedy_mwis(adjacency: Sequence[int], weights: Sequence[float]) -> list[int
 
 
 def _branch_and_bound_mwis(
-    adjacency: Sequence[int], weights: Sequence[float], node_budget: int
-) -> list[int] | None:
+    adjacency: Sequence[int],
+    weights: Sequence[float],
+    greedy: list[int],
+    node_budget: int,
+) -> tuple[list[int] | None, int]:
+    """Exact maximum-weight independent set, starting from the greedy set,
+    and the number of nodes visited; the set is None if the budget runs out.
+
+    Vertices are relabelled by (-weight, index), each closed neighbourhood
+    (own bit included) rebased onto that order, so the branch vertex is the
+    lowest candidate bit.  The pruning bound adds the candidate weights in
+    that order too, so it can differ from an index-order sum in its last bits.
+    """
     order = sorted(range(len(adjacency)), key=lambda i: (-weights[i], i))
-    greedy = _greedy_mwis(adjacency, weights)
+    rank = [0] * len(adjacency)
+    for k, v in enumerate(order):
+        rank[v] = k
+    closed = [sum(1 << rank[u] for u in _set_bits(adjacency[v])) | 1 << k
+              for k, v in enumerate(order)]
+    ranked = [weights[v] for v in order]
+
     best_value = sum(weights[i] for i in greedy)
     best_set = list(greedy)
     nodes = 0
@@ -299,21 +362,22 @@ def _branch_and_bound_mwis(
         if not candidates:
             if value > best_value:
                 best_value = value
-                best_set = list(picked)
+                best_set = [order[k] for k in picked]
             return
         bound = value
         c = candidates
         while c:
             low = c & -c
-            bound += weights[low.bit_length() - 1]
+            bound += ranked[low.bit_length() - 1]
             c ^= low
         if bound * (1.0 + _PRUNE_SLACK) < best_value:
             return
-        v = next(i for i in order if candidates >> i & 1)
+        low = candidates & -candidates
+        v = low.bit_length() - 1
         picked.append(v)
-        dfs(candidates & ~(adjacency[v] | (1 << v)), value + weights[v], picked)
+        dfs(candidates & ~closed[v], value + ranked[v], picked)
         picked.pop()
-        dfs(candidates & ~(1 << v), value, picked)
+        dfs(candidates ^ low, value, picked)
 
     dfs((1 << len(adjacency)) - 1, 0.0, [])
-    return None if exhausted else sorted(best_set)
+    return (None if exhausted else sorted(best_set)), nodes

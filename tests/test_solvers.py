@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpress.solvers import (
+    _PRUNE_SLACK,
+    FALLBACK_NODE_BUDGET,
+    FALLBACK_OVER_EXACT_LIMIT,
     STATUS_EXACT,
     STATUS_GREEDY_LOWER,
     STATUS_GREEDY_UPPER,
     WeightedCoverInstance,
+    _branch_and_bound_cover,
+    _branch_and_bound_mwis,
+    _greedy_cover,
+    _greedy_mwis,
     max_weight_independent_set,
     min_subcover_value,
 )
@@ -183,6 +190,8 @@ def test_mwis_greedy_status_when_budget_exhausted():
     lw = [float(w) for w in rng.uniform(0, 1, size=n)]
     res = max_weight_independent_set(adjacency, lw, exact_limit=10)
     assert res.status == STATUS_GREEDY_LOWER
+    assert res.fallback == FALLBACK_OVER_EXACT_LIMIT
+    assert res.nodes == 0
     # Greedy result is still independent.
     chosen_mask = 0
     for v in res.chosen:
@@ -244,3 +253,180 @@ def test_subcover_exact_for_wide_log_weight_spreads(case):
     assert universe & ~cov == 0
     want = exhaustive_min_cover(universe, members, lw)
     assert res.log_value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_solve_results_count_nodes_and_name_the_fallback():
+    # Member 0 is forced; members 1 and 2 both cover {2, 3} at equal weight,
+    # so the root branches into two leaves.
+    inst = WeightedCoverInstance(0b1111, (0b0011, 0b1100, 0b1110), (0.0, 0.0, 0.0))
+    res = min_subcover_value(inst)
+    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 3)
+    res = min_subcover_value(inst, node_budget=1)
+    assert (res.status, res.fallback, res.nodes) == (STATUS_GREEDY_UPPER, FALLBACK_NODE_BUDGET, 2)
+    res = min_subcover_value(inst, exact_limit=1)
+    assert (res.status, res.fallback, res.nodes) == (
+        STATUS_GREEDY_UPPER, FALLBACK_OVER_EXACT_LIMIT, 0
+    )
+    res = min_subcover_value(WeightedCoverInstance(0b11, (0b01, 0b10), (0.0, 0.0)))
+    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 0)
+
+    path = [0b010, 0b101, 0b010]
+    res = max_weight_independent_set(path, [0.0, 0.0, 0.0])
+    assert (res.status, res.fallback) == (STATUS_EXACT, None) and res.nodes > 0
+    res = max_weight_independent_set(path, [0.0, 0.0, 0.0], node_budget=1)
+    assert (res.status, res.fallback, res.nodes) == (STATUS_GREEDY_LOWER, FALLBACK_NODE_BUDGET, 2)
+    assert res.chosen == (0, 2)
+    res = max_weight_independent_set([0, 0], [0.0, 0.0])
+    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 0)
+
+
+# The previous searches, which scanned every uncovered element for the fewest
+# covering members and every vertex for the heaviest candidate at each node.
+# They are kept verbatim as reference oracles, apart from also returning the
+# node count: the static-order searches must visit the same nodes.
+
+
+def _reference_branch_and_bound_cover(universe, members, weights, greedy, node_budget):
+    best_value = sum(weights[i] for i in greedy)
+    best_set = list(greedy)
+    element_members: dict[int, list[int]] = {}
+    u = universe
+    while u:
+        low = u & -u
+        b = low.bit_length() - 1
+        element_members[b] = [i for i, m in enumerate(members) if m >> b & 1]
+        u ^= low
+    nodes = 0
+    exhausted = False
+
+    def lower_bound(remaining: int) -> float:
+        need = remaining.bit_count()
+        best_ratio = math.inf
+        for i, m in enumerate(members):
+            gain = (m & remaining).bit_count()
+            if gain:
+                best_ratio = min(best_ratio, weights[i] / gain)
+        return need * best_ratio * (1.0 - _PRUNE_SLACK)
+
+    def dfs(remaining: int, cost: float, picked: list[int]):
+        nonlocal best_value, best_set, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        if not remaining:
+            if cost < best_value:
+                best_value = cost
+                best_set = list(picked)
+            return
+        if cost + lower_bound(remaining) > best_value * (1.0 + _PRUNE_SLACK):
+            return
+        # Branch on the uncovered element with the fewest covering members.
+        target, target_count = -1, None
+        u = remaining
+        while u:
+            low = u & -u
+            b = low.bit_length() - 1
+            c = sum(1 for i in element_members[b] if members[i] & remaining)
+            if target_count is None or c < target_count:
+                target, target_count = b, c
+            u ^= low
+        options = [i for i in element_members[target] if members[i] & remaining]
+        options.sort(key=lambda i: (weights[i], i))
+        for i in options:
+            picked.append(i)
+            dfs(remaining & ~members[i], cost + weights[i], picked)
+            picked.pop()
+
+    dfs(universe, 0.0, [])
+    return (None if exhausted else sorted(best_set)), nodes
+
+
+def _reference_branch_and_bound_mwis(adjacency, weights, node_budget):
+    order = sorted(range(len(adjacency)), key=lambda i: (-weights[i], i))
+    greedy = _greedy_mwis(adjacency, weights)
+    best_value = sum(weights[i] for i in greedy)
+    best_set = list(greedy)
+    nodes = 0
+    exhausted = False
+
+    def dfs(candidates: int, value: float, picked: list[int]):
+        nonlocal best_value, best_set, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        if not candidates:
+            if value > best_value:
+                best_value = value
+                best_set = list(picked)
+            return
+        bound = value
+        c = candidates
+        while c:
+            low = c & -c
+            bound += weights[low.bit_length() - 1]
+            c ^= low
+        if bound * (1.0 + _PRUNE_SLACK) < best_value:
+            return
+        v = next(i for i in order if candidates >> i & 1)
+        picked.append(v)
+        dfs(candidates & ~(adjacency[v] | (1 << v)), value + weights[v], picked)
+        picked.pop()
+        dfs(candidates & ~(1 << v), value, picked)
+
+    dfs((1 << len(adjacency)) - 1, 0.0, [])
+    return (None if exhausted else sorted(best_set)), nodes
+
+
+# Few distinct values, so that ties in weight, ratio and degree are common.
+search_weights = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]), st.floats(0.01, 10.0)
+)
+
+
+@st.composite
+def cover_searches(draw):
+    """A search input as `min_subcover_value` builds it: members may reach
+    outside the universe, the greedy cover is the incumbent."""
+    universe = draw(st.integers(1, (1 << 10) - 1))
+    members = draw(st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=12))
+    union = 0
+    for m in members:
+        union |= m
+    members[0] |= universe & ~union
+    weights = draw(st.lists(search_weights, min_size=len(members), max_size=len(members)))
+    log_weights = [math.log(w) for w in weights]
+    greedy = _greedy_cover(universe, members, log_weights, list(range(len(members))))
+    return universe, members, weights, greedy, draw(st.integers(1, 2000))
+
+
+@given(cover_searches())
+@settings(max_examples=300, deadline=None)
+def test_cover_search_visits_the_reference_nodes(case):
+    assert _branch_and_bound_cover(*case) == _reference_branch_and_bound_cover(*case)
+
+
+@st.composite
+def mwis_searches(draw):
+    n = draw(st.integers(1, 14))
+    adjacency = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    weights = draw(st.lists(search_weights, min_size=n, max_size=n))
+    return adjacency, weights, draw(st.integers(1, 2000))
+
+
+@given(mwis_searches())
+@settings(max_examples=300, deadline=None)
+def test_mwis_search_visits_the_reference_nodes(case):
+    adjacency, weights, budget = case
+    got = _branch_and_bound_mwis(adjacency, weights, _greedy_mwis(adjacency, weights), budget)
+    assert got == _reference_branch_and_bound_mwis(adjacency, weights, budget)

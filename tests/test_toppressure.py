@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from covpress import lattice
+from covpress import lattice, toppressure
 from covpress.coveralg import SetFamily, orbit_join
 from covpress.dynsys import FiniteSystem, Potential, make_circle_doubling
-from covpress.solvers import STATUS_EXACT
+from covpress.solvers import FALLBACK_NODE_BUDGET, NODE_BUDGET, STATUS_EXACT
 from covpress.toppressure import (
     PressureSample,
     cover_pressure_value,
@@ -340,6 +340,47 @@ def test_topological_pressure_2d_matches_per_box_values():
                     assert swept.log_value == pytest.approx(per_box[mode].log_value, rel=1e-12, abs=1e-12)
                     compared += 1
     assert compared >= 12
+
+
+def test_overlap_cover_on_3x3_torus_exhausts_both_searches(monkeypatch):
+    # Two-symbol configurations on the 3 x 3 torus under the two unit shifts
+    # (bit 3i + j holds the symbol at (i, j)), the overlapping cover
+    # {x00 = 0}, {x00 = 1}, {x00 = x01} and phi = 0.5 * x00.  At box (2, 2)
+    # both searches run out of nodes; the greedy values and states are pinned.
+    x = np.arange(1 << 9, dtype=np.int64)
+
+    def shifted(di, dj):
+        out = np.zeros_like(x)
+        for i in range(3):
+            for j in range(3):
+                out |= ((x >> (((i + di) % 3) * 3 + (j + dj) % 3)) & 1) << (i * 3 + j)
+        return out
+
+    sys = FiniteSystem(generators=(shifted(1, 0), shifted(0, 1)))
+    x00, x01 = x & 1, (x >> 1) & 1
+    cover = SetFamily.from_state_sets(
+        x.size,
+        [np.flatnonzero(x00 == 0).tolist(), np.flatnonzero(x00 == 1).tolist(),
+         np.flatnonzero(x00 == x01).tolist()],
+    )
+    f = Potential(0.5 * x00)
+    results = []
+
+    def recorded(solve):
+        def call(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+        return call
+
+    for name in ("min_subcover_value", "max_weight_independent_set"):
+        monkeypatch.setattr(toppressure, name, recorded(getattr(toppressure, name)))
+    pinned = (0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27)
+    for value in (spanning_value, separated_value):
+        sample, states = value(sys, f, cover, (2, 2))
+        assert sample.status != STATUS_EXACT
+        assert sample.log_value == 3.8963079367204267
+        assert states == pinned
+    assert [(r.fallback, r.nodes) for r in results] == [(FALLBACK_NODE_BUDGET, NODE_BUDGET + 1)] * 2
 
 
 def test_member_log_weights_modes():
