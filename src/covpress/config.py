@@ -19,7 +19,7 @@ EXPERIMENTS = ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift")
 _EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "doubling": {"n_max": 14, "member_budget": 65536},
     "leakage": {"n_max": 12, "member_budget": 65536},
-    "finite-vp": {"n_max": 10},
+    "finite-vp": {"n_max": 8},
     "fullshift": {"n_max": 9},
     "lattice-check": {"n_max": 24},
 }

@@ -17,10 +17,16 @@ along the diagonal boxes, the refinement preorder, admissibility
 classification against the system's marked states, the strongly-admissible
 cover built from an admissible partition, the potential-level cover, and the
 closeness graph that encodes which states share a member.
+
+Every box is walked in one order, the shell order of `dynsys.iter_box_maps`:
+all points of the box min(t, n) before any point of min(t + 1, n).  So the
+sweep's join and field at (t, .., t) are bitwise those of `orbit_join` and
+`birkhoff_field` at that box, in every dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -336,7 +342,8 @@ def orbit_join(
 
     States are identified exactly when their atom agrees at every box point.
     A cover's members are intersected in first-occurrence order over
-    (joined-so-far member, next preimage member), box points in lex order.
+    (joined-so-far member, next preimage member), box points in the shell
+    order of `iter_box_maps`.
     """
     n = as_point(n, dim=sys.dim)
     _check_box(sys, family, n, lambda_budget)
@@ -354,34 +361,26 @@ def diagonal_sweep(
     member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> Iterator[tuple[int, SetFamily, np.ndarray | None]]:
     """Yield (t, orbit join, ergodic-sum field) over the boxes (t, .., t),
-    t = 1..n_max, extending both by the shell of new box points each step.
+    t = 1..n_max, from one walk of the box (n_max, .., n_max).
 
-    In 1-d the step is join_(t+1) = join_t ^ family o T^t and
-    field_(t+1) = field_t + f o T^t, so atoms, member order and field are
-    bitwise those of `orbit_join` and `birkhoff_field` at (t,).  In N-d the
-    families are equal and the field agrees up to float summation order.
-    The field is None when f is.  A join over budget raises CoverBudgetError
-    and ends the sweep; the depths already yielded stand, and since a
-    partition's join only refines, no deeper box would fit either.
+    The walk is in shell order, so its first t**dim points are the box
+    (t, .., t) in the order `orbit_join` and `birkhoff_field` walk it, and
+    item t is bitwise theirs at that box (atoms, member order, field), in
+    every dimension.  The field is None when f is.  A join over budget
+    raises CoverBudgetError and ends the sweep; the depths already yielded
+    stand, and since a partition's join only refines, no deeper box would
+    fit either.
     """
-    tops = [np.arange(sys.state_count)] * sys.dim  # per axis: generator^(t-1)
+    walk = iter_box_maps(sys, diagonal(n_max, sys.dim))
     state = None
     field = None if f is None else np.zeros(sys.state_count)
     for t in range(1, n_max + 1):
         n = diagonal(t, sys.dim)
         _check_box(sys, family, n, DEFAULT_LAMBDA_BUDGET)
-        if t > 1:
-            tops = [g[top] for g, top in zip(sys.generators, tops)]
-        # The shell of box points k with max(k) = t-1, as one slab per axis a:
-        # k_a = t-1, k_b < t before axis a and k_b < t-1 after it.
-        for a in range(sys.dim):
-            slab = tuple(t if b < a else 1 if b == a else t - 1 for b in range(sys.dim))
-            if 0 in slab:
-                continue
-            for _, tk in iter_box_maps(sys, slab, start=tops[a]):
-                state = _refine(family, state, tk, n, member_budget)
-                if field is not None:
-                    field = field + f.values[tk]
+        for _, tk in itertools.islice(walk, t**sys.dim - (t - 1) ** sys.dim):
+            state = _refine(family, state, tk, n, member_budget)
+            if field is not None:
+                field = field + f.values[tk]
         yield t, SetFamily(state[0], state[2]), field
 
 

@@ -125,20 +125,10 @@ def apply_power(sys: FiniteSystem, k: Coords, x: int) -> int:
     return x
 
 
-def iter_box_maps(
-    sys: FiniteSystem, n: Coords, start: np.ndarray | None = None
+def _lex_maps(
+    sys: FiniteSystem, n: Coords, start: np.ndarray
 ) -> Iterator[tuple[Coords, np.ndarray]]:
-    """Yield (k, power-k map) for every k in the box below n, in lex order;
-    with `start`, each map is applied after it (x -> T^k(start[x])).
-
-    Keeps one composed map per axis level, so memory stays at dim arrays no
-    matter how large the box is.
-    """
-    n = as_point(n, dim=sys.dim)
-    if any(c == 0 for c in n):
-        raise EmptyBoxError(f"box {n} is empty")
-    if start is None:
-        start = np.arange(sys.state_count, dtype=np.int64)
+    """Yield (k, x -> T^k(start[x])) for every k in the box below n, in lex order."""
     # stack[d] holds the map for the prefix point (k[0], .., k[d-1], 0, .., 0).
     stack: list[np.ndarray] = [start] * (sys.dim + 1)
     prev: Coords | None = None
@@ -153,6 +143,33 @@ def iter_box_maps(
         prev = k
 
 
+def iter_box_maps(sys: FiniteSystem, n: Coords) -> Iterator[tuple[Coords, np.ndarray]]:
+    """Yield (k, power-k map) for every k in the box below n, in shell order.
+
+    Shell t is the points with max(k) = t - 1: every point of the box
+    min(t, n) comes before any point of min(t + 1, n), so the walk of the
+    box (t, .., t) starts the walk of every larger cube.  A shell is one slab
+    per axis a, the points whose last coordinate equal to t - 1 is k_a,
+    walked in lex order from T_a^(t-1).  In 1-d the order is 0, 1, 2, ...
+    Memory stays at 2 dim + 1 maps however large the box is.
+    """
+    n = as_point(n, dim=sys.dim)
+    if any(c == 0 for c in n):
+        raise EmptyBoxError(f"box {n} is empty")
+    tops = [np.arange(sys.state_count, dtype=np.int64)] * sys.dim  # per axis: T_a^(t-1)
+    for t in range(1, max(n) + 1):
+        for a in range(sys.dim):
+            if t > n[a]:
+                continue
+            if t > 1:
+                tops[a] = sys.generators[a][tops[a]]
+            slab = tuple(1 if b == a else min(t if b < a else t - 1, c) for b, c in enumerate(n))
+            if 0 in slab:
+                continue
+            for k, tk in _lex_maps(sys, slab, tops[a]):
+                yield k[:a] + (t - 1,) + k[a + 1 :], tk
+
+
 def birkhoff_field(sys: FiniteSystem, f: Potential, n: Coords) -> np.ndarray:
     """The ergodic sum of f over the box below n, for every state at once."""
     total = np.zeros(sys.state_count)
@@ -165,10 +182,7 @@ def birkhoff_sum(sys: FiniteSystem, f: Potential, n: Coords, x: int) -> float:
     """Ergodic sum of f over the box below n, along the orbit of x."""
     if not 0 <= x < sys.state_count:
         raise ValueError(f"state {x} out of range")
-    total = 0.0
-    for _, tk in iter_box_maps(sys, n):
-        total += float(f.values[tk[x]])
-    return total
+    return float(birkhoff_field(sys, f, n)[x])
 
 
 def birkhoff_doubling(sys: FiniteSystem, f: Potential, exponent: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +263,11 @@ def power_system(sys: FiniteSystem, m: Coords) -> FiniteSystem:
     m = as_point(m, dim=sys.dim)
     if any(c < 1 for c in m):
         raise ValueError(f"power point must be componentwise >= 1, got {m}")
-    gens = []
-    for axis, reps in enumerate(m):
-        g = np.arange(sys.state_count, dtype=np.int64)
-        for _ in range(reps):
-            g = sys.generators[axis][g]
-        gens.append(g)
-    return FiniteSystem(generators=tuple(gens), marked=sys.marked, geometry=sys.geometry)
+    gens = tuple(
+        power_map(sys, tuple(reps if b == axis else 0 for b in range(sys.dim)))
+        for axis, reps in enumerate(m)
+    )
+    return FiniteSystem(generators=gens, marked=sys.marked, geometry=sys.geometry)
 
 
 def cycle_structure(sys: FiniteSystem, f: Potential) -> list[tuple[tuple[int, ...], float]]:

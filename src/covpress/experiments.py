@@ -6,8 +6,9 @@ formatting) so reruns produce byte-identical CSVs.  Verdict logic reads only
 the rows it refers to, so every judgement can be audited from the CSV.
 
 Rates are read along the diagonal boxes, and each cover is swept once:
-`diagonal_sweep` extends the join and the ergodic-sum field by one step per
-depth, and every value at that depth is computed from that one join.  The
+`diagonal_sweep` extends the join and the ergodic-sum field by one shell of
+box points per depth, and every value at that depth is computed from that
+one join.  The
 euclidean separated counts of all depths come from one pass as well.
 """
 
@@ -431,7 +432,7 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
         coarse = SetFamily.from_labels(rng.integers(0, 2, size=m))
         covers = [("cells", cells), ("coarse", coarse), ("trivial", SetFamily.trivial(m))]
         for name, family in covers:
-            for t, joined, f_field in diagonal_sweep(sys, family, f, min(cfg.n_max, 8)):
+            for t, joined, f_field in diagonal_sweep(sys, family, f, cfg.n_max):
                 quad = quadruple_from_joined(joined, f_field, (t,))
                 for mode in ("Q", "S", "G"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))
@@ -479,7 +480,8 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
 
 
 def run_lattice_check(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictItem]]:
-    """Random tiling sweep: residue bound and exact partition, case by case."""
+    """Random tiling sweep: residue bound and exact partition, case by case;
+    box sides up to n_max, tile sides up to min(4, n_max)."""
     experiment = "lattice-check"
     rng = np.random.default_rng(cfg.seed)
     rows: list[ResultRow] = []
@@ -491,9 +493,9 @@ def run_lattice_check(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Verd
         if unit_case:
             q = tuple(1 for _ in range(dim))
         else:
-            q = tuple(int(v) for v in rng.integers(1, 5, size=dim))
+            q = tuple(int(v) for v in rng.integers(1, min(4, cfg.n_max) + 1, size=dim))
         k = tuple(int(rng.integers(0, qj)) for qj in q)
-        n = tuple(int(rng.integers(max(qj, 2), 25)) for qj in q)
+        n = tuple(int(rng.integers(max(qj, min(2, cfg.n_max)), cfg.n_max + 1)) for qj in q)
         dec = decompose(n, q, k)
         lam = box_cardinality(n)
         partition_exact = dec.covered_count() == lam

@@ -87,13 +87,14 @@ class WeightedCoverInstance:
             raise ValueError("members do not cover the universe")
 
 
-def _canonical_log_sum(log_weights: Sequence[float], chosen: Sequence[int]) -> float:
-    """Log of the weight sum over `chosen`, accumulated in index order."""
-    if not chosen:
+def log_sum_exp(values: Sequence[float]) -> float:
+    """log(sum(exp(v))), shifted by the largest value; `fsum` is exactly
+    rounded, so the result does not depend on the order of `values`."""
+    vals = list(values)
+    shift = max(vals, default=-math.inf)
+    if shift == -math.inf:
         return -math.inf
-    idx = sorted(chosen)
-    shift = max(log_weights[i] for i in idx)
-    return shift + math.log(math.fsum(math.exp(log_weights[i] - shift) for i in idx))
+    return shift + math.log(math.fsum(math.exp(v - shift) for v in vals))
 
 
 def _greedy_cover(
@@ -168,7 +169,7 @@ def min_subcover_value(
     if remaining:
         log_weights = inst.log_weights
         greedy = _greedy_cover(remaining, members, log_weights, active)
-        total = _canonical_log_sum(log_weights, greedy)
+        total = log_sum_exp([log_weights[i] for i in greedy])
         # Greedy is within H(d) of the optimum (Chvatal 1979), so this shift puts
         # the optimum at >= 1, and no optimal subcover holds a member heavier
         # than the greedy total.
@@ -196,7 +197,7 @@ def min_subcover_value(
 
     chosen = sorted(set(chosen))
     return SolveResult(
-        _canonical_log_sum(inst.log_weights, chosen), tuple(chosen), status, nodes, fallback
+        log_sum_exp([inst.log_weights[i] for i in chosen]), tuple(chosen), status, nodes, fallback
     )
 
 
@@ -292,7 +293,7 @@ def max_weight_independent_set(
 
     if all(a == 0 for a in adjacency):
         chosen = tuple(range(count))
-        return SolveResult(_canonical_log_sum(log_weights, chosen), chosen, STATUS_EXACT)
+        return SolveResult(log_sum_exp(log_weights), chosen, STATUS_EXACT)
 
     greedy = _greedy_mwis(adjacency, weights)
     picked: list[int] | None = None
@@ -309,7 +310,7 @@ def max_weight_independent_set(
     status = STATUS_EXACT if fallback is None else STATUS_GREEDY_LOWER
     picked = sorted(picked)
     return SolveResult(
-        _canonical_log_sum(log_weights, picked), tuple(picked), status, nodes, fallback
+        log_sum_exp([log_weights[i] for i in picked]), tuple(picked), status, nodes, fallback
     )
 
 
@@ -349,21 +350,23 @@ def _branch_and_bound_mwis(
     best_value = sum(weights[i] for i in greedy)
     best_set = list(greedy)
     nodes = 0
-    exhausted = False
-
-    def dfs(candidates: int, value: float, picked: list[int]):
-        nonlocal best_value, best_set, nodes, exhausted
-        if exhausted:
-            return
+    # Frames are (candidates, value, picked), `picked` a linked list of
+    # (vertex, rest) cells.  The leave-out child is pushed under the take
+    # child, so frames pop in the order a recursive search visits its nodes.
+    stack = [((1 << len(adjacency)) - 1, 0.0, None)]
+    while stack:
+        candidates, value, picked = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            exhausted = True
-            return
+            return None, nodes
         if not candidates:
             if value > best_value:
                 best_value = value
-                best_set = [order[k] for k in picked]
-            return
+                best_set = []
+                while picked is not None:
+                    v, picked = picked
+                    best_set.append(order[v])
+            continue
         bound = value
         c = candidates
         while c:
@@ -371,13 +374,9 @@ def _branch_and_bound_mwis(
             bound += ranked[low.bit_length() - 1]
             c ^= low
         if bound * (1.0 + _PRUNE_SLACK) < best_value:
-            return
+            continue
         low = candidates & -candidates
         v = low.bit_length() - 1
-        picked.append(v)
-        dfs(candidates & ~closed[v], value + ranked[v], picked)
-        picked.pop()
-        dfs(candidates ^ low, value, picked)
-
-    dfs((1 << len(adjacency)) - 1, 0.0, [])
-    return (None if exhausted else sorted(best_set)), nodes
+        stack.append((candidates ^ low, value, picked))
+        stack.append((candidates & ~closed[v], value + ranked[v], (v, picked)))
+    return sorted(best_set), nodes

@@ -38,19 +38,10 @@ from covpress.solvers import (
     EXACT_LIMIT_NODES,
     STATUS_EXACT,
     WeightedCoverInstance,
+    log_sum_exp,
     max_weight_independent_set,
     min_subcover_value,
 )
-
-
-def log_sum_exp(values: Sequence[float]) -> float:
-    vals = [v for v in values]
-    if not vals:
-        return -math.inf
-    shift = max(vals)
-    if shift == -math.inf:
-        return -math.inf
-    return shift + math.log(math.fsum(math.exp(v - shift) for v in vals))
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,7 @@ def quadruple_from_joined(
     return out
 
 
-def stabilized_partition(sys: FiniteSystem, family: SetFamily, max_steps: int | None = None) -> tuple[SetFamily, int]:
+def stabilized_partition(sys: FiniteSystem, family: SetFamily) -> tuple[SetFamily, int]:
     """The orbit join at every depth beyond the point where it stops refining.
 
     Only for 1-d actions.  Once joining one more preimage level adds nothing,
@@ -299,20 +290,14 @@ def stabilized_partition(sys: FiniteSystem, family: SetFamily, max_steps: int | 
         raise ValueError("stabilization is implemented for 1-d actions")
     if not family.is_partition:
         raise ValueError("stabilization needs a partition")
-    gen = sys.generators[0]
-    labels = family.as_labels()
-    count = int(labels.max()) + 1 if len(labels) else 0
-    depth = 1
-    limit = max_steps if max_steps is not None else sys.state_count + 1
-    for _ in range(limit):
-        codes = labels * (count + 1) + labels[gen] + 1  # +1 guards count=0 edge
-        _, refined = np.unique(codes, return_inverse=True)
-        new_count = int(refined.max()) + 1
-        if new_count == count:
-            return SetFamily.from_labels(labels), depth
-        labels = refined
-        count = new_count
-        depth += 1
+    # A join of M states refines at most M - 1 times, so it is stable by depth M.
+    previous = None
+    for t, joined, _ in diagonal_sweep(
+        sys, family, None, sys.state_count + 1, member_budget=sys.state_count
+    ):
+        if previous is not None and joined.count == previous.count:
+            return previous, t - 1
+        previous = joined
     raise RuntimeError("partition failed to stabilize within the step limit")
 
 
@@ -354,11 +339,8 @@ def topological_pressure(
     Every cover must pass the admissibility check unless the diagnostic
     override is set (used only to demonstrate how non-admissible covers leak
     boundary complexity).  The report carries S and G rate sequences next to
-    Q for cross-validation.  In N-d the sweep adds each depth's new box
-    points slab by slab, not in `orbit_join`'s lex order, so joined members
-    come in another order and the field can differ in its last bits from the
-    per-box functions at the same box: exact values agree up to those bits,
-    greedy-fallback values (ties go to the lowest member index) may differ.
+    Q for cross-validation; each sample equals the per-box function's at the
+    same box.
     """
     report: dict[str, dict[str, PressureEstimate]] = {}
     estimate = -math.inf

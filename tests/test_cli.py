@@ -103,6 +103,14 @@ def test_lattice_check_runs_clean():
     assert all(r.solver_status == "exact" for r in rows)
 
 
+def test_lattice_check_box_sides_follow_n_max():
+    for n_max in (1, 2, 5):
+        cfg = load_config("lattice-check", overrides={"cases": 120, "seed": 5, "n_max": n_max})
+        rows, verdicts = run_lattice_check(cfg)
+        assert verdicts[0].passed
+        assert max(max(r.n) for r in rows) == n_max
+
+
 def test_doubling_small_modulus():
     cfg = load_config(
         "doubling", overrides={"m": 101, "n_max": 5, "member_budget": 4096}
@@ -189,6 +197,15 @@ def test_finite_vp_two_seeds():
     assert len(deep) == 2 and len(oracle) == 2
     for d, o in zip(deep, oracle):
         assert abs(d.rate - o.rate) <= 1e-6
+
+
+def test_finite_vp_sweeps_to_n_max():
+    cfg = load_config("finite-vp", overrides={"seeds": 1, "seed": 11, "n_max": 10})
+    rows, verdicts = run_experiment(cfg)
+    assert verdicts[0].passed
+    swept = [r for r in rows if r.lam <= 10**6 and not r.cover.endswith("/cycles")]
+    assert max(r.lam for r in swept) == 10
+    assert len([r for r in swept if r.lam == 10]) == 9  # 3 covers x (Q, S, G)
 
 
 def test_leakage_tiny_grid_runs():

@@ -177,10 +177,15 @@ def test_orbit_join_matches_bruteforce_covers(case):
     joined = orbit_join(sys, cover, n, member_budget=10**6)
     got = [frozenset(joined.member_states(i)) for i in range(joined.count)]
 
-    # Preimage of every member under every box power, in lexicographic order.
+    # Preimage of every member under every box power, in shell order: by
+    # max(k), then the last axis reaching it, then lex.
+    def shell_key(k):
+        top = max(k)
+        return top, max(a for a, c in enumerate(k) if c == top), k
+
     base = [frozenset(cover.member_states(i)) for i in range(cover.count)]
     preimages = []
-    for k in itertools.product(*(range(c) for c in n)):
+    for k in sorted(itertools.product(*(range(c) for c in n)), key=shell_key):
         image = np.arange(m)
         for axis, reps in enumerate(k):
             for _ in range(reps):
@@ -244,14 +249,10 @@ def test_diagonal_sweep_matches_orbit_join(case, as_partition, n_max, data):
         ref = orbit_join(sys, family, n, member_budget=10**6)
         ref_field = birkhoff_field(sys, f, n)
         assert joined == ref
-        if sys.dim == 1:
-            # One step per depth replays orbit_join's loop and birkhoff_field's sum.
-            assert joined.atoms.tobytes() == ref.atoms.tobytes()
-            assert joined.members == ref.members
-            assert field.tobytes() == ref_field.tobytes()
-        else:
-            # atol covers cancellation: at most 16 terms of size <= 3.
-            np.testing.assert_allclose(field, ref_field, rtol=1e-12, atol=1e-12)
+        # One walk in shell order replays orbit_join's loop and birkhoff_field's sum.
+        assert joined.atoms.tobytes() == ref.atoms.tobytes()
+        assert joined.members == ref.members
+        assert field.tobytes() == ref_field.tobytes()
     assert depths == list(range(1, n_max + 1))
 
 

@@ -72,10 +72,24 @@ def test_semigroup_law_2d(k, m, x):
     assert apply_power(sys, ksum, x) == apply_power(sys, k, apply_power(sys, m, x))
 
 
+def shell_key(k):
+    """Shell order: by max(k), then the last axis reaching it, then lex."""
+    top = max(k)
+    return top, max(a for a, c in enumerate(k) if c == top), k
+
+
 def test_iter_box_maps_matches_power_map():
-    sys = doubling_tripling(37)
-    for k, arr in iter_box_maps(sys, (3, 4)):
-        assert np.array_equal(arr, power_map(sys, k))
+    # Every point once, in shell order, with its power map; 2-d boxes and
+    # clipped 3-d ones, whose shells lose slabs once an axis is used up.
+    states = np.arange(37, dtype=np.int64)
+    gens = ((2 * states) % 37, (3 * states) % 37, (5 * states) % 37)
+    for n in [(3, 4), (2, 4), (4, 2), (3, 1, 2), (2, 3, 3)]:
+        sys = FiniteSystem(generators=gens[: len(n)])
+        walked = []
+        for k, arr in iter_box_maps(sys, n):
+            assert np.array_equal(arr, power_map(sys, k))
+            walked.append(k)
+        assert walked == sorted(lattice.enumerate_box(n), key=shell_key)
 
 
 def test_birkhoff_constant_and_single_term():

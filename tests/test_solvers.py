@@ -200,6 +200,17 @@ def test_mwis_greedy_status_when_budget_exhausted():
         assert adjacency[v] & chosen_mask == 0
 
 
+def test_mwis_search_depth_is_not_bounded_by_the_call_stack():
+    # 1,500 vertices (within EXACT_LIMIT_NODES) and one edge: the search
+    # goes about 1,500 levels deep, beyond Python's default recursion limit.
+    n = 1500
+    adjacency = [0] * n
+    adjacency[0], adjacency[1] = 0b10, 0b01
+    res = max_weight_independent_set(adjacency, [0.0] * n)
+    assert res.status == STATUS_EXACT
+    assert res.chosen == (0,) + tuple(range(2, n))
+
+
 def test_subcover_light_members_do_not_underflow():
     # A 1000-heavy member used to set the scale, so the -5 member underflowed
     # to weight 0 and tied with the two 0-weight members.
