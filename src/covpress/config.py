@@ -2,8 +2,8 @@
 
 The config file format is one `key = value` pair per line, `#` starts a
 comment.  Unknown keys are rejected so typos cannot silently fall back to
-defaults.  Every randomized choice is pinned by `seed`; budgets must be
-positive.
+defaults, and so are keys the chosen experiment does not read.  Every
+randomized choice is pinned by `seed`; budgets must be positive.
 """
 
 from __future__ import annotations
@@ -24,27 +24,19 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "lattice-check": {"n_max": 24},
 }
 
-_BOOL_KEYS = {"svg"}
-_INT_KEYS = {
-    "m",
-    "rings",
-    "sectors",
-    "n_max",
-    "exact_limit",
-    "member_budget",
-    "seed",
-    "cases",
-    "seeds",
-    "symbols",
-    "dim",
-    "slices",
-    "euclid_band",
-    "annulus_rings",
-    "deep_exponent",
-    "max_states",
+# The keys each experiment reads, besides the ones every experiment accepts.
+# `doubling` and `leakage` draw nothing at random, but they accept `seed`
+# so one command line can drive every experiment.
+_COMMON_KEYS = {"n_max", "seed", "out", "svg"}
+_EXPERIMENT_KEYS: dict[str, set[str]] = {
+    "doubling": {"m", "potential", "exact_limit", "member_budget"},
+    "leakage": {
+        "rings", "sectors", "member_budget", "slices", "euclid_eps", "euclid_band", "annulus_rings"
+    },
+    "finite-vp": {"seeds", "max_states", "deep_exponent"},
+    "lattice-check": {"cases"},
+    "fullshift": {"symbols", "dim", "phi"},
 }
-_FLOAT_KEYS = {"euclid_eps"}
-_STR_KEYS = {"experiment", "potential", "phi", "out"}
 
 
 @dataclass(frozen=True)
@@ -93,6 +85,17 @@ class ExperimentConfig:
             raise ValueError("euclid_eps must be positive")
 
 
+# How a config file value of each key is read: by the type of its field.
+_READERS = {
+    "bool": lambda value: value.lower() in ("1", "true", "yes", "on"),
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+}
+_KEY_READERS = {f.name: _READERS[f.type] for f in fields(ExperimentConfig)}
+
+
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines into typed values."""
     out: dict = {}
@@ -104,16 +107,9 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in _BOOL_KEYS:
-            out[key] = value.lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        elif key in _STR_KEYS:
-            out[key] = value
-        else:
+        if key not in _KEY_READERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        out[key] = _KEY_READERS[key](value)
     return out
 
 
@@ -123,6 +119,8 @@ def load_config(
     overrides: dict | None = None,
 ) -> ExperimentConfig:
     """Defaults for the experiment, then the file, then CLI overrides."""
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
     merged: dict = dict(_EXPERIMENT_DEFAULTS.get(experiment, {}))
     if config_path is not None:
         file_values = parse_config_text(Path(config_path).read_text(encoding="utf-8"))
@@ -130,8 +128,10 @@ def load_config(
         merged.update(file_values)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    valid = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(merged) - valid
+    unknown = set(merged) - set(_KEY_READERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    unread = set(merged) - _COMMON_KEYS - _EXPERIMENT_KEYS[experiment]
+    if unread:
+        raise ValueError(f"{experiment} does not read config keys: {sorted(unread)}")
     return ExperimentConfig(experiment=experiment, **merged)

@@ -12,16 +12,20 @@ Joins and preimages work on the atom labels with one numpy label join; only
 covers with overlapping members also lift their member bitmasks onto the
 finer atoms (the atoms of a joined cover are the join of its atoms).  On top
 of families sit the operations every pressure computation needs: preimages,
-joins over orbit boxes, the incremental sweep of joins and ergodic sums
-along the diagonal boxes, the refinement preorder, admissibility
-classification against the system's marked states, the strongly-admissible
-cover built from an admissible partition, the potential-level cover, and the
-closeness graph that encodes which states share a member.
+the box sweep, the refinement preorder, admissibility classification against
+the system's marked states, the strongly-admissible cover built from an
+admissible partition, the potential-level cover, and the closeness graph
+that encodes which states share a member.
 
-Every box is walked in one order, the shell order of `dynsys.iter_box_maps`:
-all points of the box min(t, n) before any point of min(t + 1, n).  So the
-sweep's join and field at (t, .., t) are bitwise those of `orbit_join` and
-`birkhoff_field` at that box, in every dimension.
+The box sweep is the one place where joins and ergodic sums are built.
+`box_sweep` walks the box below n once, in the shell order of
+`dynsys.iter_box_maps` (all points of the box min(t, n) before any point of
+min(t + 1, n)), refines the join by the family pulled back through each
+point, adds the potential at each point to the field, and yields both after
+every shell.  A single box is the sweep's last item (`box_join`,
+`orbit_join`); a rate along the diagonal reads every item of the sweep over
+(n_max, .., n_max).  So the join and field at a box are the same bytes
+whichever way they are asked for.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from covpress.dynsys import FiniteSystem, Potential, iter_box_maps, power_map
-from covpress.lattice import Coords, as_point, box_cardinality, diagonal
+from covpress.lattice import Coords, as_point, box_cardinality
 
 DEFAULT_MEMBER_BUDGET = 4096
 DEFAULT_LAMBDA_BUDGET = 1_000_000
@@ -189,7 +193,7 @@ class SetFamily:
     def member_states(self, i: int) -> list[int]:
         return np.flatnonzero(self.atom_flags(i)[self.atoms]).tolist()
 
-    def _per_member(self, per_atom: np.ndarray, ufunc) -> np.ndarray:
+    def per_member(self, per_atom: np.ndarray, ufunc) -> np.ndarray:
         """Combine per-atom values into per-member values with `ufunc`."""
         if self._incidence is None:
             return per_atom
@@ -197,20 +201,17 @@ class SetFamily:
             [ufunc.reduce(per_atom[_bits(m, self.atom_count)]) for m in self._incidence]
         )
 
-    def member_sizes(self) -> np.ndarray:
-        return self._per_member(np.bincount(self.atoms, minlength=self.atom_count), np.add)
-
     def member_masses(self, weights: np.ndarray) -> np.ndarray:
         """Total weight per member; meaningful for partitions."""
         masses = np.bincount(self.atoms, weights=weights, minlength=self.atom_count)
-        return self._per_member(masses, np.add)
+        return self.per_member(masses, np.add)
 
     def group_extremum(self, values: np.ndarray, mode: str) -> np.ndarray:
         """Per-member min or max of a per-state value array."""
         reducer = np.minimum if mode == "min" else np.maximum
         out = np.full(self.atom_count, np.inf if mode == "min" else -np.inf)
         reducer.at(out, self.atoms, values)
-        return self._per_member(out, reducer)
+        return self.per_member(out, reducer)
 
     def __eq__(self, other) -> bool:
         """Equality as unordered families of sets."""
@@ -323,12 +324,63 @@ def _refine(
     return atoms, count, current
 
 
-def _check_box(sys: FiniteSystem, family: SetFamily, n: Coords, lambda_budget: int) -> None:
+def _check_box(n: Coords) -> None:
     lam = box_cardinality(n)
-    if lam > lambda_budget:
-        raise CoverBudgetError(f"box cardinality {lam} exceeds budget {lambda_budget}")
+    if lam > DEFAULT_LAMBDA_BUDGET:
+        raise CoverBudgetError(f"box cardinality {lam} exceeds budget {DEFAULT_LAMBDA_BUDGET}")
+
+
+def box_sweep(
+    sys: FiniteSystem,
+    family: SetFamily,
+    f: Potential | None,
+    n: Coords,
+    member_budget: int = DEFAULT_MEMBER_BUDGET,
+) -> Iterator[tuple[Coords, SetFamily, np.ndarray | None]]:
+    """Yield (box, orbit join, ergodic-sum field) for the boxes min(t, n),
+    t = 1..max(n), from one walk of the box below n in shell order.
+
+    The join identifies states exactly when their atom agrees at every box
+    point; a cover's members are intersected in first-occurrence order over
+    (joined-so-far member, next preimage member).  The field is the sum of f
+    over the box points, None when f is.  A box over DEFAULT_LAMBDA_BUDGET
+    points raises CoverBudgetError before its shell is walked, and a join
+    over `member_budget` members raises it too; the items already yielded
+    stand, and since a join only refines, no larger box would fit either.
+    """
+    n = as_point(n, dim=sys.dim)
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
+    walk = iter_box_maps(sys, n)
+    state = None
+    field = None if f is None else np.zeros(sys.state_count)
+    walked = 0
+    for t in range(1, max(n) + 1):
+        box = tuple(min(t, c) for c in n)
+        _check_box(box)
+        lam = box_cardinality(box)
+        for _, tk in itertools.islice(walk, lam - walked):
+            state = _refine(family, state, tk, box, member_budget)
+            if field is not None:
+                field = field + f.values[tk]
+        walked = lam
+        yield box, SetFamily(state[0], state[2]), field
+
+
+def box_join(
+    sys: FiniteSystem,
+    family: SetFamily,
+    f: Potential | None,
+    n: Coords,
+    member_budget: int = DEFAULT_MEMBER_BUDGET,
+) -> tuple[SetFamily, np.ndarray | None]:
+    """The join and the field over the whole box below n: the last item of
+    `box_sweep`.  A box over DEFAULT_LAMBDA_BUDGET is refused before any walk."""
+    n = as_point(n, dim=sys.dim)
+    _check_box(n)
+    for _, joined, field in box_sweep(sys, family, f, n, member_budget):
+        pass
+    return joined, field
 
 
 def orbit_join(
@@ -336,52 +388,9 @@ def orbit_join(
     family: SetFamily,
     n: Coords,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
-    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
 ) -> SetFamily:
-    """Join of the preimages of the family over the whole box below n.
-
-    States are identified exactly when their atom agrees at every box point.
-    A cover's members are intersected in first-occurrence order over
-    (joined-so-far member, next preimage member), box points in the shell
-    order of `iter_box_maps`.
-    """
-    n = as_point(n, dim=sys.dim)
-    _check_box(sys, family, n, lambda_budget)
-    state = None
-    for _, tk in iter_box_maps(sys, n):
-        state = _refine(family, state, tk, n, member_budget)
-    return SetFamily(state[0], state[2])
-
-
-def diagonal_sweep(
-    sys: FiniteSystem,
-    family: SetFamily,
-    f: Potential | None,
-    n_max: int,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-) -> Iterator[tuple[int, SetFamily, np.ndarray | None]]:
-    """Yield (t, orbit join, ergodic-sum field) over the boxes (t, .., t),
-    t = 1..n_max, from one walk of the box (n_max, .., n_max).
-
-    The walk is in shell order, so its first t**dim points are the box
-    (t, .., t) in the order `orbit_join` and `birkhoff_field` walk it, and
-    item t is bitwise theirs at that box (atoms, member order, field), in
-    every dimension.  The field is None when f is.  A join over budget
-    raises CoverBudgetError and ends the sweep; the depths already yielded
-    stand, and since a partition's join only refines, no deeper box would
-    fit either.
-    """
-    walk = iter_box_maps(sys, diagonal(n_max, sys.dim))
-    state = None
-    field = None if f is None else np.zeros(sys.state_count)
-    for t in range(1, n_max + 1):
-        n = diagonal(t, sys.dim)
-        _check_box(sys, family, n, DEFAULT_LAMBDA_BUDGET)
-        for _, tk in itertools.islice(walk, t**sys.dim - (t - 1) ** sys.dim):
-            state = _refine(family, state, tk, n, member_budget)
-            if field is not None:
-                field = field + f.values[tk]
-        yield t, SetFamily(state[0], state[2]), field
+    """Join of the preimages of the family over the whole box below n."""
+    return box_join(sys, family, None, n, member_budget)[0]
 
 
 def refines(finer: SetFamily, coarser: SetFamily) -> bool:
@@ -476,85 +485,30 @@ def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
 class ClosenessGraph:
     """States are adjacent when some member of the joined family holds both.
 
-    Queries run off membership classes, i.e. the family's atoms, ordered by
-    their lowest state.  A class is internally a clique, and two classes are
-    adjacent exactly when their member sets intersect, which is all the
+    The graph runs off membership classes, i.e. the family's atoms, ordered
+    by their lowest state.  A class is internally a clique, and two classes
+    are adjacent exactly when their member sets intersect, which is all the
     separated/spanning solvers need.  For a partition the classes are the
     cells and the graph is a disjoint union of cliques.
     """
 
     def __init__(self, family: SetFamily):
         self.family = family
-        self.state_count = family.state_count
         _, first = np.unique(family.atoms, return_index=True)
         self.class_atoms = np.argsort(first)
-        rank = np.empty_like(self.class_atoms)
-        rank[self.class_atoms] = np.arange(family.atom_count)
-        self.class_of_state = rank[family.atoms]
-        order = np.argsort(self.class_of_state, kind="stable")
-        bounds = np.searchsorted(self.class_of_state[order], np.arange(1, family.atom_count))
-        self.class_states = np.split(order, bounds)
         self.class_members = [family.holders(a) for a in self.class_atoms]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.class_states)
-
-    def _member_classes(self) -> list[list[int]]:
-        """Per member, the classes it holds."""
-        out: list[list[int]] = [[] for _ in range(self.family.count)]
-        for c, mems in enumerate(self.class_members):
-            for m in mems:
-                out[m].append(c)
-        return out
 
     def class_adjacency(self) -> list[int]:
         """Bitmask adjacency between membership classes (no self loops)."""
-        adj = [0] * self.class_count
-        for classes in self._member_classes():
+        member_classes: list[list[int]] = [[] for _ in range(self.family.count)]
+        for c, held in enumerate(self.class_members):
+            for m in held:
+                member_classes[m].append(c)
+        adj = [0] * len(self.class_members)
+        for classes in member_classes:
             clique = 0
             for c in classes:
                 clique |= 1 << c
             for c in classes:
                 adj[c] |= clique & ~(1 << c)
         return adj
-
-    def has_edge(self, x: int, y: int) -> bool:
-        if x == y:
-            return True
-        cx, cy = int(self.class_of_state[x]), int(self.class_of_state[y])
-        if cx == cy:
-            return True
-        return bool(set(self.class_members[cx]) & set(self.class_members[cy]))
-
-    def components(self) -> list[frozenset[int]]:
-        """Connected components as state sets, ordered by smallest state."""
-        parent = list(range(self.class_count))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for classes in self._member_classes():
-            for other in classes[1:]:
-                ra, rb = find(classes[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, set[int]] = {}
-        for c in range(self.class_count):
-            groups.setdefault(find(c), set()).update(int(s) for s in self.class_states[c])
-        return sorted((frozenset(g) for g in groups.values()), key=min)
-
-
-def closeness_graph(
-    sys: FiniteSystem,
-    family: SetFamily,
-    n: Coords,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
-) -> ClosenessGraph:
-    """Closeness graph of the family joined over the box below n."""
-    joined = orbit_join(sys, family, n, member_budget=member_budget, lambda_budget=lambda_budget)
-    return ClosenessGraph(joined)

@@ -6,10 +6,10 @@ formatting) so reruns produce byte-identical CSVs.  Verdict logic reads only
 the rows it refers to, so every judgement can be audited from the CSV.
 
 Rates are read along the diagonal boxes, and each cover is swept once:
-`diagonal_sweep` extends the join and the ergodic-sum field by one shell of
-box points per depth, and every value at that depth is computed from that
-one join.  The
-euclidean separated counts of all depths come from one pass as well.
+`box_sweep` extends the join and the ergodic-sum field by one shell of box
+points per depth, and every value at that depth is computed from that one
+join.  The euclidean separated counts of all depths come from one pass as
+well.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from covpress.config import ExperimentConfig
 from covpress.coveralg import (
     CoverBudgetError,
     SetFamily,
+    box_sweep,
     classify_admissible,
-    diagonal_sweep,
     join,
     membership_partition,
     potential_cover,
@@ -54,6 +54,7 @@ from covpress.toppressure import (
     cover_value_from_joined,
     deep_partition_sample,
     quadruple_from_joined,
+    rate_sequence,
 )
 
 CSV_HEADER = "experiment,cover,mode,n,lambda_n,raw_value,rate,bound,solver_status"
@@ -176,24 +177,27 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
     node_limit = cfg.exact_limit or 2000
 
     stopped = []
+    arc_q = []
     for name, family in covers:
         p_best = math.inf
         reached = 0
-        sweep = diagonal_sweep(sys, family, f, cfg.n_max, member_budget=cfg.member_budget)
+        sweep = box_sweep(sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget)
         try:
-            for t, joined, f_field in sweep:
-                quad = quadruple_from_joined(joined, f_field, (t,), exact_limit, node_limit)
+            for n, joined, f_field in sweep:
+                quad = quadruple_from_joined(joined, f_field, n, exact_limit, node_limit)
                 for mode in ("Q", "P", "S", "G"):
                     bound = None
                     if mode == "P" and quad["P"].status == STATUS_EXACT:
                         p_best = bound = min(p_best, quad["P"].rate)
                     rows.append(_sample_row(experiment, name, mode, quad[mode], bound=bound))
-                reached = t
+                if name == "arcs":
+                    arc_q.append(quad["Q"])
+                (reached,) = n
         except CoverBudgetError as exc:
             stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {exc}")
 
-    arc_q = [r for r in rows if r.cover == "arcs" and r.mode == "Q"]
-    final = max(arc_q, key=lambda r: r.lam)
+    estimate = rate_sequence(arc_q, "Q")
+    final = estimate.samples[-1]
     kind, _, arg = cfg.potential.partition(":")
     if kind == "arc":
         target = math.log(1.0 + math.exp(float(arg or 1.0)))
@@ -201,11 +205,7 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
         target = math.log(2.0) + float(arg or 0.0)
     else:
         target = None
-    rates = [r.rate for r in sorted(arc_q, key=lambda r: r.lam)]
-    monotone = all(b >= a - 1e-9 for a, b in zip(rates, rates[1:])) or all(
-        b <= a + 1e-9 for a, b in zip(rates, rates[1:])
-    )
-    note = "" if monotone else "; note: rate sequence is not monotone"
+    note = "" if estimate.is_monotone() else "; note: rate sequence is not monotone"
     note += "".join(f"; {text}" for text in stopped)
     verdicts = []
     if target is None:
@@ -346,7 +346,7 @@ def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIte
     trivial = SetFamily.trivial(m)
 
     def sweep(family, f=None):
-        return diagonal_sweep(sys, family, f, cfg.n_max, member_budget=cfg.member_budget)
+        return box_sweep(sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget)
 
     ts = list(range(1, cfg.n_max + 1))
     pizza_counts = [joined.count for _, joined, _ in sweep(pizza_cells)]
@@ -354,7 +354,7 @@ def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIte
         sys, rings, sectors, cfg.euclid_band, cfg.euclid_eps, cfg.n_max
     )
     q_samples = {
-        name: [cover_value_from_joined(joined, f_field, (t,)) for t, joined, f_field in sweep(fam, f0)]
+        name: [cover_value_from_joined(joined, f_field, n) for n, joined, f_field in sweep(fam, f0)]
         for name, fam in (("admissible", admissible), ("trivial", trivial))
     }
 
@@ -432,8 +432,8 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
         coarse = SetFamily.from_labels(rng.integers(0, 2, size=m))
         covers = [("cells", cells), ("coarse", coarse), ("trivial", SetFamily.trivial(m))]
         for name, family in covers:
-            for t, joined, f_field in diagonal_sweep(sys, family, f, cfg.n_max):
-                quad = quadruple_from_joined(joined, f_field, (t,))
+            for n, joined, f_field in box_sweep(sys, family, f, (cfg.n_max,)):
+                quad = quadruple_from_joined(joined, f_field, n)
                 for mode in ("Q", "S", "G"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))
 

@@ -4,8 +4,12 @@ Independent of every solver in the package: pressure, the box partition
 function, and the optimizing product measure are all available in closed
 form, which is what makes this a trustworthy yardstick for the variational
 machinery.  The shift is treated purely symbolically (configurations on a
-finite box); encoding it as a finite state system would distort itinerary
-counts, so there deliberately is no bridge to FiniteSystem.
+finite box), so the oracle depends on none of the machinery it checks.  A
+finite stand-in exists: the configurations on a torus under the unit shifts
+form a FiniteSystem, and on boxes no larger than the period every window
+pattern is exactly one cell of the box join of the origin partition, so
+cylinder counts and sums there equal this module's.  Only beyond the period
+do patterns repeat and the counts saturate.
 """
 
 from __future__ import annotations

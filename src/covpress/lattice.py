@@ -11,7 +11,7 @@ elsewhere in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Coords = tuple[int, ...]
@@ -96,27 +96,6 @@ def iter_box(n: Coords) -> Iterator[Coords]:
     if any(c == 0 for c in n):
         raise EmptyBoxError(f"box {n} is empty")
     return itertools.product(*(range(c) for c in n))
-
-
-@dataclass(frozen=True)
-class Box:
-    """The rectangular set of points componentwise below `upper`."""
-
-    upper: Coords
-    cardinality: int = field(init=False)
-
-    def __post_init__(self):
-        upper = as_point(self.upper)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "cardinality", box_cardinality(upper))
-
-    def __contains__(self, p: Coords) -> bool:
-        return len(p) == len(self.upper) and all(
-            0 <= c < u for c, u in zip(p, self.upper)
-        )
-
-    def points(self) -> list[Coords]:
-        return enumerate_box(self.upper)
 
 
 @dataclass(frozen=True)

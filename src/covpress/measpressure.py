@@ -24,10 +24,10 @@ import numpy as np
 
 from covpress.coveralg import (
     SetFamily,
+    box_join,
+    box_sweep,
     classify_admissible_partition,
-    diagonal_sweep,
     join,
-    orbit_join,
     preimage_family,
     refines,
 )
@@ -190,17 +190,16 @@ def entropy_rate(
     if check_invariance and not is_invariant(mu, sys):
         raise ValueError("measure is not invariant within tolerance")
     samples = []
-    stable_at = None
-    for t, joined, _ in diagonal_sweep(sys, family, None, n_max, member_budget=member_budget):
-        n = diagonal(t, sys.dim)
+    stable = False
+    sweep = box_sweep(sys, family, None, diagonal(n_max, sys.dim), member_budget)
+    for n, joined, _ in sweep:
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
-        if stable_at is None and _is_join_stable(sys, joined):
-            stable_at = t
+        stable = stable or _is_join_stable(sys, joined)
     est = rate_sequence(samples, "H")
     exact_rates = [s.rate for s in samples]
     est.fekete_bound = min(exact_rates)
-    if stable_at is not None:
+    if stable:
         # Joined entropy is constant from here on, so the rate limit is zero.
         est.extrapolated = 0.0
     return est
@@ -360,7 +359,7 @@ def separated_entropy_link_check(
         return SeparatedLinkReport(False, None, None, math.nan, math.nan, math.nan)
     n = as_point(n, dim=sys.dim)
     lam = box_cardinality(n)
-    joined = orbit_join(sys, refining, n, member_budget=member_budget)
+    joined, f_field = box_join(sys, refining, f, n, member_budget)
     labels = joined.as_labels()
     chosen = sorted(int(x) for x in separated)
     cell_of = [int(labels[x]) for x in chosen]
@@ -368,7 +367,6 @@ def separated_entropy_link_check(
         return SeparatedLinkReport(False, None, None, math.nan, math.nan, math.nan)
     emp = empirical_measures(sys, f, n, chosen)
     entropy_term = partition_entropy(emp.sigma, joined)
-    f_field = birkhoff_field(sys, f, n)
     integral_term = float(math.fsum((emp.sigma.weights * f_field).tolist()))
     identity = abs(emp.log_normalizer - (entropy_term + integral_term)) <= tol * max(
         1.0, abs(emp.log_normalizer)

@@ -5,7 +5,13 @@ per-member infima (Q) or suprema (P) of the exponentiated ergodic sum, the
 largest weight of a separated state set (S: no two chosen states share a
 member), and the cheapest weight of a spanning state set (G: every state
 shares a member with a chosen one).  All values are handled and reported in
-log scale; the exact chain Q <= G <= S <= P holds instance by instance.
+log scale.  Q <= P and G <= S <= P hold instance by instance, and so does
+Q <= G when the joined family is a partition.
+
+`pressure_quadruple` is the per-box entry: it walks the box once for the
+join and the ergodic field and hands both to `quadruple_from_joined`, which
+rate sweeps call directly at every depth; `cover_value_from_joined` gives Q
+or P alone.  S and G samples carry their chosen states in `.chosen`.
 
 Separated sets are maximum-weight independent sets of the closeness graph,
 spanning sets are minimum-weight dominating sets, and both collapse states
@@ -16,22 +22,21 @@ of any size stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from covpress.coveralg import (
-    DEFAULT_LAMBDA_BUDGET,
     DEFAULT_MEMBER_BUDGET,
     ClosenessGraph,
     SetFamily,
+    box_join,
+    box_sweep,
     classify_admissible,
-    diagonal_sweep,
     membership_partition,
-    orbit_join,
 )
-from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling, birkhoff_field
+from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal
 from covpress.solvers import (
     EXACT_LIMIT_FAMILIES,
@@ -46,12 +51,17 @@ from covpress.solvers import (
 
 @dataclass(frozen=True)
 class PressureSample:
-    """One evaluated box: the value in log scale and the normalized rate."""
+    """One evaluated box: the value in log scale and the normalized rate.
+
+    An S or G sample also carries the states whose weights make up its value
+    (separated for S, spanning for G), in increasing order.
+    """
 
     n: Coords
     lam: int
     log_value: float
     status: str
+    chosen: tuple[int, ...] = field(default=(), repr=False)
 
     @property
     def rate(self) -> float:
@@ -110,6 +120,26 @@ def member_log_weights(family: SetFamily, f_field: np.ndarray, mode: str) -> np.
     return family.group_extremum(f_field, "min" if mode == "Q" else "max")
 
 
+def _subcover_sample(
+    joined: SetFamily,
+    members: Sequence[int] | None,
+    weights: np.ndarray,
+    n: Coords,
+    exact_limit: int,
+) -> PressureSample:
+    """Cheapest subcover of the joined family under per-member log-weights;
+    `members` are its state bitmasks, None for a partition."""
+    lam = box_cardinality(n)
+    if joined.is_partition:
+        # Every class holds states no other member covers, so the subcover is
+        # the whole family and no search is needed.
+        return PressureSample(n, lam, log_sum_exp(weights.tolist()), STATUS_EXACT)
+    universe = (1 << joined.state_count) - 1
+    inst = WeightedCoverInstance(universe, members, tuple(float(w) for w in weights))
+    res = min_subcover_value(inst, exact_limit=exact_limit)
+    return PressureSample(n, lam, res.log_value, res.status)
+
+
 def cover_value_from_joined(
     joined: SetFamily,
     f_field: np.ndarray,
@@ -117,132 +147,23 @@ def cover_value_from_joined(
     mode: str = "Q",
     exact_limit: int = EXACT_LIMIT_FAMILIES,
 ) -> PressureSample:
-    """Q or P value of an already joined family, given the ergodic field at box n."""
-    lam = box_cardinality(n)
+    """Q or P alone, of an already joined family, given the ergodic field at box n."""
     weights = member_log_weights(joined, f_field, mode)
-    if joined.is_partition:
-        # Every class holds states no other member covers, so the subcover is
-        # the whole family and no search is needed.
-        return PressureSample(n, lam, log_sum_exp(weights.tolist()), STATUS_EXACT)
-    universe = (1 << joined.state_count) - 1
-    inst = WeightedCoverInstance(universe, joined.members, tuple(float(w) for w in weights))
-    res = min_subcover_value(inst, exact_limit=exact_limit)
-    return PressureSample(n, lam, res.log_value, res.status)
+    members = None if joined.is_partition else joined.members
+    return _subcover_sample(joined, members, weights, n, exact_limit)
 
 
-def cover_pressure_value(
-    sys: FiniteSystem,
-    f: Potential,
-    family: SetFamily,
-    n: Coords,
-    mode: str = "Q",
-    exact_limit: int = EXACT_LIMIT_FAMILIES,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
-) -> PressureSample:
-    """Cheapest subcover of the box join, weighted per member by the inf (Q)
-    or sup (P) of the exponentiated ergodic sum."""
-    n = as_point(n, dim=sys.dim)
-    joined = orbit_join(sys, family, n, member_budget=member_budget, lambda_budget=lambda_budget)
-    f_field = birkhoff_field(sys, f, n)
-    return cover_value_from_joined(joined, f_field, n, mode, exact_limit)
-
-
-def _atom_representatives(
-    family: SetFamily, f_field: np.ndarray, pick: str
+def _atom_extremum(
+    joined: SetFamily, f_field: np.ndarray, pick: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per atom, the state with the extreme ergodic sum and that sum.
-
-    Ties go to the lowest state index.
-    """
-    atoms = family.atoms
-    best = membership_partition(family).group_extremum(f_field, pick)
+    """Per atom, the min or max of the ergodic sum and the lowest state
+    attaining it."""
+    atoms = joined.atoms
+    best = membership_partition(joined).group_extremum(f_field, pick)
     hits = np.flatnonzero(f_field == best[atoms])
-    reps = np.full(family.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
+    reps = np.full(joined.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(reps, atoms[hits], hits)
-    return reps, best
-
-
-def _separated_from_joined(
-    joined: SetFamily, f_field: np.ndarray, n: Coords, exact_limit: int
-) -> tuple[PressureSample, tuple[int, ...]]:
-    lam = box_cardinality(n)
-    reps, best = _atom_representatives(joined, f_field, "max")
-    if joined.is_partition:
-        sample = PressureSample(n, lam, log_sum_exp(best.tolist()), STATUS_EXACT)
-        return sample, tuple(np.sort(reps).tolist())
-    graph = ClosenessGraph(joined)
-    reps, best = reps[graph.class_atoms], best[graph.class_atoms]
-    res = max_weight_independent_set(graph.class_adjacency(), best.tolist(), exact_limit=exact_limit)
-    chosen_states = tuple(sorted(int(reps[c]) for c in res.chosen))
-    return PressureSample(n, lam, res.log_value, res.status), chosen_states
-
-
-def separated_value(
-    sys: FiniteSystem,
-    f: Potential,
-    family: SetFamily,
-    n: Coords,
-    exact_limit: int = EXACT_LIMIT_NODES,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
-) -> tuple[PressureSample, tuple[int, ...]]:
-    """Largest total weight of a set no two of whose states share a member.
-
-    States with identical membership are mutually close, so each class
-    contributes at most one state and the heaviest representative wins.  On a
-    partition the class graph is edgeless and the answer needs no search.
-    """
-    n = as_point(n, dim=sys.dim)
-    joined = orbit_join(sys, family, n, member_budget=member_budget, lambda_budget=lambda_budget)
-    f_field = birkhoff_field(sys, f, n)
-    return _separated_from_joined(joined, f_field, n, exact_limit)
-
-
-def _spanning_from_joined(
-    joined: SetFamily, f_field: np.ndarray, n: Coords, exact_limit: int
-) -> tuple[PressureSample, tuple[int, ...]]:
-    lam = box_cardinality(n)
-    reps, best = _atom_representatives(joined, f_field, "min")
-    if joined.is_partition:
-        sample = PressureSample(n, lam, log_sum_exp(best.tolist()), STATUS_EXACT)
-        return sample, tuple(np.sort(reps).tolist())
-    graph = ClosenessGraph(joined)
-    reps, best = reps[graph.class_atoms], best[graph.class_atoms]
-    members = joined.members
-    coverage = []
-    for key in graph.class_members:
-        cov = 0
-        for m in key:
-            cov |= members[m]
-        coverage.append(cov)
-    universe = (1 << joined.state_count) - 1
-    inst = WeightedCoverInstance(universe, tuple(coverage), tuple(best.tolist()))
-    res = min_subcover_value(inst, exact_limit=exact_limit)
-    chosen_states = tuple(sorted(int(reps[c]) for c in res.chosen))
-    return PressureSample(n, lam, res.log_value, res.status), chosen_states
-
-
-def spanning_value(
-    sys: FiniteSystem,
-    f: Potential,
-    family: SetFamily,
-    n: Coords,
-    exact_limit: int = EXACT_LIMIT_NODES,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
-) -> tuple[PressureSample, tuple[int, ...]]:
-    """Smallest total weight of a set every state is close to.
-
-    A chosen state dominates the union of its members, so this is a weighted
-    set-cover over membership classes with the cheapest representative per
-    class.  On a partition each class can only be dominated from inside and
-    the cheapest state per class is forced.
-    """
-    n = as_point(n, dim=sys.dim)
-    joined = orbit_join(sys, family, n, member_budget=member_budget, lambda_budget=lambda_budget)
-    f_field = birkhoff_field(sys, f, n)
-    return _spanning_from_joined(joined, f_field, n, exact_limit)
+    return best, reps
 
 
 def pressure_quadruple(
@@ -254,10 +175,12 @@ def pressure_quadruple(
     node_limit: int = EXACT_LIMIT_NODES,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> dict[str, PressureSample]:
-    """All four values at one box, sharing the join and the ergodic field."""
+    """Q, P, G and S of the family joined over the box below n.
+
+    The join and the ergodic field come from one walk of the box.
+    """
     n = as_point(n, dim=sys.dim)
-    joined = orbit_join(sys, family, n, member_budget=member_budget)
-    f_field = birkhoff_field(sys, f, n)
+    joined, f_field = box_join(sys, family, f, n, member_budget)
     return quadruple_from_joined(joined, f_field, n, exact_limit, node_limit)
 
 
@@ -268,13 +191,56 @@ def quadruple_from_joined(
     exact_limit: int = EXACT_LIMIT_FAMILIES,
     node_limit: int = EXACT_LIMIT_NODES,
 ) -> dict[str, PressureSample]:
-    """Q, P, G and S of an already joined family, given the ergodic field at box n."""
+    """Q, P, G and S of an already joined family, given the ergodic field at box n.
+
+    Q and P are the cheapest subcovers weighted per member by the min and
+    max of the ergodic sum.  S is the heaviest set of states no two of which
+    share a member, G the lightest set of states that every state shares a
+    member with.
+
+    States with identical membership are mutually close, so S and G work on
+    membership classes (atoms), each represented by its heaviest (S) or
+    lightest (G) state: S is a maximum-weight independent set of the class
+    graph, and G a weighted set cover in which a class covers the union of
+    its members.  On a partition the class graph is edgeless and each class
+    can only be covered from inside, so G is Q's log-sum of class minima
+    and S is P's of class maxima.
+    """
+    lam = box_cardinality(n)
+    lo, lo_reps = _atom_extremum(joined, f_field, "min")
+    hi, hi_reps = _atom_extremum(joined, f_field, "max")
+    members = None if joined.is_partition else joined.members
     out = {
-        "Q": cover_value_from_joined(joined, f_field, n, "Q", exact_limit),
-        "P": cover_value_from_joined(joined, f_field, n, "P", exact_limit),
+        "Q": _subcover_sample(joined, members, joined.per_member(lo, np.minimum), n, exact_limit),
+        "P": _subcover_sample(joined, members, joined.per_member(hi, np.maximum), n, exact_limit),
     }
-    out["G"], _ = _spanning_from_joined(joined, f_field, n, node_limit)
-    out["S"], _ = _separated_from_joined(joined, f_field, n, node_limit)
+    if joined.is_partition:
+        lightest = tuple(np.sort(lo_reps).tolist())
+        # When every class's lightest state is also its heaviest (one state
+        # per class, or a field constant on each), G and S choose the same
+        # states, and one tuple serves both: a large partition holds half.
+        same = np.array_equal(lo_reps, hi_reps)
+        out["G"] = replace(out["Q"], chosen=lightest)
+        out["S"] = replace(out["P"], chosen=lightest if same else tuple(np.sort(hi_reps).tolist()))
+        return out
+    graph = ClosenessGraph(joined)
+    lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
+    coverage = []
+    for held in graph.class_members:
+        cov = 0
+        for m in held:
+            cov |= members[m]
+        coverage.append(cov)
+    universe = (1 << joined.state_count) - 1
+    inst = WeightedCoverInstance(universe, tuple(coverage), tuple(lo.tolist()))
+    g = min_subcover_value(inst, exact_limit=node_limit)
+    s = max_weight_independent_set(graph.class_adjacency(), hi.tolist(), exact_limit=node_limit)
+    out["G"] = PressureSample(
+        n, lam, g.log_value, g.status, tuple(sorted(int(lo_reps[c]) for c in g.chosen))
+    )
+    out["S"] = PressureSample(
+        n, lam, s.log_value, s.status, tuple(sorted(int(hi_reps[c]) for c in s.chosen))
+    )
     return out
 
 
@@ -292,8 +258,8 @@ def stabilized_partition(sys: FiniteSystem, family: SetFamily) -> tuple[SetFamil
         raise ValueError("stabilization needs a partition")
     # A join of M states refines at most M - 1 times, so it is stable by depth M.
     previous = None
-    for t, joined, _ in diagonal_sweep(
-        sys, family, None, sys.state_count + 1, member_budget=sys.state_count
+    for (t,), joined, _ in box_sweep(
+        sys, family, None, (sys.state_count + 1,), member_budget=sys.state_count
     ):
         if previous is not None and joined.count == previous.count:
             return previous, t - 1
@@ -338,9 +304,9 @@ def topological_pressure(
 
     Every cover must pass the admissibility check unless the diagnostic
     override is set (used only to demonstrate how non-admissible covers leak
-    boundary complexity).  The report carries S and G rate sequences next to
-    Q for cross-validation; each sample equals the per-box function's at the
-    same box.
+    boundary complexity).  The report carries the P, S and G rate sequences
+    next to Q for cross-validation; each sample equals `pressure_quadruple`'s
+    at the same box.
     """
     report: dict[str, dict[str, PressureEstimate]] = {}
     estimate = -math.inf
@@ -349,18 +315,12 @@ def topological_pressure(
             verdict = classify_admissible(sys, family)
             if not verdict.is_admissible:
                 raise ValueError(f"cover {name!r} is not admissible")
-        q_samples, s_samples, g_samples = [], [], []
-        for t, joined, f_field in diagonal_sweep(
-            sys, family, f, n_max, member_budget=member_budget
-        ):
-            n = diagonal(t, sys.dim)
-            q_samples.append(cover_value_from_joined(joined, f_field, n, "Q", exact_limit))
-            s_samples.append(_separated_from_joined(joined, f_field, n, node_limit)[0])
-            g_samples.append(_spanning_from_joined(joined, f_field, n, node_limit)[0])
-        report[name] = {
-            "Q": rate_sequence(q_samples, "Q"),
-            "S": rate_sequence(s_samples, "S"),
-            "G": rate_sequence(g_samples, "G"),
-        }
+        samples: dict[str, list[PressureSample]] = {mode: [] for mode in "QPSG"}
+        sweep = box_sweep(sys, family, f, diagonal(n_max, sys.dim), member_budget)
+        for n, joined, f_field in sweep:
+            quad = quadruple_from_joined(joined, f_field, n, exact_limit, node_limit)
+            for mode, sample in quad.items():
+                samples[mode].append(sample)
+        report[name] = {mode: rate_sequence(s, mode) for mode, s in samples.items()}
         estimate = max(estimate, report[name]["Q"].extrapolated)
     return estimate, report

@@ -42,12 +42,7 @@ from covpress.solvers import (
     max_weight_independent_set,
     min_subcover_value,
 )
-from covpress.toppressure import (
-    cover_pressure_value,
-    pressure_quadruple,
-    separated_value,
-    spanning_value,
-)
+from covpress.toppressure import pressure_quadruple
 
 LOG2 = math.log(2.0)
 
@@ -245,8 +240,8 @@ def test_criterion_7_inequality_chain_and_monotonicity():
         coarse = random_cover(rng, m)
         fine = join(coarse, random_cover(rng, m))
         t = int(rng.integers(1, 4))
-        q_c = cover_pressure_value(sys, f, coarse, (t,), "Q")
-        q_f = cover_pressure_value(sys, f, fine, (t,), "Q")
+        q_c = pressure_quadruple(sys, f, coarse, (t,))["Q"]
+        q_f = pressure_quadruple(sys, f, fine, (t,))["Q"]
         assert q_c.log_value <= q_f.log_value + slack
         mono += 1
     assert mono == 100
@@ -350,10 +345,10 @@ def test_criterion_8_entropy_lemma_suite():
         ) <= tol
         fam = SetFamily.from_labels(rng.integers(0, 3, m))
         t = int(rng.integers(1, 4))
+        quad = pressure_quadruple(sys, f, fam, (t,))
+        quad_shifted = pressure_quadruple(sys, f.shifted(c_shift), fam, (t,))
         for mode in ("Q", "P"):
-            a = cover_pressure_value(sys, f, fam, (t,), mode)
-            b = cover_pressure_value(sys, f.shifted(c_shift), fam, (t,), mode)
-            assert abs(b.rate - a.rate - c_shift) <= tol
+            assert abs(quad_shifted[mode].rate - quad[mode].rate - c_shift) <= tol
     print("CRITERION 8 PASS: entropy lemma suite, 100+ instances per lemma at 1e-9")
 
 
@@ -391,7 +386,7 @@ def test_criterion_9_lower_bound_construction():
         arc = SetFamily.from_labels((np.arange(m) >= split).astype(np.int64))
         f = Potential(local.normal(size=m))
         t = int(local.integers(2, 5))
-        _, chosen = separated_value(sys, f, arc, (t,))
+        chosen = pressure_quadruple(sys, f, arc, (t,))["S"].chosen
         report = separated_entropy_link_check(sys, f, arc, (t,), chosen, arc)
         assert report.applicable
         assert report.identity_holds and report.transport_holds
@@ -460,7 +455,7 @@ def test_criterion_10_solver_oracle_equivalence():
         sys = FiniteSystem(generators=(np.arange(m),))
         f = Potential(rng.uniform(-2, 2, m))
         fam = random_cover(rng, m)
-        sample, _ = spanning_value(sys, f, fam, (1,))
+        sample = pressure_quadruple(sys, f, fam, (1,))["G"]
         assert sample.status == STATUS_EXACT
         # Closed neighborhoods under "shares a member".
         members = fam.members

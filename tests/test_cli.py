@@ -55,6 +55,25 @@ def test_load_config_defaults_and_overrides(tmp_path):
         ExperimentConfig(experiment="doubling", n_max=0)
 
 
+def test_load_config_rejects_keys_the_experiment_does_not_read(tmp_path):
+    # Each of these keys belongs to another experiment and would do nothing.
+    with pytest.raises(ValueError, match=r"leakage does not read config keys: \['exact_limit'\]"):
+        load_config("leakage", overrides={"exact_limit": 5})
+    p = tmp_path / "c.conf"
+    p.write_text("rings = 8\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"doubling does not read config keys: \['rings'\]"):
+        load_config("doubling", config_path=p)
+    with pytest.raises(ValueError, match="does not read"):
+        load_config("finite-vp", overrides={"member_budget": 10})
+    assert main(["leakage", "--exact-limit", "5", "--out", str(tmp_path)]) == 1
+    # Every experiment accepts the common keys, `seed` included.
+    for experiment in ("doubling", "leakage", "finite-vp", "lattice-check", "fullshift"):
+        cfg = load_config(experiment, overrides={"n_max": 3, "seed": 2, "out": "x", "svg": True})
+        assert (cfg.n_max, cfg.seed) == (3, 2)
+    with pytest.raises(ValueError, match="unknown experiment"):
+        load_config("nope")
+
+
 def test_potential_from_spec():
     f = potential_from_spec("constant:2.5", 4)
     assert np.allclose(f.values, 2.5)

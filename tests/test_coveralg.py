@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covpress import coveralg
 from covpress.coveralg import (
     ClosenessGraph,
     CoverBudgetError,
     SetFamily,
+    box_sweep,
     classify_admissible,
     classify_admissible_partition,
-    closeness_graph,
     cover_from_partition,
-    diagonal_sweep,
     join,
     orbit_join,
     potential_cover,
@@ -26,6 +26,7 @@ from covpress.dynsys import (
     FiniteSystem,
     Potential,
     birkhoff_field,
+    iter_box_maps,
     make_circle_doubling,
     make_disk_system,
     power_system,
@@ -82,7 +83,7 @@ def test_label_and_mask_forms_agree():
     masks_form = SetFamily.from_state_sets(5, [{0, 2}, {1, 4}, {3}], kind="partition")
     assert fam == masks_form
     assert fam.member_states(2) == [3]
-    assert fam.member_sizes().tolist() == [2, 2, 1]
+    assert [len(fam.member_states(i)) for i in range(fam.count)] == [2, 2, 1]
 
 
 def test_preimage_identity_and_doubling():
@@ -146,11 +147,12 @@ def test_orbit_join_doubling_101_eight_cells():
 
 
 @st.composite
-def covered_systems(draw):
-    """A small system (one generator, or two commuting ones acting on the
-    two coordinates of a product), an overlapping 2-3 member cover, a box."""
-    dim = draw(st.sampled_from([1, 2]))
-    sizes = [draw(st.integers(2, 8))] if dim == 1 else [draw(st.integers(2, 3)) for _ in range(2)]
+def covered_systems(draw, dims=(1, 2)):
+    """A small system (one generator, or commuting ones each acting on one
+    coordinate of a product), an overlapping 2-3 member cover, a box."""
+    dim = draw(st.sampled_from(dims))
+    high = {1: 8, 2: 3, 3: 2}[dim]
+    sizes = [draw(st.integers(2, high)) for _ in range(dim)]
     m = int(np.prod(sizes))
     coords = np.array(list(itertools.product(*(range(c) for c in sizes))))
     gens = []
@@ -168,22 +170,16 @@ def covered_systems(draw):
     return FiniteSystem(generators=tuple(gens)), sets, n
 
 
-@given(covered_systems())
-@settings(max_examples=60, deadline=None)
-def test_orbit_join_matches_bruteforce_covers(case):
-    sys, sets, n = case
+def shell_preimages(sys, family, n):
+    """Per point of the box below n, in shell order (by max(k), then the
+    last axis reaching it, then lex): the preimage of every member."""
     m = sys.state_count
-    cover = SetFamily.from_state_sets(m, sets)
-    joined = orbit_join(sys, cover, n, member_budget=10**6)
-    got = [frozenset(joined.member_states(i)) for i in range(joined.count)]
 
-    # Preimage of every member under every box power, in shell order: by
-    # max(k), then the last axis reaching it, then lex.
     def shell_key(k):
         top = max(k)
         return top, max(a for a, c in enumerate(k) if c == top), k
 
-    base = [frozenset(cover.member_states(i)) for i in range(cover.count)]
+    base = [frozenset(family.member_states(i)) for i in range(family.count)]
     preimages = []
     for k in sorted(itertools.product(*(range(c) for c in n)), key=shell_key):
         image = np.arange(m)
@@ -191,8 +187,44 @@ def test_orbit_join_matches_bruteforce_covers(case):
             for _ in range(reps):
                 image = sys.generators[axis][image]
         preimages.append([frozenset(x for x in range(m) if image[x] in b) for b in base])
+    return preimages
 
-    # (1) Members are the nonempty intersections of one preimage per box point.
+
+def assert_shell_order_join(joined, preimages, m):
+    """The join's members, in order, are the first occurrences over (current
+    member, step member) along the preimages; its atoms are exactly its
+    membership classes; it is a partition iff its members are disjoint."""
+    current = None
+    for step in preimages:
+        step = [p for p in step if p]
+        if current is None:
+            current = step
+        else:
+            current = list(dict.fromkeys(c & p for c in current for p in step if c & p))
+    got = [frozenset(joined.member_states(i)) for i in range(joined.count)]
+    assert got == list(dict.fromkeys(current))
+
+    member_sets = [frozenset(i for i, g in enumerate(got) if x in g) for x in range(m)]
+    atoms = joined.atoms.tolist()
+    assert sorted(set(atoms)) == list(range(joined.atom_count))
+    for x in range(m):
+        for y in range(m):
+            assert (atoms[x] == atoms[y]) == (member_sets[x] == member_sets[y])
+
+    disjoint = all(not (a & b) for a, b in itertools.combinations(got, 2))
+    assert joined.is_partition == disjoint
+
+
+@given(covered_systems())
+@settings(max_examples=60, deadline=None)
+def test_orbit_join_matches_bruteforce_covers(case):
+    sys, sets, n = case
+    m = sys.state_count
+    cover = SetFamily.from_state_sets(m, sets)
+    joined = orbit_join(sys, cover, n, member_budget=10**6)
+    preimages = shell_preimages(sys, cover, n)
+
+    # Members are the nonempty intersections of one preimage per box point.
     brute = set()
 
     def descend(depth, acc):
@@ -205,35 +237,14 @@ def test_orbit_join_matches_bruteforce_covers(case):
             descend(depth + 1, acc & pre)
 
     descend(0, frozenset(range(m)))
-    assert set(got) == brute
-
-    # (2) Member order: first occurrence over (current member, step member).
-    current = None
-    for step in preimages:
-        step = [p for p in step if p]
-        if current is None:
-            current = step
-        else:
-            current = list(dict.fromkeys(c & p for c in current for p in step if c & p))
-    assert got == list(dict.fromkeys(current))
-
-    # (3) Atoms are exactly the membership classes, labelled 0..A-1.
-    member_sets = [frozenset(i for i, g in enumerate(got) if x in g) for x in range(m)]
-    atoms = joined.atoms.tolist()
-    assert sorted(set(atoms)) == list(range(joined.atom_count))
-    for x in range(m):
-        for y in range(m):
-            assert (atoms[x] == atoms[y]) == (member_sets[x] == member_sets[y])
-
-    # (4) The family is a partition iff its members are pairwise disjoint.
-    disjoint = all(not (a & b) for a, b in itertools.combinations(got, 2))
-    assert joined.is_partition == disjoint
+    assert set(family_as_sets(joined)) == brute
+    assert_shell_order_join(joined, preimages, m)
 
 
-@given(covered_systems(), st.booleans(), st.integers(1, 4), st.data())
-@settings(max_examples=60, deadline=None)
-def test_diagonal_sweep_matches_orbit_join(case, as_partition, n_max, data):
-    sys, sets, _ = case
+@given(covered_systems(dims=(1, 2, 3)), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_box_sweep_matches_bruteforce_shells(case, as_partition, data):
+    sys, sets, n = case
     m = sys.state_count
     if as_partition:
         labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
@@ -242,29 +253,45 @@ def test_diagonal_sweep_matches_orbit_join(case, as_partition, n_max, data):
         family = SetFamily.from_state_sets(m, sets)
     values = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))
     f = Potential(np.array(values))
-    depths = []
-    for t, joined, field in diagonal_sweep(sys, family, f, n_max, member_budget=10**6):
-        depths.append(t)
-        n = diagonal(t, sys.dim)
-        ref = orbit_join(sys, family, n, member_budget=10**6)
-        ref_field = birkhoff_field(sys, f, n)
-        assert joined == ref
-        # One walk in shell order replays orbit_join's loop and birkhoff_field's sum.
-        assert joined.atoms.tobytes() == ref.atoms.tobytes()
-        assert joined.members == ref.members
-        assert field.tobytes() == ref_field.tobytes()
-    assert depths == list(range(1, n_max + 1))
+    boxes = []
+    for box, joined, field in box_sweep(sys, family, f, n, member_budget=10**6):
+        boxes.append(box)
+        assert_shell_order_join(joined, shell_preimages(sys, family, box), m)
+        assert field.tobytes() == birkhoff_field(sys, f, box).tobytes()
+    assert boxes == [tuple(min(t, c) for c in n) for t in range(1, max(n) + 1)]
 
 
 def test_diagonal_sweep_stops_at_member_budget():
     sys = make_circle_doubling(101)
-    sweep = diagonal_sweep(sys, arc_partition(101), None, 6, member_budget=10)
+    sweep = box_sweep(sys, arc_partition(101), None, (6,), member_budget=10)
     seen = []
     with pytest.raises(CoverBudgetError, match="has 16 members"):
-        for t, joined, field in sweep:
+        for n, joined, field in sweep:
             assert field is None
-            seen.append((t, joined.count))
-    assert seen == [(1, 2), (2, 4), (3, 8)]
+            seen.append((n, joined.count))
+    assert seen == [((1,), 2), ((2,), 4), ((3,), 8)]
+
+
+def test_diagonal_sweep_stops_at_box_budget(monkeypatch):
+    # Every box within the budget is yielded before the first one over it
+    # raises, and that box is refused before its shell is walked.
+    monkeypatch.setattr(coveralg, "DEFAULT_LAMBDA_BUDGET", 9)
+    walked = []
+
+    def counted(sys, n):
+        for item in iter_box_maps(sys, n):
+            walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(coveralg, "iter_box_maps", counted)
+    sys = FiniteSystem(generators=(np.arange(3), np.arange(3)))
+    sweep = box_sweep(sys, SetFamily.singletons(3), None, diagonal(5, 2))
+    seen = []
+    with pytest.raises(CoverBudgetError, match="box cardinality 16 exceeds budget 9"):
+        for n, _, _ in sweep:
+            seen.append(n)
+    assert seen == [(1, 1), (2, 2), (3, 3)]
+    assert len(walked) == 9
 
 
 def test_orbit_join_doubling_100003_full_words():
@@ -281,8 +308,9 @@ def test_orbit_join_member_budget():
     part = arc_partition(101)
     with pytest.raises(CoverBudgetError):
         orbit_join(sys, part, (6,), member_budget=10)
-    with pytest.raises(CoverBudgetError):
-        orbit_join(sys, part, (3,), lambda_budget=2)
+    # A box over the budget is refused before its walk starts.
+    with pytest.raises(CoverBudgetError, match="exceeds budget"):
+        orbit_join(sys, part, (10**6 + 1,))
 
 
 def test_refines_basics():
@@ -466,30 +494,31 @@ def test_ks_entropy_cap_enforced():
 
 def test_closeness_graph_extremes():
     sys = make_circle_doubling(5)
-    singles = SetFamily.singletons(5)
-    g = closeness_graph(sys, singles, (1,))
-    assert all(not g.has_edge(x, y) for x in range(5) for y in range(5) if x != y)
-    whole = SetFamily.trivial(5)
-    g2 = closeness_graph(sys, whole, (2,))
-    assert all(g2.has_edge(x, y) for x in range(5) for y in range(5))
+    g = ClosenessGraph(orbit_join(sys, SetFamily.singletons(5), (1,)))
+    assert g.class_adjacency() == [0] * 5
+    # One class holding every state: all states are close, with no edge to draw.
+    g2 = ClosenessGraph(orbit_join(sys, SetFamily.trivial(5), (2,)))
+    assert g2.class_adjacency() == [0]
+    assert g2.class_members == [(0,)]
 
 
 def test_closeness_components_match_itineraries():
     sys = make_circle_doubling(5)
     part = SetFamily.from_state_sets(5, [{0, 1, 2}, {3, 4}], kind="partition")
-    g = closeness_graph(sys, part, (2,))
     joined = orbit_join(sys, part, (2,))
-    assert set(g.components()) == family_as_sets(joined)
+    g = ClosenessGraph(joined)
+    # A partition's graph is a disjoint union of cliques, one per itinerary cell.
+    assert g.class_adjacency() == [0] * joined.count
+    classes = {frozenset(np.flatnonzero(joined.atoms == a).tolist()) for a in g.class_atoms}
+    assert classes == family_as_sets(joined) == brute_itineraries(sys, part, (2,))
 
 
 def test_closeness_graph_cover_classes():
     fam = SetFamily.from_state_sets(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
     g = ClosenessGraph(fam)
-    assert g.has_edge(0, 1) and g.has_edge(1, 2)
-    assert not g.has_edge(0, 2) and not g.has_edge(0, 4)
-    adj = g.class_adjacency()
-    assert len(adj) == 5  # memberships {0},{0,1},{1,2},{2,3},{3}
-    assert g.components() == [frozenset(range(5))]
+    # Memberships {0}, {0,1}, {1,2}, {2,3}, {3}: one class per state, a path.
+    assert g.class_members == [(0,), (0, 1), (1, 2), (2, 3), (3,)]
+    assert g.class_adjacency() == [0b00010, 0b00101, 0b01010, 0b10100, 0b01000]
 
 
 def test_intersection_counting_bound():

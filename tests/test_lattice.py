@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from covpress import lattice
 from covpress.lattice import (
-    Box,
     BoxOverflowError,
     EmptyBoxError,
     box_cardinality,
@@ -64,7 +63,6 @@ def test_enumerate_box_2d_lexicographic():
 
 def test_box_cardinality_product():
     assert box_cardinality((3, 4, 5)) == 60
-    assert Box((3, 4, 5)).cardinality == 60
 
 
 def test_empty_box_rejected():

@@ -30,7 +30,7 @@ from covpress.measpressure import (
     separated_entropy_link_check,
     variation_distance,
 )
-from covpress.toppressure import separated_value
+from covpress.toppressure import pressure_quadruple
 
 
 def three_cycle_system():
@@ -358,7 +358,7 @@ def test_separated_link_singleton_and_uniform():
     assert report.entropy_term == pytest.approx(0.0)
 
     zero = Potential.constant(0.0, 11)
-    _, chosen = separated_value(sys, zero, arc, (3,))
+    chosen = pressure_quadruple(sys, zero, arc, (3,))["S"].chosen
     report2 = separated_entropy_link_check(sys, zero, arc, (3,), chosen, arc)
     assert report2.applicable and report2.identity_holds
     assert report2.entropy_term == pytest.approx(math.log(len(chosen)))
@@ -369,8 +369,8 @@ def test_separated_link_doubling_101():
     arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)], kind="partition")
     rng = np.random.default_rng(10)
     f = Potential(rng.normal(size=101))
-    sample, chosen = separated_value(sys, f, arc, (3,))
-    report = separated_entropy_link_check(sys, f, arc, (3,), chosen, arc)
+    sample = pressure_quadruple(sys, f, arc, (3,))["S"]
+    report = separated_entropy_link_check(sys, f, arc, (3,), sample.chosen, arc)
     assert report.applicable and report.identity_holds and report.transport_holds
     assert report.log_normalizer == pytest.approx(sample.log_value, abs=1e-9)
 

@@ -1,24 +1,24 @@
 """Cover pressure values, separated/spanning values, rates and their laws."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpress import lattice, toppressure
 from covpress.coveralg import SetFamily, orbit_join
-from covpress.dynsys import FiniteSystem, Potential, make_circle_doubling
+from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, make_circle_doubling
 from covpress.solvers import FALLBACK_NODE_BUDGET, NODE_BUDGET, STATUS_EXACT
 from covpress.toppressure import (
     PressureSample,
-    cover_pressure_value,
     deep_partition_sample,
     log_sum_exp,
     member_log_weights,
     pressure_quadruple,
     rate_sequence,
-    separated_value,
-    spanning_value,
     stabilized_partition,
     topological_pressure,
 )
@@ -52,7 +52,7 @@ def random_cover(rng, m):
 def test_zero_potential_counts_minimal_subcover():
     sys = make_circle_doubling(101)
     f = Potential.constant(0.0, 101)
-    sample = cover_pressure_value(sys, f, arc_cover(101), (3,), "Q")
+    sample = pressure_quadruple(sys, f, arc_cover(101), (3,))["Q"]
     assert sample.status == STATUS_EXACT
     assert math.exp(sample.log_value) == pytest.approx(8.0)
 
@@ -60,8 +60,8 @@ def test_zero_potential_counts_minimal_subcover():
 def test_constant_potential_scales_count():
     sys = make_circle_doubling(101)
     c = 0.37
-    sample0 = cover_pressure_value(sys, Potential.constant(0.0, 101), arc_cover(101), (3,), "Q")
-    sample_c = cover_pressure_value(sys, Potential.constant(c, 101), arc_cover(101), (3,), "Q")
+    sample0 = pressure_quadruple(sys, Potential.constant(0.0, 101), arc_cover(101), (3,))["Q"]
+    sample_c = pressure_quadruple(sys, Potential.constant(c, 101), arc_cover(101), (3,))["Q"]
     assert sample_c.log_value == pytest.approx(sample0.log_value + 3 * c, abs=1e-12)
 
 
@@ -72,8 +72,8 @@ def test_partition_and_cover_paths_agree():
     as_cover = arc_cover(101, kind="cover")
     as_partition = arc_cover(101, kind="partition")
     for mode in ("Q", "P"):
-        a = cover_pressure_value(sys, f, as_cover, (4,), mode)
-        b = cover_pressure_value(sys, f, as_partition, (4,), mode)
+        a = pressure_quadruple(sys, f, as_cover, (4,))[mode]
+        b = pressure_quadruple(sys, f, as_partition, (4,))[mode]
         assert a.log_value == pytest.approx(b.log_value, abs=1e-12)
 
 
@@ -84,8 +84,8 @@ def test_one_member_cover_extremes():
     fam = SetFamily.trivial(11)
     n = (3,)
     field = np.array([sum(f.values[(x * 2**k) % 11] for k in range(3)) for x in range(11)])
-    s, _ = separated_value(sys, f, fam, n)
-    g, _ = spanning_value(sys, f, fam, n)
+    quad = pressure_quadruple(sys, f, fam, n)
+    s, g = quad["S"], quad["G"]
     assert s.log_value == pytest.approx(field.max(), abs=1e-12)
     assert g.log_value == pytest.approx(field.min(), abs=1e-12)
 
@@ -94,19 +94,19 @@ def test_singleton_partition_counts_states():
     sys = make_circle_doubling(11)
     f = Potential.constant(0.0, 11)
     singles = SetFamily.singletons(11)
-    s, chosen_s = separated_value(sys, f, singles, (2,))
-    g, chosen_g = spanning_value(sys, f, singles, (2,))
+    quad = pressure_quadruple(sys, f, singles, (2,))
+    s, g = quad["S"], quad["G"]
     assert math.exp(s.log_value) == pytest.approx(11.0)
     assert math.exp(g.log_value) == pytest.approx(11.0)
-    assert chosen_s == tuple(range(11)) and chosen_g == tuple(range(11))
+    assert s.chosen == tuple(range(11)) and g.chosen == tuple(range(11))
 
 
 def test_path_instance_separated_and_spanning():
     sys = FiniteSystem(generators=(np.arange(5),))
     f = Potential.constant(0.0, 5)
     path_cover = SetFamily.from_state_sets(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
-    s, _ = separated_value(sys, f, path_cover, (1,))
-    g, _ = spanning_value(sys, f, path_cover, (1,))
+    quad = pressure_quadruple(sys, f, path_cover, (1,))
+    s, g = quad["S"], quad["G"]
     assert math.exp(s.log_value) == pytest.approx(3.0)
     assert math.exp(g.log_value) == pytest.approx(2.0)
     assert s.status == STATUS_EXACT and g.status == STATUS_EXACT
@@ -176,8 +176,8 @@ def test_refinement_monotonicity_of_Q():
         coarse = random_cover(rng, m)
         fine = join(coarse, random_cover(rng, m))
         n = (int(rng.integers(1, 4)),)
-        q_coarse = cover_pressure_value(sys, f, coarse, n, "Q")
-        q_fine = cover_pressure_value(sys, f, fine, n, "Q")
+        q_coarse = pressure_quadruple(sys, f, coarse, n)["Q"]
+        q_fine = pressure_quadruple(sys, f, fine, n)["Q"]
         assert q_coarse.log_value <= q_fine.log_value + 1e-9
 
 
@@ -207,8 +207,8 @@ def test_p_mode_submultiplicative_with_boundary_correction():
         f = Potential(rng.uniform(-1, 1, m))
         fam = random_cover(rng, m)
         n, p = 6, 2
-        pn = cover_pressure_value(sys, f, fam, (n,), "P")
-        pp = cover_pressure_value(sys, f, fam, (p,), "P")
+        pn = pressure_quadruple(sys, f, fam, (n,))["P"]
+        pp = pressure_quadruple(sys, f, fam, (p,))["P"]
         assert pn.status == STATUS_EXACT and pp.status == STATUS_EXACT
         dec = lattice.decompose((n,), (p,), (0,))
         corners = len(dec.corners)
@@ -242,7 +242,7 @@ def test_fekete_bound_dominates_limit_with_correction():
     f = Potential(rng.uniform(-1, 1, 31))
     fam = arc_cover(31)
     samples = {
-        t: cover_pressure_value(sys, f, fam, (t,), "P", member_budget=8192)
+        t: pressure_quadruple(sys, f, fam, (t,), member_budget=8192)["P"]
         for t in range(1, 7)
     }
     for n_t in range(2, 7):
@@ -273,7 +273,7 @@ def test_deep_partition_sample_matches_direct():
     part = arc_cover(31, kind="partition")
     for mode in ("Q", "P"):
         deep = deep_partition_sample(sys, f, part, 5, mode=mode)
-        direct = cover_pressure_value(sys, f, part, (32,), mode, member_budget=10**6)
+        direct = pressure_quadruple(sys, f, part, (32,), member_budget=10**6)[mode]
         assert deep.log_value == pytest.approx(direct.log_value, abs=1e-9)
         assert deep.lam == 32
 
@@ -335,7 +335,7 @@ def test_topological_pressure_2d_matches_per_box_values():
     for name, family in covers:
         for t in (1, 2, 3):
             per_box = pressure_quadruple(sys, f, family, (t, t))
-            for mode in ("Q", "S", "G"):
+            for mode in "QPSG":
                 assert report[name][mode].samples[t - 1] == per_box[mode]
 
 
@@ -372,12 +372,121 @@ def test_overlap_cover_on_3x3_torus_exhausts_both_searches(monkeypatch):
     for name in ("min_subcover_value", "max_weight_independent_set"):
         monkeypatch.setattr(toppressure, name, recorded(getattr(toppressure, name)))
     pinned = (0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27)
-    for value in (spanning_value, separated_value):
-        sample, states = value(sys, f, cover, (2, 2))
-        assert sample.status != STATUS_EXACT
-        assert sample.log_value == 3.8963079367204267
-        assert states == pinned
-    assert [(r.fallback, r.nodes) for r in results] == [(FALLBACK_NODE_BUDGET, NODE_BUDGET + 1)] * 2
+    quad = pressure_quadruple(sys, f, cover, (2, 2))
+    for mode in "GS":
+        assert quad[mode].status != STATUS_EXACT
+        assert quad[mode].log_value == 3.8963079367204267
+        assert quad[mode].chosen == pinned
+    # The searches run for Q, P, G and S in that order; the last two run out of nodes.
+    assert len(results) == 4
+    assert [(r.fallback, r.nodes) for r in results[2:]] == [(FALLBACK_NODE_BUDGET, NODE_BUDGET + 1)] * 2
+
+
+@st.composite
+def wide_spread_instances(draw):
+    """A system of at most 7 states (one map, or two commuting maps acting on
+    the coordinates of a product), an overlapping cover or a partition, a
+    potential scaled by up to 2000, and a box of at most 2 per axis."""
+    sizes = draw(st.sampled_from([(2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (3, 2)]))
+    m = int(np.prod(sizes))
+    coords = np.array(list(itertools.product(*(range(c) for c in sizes))))
+    gens = []
+    for axis, size in enumerate(sizes):
+        local = np.array(draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        moved = coords.copy()
+        moved[:, axis] = local[coords[:, axis]]
+        gens.append(np.ravel_multi_index(moved.T, sizes))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        family = SetFamily.from_labels(np.array(labels))
+    else:
+        sets = [set(draw(st.sets(st.integers(0, m - 1), min_size=1))) for _ in range(3)]
+        sets[0] |= set(range(m)) - set().union(*sets)
+        if all(not (a & b) for a, b in itertools.combinations(sets, 2)):
+            sets[0].add(min(sets[1]))
+        family = SetFamily.from_state_sets(m, sets)
+    scale = draw(st.floats(0.0, 2000.0))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    n = tuple(draw(st.integers(1, 2)) for _ in sizes)
+    return FiniteSystem(generators=tuple(gens)), family, Potential(scale * np.array(values)), n
+
+
+def _log_sum(values):
+    values = list(values)
+    top = max(values)
+    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+
+
+@given(wide_spread_instances())
+@settings(max_examples=400, deadline=None)
+def test_pressure_quadruple_matches_enumeration_at_wide_spreads(case):
+    # Reference values from the definitions, in the log domain: the box join
+    # and the ergodic sums point by point, Q and P over every covering
+    # subfamily (a minimum over unions, exhaustive over the 2^m masks), S
+    # over every separated and G over every spanning state set.
+    sys, family, f, n = case
+    m = sys.state_count
+    full = (1 << m) - 1
+    members = {sum(1 << x for x in family.member_states(i)) for i in range(family.count)}
+    joined = {full}
+    field = np.zeros(m)
+    for k in itertools.product(*(range(c) for c in n)):
+        image = np.arange(m)
+        for axis, reps in enumerate(k):
+            for _ in range(reps):
+                image = sys.generators[axis][image]
+        field += f.values[image]
+        pulled = {sum(1 << x for x in range(m) if mask >> image[x] & 1) for mask in members}
+        joined = {a & b for a in joined for b in pulled if a & b}
+
+    def subcover(weight):
+        best = [math.inf] * (full + 1)
+        best[0] = -math.inf
+        for mask in range(full):
+            if best[mask] < math.inf:
+                for member in joined:
+                    grown = mask | member
+                    if grown != mask:
+                        best[grown] = min(best[grown], np.logaddexp(best[mask], weight[member]))
+        return best[full]
+
+    def states(mask):
+        return [x for x in range(m) if mask >> x & 1]
+
+    q_ref = subcover({mm: min(field[x] for x in states(mm)) for mm in joined})
+    p_ref = subcover({mm: max(field[x] for x in states(mm)) for mm in joined})
+    near = [0] * m  # per state, the union of the joined members holding it
+    for member in joined:
+        for x in states(member):
+            near[x] |= member
+
+    def separated(mask):
+        return all(near[x] & mask == 1 << x for x in states(mask))
+
+    def spanning(mask):
+        covered = 0
+        for x in states(mask):
+            covered |= near[x]
+        return covered == full
+
+    def log_sum(mask):
+        return _log_sum(field[x] for x in states(mask))
+
+    s_ref = max(log_sum(mask) for mask in range(1, full + 1) if separated(mask))
+    g_ref = min(log_sum(mask) for mask in range(1, full + 1) if spanning(mask))
+
+    quad = pressure_quadruple(sys, f, family, n)
+    for mode, ref in zip("QPSG", (q_ref, p_ref, s_ref, g_ref)):
+        if quad[mode].status == STATUS_EXACT:
+            assert abs(quad[mode].log_value - ref) <= 1e-9 * max(1.0, abs(ref)), mode
+    # The chosen states are separated (S) or spanning (G), and their weights
+    # are the value: the box's ergodic sums, as the solver saw them.
+    solver_field = birkhoff_field(sys, f, n)
+    for mode, admissible in (("S", separated), ("G", spanning)):
+        chosen = quad[mode].chosen
+        assert list(chosen) == sorted(set(chosen))
+        assert admissible(sum(1 << x for x in chosen)), mode
+        assert log_sum_exp(solver_field[list(chosen)].tolist()) == quad[mode].log_value, mode
 
 
 def test_member_log_weights_modes():
