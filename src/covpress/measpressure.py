@@ -288,11 +288,18 @@ def empirical_measures(
     and averages, which is what converges to an invariant measure as the box
     grows.  Both are probabilities.
     """
+    n = as_point(n, dim=sys.dim)
+    return _empirical_measures(sys, n, birkhoff_field(sys, f, n), separated)
+
+
+def _empirical_measures(
+    sys: FiniteSystem, n: Coords, f_field: np.ndarray, separated: Sequence[int]
+) -> EmpiricalMeasures:
+    """`empirical_measures` given the ergodic field at box n, so a caller
+    that already walked the box does not walk it again for the field."""
     if not separated:
         raise ValueError("need a nonempty state set")
-    n = as_point(n, dim=sys.dim)
     lam = box_cardinality(n)
-    f_field = birkhoff_field(sys, f, n)
     chosen = sorted(int(x) for x in separated)
     vals = [float(f_field[x]) for x in chosen]
     shift = max(vals)
@@ -365,7 +372,7 @@ def separated_entropy_link_check(
     cell_of = [int(labels[x]) for x in chosen]
     if len(set(cell_of)) != len(cell_of):
         return SeparatedLinkReport(False, None, None, math.nan, math.nan, math.nan)
-    emp = empirical_measures(sys, f, n, chosen)
+    emp = _empirical_measures(sys, n, f_field, chosen)
     entropy_term = partition_entropy(emp.sigma, joined)
     integral_term = float(math.fsum((emp.sigma.weights * f_field).tolist()))
     identity = abs(emp.log_normalizer - (entropy_term + integral_term)) <= tol * max(

@@ -14,6 +14,13 @@ the result names which (`fallback`) and counts the nodes searched.
 Tie-breaking is by lowest index everywhere, so certificates are
 deterministic.
 
+Before any search, a root bound may certify the greedy answer: an LP
+dual-ascent lower bound for the subcover (Balas & Ho 1980) and a greedy
+clique-cover upper bound for the independent set (Ostergard 2001).  When the
+bound and the greedy value agree to within `_TIE_SLACK` (a few ulps,
+relative), the greedy answer is returned as exact after one node, whatever
+the instance size.  So `exact` means optimal up to that tie tolerance.
+
 Both searches fix their branching order once, before the search.  The cover
 search branches on the uncovered element covered by the fewest members (a
 static degree: a member covering an uncovered element always still meets the
@@ -38,6 +45,10 @@ NODE_BUDGET = 200_000
 # cut off a true optimum.
 _PRUNE_SLACK = 1e-9
 
+# Relative gap within which a root bound certifies the greedy value: a few
+# ulps, far below `_PRUNE_SLACK`, to absorb the rounding of the bound's sums.
+_TIE_SLACK = 8 * 2.0**-52
+
 STATUS_EXACT = "exact"
 STATUS_GREEDY_UPPER = "greedy_upper"
 STATUS_GREEDY_LOWER = "greedy_lower"
@@ -52,8 +63,10 @@ class SolveResult:
     """A value in log scale, the chosen indices and how they were found.
 
     `nodes` counts branch-and-bound nodes visited (0 when nothing was
-    searched; `node_budget + 1` when the budget ran out), and `fallback`
-    says why a greedy status was reported, or is None.
+    searched; 1 when the root bound certified the greedy answer;
+    `node_budget + 1` when the budget ran out), and `fallback` says why a
+    greedy status was reported, or is None.  An exact value is optimal up
+    to the tie tolerance `_TIE_SLACK` of a few ulps.
     """
 
     log_value: float
@@ -131,8 +144,9 @@ def min_subcover_value(
 
     Members forced by uniquely covered elements are peeled off first; this
     solves partition-shaped instances of any size exactly.  What remains is
-    solved by branch and bound when small enough, else greedily (the status
-    says which).
+    exact when the dual-ascent bound certifies the greedy cover, else solved
+    by branch and bound when small enough, else greedily (the status says
+    which).
     """
     members = [m & inst.universe for m in inst.members]
     chosen: list[int] = []
@@ -176,29 +190,59 @@ def min_subcover_value(
         d = max((members[i] & remaining).bit_count() for i in active)
         shift = total - math.log(math.fsum(1.0 / k for k in range(1, d + 1)))
         active = [i for i in active if log_weights[i] <= total]
-        if len(active) > exact_limit:
+        masks = [members[i] for i in active]
+        weights = [math.exp(log_weights[i] - shift) for i in active]
+        position = {i: k for k, i in enumerate(active)}
+        greedy_value = math.fsum(weights[position[i]] for i in greedy)
+        cover = greedy
+        if _ties(greedy_value, _dual_ascent_bound(remaining, masks, weights)):
+            nodes = 1
+        elif len(active) > exact_limit:
             fallback = FALLBACK_OVER_EXACT_LIMIT
         else:
-            position = {i: k for k, i in enumerate(active)}
             picked, nodes = _branch_and_bound_cover(
-                remaining,
-                [members[i] for i in active],
-                [math.exp(log_weights[i] - shift) for i in active],
-                [position[i] for i in greedy],
-                node_budget,
+                remaining, masks, weights, [position[i] for i in greedy], node_budget
             )
             if picked is None:
                 fallback = FALLBACK_NODE_BUDGET
             else:
-                chosen.extend(active[i] for i in picked)
+                cover = [active[i] for i in picked]
+        chosen.extend(cover)
         if fallback is not None:
-            chosen.extend(greedy)
             status = STATUS_GREEDY_UPPER
 
     chosen = sorted(set(chosen))
     return SolveResult(
         log_sum_exp([inst.log_weights[i] for i in chosen]), tuple(chosen), status, nodes, fallback
     )
+
+
+def _ties(value: float, bound: float) -> bool:
+    """True when a greedy value and a bound on the optimum agree to within
+    the relative tie tolerance, which certifies the greedy value."""
+    return abs(value - bound) <= _TIE_SLACK * max(value, bound)
+
+
+def _dual_ascent_bound(universe: int, members: Sequence[int], weights: Sequence[float]) -> float:
+    """A lower bound on the minimum cover weight from a feasible LP dual.
+
+    Elements are taken by increasing degree, ties to the lowest element;
+    each gets y_e, the least residual weight among the members holding it,
+    which is then subtracted from each of them.  No member's residual goes
+    negative, so the y_e add up to at most the weight of any cover.
+    """
+    holders: dict[int, list[int]] = {b: [] for b in _set_bits(universe)}
+    for i, m in enumerate(members):
+        for b in _set_bits(m & universe):
+            holders[b].append(i)
+    residual = list(weights)
+    ys = []
+    for b in sorted(holders, key=lambda b: (len(holders[b]), b)):
+        y = min(residual[i] for i in holders[b])
+        for i in holders[b]:
+            residual[i] -= y
+        ys.append(y)
+    return math.fsum(ys)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -283,7 +327,9 @@ def max_weight_independent_set(
     """Maximum total weight over vertex sets with no adjacency-mask edge inside.
 
     The adjacency masks must be symmetric and loop-free; vertices of an
-    edgeless graph are all taken without any search.
+    edgeless graph are all taken without any search.  Otherwise the greedy
+    set is exact when the clique-cover bound certifies it, else the search
+    runs when the graph is small enough (the status says which).
     """
     count = len(adjacency)
     if count != len(log_weights):
@@ -299,7 +345,9 @@ def max_weight_independent_set(
     picked: list[int] | None = None
     nodes = 0
     fallback = None
-    if count > exact_limit:
+    if _ties(math.fsum(weights[i] for i in greedy), _clique_cover_bound(adjacency, weights)):
+        picked, nodes = greedy, 1
+    elif count > exact_limit:
         fallback = FALLBACK_OVER_EXACT_LIMIT
     else:
         picked, nodes = _branch_and_bound_mwis(adjacency, weights, greedy, node_budget)
@@ -323,6 +371,34 @@ def _greedy_mwis(adjacency: Sequence[int], weights: Sequence[float]) -> list[int
             chosen.append(v)
             alive &= ~(adjacency[v] | (1 << v))
     return chosen
+
+
+def _clique_cover_bound(adjacency: Sequence[int], weights: Sequence[float]) -> float:
+    """An upper bound on the maximum independent-set weight from a clique cover.
+
+    An independent set holds at most one vertex of each clique, so the
+    heaviest weights of the cliques add up to a bound.  Each clique starts at
+    the heaviest uncovered vertex, ties to the lowest index, and grows among
+    uncovered vertices by the candidate with the most neighbours among the
+    remaining candidates, ties to the lowest index.
+    """
+    uncovered = (1 << len(adjacency)) - 1
+    heaviest = []
+    for v in sorted(range(len(adjacency)), key=lambda i: (-weights[i], i)):
+        if not uncovered >> v & 1:
+            continue
+        heaviest.append(weights[v])
+        uncovered ^= 1 << v
+        candidates = adjacency[v] & uncovered
+        while candidates:
+            best, best_degree = -1, -1
+            for u in _set_bits(candidates):
+                degree = (adjacency[u] & candidates).bit_count()
+                if degree > best_degree:
+                    best, best_degree = u, degree
+            uncovered ^= 1 << best
+            candidates &= adjacency[best]
+    return math.fsum(heaviest)
 
 
 def _branch_and_bound_mwis(

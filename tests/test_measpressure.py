@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from covpress import lattice
+from covpress import coveralg, dynsys, lattice, measpressure
 from covpress.coveralg import SetFamily, join, orbit_join
 from covpress.dynsys import (
     FiniteSystem,
@@ -373,6 +373,32 @@ def test_separated_link_doubling_101():
     report = separated_entropy_link_check(sys, f, arc, (3,), sample.chosen, arc)
     assert report.applicable and report.identity_holds and report.transport_holds
     assert report.log_normalizer == pytest.approx(sample.log_value, abs=1e-9)
+
+
+def test_separated_link_walks_its_box_twice(monkeypatch):
+    # One walk gives the join and the ergodic field, a second the averaged
+    # measure; the field is not walked for again, and the report is the one
+    # the public empirical measures give.
+    sys = make_circle_doubling(101)
+    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)], kind="partition")
+    f = Potential(np.random.default_rng(10).normal(size=101))
+    chosen = pressure_quadruple(sys, f, arc, (3,))["S"].chosen
+    walk = dynsys.iter_box_maps
+    walks = []
+
+    def counted(sys, n):
+        walks.append(tuple(n))
+        return walk(sys, n)
+
+    for module in (coveralg, dynsys, measpressure):
+        monkeypatch.setattr(module, "iter_box_maps", counted)
+    report = separated_entropy_link_check(sys, f, arc, (3,), chosen, arc)
+    assert walks == [(3,), (3,)]
+    monkeypatch.undo()
+    emp = empirical_measures(sys, f, (3,), chosen)
+    assert report.identity_holds and report.transport_holds
+    assert report.log_normalizer == emp.log_normalizer
+    assert report.entropy_term == partition_entropy(emp.sigma, orbit_join(sys, arc, (3,)))
 
 
 def test_separated_link_inapplicable_cases():

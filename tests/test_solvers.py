@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 
 from covpress.solvers import (
     _PRUNE_SLACK,
+    _TIE_SLACK,
     FALLBACK_NODE_BUDGET,
     FALLBACK_OVER_EXACT_LIMIT,
+    NODE_BUDGET,
     STATUS_EXACT,
     STATUS_GREEDY_LOWER,
     STATUS_GREEDY_UPPER,
     WeightedCoverInstance,
     _branch_and_bound_cover,
     _branch_and_bound_mwis,
+    _clique_cover_bound,
+    _dual_ascent_bound,
     _greedy_cover,
     _greedy_mwis,
     max_weight_independent_set,
@@ -203,11 +207,19 @@ def test_mwis_greedy_status_when_budget_exhausted():
 def test_mwis_search_depth_is_not_bounded_by_the_call_stack():
     # 1,500 vertices (within EXACT_LIMIT_NODES) and one edge: the search
     # goes about 1,500 levels deep, beyond Python's default recursion limit.
+    # The public solver certifies this instance at the root, so the search
+    # is called directly.
     n = 1500
     adjacency = [0] * n
     adjacency[0], adjacency[1] = 0b10, 0b01
+    weights = [1.0] * n
+    picked, nodes = _branch_and_bound_mwis(
+        adjacency, weights, _greedy_mwis(adjacency, weights), NODE_BUDGET
+    )
+    assert picked == [0] + list(range(2, n))
+    assert nodes > n
     res = max_weight_independent_set(adjacency, [0.0] * n)
-    assert res.status == STATUS_EXACT
+    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 1)
     assert res.chosen == (0,) + tuple(range(2, n))
 
 
@@ -266,15 +278,91 @@ def test_subcover_exact_for_wide_log_weight_spreads(case):
     assert res.log_value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@st.composite
+def wide_graph_instances(draw):
+    """Up to 8 vertices, any edges, log-weights anywhere in [-2000, 2000]."""
+    n = draw(st.integers(1, 8))
+    adjacency = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    lw = draw(st.lists(st.floats(-2000.0, 2000.0), min_size=n, max_size=n))
+    return adjacency, lw
+
+
+def union_of(masks):
+    union = 0
+    for m in masks:
+        union |= m
+    return union
+
+
+def index_sets(count):
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(count), r) for r in range(count + 1)
+    )
+
+
+# Log values of up to 4000 in magnitude are rounded to within a few ulps of
+# 4000 by the shifts, so root-certified log values are compared to the
+# enumerated optimum at that resolution on top of the tie tolerance.
+LOG_RESOLUTION = 8 * math.ulp(4000.0)
+
+
+@given(wide_cover_instances(), wide_graph_instances())
+@settings(max_examples=300, deadline=None)
+def test_root_certificates_bound_the_enumerated_optima(cover_case, graph_case):
+    universe, members, lw = cover_case
+    opt = exhaustive_min_cover(universe, members, lw)
+    # Scaled as the solver scales them: members heavier than the optimum are
+    # in no optimal cover, and the rest get linear weights in (0, 1].
+    kept = [i for i in range(len(members)) if lw[i] <= opt]
+    masks = [members[i] for i in kept]
+    weights = [math.exp(lw[i] - opt) for i in kept]
+    least = min(
+        math.fsum(weights[k] for k in combo)
+        for combo in index_sets(len(kept))
+        if not universe & ~union_of(masks[k] for k in combo)
+    )
+    assert _dual_ascent_bound(universe, masks, weights) <= least * (1.0 + _TIE_SLACK)
+    res = min_subcover_value(WeightedCoverInstance(universe, members, lw))
+    if res.nodes == 1:
+        assert (res.status, res.fallback) == (STATUS_EXACT, None)
+        assert abs(res.log_value - opt) <= _TIE_SLACK + LOG_RESOLUTION
+
+    adjacency, lw = graph_case
+    top = max(lw)
+    weights = [math.exp(w - top) for w in lw]
+    most = max(
+        math.fsum(weights[v] for v in combo)
+        for combo in index_sets(len(adjacency))
+        if not any(adjacency[v] & union_of(1 << u for u in combo) for v in combo)
+    )
+    # The bound adds the same floats it compares against, so no tolerance.
+    assert _clique_cover_bound(adjacency, weights) >= most
+    res = max_weight_independent_set(adjacency, lw)
+    if res.nodes == 1:
+        assert (res.status, res.fallback) == (STATUS_EXACT, None)
+        opt = exhaustive_max_independent(adjacency, lw)
+        assert abs(res.log_value - opt) <= _TIE_SLACK + LOG_RESOLUTION
+
+
 def test_solve_results_count_nodes_and_name_the_fallback():
     # Member 0 is forced; members 1 and 2 both cover {2, 3} at equal weight,
-    # so the root branches into two leaves.
+    # so the dual-ascent bound meets the greedy cover at the root.
     inst = WeightedCoverInstance(0b1111, (0b0011, 0b1100, 0b1110), (0.0, 0.0, 0.0))
     res = min_subcover_value(inst)
-    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 3)
-    res = min_subcover_value(inst, node_budget=1)
+    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 1)
+    # Three members pairwise covering three elements: the dual-ascent bound
+    # reaches 1 of the optimal 2, so the search runs, from element 0 through
+    # each of its two members to two leaves each.
+    triangle = WeightedCoverInstance(0b111, (0b011, 0b110, 0b101), (0.0, 0.0, 0.0))
+    res = min_subcover_value(triangle)
+    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 7)
+    res = min_subcover_value(triangle, node_budget=1)
     assert (res.status, res.fallback, res.nodes) == (STATUS_GREEDY_UPPER, FALLBACK_NODE_BUDGET, 2)
-    res = min_subcover_value(inst, exact_limit=1)
+    res = min_subcover_value(triangle, exact_limit=1)
     assert (res.status, res.fallback, res.nodes) == (
         STATUS_GREEDY_UPPER, FALLBACK_OVER_EXACT_LIMIT, 0
     )
@@ -283,10 +371,19 @@ def test_solve_results_count_nodes_and_name_the_fallback():
 
     path = [0b010, 0b101, 0b010]
     res = max_weight_independent_set(path, [0.0, 0.0, 0.0])
-    assert (res.status, res.fallback) == (STATUS_EXACT, None) and res.nodes > 0
-    res = max_weight_independent_set(path, [0.0, 0.0, 0.0], node_budget=1)
+    assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 1)
+    # An equal-weight 5-cycle: two vertices fit, but its clique cover needs
+    # three cliques, so the search runs.
+    cycle = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
+    res = max_weight_independent_set(cycle, [0.0] * 5)
+    assert (res.status, res.fallback) == (STATUS_EXACT, None) and res.nodes > 1
+    res = max_weight_independent_set(cycle, [0.0] * 5, node_budget=1)
     assert (res.status, res.fallback, res.nodes) == (STATUS_GREEDY_LOWER, FALLBACK_NODE_BUDGET, 2)
     assert res.chosen == (0, 2)
+    res = max_weight_independent_set(cycle, [0.0] * 5, exact_limit=1)
+    assert (res.status, res.fallback, res.nodes) == (
+        STATUS_GREEDY_LOWER, FALLBACK_OVER_EXACT_LIMIT, 0
+    )
     res = max_weight_independent_set([0, 0], [0.0, 0.0])
     assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 0)
 

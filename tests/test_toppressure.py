@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from covpress import lattice, toppressure
 from covpress.coveralg import SetFamily, orbit_join
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, make_circle_doubling
-from covpress.solvers import FALLBACK_NODE_BUDGET, NODE_BUDGET, STATUS_EXACT
+from covpress.solvers import STATUS_EXACT
 from covpress.toppressure import (
     PressureSample,
     deep_partition_sample,
@@ -339,11 +339,12 @@ def test_topological_pressure_2d_matches_per_box_values():
                 assert report[name][mode].samples[t - 1] == per_box[mode]
 
 
-def test_overlap_cover_on_3x3_torus_exhausts_both_searches(monkeypatch):
+def test_overlap_cover_on_3x3_torus_is_certified_at_the_root(monkeypatch):
     # Two-symbol configurations on the 3 x 3 torus under the two unit shifts
     # (bit 3i + j holds the symbol at (i, j)), the overlapping cover
     # {x00 = 0}, {x00 = 1}, {x00 = x01} and phi = 0.5 * x00.  At box (2, 2)
-    # both searches run out of nodes; the greedy values and states are pinned.
+    # the root bounds certify both greedy answers, whose values and states
+    # are pinned; without the bounds both searches ran out of nodes.
     x = np.arange(1 << 9, dtype=np.int64)
 
     def shifted(di, dj):
@@ -374,12 +375,12 @@ def test_overlap_cover_on_3x3_torus_exhausts_both_searches(monkeypatch):
     pinned = (0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27)
     quad = pressure_quadruple(sys, f, cover, (2, 2))
     for mode in "GS":
-        assert quad[mode].status != STATUS_EXACT
+        assert quad[mode].status == STATUS_EXACT
         assert quad[mode].log_value == 3.8963079367204267
         assert quad[mode].chosen == pinned
-    # The searches run for Q, P, G and S in that order; the last two run out of nodes.
+    # The solvers run for Q, P, G and S in that order; G and S stop at the root.
     assert len(results) == 4
-    assert [(r.fallback, r.nodes) for r in results[2:]] == [(FALLBACK_NODE_BUDGET, NODE_BUDGET + 1)] * 2
+    assert [(r.fallback, r.nodes) for r in results[2:]] == [(None, 1)] * 2
 
 
 @st.composite
