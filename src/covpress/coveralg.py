@@ -8,9 +8,13 @@ partition: each member is then a single atom, the incidence is the identity,
 and it is never stored, so a partition is just its label array however many
 classes it has.  Partition-ness is read off the data, never declared.
 
-Joins and preimages work on the atom labels with one numpy label join; only
-covers with overlapping members also lift their member bitmasks onto the
-finer atoms (the atoms of a joined cover are the join of its atoms).  On top
+Joins and preimages work on the atom labels with one numpy label join: each
+state gets a pair code below a known bound, and the distinct codes, in
+sorted order, become the new atoms.  When the bound is at most a few times
+the state count the codes are ranked through a flag array in time linear in
+both; past that the join sorts them, with the same result.  Only covers with
+overlapping members also lift their member bitmasks onto the finer atoms
+(the atoms of a joined cover are the join of its atoms).  On top
 of families sit the operations every pressure computation needs: preimages,
 the box sweep, the refinement preorder, admissibility classification against
 the system's marked states, the strongly-admissible cover built from an
@@ -45,6 +49,24 @@ DEFAULT_LAMBDA_BUDGET = 1_000_000
 
 class CoverBudgetError(RuntimeError):
     """A join exceeded the configured member or box budget."""
+
+
+def _dense_unique(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(codes, return_inverse=True)` for int64 codes in [0, bound).
+
+    The sorted distinct codes and each code's rank among them.  A flag array
+    over the code space gets them in O(len(codes) + bound) time; a code
+    space over four times the input plus 4096 is sorted instead, which
+    keeps the flag array's memory O(len(codes)).
+    """
+    if bound > 4 * len(codes) + 4096:
+        return np.unique(codes, return_inverse=True)
+    seen = np.zeros(bound, dtype=bool)
+    seen[codes] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(bound, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[codes]
 
 
 def _bits(mask: int, width: int) -> np.ndarray:
@@ -222,7 +244,7 @@ class SetFamily:
         if self.is_partition and other.is_partition:
             # Same partition iff labels agree up to renaming.
             pairs = self.atoms * other.count + other.atoms
-            return len(np.unique(pairs)) == self.count
+            return len(_dense_unique(pairs, self.count * other.count)[0]) == self.count
         return sorted(self.members) == sorted(other.members)
 
     def __repr__(self) -> str:
@@ -273,7 +295,7 @@ def preimage_family(sys: FiniteSystem, family: SetFamily, k: Coords) -> SetFamil
     """
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
-    survivors, atoms = np.unique(family.atoms[power_map(sys, k)], return_inverse=True)
+    survivors, atoms = _dense_unique(family.atoms[power_map(sys, k)], family.atom_count)
     if family.is_partition:
         return SetFamily(atoms, dropped_empty=family.count - len(survivors))
     return SetFamily(atoms, _lifted(family, survivors))
@@ -283,7 +305,7 @@ def join(a: SetFamily, b: SetFamily) -> SetFamily:
     """All nonempty pairwise intersections, deduplicated; refines both inputs."""
     if a.state_count != b.state_count:
         raise ValueError("families live on different systems")
-    pairs, atoms = np.unique(a.atoms * b.atom_count + b.atoms, return_inverse=True)
+    pairs, atoms = _dense_unique(a.atoms * b.atom_count + b.atoms, a.atom_count * b.atom_count)
     if a.is_partition and b.is_partition:
         return SetFamily(atoms)
     mine = _lifted(a, pairs // b.atom_count)
@@ -309,7 +331,7 @@ def _refine(
         atoms, count, current = step, width, family._incidence
     else:
         atoms, count, current = state
-        pairs, atoms = np.unique(atoms * width + step, return_inverse=True)
+        pairs, atoms = _dense_unique(atoms * width + step, count * width)
         if current is not None:
             mine = [_mask(_bits(m, count)[pairs // width]) for m in current]
             theirs = _lifted(family, pairs % width)
@@ -397,7 +419,9 @@ def refines(finer: SetFamily, coarser: SetFamily) -> bool:
     """True iff every member of `finer` is contained in some member of `coarser`."""
     if finer.state_count != coarser.state_count:
         raise ValueError("families live on different systems")
-    pairs = np.unique(finer.atoms * coarser.atom_count + coarser.atoms)
+    pairs, _ = _dense_unique(
+        finer.atoms * coarser.atom_count + coarser.atoms, finer.atom_count * coarser.atom_count
+    )
     if finer.is_partition and coarser.is_partition:
         # The coarser label must be constant on each finer class.
         return len(np.unique(pairs // coarser.atom_count)) == len(pairs)

@@ -24,6 +24,7 @@ import numpy as np
 
 from covpress.coveralg import (
     SetFamily,
+    _dense_unique,
     box_join,
     box_sweep,
     classify_admissible_partition,
@@ -145,24 +146,22 @@ def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
         raise ValueError("conditional entropy is defined for probability measures")
     if not (c.is_partition and d.is_partition):
         raise ValueError("conditional entropy needs partitions")
-    c_labels = c.as_labels()
-    d_labels = d.as_labels()
-    joint = np.zeros((c.count, d.count))
-    np.add.at(joint, (c_labels, d_labels), mu.weights)
-    d_mass = joint.sum(axis=0)
-    terms = []
-    for dj in range(d.count):
-        if d_mass[dj] <= 0.0:
-            continue
-        for ci in range(c.count):
-            p = joint[ci, dj]
-            if p > 0.0:
-                terms.append(p * math.log(d_mass[dj] / p))
-    return float(math.fsum(terms))
+    # One mass per occurring (C class, D class) pair, pairs in (C, D) order,
+    # so each D mass sums its pairs in C's class order, as a column sum of
+    # the dense C x D matrix would, and gets the same bytes.
+    pairs, cell = _dense_unique(c.as_labels() * d.count + d.as_labels(), c.count * d.count)
+    joint = np.bincount(cell, weights=mu.weights, minlength=len(pairs))
+    d_of = pairs % d.count
+    d_mass = np.bincount(d_of, weights=joint, minlength=d.count)[d_of]
+    return math.fsum(
+        p * math.log(dm / p) for p, dm in zip(joint.tolist(), d_mass.tolist()) if p > 0.0
+    )
 
 
 def _is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
     """True when pulling back through every generator refines nothing more."""
+    if family.count == sys.state_count:
+        return True  # one class per state: nothing left to refine
     for axis in range(sys.dim):
         k = tuple(1 if a == axis else 0 for a in range(sys.dim))
         if join(family, preimage_family(sys, family, k)).count != family.count:

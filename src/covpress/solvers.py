@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 EXACT_LIMIT_FAMILIES = 24
 EXACT_LIMIT_NODES = 2000
 NODE_BUDGET = 200_000
@@ -100,14 +102,15 @@ class WeightedCoverInstance:
             raise ValueError("members do not cover the universe")
 
 
-def log_sum_exp(values: Sequence[float]) -> float:
+def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
     """log(sum(exp(v))), shifted by the largest value; `fsum` is exactly
-    rounded, so the result does not depend on the order of `values`."""
-    vals = list(values)
-    shift = max(vals, default=-math.inf)
+    rounded, so the result does not depend on the order of `values`.  The
+    exponentials are libm's `math.exp`, whose bytes the CSVs pin."""
+    vals = np.asarray(values, dtype=np.float64)
+    shift = float(vals.max()) if len(vals) else -math.inf
     if shift == -math.inf:
         return -math.inf
-    return shift + math.log(math.fsum(math.exp(v - shift) for v in vals))
+    return shift + math.log(math.fsum(map(math.exp, (vals - shift).tolist())))
 
 
 def _greedy_cover(

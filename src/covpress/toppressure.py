@@ -133,7 +133,7 @@ def _subcover_sample(
     if joined.is_partition:
         # Every class holds states no other member covers, so the subcover is
         # the whole family and no search is needed.
-        return PressureSample(n, lam, log_sum_exp(weights.tolist()), STATUS_EXACT)
+        return PressureSample(n, lam, log_sum_exp(weights), STATUS_EXACT)
     universe = (1 << joined.state_count) - 1
     inst = WeightedCoverInstance(universe, members, tuple(float(w) for w in weights))
     res = min_subcover_value(inst, exact_limit=exact_limit)
@@ -287,7 +287,7 @@ def deep_partition_sample(
     _, f_deep = birkhoff_doubling(sys, f, exponent)
     weights = member_log_weights(stable, f_deep, mode)
     lam = 2**exponent
-    return PressureSample((lam,), lam, log_sum_exp(weights.tolist()), STATUS_EXACT)
+    return PressureSample((lam,), lam, log_sum_exp(weights), STATUS_EXACT)
 
 
 def topological_pressure(

@@ -1,6 +1,7 @@
 """Family algebra: joins, refinement, admissibility, closeness."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -259,6 +260,97 @@ def test_box_sweep_matches_bruteforce_shells(case, as_partition, data):
         assert_shell_order_join(joined, shell_preimages(sys, family, box), m)
         assert field.tobytes() == birkhoff_field(sys, f, box).tobytes()
     assert boxes == [tuple(min(t, c) for c in n) for t in range(1, max(n) + 1)]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_unique_matches_np_unique(data):
+    # Both regimes: a code space within 4 * len + 4096 takes the flag array,
+    # a larger one the sort; the bytes must be np.unique's either way.
+    size = data.draw(st.integers(0, 200))
+    limit = 4 * size + 4096
+    bound = data.draw(st.integers(1, limit) | st.integers(limit + 1, 2**40))
+    codes = data.draw(st.lists(st.integers(0, bound - 1), min_size=size, max_size=size))
+    codes = np.array(codes, dtype=np.int64)
+    for got, want in zip(coveralg._dense_unique(codes, bound), np.unique(codes, return_inverse=True)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("bound", [0, 1, 4096, 2**40])
+def test_dense_unique_edge_cases(bound):
+    empty = np.zeros(0, dtype=np.int64)
+    codes = [empty] if bound < 1 else [empty, np.zeros(5, dtype=np.int64)]
+    for c in codes:
+        for got, want in zip(coveralg._dense_unique(c, bound), np.unique(c, return_inverse=True)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _sorting_unique(codes, bound):
+    return np.unique(codes, return_inverse=True)
+
+
+def sweep_bytes(sys, family, n):
+    """Every item of the sweep: box, atom bytes and member incidence."""
+    return [
+        (box, joined.atoms.tobytes(), joined._incidence)
+        for box, joined, _ in box_sweep(sys, family, None, n, member_budget=10**6)
+    ]
+
+
+@given(covered_systems(), st.sampled_from(["cover", "partition", "singletons"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_box_sweep_matches_a_sorting_fold(case, base, data):
+    sys, sets, n = case
+    m = sys.state_count
+    if base == "cover":
+        family = SetFamily.from_state_sets(m, sets)
+    elif base == "partition":
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        family = SetFamily.from_labels(np.array(labels))
+    else:
+        family = SetFamily.singletons(m)
+    got = sweep_bytes(sys, family, n)
+    with mock.patch.object(coveralg, "_dense_unique", _sorting_unique):
+        assert sweep_bytes(sys, family, n) == got
+
+
+def test_box_sweep_matches_a_sorting_fold_on_both_paths():
+    # Singletons on 101 and 512 states make code spaces past 4 * M + 4096,
+    # so the sort path runs as well as the flag array.
+    x = np.arange(1 << 9, dtype=np.int64)
+
+    def shifted(di, dj):
+        out = np.zeros_like(x)
+        for i in range(3):
+            for j in range(3):
+                out |= ((x >> (((i + di) % 3) * 3 + (j + dj) % 3)) & 1) << (i * 3 + j)
+        return out
+
+    torus = FiniteSystem(generators=(shifted(1, 0), shifted(0, 1)))
+    x00, x01 = x & 1, (x >> 1) & 1
+    torus_cover = SetFamily.from_state_sets(
+        x.size, [np.flatnonzero(x00 == 0), np.flatnonzero(x00 == 1), np.flatnonzero(x00 == x01)]
+    )
+    doubling = make_circle_doubling(101)
+    arcs = SetFamily.from_state_sets(101, [range(0, 40), range(30, 80), range(70, 101)])
+    cases = [
+        (doubling, (4,), [arc_partition(101), arcs, SetFamily.singletons(101)]),
+        (torus, (3, 2), [SetFamily.from_labels(x00), torus_cover, SetFamily.singletons(512)]),
+    ]
+    paths = []
+    real = coveralg._dense_unique
+
+    def spy(codes, bound):
+        paths.append(bound > 4 * len(codes) + 4096)
+        return real(codes, bound)
+
+    for sys, n, families in cases:
+        for family in families:
+            with mock.patch.object(coveralg, "_dense_unique", spy):
+                got = sweep_bytes(sys, family, n)
+            with mock.patch.object(coveralg, "_dense_unique", _sorting_unique):
+                assert sweep_bytes(sys, family, n) == got
+    assert set(paths) == {False, True}
 
 
 def test_diagonal_sweep_stops_at_member_budget():

@@ -1,6 +1,7 @@
 """Measures, entropy, measure pressure, and the lower-bound construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,70 @@ def test_conditional_entropy_cases():
     )
     with pytest.raises(ValueError, match="probability"):
         conditional_entropy(FiniteMeasure(np.array([1.0, 1.0, 0, 0])), rows, cols)
+
+
+def dense_conditional_entropy(mu, c, d):
+    """The C x D joint-mass matrix, looped over cell by cell."""
+    joint = np.zeros((c.count, d.count))
+    np.add.at(joint, (c.as_labels(), d.as_labels()), mu.weights)
+    d_mass = joint.sum(axis=0)
+    terms = []
+    for dj in range(d.count):
+        if d_mass[dj] <= 0.0:
+            continue
+        for ci in range(c.count):
+            p = joint[ci, dj]
+            if p > 0.0:
+                terms.append(p * math.log(d_mass[dj] / p))
+    return float(math.fsum(terms))
+
+
+def test_conditional_entropy_matches_the_dense_matrix():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m = int(rng.integers(1, 40))
+        w = rng.random(m) * (rng.random(m) < 0.8)
+        w[0] += 1.0
+        mu = FiniteMeasure(w / math.fsum(w.tolist()))
+        if not mu.is_probability():
+            continue
+        c = SetFamily.from_labels(rng.integers(0, int(rng.integers(1, 8)), m))
+        d = SetFamily.from_labels(rng.integers(0, int(rng.integers(1, 8)), m))
+        assert conditional_entropy(mu, c, d) == dense_conditional_entropy(mu, c, d)
+
+
+def test_conditional_entropy_of_65536_classes_runs_in_linear_memory():
+    # The 4 x 4 two-symbol torus (bit 4i + j holds the symbol at (i, j)):
+    # the row shift rotates the 16-bit word by one nibble, the column shift
+    # each nibble by one bit.  Over the box (4, 4) the origin partition's
+    # join separates all 65,536 states; a C x D matrix would take 32 GiB.
+    x = np.arange(1 << 16, dtype=np.int64)
+    rows = (x >> 4) | ((x & 0xF) << 12)
+    cols = ((x >> 1) & 0x7777) | ((x & 0x1111) << 3)
+    sys = FiniteSystem(generators=(rows, cols))
+    joined = orbit_join(sys, SetFamily.from_labels(x & 1), (4, 4), member_budget=x.size)
+    assert joined.count == x.size
+    mu = FiniteMeasure.uniform(x.size)
+    tracemalloc.start()
+    try:
+        assert conditional_entropy(mu, joined, SetFamily.singletons(x.size)) == 0.0
+        assert conditional_entropy(mu, SetFamily.singletons(x.size), joined) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_singleton_join_is_stable_without_joining(monkeypatch):
+    sys = make_circle_doubling(101)
+
+    def refuse(*args):
+        raise AssertionError("a join with one class per state was refined")
+
+    monkeypatch.setattr(measpressure, "join", refuse)
+    assert measpressure._is_join_stable(sys, SetFamily.singletons(101))
+    monkeypatch.undo()
+    assert not measpressure._is_join_stable(sys, SetFamily.from_labels(np.arange(101) < 50))
 
 
 def test_entropy_subadditivity_random():
