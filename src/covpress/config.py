@@ -3,7 +3,9 @@
 The config file format is one `key = value` pair per line, `#` starts a
 comment.  Unknown keys are rejected so typos cannot silently fall back to
 defaults, and so are keys the chosen experiment does not read.  Every
-randomized choice is pinned by `seed`; budgets must be positive.
+randomized choice is pinned by `seed`; budgets must be positive, and the
+leakage geometry (rings, sectors, bands, slices) must fit the disk grid, so
+a bad value fails at load time rather than mid-run.
 """
 
 from __future__ import annotations
@@ -81,8 +83,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.exact_limit is not None and self.exact_limit <= 0:
             raise ValueError("exact_limit must be positive")
-        if self.euclid_eps <= 0:
+        if not self.euclid_eps > 0:  # NaN too
             raise ValueError("euclid_eps must be positive")
+        for name in ("rings", "sectors"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
+        for name in ("euclid_band", "annulus_rings"):
+            if not 1 <= getattr(self, name) <= self.rings:
+                raise ValueError(f"{name} must be between 1 and rings = {self.rings}")
+        if self.slices < 1 or self.sectors % self.slices:
+            raise ValueError(f"slices must be a positive divisor of sectors = {self.sectors}")
 
 
 # How a config file value of each key is read: by the type of its field.

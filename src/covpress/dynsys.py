@@ -233,28 +233,24 @@ def make_disk_system(rings: int, sectors: int) -> FiniteSystem:
     if m > 2**31:
         raise OverflowError("disk grid too large")
 
-    def index(ring: int, sector: int) -> int:
-        return 1 + ring * sectors + sector
-
-    gen = np.zeros(m, dtype=np.int64)
-    geometry = np.zeros((m, 2))
-    gen[0] = 0  # the center is fixed
+    # Radius depends only on the ring, angle only on the sector, so each is
+    # computed once per ring or sector, in the float order of the pointwise
+    # formulas, and broadcast; libm's cos and sin (not numpy's, which can
+    # differ by an ulp) give the sector directions.
     two_pi = 2.0 * np.pi
-    for i in range(rings):
-        r_c = (i + 0.5) / rings
-        for j in range(sectors):
-            theta_c = two_pi * (j + 0.5) / sectors
-            s = index(i, j)
-            geometry[s] = (r_c * math.cos(theta_c), r_c * math.sin(theta_c))
-            r_new = r_c * (r_c + 1.0) / 2.0
-            theta_new = (2.0 * theta_c) % two_pi
-            ring_new = math.ceil(r_new * rings) - 1
-            if ring_new < 0:
-                gen[s] = 0
-                continue
-            sector_new = int(theta_new * sectors / two_pi) % sectors
-            gen[s] = index(min(ring_new, rings - 1), sector_new)
-    marked = frozenset(index(rings - 1, j) for j in range(sectors))
+    r_c = (np.arange(rings) + 0.5) / rings
+    theta_c = two_pi * (np.arange(sectors) + 0.5) / sectors
+    r_new = r_c * (r_c + 1.0) / 2.0
+    theta_new = (2.0 * theta_c) % two_pi
+    ring_new = np.ceil(r_new * rings).astype(np.int64) - 1
+    sector_new = (theta_new * sectors / two_pi).astype(np.int64) % sectors
+    # r_new > 0, so only the center maps to the center.
+    gen = np.zeros(m, dtype=np.int64)
+    gen[1:] = (1 + np.minimum(ring_new, rings - 1)[:, None] * sectors + sector_new).ravel()
+    geometry = np.zeros((m, 2))
+    geometry[1:, 0] = np.outer(r_c, [math.cos(t) for t in theta_c.tolist()]).ravel()
+    geometry[1:, 1] = np.outer(r_c, [math.sin(t) for t in theta_c.tolist()]).ravel()
+    marked = frozenset(range(1 + (rings - 1) * sectors, m))
     return FiniteSystem(generators=(gen,), marked=marked, geometry=geometry)
 
 

@@ -9,7 +9,10 @@ Rates are read along the diagonal boxes, and each cover is swept once:
 `box_sweep` extends the join and the ergodic-sum field by one shell of box
 points per depth, and every value at that depth is computed from that one
 join.  The euclidean separated counts of all depths come from one pass as
-well.
+well: a grid of time-0 buckets proposes candidate pairs, the exact distance
+test decides them, and memory stays O(cells x depth).  The disk grid, the
+pizza cover and the annulus partition are built from arrays, not per-cell
+loops.
 """
 
 from __future__ import annotations
@@ -238,42 +241,19 @@ def pizza_cover(sys: FiniteSystem, rings: int, sectors: int, slices: int) -> Set
     """Half-radius disk plus full-height angular slices; not admissible."""
     if sectors % slices:
         raise ValueError("slice count must divide the sector count")
-    m = sys.state_count
-    width = sectors // slices
-    inner_disk = {0} | {
-        _disk_index(sectors, i, j)
-        for i in range(rings // 2)
-        for j in range(sectors)
-    }
-    members = [inner_disk]
-    for s in range(slices):
-        members.append(
-            {
-                _disk_index(sectors, i, j)
-                for i in range(rings)
-                for j in range(s * width, (s + 1) * width)
-            }
-        )
-    return SetFamily.from_state_sets(m, members, kind="cover")
+    cells = _disk_index(sectors, np.arange(rings)[:, None], np.arange(sectors))
+    inner_disk = np.arange(_disk_index(sectors, rings // 2, 0))  # the center and inner rings
+    members = [inner_disk, *(piece.ravel() for piece in np.hsplit(cells, slices))]
+    return SetFamily.from_state_sets(sys.state_count, members, kind="cover")
 
 
 def annulus_cell_partition(sys: FiniteSystem, rings: int, sectors: int, annulus_rings: int) -> SetFamily:
     """One annulus class holding every marked cell, all other cells separate."""
-    m = sys.state_count
-    labels = np.zeros(m, dtype=np.int64)
-    next_label = 1
-    for state in range(m):
-        if state == 0:
-            labels[state] = next_label
-            next_label += 1
-            continue
-        ring = (state - 1) // sectors
-        if ring >= rings - annulus_rings:
-            labels[state] = 0
-        else:
-            labels[state] = next_label
-            next_label += 1
-    return SetFamily.from_labels(labels)
+    states = np.arange(sys.state_count)
+    # Label 0 is the annulus; cells below it, the center first, count up from 1.
+    return SetFamily.from_labels(
+        np.where(states < _disk_index(sectors, rings - annulus_rings, 0), states + 1, 0)
+    )
 
 
 def euclid_separated_count(
@@ -286,10 +266,17 @@ def euclid_separated_count(
     orbit cell centers are more than eps apart in the plane.  Greedy
     insertion in state order gives a maximal set, hence a certified lower
     bound for the separated count.  Only cells close at time 0 can ever be
-    unseparated, and only earlier cells block a later one, so each cell in
-    turn, at every depth where it is still unblocked, blocks its later cells
-    that stay close through that depth.  Memory is O(cells x depth), whatever
-    the number of close pairs.
+    unseparated, and only earlier cells block a later one.
+
+    Candidate pairs come from a grid of time-0 buckets a little wider than
+    eps: a close pair lies in neighbouring buckets, so each cell's candidates
+    are its later cells in the 3 x 3 buckets around its own.  The exact
+    distance test then decides every candidate, so the bucketing can widen
+    the candidate set but never change a decision.  Rows are handled in
+    chunks of bounded candidates x depth, so memory stays O(cells x depth)
+    however many pairs are close.  Then each cell in turn, at every depth
+    where it is still unblocked, blocks its later cells that stay close
+    through that depth.
     """
     # The outer `band` rings, ring by ring, each in sector order.
     band_states = np.arange(_disk_index(sectors, rings - band, 0), _disk_index(sectors, rings, 0))
@@ -299,25 +286,51 @@ def euclid_separated_count(
     for k in range(1, depth):
         orbits[k] = sys.generators[0][orbits[k - 1]]
     # Orbit cell centers, one (time, cell) array per plane coordinate.
-    x, y = np.moveaxis(sys.geometry[orbits], -1, 0)
+    x, y = sys.geometry[:, 0][orbits], sys.geometry[:, 1][orbits]
 
-    def apart(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        return np.sqrt(dx**2 + dy**2) > eps
+    # Time-0 buckets, wider than eps by far more than the rounding of the
+    # distance test (and at least 2**-20 wide, so bucket numbers stay small).
+    bucket = max(eps, 2.0**-20) * (1.0 + 2.0**-20)
+    bx = np.floor(x[0] / bucket).astype(np.int64)
+    by = np.floor(y[0] / bucket).astype(np.int64)
+    bx -= bx.min()
+    by -= by.min() - 1  # rows 1..height - 2, so row +-1 stays in its column
+    height = int(by.max()) + 2
+    key = bx * height + by
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    # In sorted order, the rows by-1..by+1 of each neighbouring column are one range.
+    lo = np.stack([np.searchsorted(keys, key + d * height - 1) for d in (-1, 0, 1)], axis=1)
+    hi = np.stack([np.searchsorted(keys, key + d * height + 1, "right") for d in (-1, 0, 1)], axis=1)
+    spans = hi - lo
+    offsets = np.concatenate([[0], np.cumsum(spans.sum(axis=1))])
+    # A chunk of rows has at most max(count x depth, 2**16) candidate distances;
+    # one row never has more than `count` candidates.
+    budget = max(count, (1 << 16) // depth)
 
-    # blocked[d - 1, i]: cell i is close through depth d to an earlier chosen cell.
-    blocked = np.zeros((depth, count), dtype=bool)
-    # Time-0 closeness in row blocks of about 1 MiB of differences.
-    block = max(1, (1 << 20) // (16 * max(count, 1)))
-    for lo in range(0, count, block):
-        near = ~apart(x[0, lo : lo + block, None] - x[0], y[0, lo : lo + block, None] - y[0])
-        for i, row in enumerate(near, start=lo):
-            later = np.flatnonzero(row[i + 1 :]) + (i + 1)
-            chosen = ~blocked[:, i]
-            if later.size and chosen.any():
-                # Row k: still close at every time up to k, so unseparated at depth k + 1.
-                far = apart(x[:, i, None] - x[:, later], y[:, i, None] - y[:, later])
-                blocked[:, later] |= chosen[:, None] & ~np.logical_or.accumulate(far, axis=0)
-    return (count - blocked.sum(axis=1)).tolist()
+    # blocked[i, d - 1]: cell i is close through depth d to an earlier chosen cell.
+    blocked = np.zeros((count, depth), dtype=bool)
+    start = 0
+    while start < count:
+        stop = int(np.searchsorted(offsets, offsets[start] + budget, "right")) - 1
+        runs = spans[start:stop].ravel()
+        run_starts = np.cumsum(runs) - runs
+        i = np.repeat(np.arange(start, stop), spans[start:stop].sum(axis=1))
+        j = order[np.arange(runs.sum()) + np.repeat(lo[start:stop].ravel() - run_starts, runs)]
+        later = j > i
+        i, j = i[later], j[later]
+        # Column k: still close at every time up to k, so unseparated at depth k + 1.
+        close = ~np.logical_or.accumulate(
+            np.sqrt((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2) > eps, axis=0
+        ).T
+        near = close[:, 0]
+        i, j, close = i[near], j[near], close[near]
+        firsts = np.flatnonzero(np.diff(i, prepend=-1))
+        for cell, a, b in zip(i[firsts].tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(i)]):
+            # The cell is chosen at exactly the depths where it is unblocked.
+            blocked[j[a:b]] |= ~blocked[cell] & close[a:b]
+        start = stop
+    return (count - blocked.sum(axis=0)).tolist()
 
 
 def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictItem]]:

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from covpress.cli import main
 from covpress.config import ExperimentConfig, load_config, parse_config_text
+from covpress.coveralg import SetFamily
 from covpress.dynsys import make_disk_system
 from covpress.experiments import (
     ResultRow,
     VerdictItem,
+    annulus_cell_partition,
     euclid_separated_count,
+    pizza_cover,
     potential_from_spec,
     rows_to_csv,
     run_experiment,
@@ -205,6 +208,108 @@ def test_euclid_counts_wide_band_large_eps_stay_small():
     assert peak < 8 << 20
     want = [per_depth_euclid_count(sys, rings, sectors, band, eps, d) for d in range(1, depth + 1)]
     assert got == want
+
+
+@given(
+    st.integers(2, 12),
+    st.sampled_from([8, 16, 32, 48]),
+    st.integers(1, 12),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_euclid_counts_with_eps_on_a_time0_distance(rings, sectors, band, a, b, depth):
+    # eps is the exact time-0 distance of two band cells, so that pair sits
+    # on the boundary of the `> eps` test and must count as close.
+    band = min(band, rings)
+    sys = make_disk_system(rings, sectors)
+    first, cells = 1 + (rings - band) * sectors, band * sectors
+    (xa, ya), (xb, yb) = sys.geometry[first + a % cells], sys.geometry[first + b % cells]
+    eps = float(np.sqrt((xa - xb) ** 2 + (ya - yb) ** 2))
+    if eps == 0.0:
+        eps = 1.0 / rings
+    got = euclid_separated_count(sys, rings, sectors, band, eps, depth)
+    want = [per_depth_euclid_count(sys, rings, sectors, band, eps, d) for d in range(1, depth + 1)]
+    assert got == want
+
+
+@pytest.mark.parametrize("widths", [3, 5, 9, 25])
+def test_euclid_counts_with_eps_over_several_rings(widths):
+    # Buckets wider than several rings: each holds cells of many rings.
+    rings, sectors, band, depth = 12, 32, 10, 5
+    sys = make_disk_system(rings, sectors)
+    eps = widths / rings
+    got = euclid_separated_count(sys, rings, sectors, band, eps, depth)
+    want = [per_depth_euclid_count(sys, rings, sectors, band, eps, d) for d in range(1, depth + 1)]
+    assert got == want
+
+
+def pizza_cover_by_sets(sys, rings, sectors, slices):
+    """Reference: the pizza cover from state-set comprehensions."""
+    width = sectors // slices
+    inner_disk = {0} | {1 + i * sectors + j for i in range(rings // 2) for j in range(sectors)}
+    members = [inner_disk] + [
+        {1 + i * sectors + j for i in range(rings) for j in range(s * width, (s + 1) * width)}
+        for s in range(slices)
+    ]
+    return SetFamily.from_state_sets(sys.state_count, members, kind="cover")
+
+
+def annulus_partition_by_loop(sys, rings, sectors, annulus_rings):
+    """Reference: the annulus partition labelled state by state."""
+    labels = np.zeros(sys.state_count, dtype=np.int64)
+    next_label = 1
+    for state in range(sys.state_count):
+        if state == 0 or (state - 1) // sectors < rings - annulus_rings:
+            labels[state] = next_label
+            next_label += 1
+    return SetFamily.from_labels(labels)
+
+
+def same_family(a, b):
+    return (a.atoms.tobytes(), a._incidence) == (b.atoms.tobytes(), b._incidence)
+
+
+@given(st.integers(2, 24), st.integers(2, 48), st.integers(0, 10**6), st.integers(1, 24))
+@example(64, 256, 1, 16)  # the leakage default: 2 slices, 16 annulus rings
+@settings(max_examples=40, deadline=None)
+def test_leakage_families_match_the_set_comprehensions(rings, sectors, pick, annulus_rings):
+    sys = make_disk_system(rings, sectors)
+    divisors = [d for d in range(1, sectors + 1) if sectors % d == 0]
+    slices = divisors[pick % len(divisors)]
+    annulus_rings = min(annulus_rings, rings)
+    assert same_family(
+        pizza_cover(sys, rings, sectors, slices), pizza_cover_by_sets(sys, rings, sectors, slices)
+    )
+    assert same_family(
+        annulus_cell_partition(sys, rings, sectors, annulus_rings),
+        annulus_partition_by_loop(sys, rings, sectors, annulus_rings),
+    )
+
+
+BAD_LEAKAGE_GEOMETRY = [
+    ({"rings": 8, "euclid_band": 70}, "euclid_band"),
+    ({"euclid_band": 0}, "euclid_band"),
+    ({"annulus_rings": 0}, "annulus_rings"),
+    ({"rings": 8, "annulus_rings": 9}, "annulus_rings"),
+    ({"slices": 0}, "slices"),
+    ({"sectors": 16, "slices": 3}, "slices"),
+    ({"rings": 1}, "rings"),
+    ({"sectors": 1, "slices": 1}, "sectors"),
+    ({"euclid_eps": float("nan")}, "euclid_eps"),
+]
+
+
+@pytest.mark.parametrize("values, key", BAD_LEAKAGE_GEOMETRY)
+def test_bad_leakage_geometry_rejected_at_load_time(tmp_path, values, key):
+    with pytest.raises(ValueError, match=key):
+        load_config("leakage", overrides=values)
+    conf = tmp_path / "bad.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    out = tmp_path / "res"
+    assert main(["leakage", "--config", str(conf), "--out", str(out)]) == 1
+    assert not (out / "leakage.csv").exists()
 
 
 def test_finite_vp_two_seeds():

@@ -1,8 +1,10 @@
 """Finite systems, lattice powers, ergodic sums and the model constructors."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covpress import lattice
@@ -187,6 +189,41 @@ def test_disk_sector_doubles():
             s = 1 + i * sectors + j
             t = int(sys.generators[0][s])
             assert (t - 1) % sectors in {(2 * j) % sectors, (2 * j + 1) % sectors}
+
+
+def disk_system_by_loop(rings, sectors):
+    """Reference: the disk grid built cell by cell with libm's cos and sin."""
+    m = rings * sectors + 1
+    gen = np.zeros(m, dtype=np.int64)
+    geometry = np.zeros((m, 2))
+    two_pi = 2.0 * np.pi
+    for i in range(rings):
+        r_c = (i + 0.5) / rings
+        for j in range(sectors):
+            theta_c = two_pi * (j + 0.5) / sectors
+            s = 1 + i * sectors + j
+            geometry[s] = (r_c * math.cos(theta_c), r_c * math.sin(theta_c))
+            r_new = r_c * (r_c + 1.0) / 2.0
+            theta_new = (2.0 * theta_c) % two_pi
+            ring_new = math.ceil(r_new * rings) - 1
+            if ring_new < 0:
+                continue
+            sector_new = int(theta_new * sectors / two_pi) % sectors
+            gen[s] = 1 + min(ring_new, rings - 1) * sectors + sector_new
+    marked = frozenset(1 + (rings - 1) * sectors + j for j in range(sectors))
+    return gen, geometry, marked
+
+
+@given(st.integers(2, 70), st.integers(2, 70))
+@example(64, 256)  # the leakage default
+@settings(max_examples=60, deadline=None)
+def test_disk_system_matches_the_cell_loop(rings, sectors):
+    sys = make_disk_system(rings, sectors)
+    gen, geometry, marked = disk_system_by_loop(rings, sectors)
+    assert sys.generators[0].dtype == gen.dtype
+    assert np.array_equal(sys.generators[0], gen)
+    assert sys.geometry.tobytes() == geometry.tobytes()
+    assert sys.marked == marked
 
 
 def test_power_system_identity_and_square():
