@@ -8,18 +8,17 @@ partition: each member is then a single atom, the incidence is the identity,
 and it is never stored, so a partition is just its label array however many
 classes it has.  Partition-ness is read off the data, never declared.
 
-Joins and preimages work on the atom labels with one numpy label join: each
-state gets a pair code below a known bound, and the distinct codes, in
-sorted order, become the new atoms.  When the bound is at most a few times
-the state count the codes are ranked through a flag array in time linear in
-both; past that the join sorts them, with the same result.  Only covers with
-overlapping members also lift their member bitmasks onto the finer atoms
-(the atoms of a joined cover are the join of its atoms).  On top
-of families sit the operations every pressure computation needs: preimages,
-the box sweep, the refinement preorder, admissibility classification against
-the system's marked states, the strongly-admissible cover built from an
-admissible partition, the potential-level cover, and the closeness graph
-that encodes which states share a member.
+One kernel, `_join_atoms`, joins two families: each state gets a pair code
+below the product of the atom counts, and the distinct codes, in sorted
+order, become the new atoms.  When that bound is at most a few times the
+state count the codes are ranked through a flag array in time linear in
+both; past that the kernel sorts them, with the same result.  Only covers
+with overlapping members also lift their member bitmasks onto the finer
+atoms and intersect them.  `join`, `preimage_family`, `refines`, partition
+equality and every box sweep step are that kernel.  On top of families sit
+admissibility classification against the system's marked states, the
+strongly-admissible cover built from an admissible partition, the
+potential-level cover, and the closeness graph of states sharing a member.
 
 The box sweep is the one place where joins and ergodic sums are built.
 `box_sweep` walks the box below n once, in the shell order of
@@ -86,25 +85,18 @@ class SetFamily:
     `atoms[s]` is the membership class of state s, numbered 0..atom_count-1.
     A cover keeps each member as a bitmask over atoms; a partition (pairwise
     disjoint members) stores no incidence, and its atom i is its member i.
-    Members are deduplicated and empty ones dropped at construction;
-    `dropped_empty` counts the dropped empties (preimages can kill classes).
+    Members are deduplicated and empty ones dropped at construction.
     """
 
-    __slots__ = ("atoms", "atom_count", "_incidence", "dropped_empty")
+    __slots__ = ("atoms", "atom_count", "_incidence")
 
-    def __init__(
-        self,
-        atoms: np.ndarray,
-        incidence: Sequence[int] | None = None,
-        dropped_empty: int = 0,
-    ):
+    def __init__(self, atoms: np.ndarray, incidence: Sequence[int] | None = None):
         """`atoms` must already be the membership classes, labelled densely;
         `incidence` lists the members as atom bitmasks, or is None when
         atom i is member i."""
         atoms = np.asarray(atoms, dtype=np.int64)
         atom_count = int(atoms.max()) + 1 if len(atoms) else 0
         if incidence is not None:
-            dropped_empty += sum(1 for m in incidence if not m)
             incidence = tuple(dict.fromkeys(m for m in incidence if m))
             if sum(m.bit_count() for m in incidence) == atom_count:
                 # Pairwise disjoint: every member is one atom; number atoms by member.
@@ -116,7 +108,6 @@ class SetFamily:
         self.atoms = atoms
         self.atom_count = atom_count
         self._incidence = incidence
-        self.dropped_empty = int(dropped_empty)
 
     # -- constructors -------------------------------------------------
 
@@ -157,9 +148,9 @@ class SetFamily:
         return family
 
     @classmethod
-    def from_labels(cls, labels: np.ndarray, dropped_empty: int = 0) -> "SetFamily":
+    def from_labels(cls, labels: np.ndarray) -> "SetFamily":
         _, normalized = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-        return cls(normalized, dropped_empty=dropped_empty)
+        return cls(normalized)
 
     @classmethod
     def trivial(cls, state_count: int) -> "SetFamily":
@@ -223,11 +214,6 @@ class SetFamily:
             [ufunc.reduce(per_atom[_bits(m, self.atom_count)]) for m in self._incidence]
         )
 
-    def member_masses(self, weights: np.ndarray) -> np.ndarray:
-        """Total weight per member; meaningful for partitions."""
-        masses = np.bincount(self.atoms, weights=weights, minlength=self.atom_count)
-        return self.per_member(masses, np.add)
-
     def group_extremum(self, values: np.ndarray, mode: str) -> np.ndarray:
         """Per-member min or max of a per-state value array."""
         reducer = np.minimum if mode == "min" else np.maximum
@@ -243,8 +229,7 @@ class SetFamily:
             return False
         if self.is_partition and other.is_partition:
             # Same partition iff labels agree up to renaming.
-            pairs = self.atoms * other.count + other.atoms
-            return len(_dense_unique(pairs, self.count * other.count)[0]) == self.count
+            return _join_atoms(_side(self), _side(other))[1] == self.count
         return sorted(self.members) == sorted(other.members)
 
     def __repr__(self) -> str:
@@ -262,10 +247,38 @@ def membership_partition(family: SetFamily) -> SetFamily:
     return SetFamily(family.atoms)
 
 
-def _lifted(family: SetFamily, parent: np.ndarray) -> list[int]:
-    """The family's members as bitmasks over finer atoms, where finer atom j
-    lies inside the family's atom parent[j]."""
-    return [_mask(family.atom_flags(i)[parent]) for i in range(family.count)]
+def _lift(incidence: Sequence[int] | None, count: int, parent: np.ndarray) -> list[int]:
+    """Members over `count` atoms (atom i is member i when `incidence` is
+    None) as bitmasks over finer atoms, where finer atom j lies inside atom
+    parent[j]."""
+    if incidence is None:
+        return [_mask(parent == i) for i in range(count)]
+    return [_mask(_bits(m, count)[parent]) for m in incidence]
+
+
+def _side(family: SetFamily, image: np.ndarray | slice = slice(None)) -> tuple:
+    """The family pulled back through a state map (the identity by default),
+    as one side of `_join_atoms`."""
+    return family.atoms[image], family.atom_count, family._incidence
+
+
+def _join_atoms(left: tuple, right: tuple) -> tuple:
+    """The join of two families, each given as (atom labels, label bound,
+    incidence or None for a partition), in the same form.
+
+    The pair codes of the labels, ranked, are the joined atoms.  Unless both
+    sides are partitions, the members are the nonempty intersections of the
+    lifted members, first occurrences kept in (left member, right member)
+    order.
+    """
+    left_atoms, left_count, left_incidence = left
+    right_atoms, right_count, right_incidence = right
+    pairs, atoms = _dense_unique(left_atoms * right_count + right_atoms, left_count * right_count)
+    if left_incidence is None and right_incidence is None:
+        return atoms, len(pairs), None
+    mine = _lift(left_incidence, left_count, pairs // right_count)
+    theirs = _lift(right_incidence, right_count, pairs % right_count)
+    return atoms, len(pairs), list(dict.fromkeys(m & t for m in mine for t in theirs if m & t))
 
 
 # -- reports ------------------------------------------------------------
@@ -288,62 +301,24 @@ class PartitionAdmissibilityReport:
 
 
 def preimage_family(sys: FiniteSystem, family: SetFamily, k: Coords) -> SetFamily:
-    """Pull the family back through the power-k map.
+    """Pull the family back through the power-k map: the trivial partition
+    joined with the pulled-back labels.
 
-    Partitions stay partitions.  Members whose preimage is empty are dropped
-    and counted in `dropped_empty`.
+    Partitions stay partitions.  Members whose preimage is empty are dropped.
     """
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
-    survivors, atoms = _dense_unique(family.atoms[power_map(sys, k)], family.atom_count)
-    if family.is_partition:
-        return SetFamily(atoms, dropped_empty=family.count - len(survivors))
-    return SetFamily(atoms, _lifted(family, survivors))
+    trivial = _side(SetFamily.trivial(sys.state_count))
+    atoms, _, incidence = _join_atoms(trivial, _side(family, power_map(sys, k)))
+    return SetFamily(atoms, incidence)
 
 
 def join(a: SetFamily, b: SetFamily) -> SetFamily:
     """All nonempty pairwise intersections, deduplicated; refines both inputs."""
     if a.state_count != b.state_count:
         raise ValueError("families live on different systems")
-    pairs, atoms = _dense_unique(a.atoms * b.atom_count + b.atoms, a.atom_count * b.atom_count)
-    if a.is_partition and b.is_partition:
-        return SetFamily(atoms)
-    mine = _lifted(a, pairs // b.atom_count)
-    theirs = _lifted(b, pairs % b.atom_count)
-    return SetFamily(atoms, [ma & mb for ma in mine for mb in theirs])
-
-
-def _refine(
-    family: SetFamily, state: tuple | None, image: np.ndarray, n: Coords, member_budget: int
-) -> tuple:
-    """One orbit-join step: refine `state` by the family pulled back through `image`.
-
-    `state` is (atoms, atom count, member incidence or None for a partition),
-    or None before the first step.  Atoms are joined as labels; a cover's
-    members are intersected in first-occurrence order over (joined-so-far
-    member, pulled-back member), with bitmasks lifted onto the finer atoms.
-    A result with more than `member_budget` members, while joining over the
-    box below n, raises CoverBudgetError.
-    """
-    width = family.atom_count
-    step = family.atoms[image]
-    if state is None:
-        atoms, count, current = step, width, family._incidence
-    else:
-        atoms, count, current = state
-        pairs, atoms = _dense_unique(atoms * width + step, count * width)
-        if current is not None:
-            mine = [_mask(_bits(m, count)[pairs // width]) for m in current]
-            theirs = _lifted(family, pairs % width)
-            current = list(dict.fromkeys(cm & sm for cm in mine for sm in theirs if cm & sm))
-        count = len(pairs)
-    members = count if current is None else len(current)
-    if members > member_budget:
-        raise CoverBudgetError(
-            f"join over box {n} (cardinality {box_cardinality(n)}) has {members} members, "
-            f"budget {member_budget}"
-        )
-    return atoms, count, current
+    atoms, _, incidence = _join_atoms(_side(a), _side(b))
+    return SetFamily(atoms, incidence)
 
 
 def _check_box(n: Coords) -> None:
@@ -362,13 +337,15 @@ def box_sweep(
     """Yield (box, orbit join, ergodic-sum field) for the boxes min(t, n),
     t = 1..max(n), from one walk of the box below n in shell order.
 
-    The join identifies states exactly when their atom agrees at every box
-    point; a cover's members are intersected in first-occurrence order over
-    (joined-so-far member, next preimage member).  The field is the sum of f
-    over the box points, None when f is.  A box over DEFAULT_LAMBDA_BUDGET
-    points raises CoverBudgetError before its shell is walked, and a join
-    over `member_budget` members raises it too; the items already yielded
-    stand, and since a join only refines, no larger box would fit either.
+    Each box point after the origin joins in the family pulled back through
+    it, so states are identified exactly when their atom agrees at every
+    point, and a cover's members are intersected in first-occurrence order
+    over (joined-so-far member, next preimage member).
+    The field is the sum of f over the box points, None when f is.  A box
+    over DEFAULT_LAMBDA_BUDGET points raises CoverBudgetError before its
+    shell is walked, and a join over `member_budget` members raises it too;
+    the items already yielded stand, and since a join only refines, no
+    larger box would fit either.
     """
     n = as_point(n, dim=sys.dim)
     if family.state_count != sys.state_count:
@@ -382,7 +359,14 @@ def box_sweep(
         _check_box(box)
         lam = box_cardinality(box)
         for _, tk in itertools.islice(walk, lam - walked):
-            state = _refine(family, state, tk, box, member_budget)
+            # The walk starts at the origin, whose pullback is the family itself.
+            state = _side(family, tk) if state is None else _join_atoms(state, _side(family, tk))
+            members = state[1] if state[2] is None else len(state[2])
+            if members > member_budget:
+                raise CoverBudgetError(
+                    f"join over box {box} (cardinality {lam}) has {members} members, "
+                    f"budget {member_budget}"
+                )
             if field is not None:
                 field = field + f.values[tk]
         walked = lam
@@ -416,18 +400,17 @@ def orbit_join(
 
 
 def refines(finer: SetFamily, coarser: SetFamily) -> bool:
-    """True iff every member of `finer` is contained in some member of `coarser`."""
+    """True iff every member of `finer` is contained in some member of `coarser`,
+    i.e. is itself a member of their join."""
     if finer.state_count != coarser.state_count:
         raise ValueError("families live on different systems")
-    pairs, _ = _dense_unique(
-        finer.atoms * coarser.atom_count + coarser.atoms, finer.atom_count * coarser.atom_count
-    )
-    if finer.is_partition and coarser.is_partition:
+    atoms, count, incidence = _join_atoms(_side(finer), _side(coarser))
+    if incidence is None:
         # The coarser label must be constant on each finer class.
-        return len(np.unique(pairs // coarser.atom_count)) == len(pairs)
-    fine = _lifted(finer, pairs // coarser.atom_count)
-    coarse = _lifted(coarser, pairs % coarser.atom_count)
-    return all(any(fm & ~cm == 0 for cm in coarse) for fm in fine)
+        return count == finer.count
+    parent = np.empty(count, dtype=np.int64)
+    parent[atoms] = finer.atoms
+    return set(_lift(finer._incidence, finer.atom_count, parent)) <= set(incidence)
 
 
 def classify_admissible(sys: FiniteSystem, family: SetFamily) -> AdmissibilityReport:

@@ -176,8 +176,6 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
 
     experiment = "doubling"
     rows: list[ResultRow] = []
-    exact_limit = cfg.exact_limit or 24
-    node_limit = cfg.exact_limit or 2000
 
     stopped = []
     arc_q = []
@@ -187,7 +185,7 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
         sweep = box_sweep(sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget)
         try:
             for n, joined, f_field in sweep:
-                quad = quadruple_from_joined(joined, f_field, n, exact_limit, node_limit)
+                quad = quadruple_from_joined(joined, f_field, n, cfg.exact_limit)
                 for mode in ("Q", "P", "S", "G"):
                     bound = None
                     if mode == "P" and quad["P"].status == STATUS_EXACT:

@@ -144,12 +144,10 @@ def decompose(n: Coords, q: Coords, k: Coords) -> TileDecomposition:
         axis_corners.append(list(stops))
     corners = frozenset(itertools.product(*axis_corners))
 
-    covered: set[Coords] = set()
-    tile = enumerate_box(q)
-    for p in corners:
-        for t in tile:
-            covered.add(tuple(pc + tc for pc, tc in zip(p, t)))
-    residue = frozenset(pt for pt in iter_box(n) if pt not in covered)
+    # The tiles fill the product of the per-axis ranges [k_j, k_j + q_j * c_j),
+    # c_j the number of corners on axis j; the residue is everything else.
+    tiled = [range(kj, kj + qj * len(c)) for kj, qj, c in zip(k, q, axis_corners)]
+    residue = frozenset(pt for pt in iter_box(n) if any(c not in s for c, s in zip(pt, tiled)))
     return TileDecomposition(n=n, q=q, k=k, corners=corners, residue=residue)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from covpress.coveralg import (
     SetFamily,
-    _dense_unique,
     box_join,
     box_sweep,
     classify_admissible_partition,
@@ -128,16 +127,12 @@ def invariant_cycle_mixture(sys: FiniteSystem, rng: np.random.Generator, mass: f
     return FiniteMeasure(w)
 
 
-def _entropy_terms(masses: Iterable[float]) -> float:
-    return float(math.fsum(-v * math.log(v) for v in masses if v > 0.0))
-
-
 def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
     """Entropy of a partition for a finite (not necessarily unit-mass) measure."""
     if not family.is_partition:
         raise ValueError("partition entropy needs a partition")
-    masses = family.member_masses(mu.weights)
-    return _entropy_terms(float(v) for v in masses)
+    masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count).tolist()
+    return math.fsum(-v * math.log(v) for v in masses if v > 0.0)
 
 
 def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
@@ -146,12 +141,13 @@ def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
         raise ValueError("conditional entropy is defined for probability measures")
     if not (c.is_partition and d.is_partition):
         raise ValueError("conditional entropy needs partitions")
-    # One mass per occurring (C class, D class) pair, pairs in (C, D) order,
-    # so each D mass sums its pairs in C's class order, as a column sum of
-    # the dense C x D matrix would, and gets the same bytes.
-    pairs, cell = _dense_unique(c.as_labels() * d.count + d.as_labels(), c.count * d.count)
-    joint = np.bincount(cell, weights=mu.weights, minlength=len(pairs))
-    d_of = pairs % d.count
+    # One mass per class of the join, i.e. per (C class, D class) pair in
+    # (C, D) order, so each D mass sums its pairs in C's class order, as a
+    # column sum of the dense C x D matrix would, and gets the same bytes.
+    cells = join(c, d)
+    joint = np.bincount(cells.atoms, weights=mu.weights, minlength=cells.count)
+    d_of = np.empty(cells.count, dtype=np.int64)
+    d_of[cells.atoms] = d.atoms
     d_mass = np.bincount(d_of, weights=joint, minlength=d.count)[d_of]
     return math.fsum(
         p * math.log(dm / p) for p, dm in zip(joint.tolist(), d_mass.tolist()) if p > 0.0

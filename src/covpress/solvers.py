@@ -157,27 +157,22 @@ def min_subcover_value(
     active = [i for i, m in enumerate(members) if m]
 
     # Peel forced members: an element covered by exactly one active member
-    # pins that member into every subcover.
+    # pins that member into every subcover.  `once` and `twice` hold the
+    # uncovered elements met by at least one and at least two active members.
     while remaining:
-        counts: dict[int, int] = {}
-        only: dict[int, int] = {}
+        once = twice = 0
         for i in active:
             m = members[i] & remaining
-            while m:
-                low = m & -m
-                b = low.bit_length() - 1
-                counts[b] = counts.get(b, 0) + 1
-                only[b] = i
-                m ^= low
-        if any(c == 0 for c in counts.values()):  # pragma: no cover - guarded above
-            raise ValueError("members do not cover the universe")
-        forced = sorted({only[b] for b, c in counts.items() if c == 1})
+            twice |= once & m
+            once |= m
+        forced = [i for i in active if members[i] & remaining & ~twice]
         if not forced:
             break
+        # Each forced member alone holds one of its elements, so none of them
+        # is covered by the others.
+        chosen.extend(forced)
         for i in forced:
-            if members[i] & remaining:
-                chosen.append(i)
-                remaining &= ~members[i]
+            remaining &= ~members[i]
         active = [i for i in active if members[i] & remaining]
 
     status = STATUS_EXACT
@@ -234,18 +229,24 @@ def _dual_ascent_bound(universe: int, members: Sequence[int], weights: Sequence[
     which is then subtracted from each of them.  No member's residual goes
     negative, so the y_e add up to at most the weight of any cover.
     """
+    residual = list(weights)
+    ys = []
+    for held in _holders_by_degree(universe, members):
+        y = min(residual[i] for i in held)
+        for i in held:
+            residual[i] -= y
+        ys.append(y)
+    return math.fsum(ys)
+
+
+def _holders_by_degree(universe: int, members: Sequence[int]) -> list[list[int]]:
+    """For each element of the universe, the increasing indices of the
+    members holding it; elements in (degree, element) order."""
     holders: dict[int, list[int]] = {b: [] for b in _set_bits(universe)}
     for i, m in enumerate(members):
         for b in _set_bits(m & universe):
             holders[b].append(i)
-    residual = list(weights)
-    ys = []
-    for b in sorted(holders, key=lambda b: (len(holders[b]), b)):
-        y = min(residual[i] for i in holders[b])
-        for i in holders[b]:
-            residual[i] -= y
-        ys.append(y)
-    return math.fsum(ys)
+    return sorted(holders.values(), key=len)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -270,14 +271,12 @@ def _branch_and_bound_cover(
     Elements are relabelled by (degree, index), so the uncovered element with
     the fewest covering members is the lowest set bit of the uncovered mask.
     """
-    elements = _set_bits(universe)
-    holders = {b: [i for i, m in enumerate(members) if m >> b & 1] for b in elements}
-    elements.sort(key=lambda b: (len(holders[b]), b))
+    holders = _holders_by_degree(universe, members)
     rebased = [0] * len(members)
-    for k, b in enumerate(elements):
-        for i in holders[b]:
+    for k, held in enumerate(holders):
+        for i in held:
             rebased[i] |= 1 << k
-    options = [sorted(holders[b], key=lambda i: (weights[i], i)) for b in elements]
+    options = [sorted(held, key=lambda i: (weights[i], i)) for held in holders]
 
     best_value = sum(weights[i] for i in greedy)
     best_set = list(greedy)
@@ -317,7 +316,7 @@ def _branch_and_bound_cover(
             dfs(remaining & ~rebased[i], cost + weights[i], picked, still_live)
             picked.pop()
 
-    dfs((1 << len(elements)) - 1, 0.0, [], list(zip(rebased, weights)))
+    dfs((1 << len(holders)) - 1, 0.0, [], list(zip(rebased, weights)))
     return (None if exhausted else sorted(best_set)), nodes
 
 

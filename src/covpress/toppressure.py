@@ -11,7 +11,10 @@ Q <= G when the joined family is a partition.
 `pressure_quadruple` is the per-box entry: it walks the box once for the
 join and the ergodic field and hands both to `quadruple_from_joined`, which
 rate sweeps call directly at every depth; `cover_value_from_joined` gives Q
-or P alone.  S and G samples carry their chosen states in `.chosen`.
+alone.  S and G samples carry their chosen states in `.chosen`.  One
+optional `exact_limit`, taken only by `quadruple_from_joined`, caps all four
+searches; without it Q and P search up to `EXACT_LIMIT_FAMILIES` members and
+G and S up to `EXACT_LIMIT_NODES` classes.
 
 Separated sets are maximum-weight independent sets of the closeness graph,
 spanning sets are minimum-weight dominating sets, and both collapse states
@@ -140,17 +143,11 @@ def _subcover_sample(
     return PressureSample(n, lam, res.log_value, res.status)
 
 
-def cover_value_from_joined(
-    joined: SetFamily,
-    f_field: np.ndarray,
-    n: Coords,
-    mode: str = "Q",
-    exact_limit: int = EXACT_LIMIT_FAMILIES,
-) -> PressureSample:
-    """Q or P alone, of an already joined family, given the ergodic field at box n."""
-    weights = member_log_weights(joined, f_field, mode)
+def cover_value_from_joined(joined: SetFamily, f_field: np.ndarray, n: Coords) -> PressureSample:
+    """Q alone, of an already joined family, given the ergodic field at box n."""
+    weights = member_log_weights(joined, f_field, "Q")
     members = None if joined.is_partition else joined.members
-    return _subcover_sample(joined, members, weights, n, exact_limit)
+    return _subcover_sample(joined, members, weights, n, EXACT_LIMIT_FAMILIES)
 
 
 def _atom_extremum(
@@ -171,8 +168,6 @@ def pressure_quadruple(
     f: Potential,
     family: SetFamily,
     n: Coords,
-    exact_limit: int = EXACT_LIMIT_FAMILIES,
-    node_limit: int = EXACT_LIMIT_NODES,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> dict[str, PressureSample]:
     """Q, P, G and S of the family joined over the box below n.
@@ -181,15 +176,11 @@ def pressure_quadruple(
     """
     n = as_point(n, dim=sys.dim)
     joined, f_field = box_join(sys, family, f, n, member_budget)
-    return quadruple_from_joined(joined, f_field, n, exact_limit, node_limit)
+    return quadruple_from_joined(joined, f_field, n)
 
 
 def quadruple_from_joined(
-    joined: SetFamily,
-    f_field: np.ndarray,
-    n: Coords,
-    exact_limit: int = EXACT_LIMIT_FAMILIES,
-    node_limit: int = EXACT_LIMIT_NODES,
+    joined: SetFamily, f_field: np.ndarray, n: Coords, exact_limit: int | None = None
 ) -> dict[str, PressureSample]:
     """Q, P, G and S of an already joined family, given the ergodic field at box n.
 
@@ -205,14 +196,19 @@ def quadruple_from_joined(
     its members.  On a partition the class graph is edgeless and each class
     can only be covered from inside, so G is Q's log-sum of class minima
     and S is P's of class maxima.
+
+    `exact_limit`, when given, caps all four searches; otherwise Q and P use
+    `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.
     """
+    member_limit = EXACT_LIMIT_FAMILIES if exact_limit is None else exact_limit
+    class_limit = EXACT_LIMIT_NODES if exact_limit is None else exact_limit
     lam = box_cardinality(n)
     lo, lo_reps = _atom_extremum(joined, f_field, "min")
     hi, hi_reps = _atom_extremum(joined, f_field, "max")
     members = None if joined.is_partition else joined.members
     out = {
-        "Q": _subcover_sample(joined, members, joined.per_member(lo, np.minimum), n, exact_limit),
-        "P": _subcover_sample(joined, members, joined.per_member(hi, np.maximum), n, exact_limit),
+        "Q": _subcover_sample(joined, members, joined.per_member(lo, np.minimum), n, member_limit),
+        "P": _subcover_sample(joined, members, joined.per_member(hi, np.maximum), n, member_limit),
     }
     if joined.is_partition:
         lightest = tuple(np.sort(lo_reps).tolist())
@@ -233,8 +229,8 @@ def quadruple_from_joined(
         coverage.append(cov)
     universe = (1 << joined.state_count) - 1
     inst = WeightedCoverInstance(universe, tuple(coverage), tuple(lo.tolist()))
-    g = min_subcover_value(inst, exact_limit=node_limit)
-    s = max_weight_independent_set(graph.class_adjacency(), hi.tolist(), exact_limit=node_limit)
+    g = min_subcover_value(inst, exact_limit=class_limit)
+    s = max_weight_independent_set(graph.class_adjacency(), hi.tolist(), exact_limit=class_limit)
     out["G"] = PressureSample(
         n, lam, g.log_value, g.status, tuple(sorted(int(lo_reps[c]) for c in g.chosen))
     )
@@ -295,8 +291,6 @@ def topological_pressure(
     f: Potential,
     covers: Sequence[tuple[str, SetFamily]],
     n_max: int,
-    exact_limit: int = EXACT_LIMIT_FAMILIES,
-    node_limit: int = EXACT_LIMIT_NODES,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
     allow_nonadmissible: bool = False,
 ) -> tuple[float, dict[str, dict[str, PressureEstimate]]]:
@@ -318,7 +312,7 @@ def topological_pressure(
         samples: dict[str, list[PressureSample]] = {mode: [] for mode in "QPSG"}
         sweep = box_sweep(sys, family, f, diagonal(n_max, sys.dim), member_budget)
         for n, joined, f_field in sweep:
-            quad = quadruple_from_joined(joined, f_field, n, exact_limit, node_limit)
+            quad = quadruple_from_joined(joined, f_field, n)
             for mode, sample in quad.items():
                 samples[mode].append(sample)
         report[name] = {mode: rate_sequence(s, mode) for mode, s in samples.items()}

@@ -103,7 +103,7 @@ def test_preimage_of_partition_is_partition():
     part = SetFamily.from_state_sets(5, [{0, 3}, {1, 2}, {4}], kind="partition")
     pre = preimage_family(sys, part, (1,))
     assert pre.is_partition
-    assert pre.dropped_empty == 1  # the class {4} has empty preimage
+    assert pre.count == 2  # the class {4} has empty preimage
 
 
 def test_join_idempotent_and_trivial():
@@ -412,6 +412,30 @@ def test_refines_basics():
     assert refines(join(fam, other), fam)
     assert refines(join(fam, other), other)
     assert not refines(fam, other)
+
+
+@st.composite
+def small_families(draw, m):
+    """A random partition or overlapping cover of m states."""
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        return SetFamily.from_labels(np.array(labels))
+    sets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=5))
+    return SetFamily.from_state_sets(m, sets + [set(range(m)).difference(*sets)])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_refines_matches_the_set_definition(data):
+    m = data.draw(st.integers(1, 8))
+    a, b = data.draw(small_families(m)), data.draw(small_families(m))
+
+    def by_sets(finer, coarser):
+        coarse = family_as_sets(coarser)
+        return all(any(fm <= cm for cm in coarse) for fm in family_as_sets(finer))
+
+    for finer, coarser in [(a, b), (b, a), (join(a, b), a), (a, join(a, b)), (a, a)]:
+        assert refines(finer, coarser) == by_sets(finer, coarser)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))

@@ -538,3 +538,50 @@ def test_mwis_search_visits_the_reference_nodes(case):
     adjacency, weights, budget = case
     got = _branch_and_bound_mwis(adjacency, weights, _greedy_mwis(adjacency, weights), budget)
     assert got == _reference_branch_and_bound_mwis(adjacency, weights, budget)
+
+
+def _counting_peel(universe, members):
+    """Forced-member peel by per-element holder counts: an element held by
+    exactly one active member forces that member.  The members chosen and
+    the elements left uncovered."""
+    chosen, remaining = [], universe
+    active = [i for i, m in enumerate(members) if m & universe]
+    while remaining:
+        counts, only = {}, {}
+        for i in active:
+            for b in range(remaining.bit_length()):
+                if (members[i] & remaining) >> b & 1:
+                    counts[b] = counts.get(b, 0) + 1
+                    only[b] = i
+        forced = sorted({only[b] for b, c in counts.items() if c == 1})
+        if not forced:
+            break
+        for i in forced:
+            chosen.append(i)
+            remaining &= ~members[i]
+        active = [i for i in active if members[i] & remaining]
+    return sorted(chosen), remaining
+
+
+@st.composite
+def sparse_covers(draw):
+    """Instances where most elements have one holder, so peels often close."""
+    k = draw(st.integers(1, 8))
+    holders = draw(
+        st.lists(st.sets(st.integers(0, k - 1), min_size=1, max_size=2), min_size=1, max_size=16)
+    )
+    members = [sum(1 << b for b, held in enumerate(holders) if i in held) for i in range(k)]
+    weights = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+    return (1 << len(holders)) - 1, members, weights
+
+
+@given(sparse_covers())
+@settings(max_examples=300, deadline=None)
+def test_forced_peel_matches_a_counting_peel(case):
+    universe, members, weights = case
+    res = min_subcover_value(WeightedCoverInstance(universe, tuple(members), tuple(weights)))
+    peeled, left = _counting_peel(universe, members)
+    assert (res.nodes == 0) == (left == 0)
+    if left == 0:
+        assert res.chosen == tuple(peeled)
+        assert res.status == STATUS_EXACT

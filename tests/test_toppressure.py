@@ -112,6 +112,24 @@ def test_path_instance_separated_and_spanning():
     assert s.status == STATUS_EXACT and g.status == STATUS_EXACT
 
 
+@pytest.mark.parametrize("exact_limit, want", [(None, [24, 24, 2000, 2000]), (5, [5] * 4)])
+def test_exact_limit_caps_all_four_searches(monkeypatch, exact_limit, want):
+    limits = []
+
+    def recording(solver):
+        def call(*args, exact_limit):
+            limits.append(exact_limit)
+            return solver(*args, exact_limit=exact_limit)
+
+        return call
+
+    for name in ("min_subcover_value", "max_weight_independent_set"):
+        monkeypatch.setattr(toppressure, name, recording(getattr(toppressure, name)))
+    path_cover = SetFamily.from_state_sets(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
+    toppressure.quadruple_from_joined(path_cover, np.zeros(5), (1,), exact_limit)
+    assert limits == want
+
+
 def test_chain_on_random_cover_instances():
     # For covers with proper overlap the provable pointwise chain is
     # Q <= P together with G <= S <= P; Q <= G needs disjoint members
