@@ -68,6 +68,27 @@ def _dense_unique(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray
     return distinct, rank[codes]
 
 
+def unique_columns(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of each distinct column of a bool matrix and
+    every column's rank among them, columns ordered by their bytes when
+    packed down the rows: `np.unique(packed columns, axis=0,
+    return_index=True, return_inverse=True)` without the sorted values.
+
+    Up to 64 rows, a column packs into one big-endian uint64 key, which
+    sorts as its bytes do but without the record comparisons.
+    """
+    columns = np.packbits(flags, axis=0).T
+    if len(flags) > 64:
+        _, first, rank = np.unique(columns, axis=0, return_index=True, return_inverse=True)
+        return first, rank.reshape(-1)
+    keys = np.zeros((len(columns), 8), dtype=np.uint8)
+    keys[:, : columns.shape[1]] = columns
+    _, first, rank = np.unique(
+        keys.view(">u8").ravel().astype(np.uint64), return_index=True, return_inverse=True
+    )
+    return first, rank
+
+
 def _bits(mask: int, width: int) -> np.ndarray:
     """A bitmask as a bool array of the given width."""
     raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
@@ -120,9 +141,7 @@ class SetFamily:
         """
         if not flags.any(axis=0).all():
             raise ValueError("family members do not cover the state space")
-        _, first, merged = np.unique(
-            np.packbits(flags, axis=0).T, axis=0, return_index=True, return_inverse=True
-        )
+        first, merged = unique_columns(flags)
         return cls(merged[atoms], [_mask(row) for row in flags[:, first]])
 
     @classmethod
@@ -135,7 +154,10 @@ class SetFamily:
             raise ValueError(f"unknown family kind {kind!r}")
         rows = []
         for states in sets:
-            idx = np.fromiter(states, dtype=np.int64)
+            if isinstance(states, np.ndarray):
+                idx = np.asarray(states, dtype=np.int64)
+            else:
+                idx = np.fromiter(states, dtype=np.int64)
             if len(idx) and (idx.min() < 0 or idx.max() >= state_count):
                 raise ValueError("member mentions states outside the system")
             row = np.zeros(state_count, dtype=bool)

@@ -19,7 +19,10 @@ dual-ascent lower bound for the subcover (Balas & Ho 1980) and a greedy
 clique-cover upper bound for the independent set (Ostergard 2001).  When the
 bound and the greedy value agree to within `_TIE_SLACK` (a few ulps,
 relative), the greedy answer is returned as exact after one node, whatever
-the instance size.  So `exact` means optimal up to that tie tolerance.
+the instance size.  So `exact` means optimal up to that tie tolerance.  The
+dual ascent runs over the distinct holder columns of the members x elements
+incidence, one element per column: an element held by the same members as
+an earlier one would add 0 to the bound.
 
 Both searches fix their branching order once, before the search.  The cover
 search branches on the uncovered element covered by the fewest members (a
@@ -38,6 +41,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from covpress.coveralg import unique_columns
 
 EXACT_LIMIT_FAMILIES = 24
 EXACT_LIMIT_NODES = 2000
@@ -227,11 +232,14 @@ def _dual_ascent_bound(universe: int, members: Sequence[int], weights: Sequence[
     Elements are taken by increasing degree, ties to the lowest element;
     each gets y_e, the least residual weight among the members holding it,
     which is then subtracted from each of them.  No member's residual goes
-    negative, so the y_e add up to at most the weight of any cover.
+    negative, so the y_e add up to at most the weight of any cover.  An
+    element held by the same members as an earlier one finds one of them at
+    residual 0 and gets y_e = 0, so only the first element of each distinct
+    holder list is taken, and the sum is the same float.
     """
     residual = list(weights)
     ys = []
-    for held in _holders_by_degree(universe, members):
+    for held in _distinct_holders(_incidence(universe, members))[0]:
         y = min(residual[i] for i in held)
         for i in held:
             residual[i] -= y
@@ -239,14 +247,29 @@ def _dual_ascent_bound(universe: int, members: Sequence[int], weights: Sequence[
     return math.fsum(ys)
 
 
-def _holders_by_degree(universe: int, members: Sequence[int]) -> list[list[int]]:
-    """For each element of the universe, the increasing indices of the
-    members holding it; elements in (degree, element) order."""
-    holders: dict[int, list[int]] = {b: [] for b in _set_bits(universe)}
-    for i, m in enumerate(members):
-        for b in _set_bits(m & universe):
-            holders[b].append(i)
-    return sorted(holders.values(), key=len)
+def _incidence(universe: int, members: Sequence[int]) -> np.ndarray:
+    """Which members hold which elements of the universe, as a bool matrix
+    of members x elements with the elements in (degree, element) order."""
+    width = universe.bit_length()
+    size = (width + 7) // 8
+    raw = b"".join((m & universe).to_bytes(size, "little") for m in (universe, *members))
+    flags = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(members) + 1, size),
+        axis=1, count=width, bitorder="little",
+    ).view(bool)
+    incidence = flags[1:, flags[0]]
+    return incidence[:, np.argsort(incidence.sum(axis=0), kind="stable")]
+
+
+def _distinct_holders(incidence: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """The distinct columns of an incidence as lists of the members holding
+    them (increasing indices), numbered in the order they first come, and
+    every column's number."""
+    first, rank = unique_columns(incidence)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return [np.flatnonzero(incidence[:, k]).tolist() for k in first[order]], number[rank].tolist()
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -271,11 +294,11 @@ def _branch_and_bound_cover(
     Elements are relabelled by (degree, index), so the uncovered element with
     the fewest covering members is the lowest set bit of the uncovered mask.
     """
-    holders = _holders_by_degree(universe, members)
-    rebased = [0] * len(members)
-    for k, held in enumerate(holders):
-        for i in held:
-            rebased[i] |= 1 << k
+    incidence = _incidence(universe, members)
+    rebased = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in incidence
+    ]
+    holders, held_by = _distinct_holders(incidence)
     options = [sorted(held, key=lambda i: (weights[i], i)) for held in holders]
 
     best_value = sum(weights[i] for i in greedy)
@@ -311,12 +334,12 @@ def _branch_and_bound_cover(
         bound = remaining.bit_count() * best_ratio * (1.0 - _PRUNE_SLACK)
         if cost + bound > best_value * (1.0 + _PRUNE_SLACK):
             return
-        for i in options[(remaining & -remaining).bit_length() - 1]:
+        for i in options[held_by[(remaining & -remaining).bit_length() - 1]]:
             picked.append(i)
             dfs(remaining & ~rebased[i], cost + weights[i], picked, still_live)
             picked.pop()
 
-    dfs((1 << len(holders)) - 1, 0.0, [], list(zip(rebased, weights)))
+    dfs((1 << len(held_by)) - 1, 0.0, [], list(zip(rebased, weights)))
     return (None if exhausted else sorted(best_set)), nodes
 
 

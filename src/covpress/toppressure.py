@@ -20,6 +20,12 @@ Separated sets are maximum-weight independent sets of the closeness graph,
 spanning sets are minimum-weight dominating sets, and both collapse states
 with identical membership before the search, so partition-shaped instances
 of any size stay exact.
+
+When the ergodic field is constant on every atom of the join (a flat field;
+the paper's doubling potentials and the torus site potential give one), a
+box is evaluated from one pass over its states plus per-atom work: the atom
+minima and their lowest states serve as the maxima too, and on a partition
+P is Q's sample and S is G's.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from covpress.coveralg import (
     box_join,
     box_sweep,
     classify_admissible,
-    membership_partition,
 )
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal
@@ -150,17 +155,37 @@ def cover_value_from_joined(joined: SetFamily, f_field: np.ndarray, n: Coords) -
     return _subcover_sample(joined, members, weights, n, EXACT_LIMIT_FAMILIES)
 
 
-def _atom_extremum(
-    joined: SetFamily, f_field: np.ndarray, pick: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per atom, the min or max of the ergodic sum and the lowest state
-    attaining it."""
-    atoms = joined.atoms
-    best = membership_partition(joined).group_extremum(f_field, pick)
-    hits = np.flatnonzero(f_field == best[atoms])
-    reps = np.full(joined.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(reps, atoms[hits], hits)
-    return best, reps
+def _atom_extrema(
+    joined: SetFamily, f_field: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per atom, the min of the ergodic sum and the lowest state attaining
+    it, then the max and the lowest state attaining that.
+
+    When every state has the value of its atom's lowest state, the field is
+    constant on each atom, and every state attains its atom's min and max:
+    the same two arrays are returned for both, and no extremum pass is made.
+    """
+    atoms, count = joined.atoms, joined.atom_count
+    states = np.arange(len(atoms))
+
+    def lowest(hits: np.ndarray | None = None) -> np.ndarray:
+        """Per atom, the lowest state flagged in `hits` (any state when None)."""
+        reps = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
+        if hits is None:
+            np.minimum.at(reps, atoms, states)
+        else:
+            np.minimum.at(reps, atoms[hits], states[hits])
+        return reps
+
+    first = lowest()
+    value = f_field[first]
+    if (f_field == value[atoms]).all():
+        return value, first, value, first
+    lo = np.full(count, np.inf)
+    np.minimum.at(lo, atoms, f_field)
+    hi = np.full(count, -np.inf)
+    np.maximum.at(hi, atoms, f_field)
+    return lo, lowest(f_field == lo[atoms]), hi, lowest(f_field == hi[atoms])
 
 
 def pressure_quadruple(
@@ -197,28 +222,32 @@ def quadruple_from_joined(
     can only be covered from inside, so G is Q's log-sum of class minima
     and S is P's of class maxima.
 
+    When the field is constant on every atom, each class's minimum is its
+    maximum and its lowest state represents both, so one extremum pass
+    serves all four values; on a partition P is then Q's sample and S is
+    G's, with the same log-sum and the same states.
+
     `exact_limit`, when given, caps all four searches; otherwise Q and P use
     `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.
     """
     member_limit = EXACT_LIMIT_FAMILIES if exact_limit is None else exact_limit
     class_limit = EXACT_LIMIT_NODES if exact_limit is None else exact_limit
     lam = box_cardinality(n)
-    lo, lo_reps = _atom_extremum(joined, f_field, "min")
-    hi, hi_reps = _atom_extremum(joined, f_field, "max")
-    members = None if joined.is_partition else joined.members
+    lo, lo_reps, hi, hi_reps = _atom_extrema(joined, f_field)
+    if joined.is_partition:
+        q = _subcover_sample(joined, None, lo, n, member_limit)
+        g = replace(q, chosen=tuple(np.sort(lo_reps).tolist()))
+        if hi is lo:
+            # Class maxima are the class minima and their states, so P is
+            # Q's log-sum, and S is G's with the same states.
+            return {"Q": q, "P": q, "G": g, "S": g}
+        p = _subcover_sample(joined, None, hi, n, member_limit)
+        return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=tuple(np.sort(hi_reps).tolist()))}
+    members = joined.members
     out = {
         "Q": _subcover_sample(joined, members, joined.per_member(lo, np.minimum), n, member_limit),
         "P": _subcover_sample(joined, members, joined.per_member(hi, np.maximum), n, member_limit),
     }
-    if joined.is_partition:
-        lightest = tuple(np.sort(lo_reps).tolist())
-        # When every class's lightest state is also its heaviest (one state
-        # per class, or a field constant on each), G and S choose the same
-        # states, and one tuple serves both: a large partition holds half.
-        same = np.array_equal(lo_reps, hi_reps)
-        out["G"] = replace(out["Q"], chosen=lightest)
-        out["S"] = replace(out["P"], chosen=lightest if same else tuple(np.sort(hi_reps).tolist()))
-        return out
     graph = ClosenessGraph(joined)
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
     coverage = []

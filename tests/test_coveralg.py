@@ -76,6 +76,34 @@ def test_construction_dedups_and_validates():
     # Disjointness is read off the members, whatever kind was asked for.
     assert SetFamily.from_state_sets(4, [{0, 1}, {2, 3}]).is_partition
     assert SetFamily.trivial(4).is_partition
+    # Array members are taken as they are, under the same range check.
+    arrays = SetFamily.from_state_sets(4, [np.array([1, 0]), np.arange(1, 4)])
+    sets = SetFamily.from_state_sets(4, [{0, 1}, {1, 2, 3}])
+    assert arrays.atoms.tolist() == sets.atoms.tolist()
+    assert arrays.members == sets.members
+    for bad in (np.array([0, 4]), np.array([-1, 1, 2, 3])):
+        with pytest.raises(ValueError, match="outside"):
+            SetFamily.from_state_sets(4, [bad, np.arange(4)])
+
+
+@given(
+    st.integers(1, 70).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.booleans(), min_size=rows, max_size=rows), min_size=1, max_size=40
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_unique_columns_ranks_columns_as_np_unique_does(columns):
+    # Up to 64 rows the columns are ranked by one integer key each; the
+    # first occurrences and ranks are those of the packed byte records.
+    flags = np.array(columns, dtype=bool).T
+    _, first, rank = np.unique(
+        np.packbits(flags, axis=0).T, axis=0, return_index=True, return_inverse=True
+    )
+    got_first, got_rank = coveralg.unique_columns(flags)
+    assert got_first.tolist() == first.tolist()
+    assert got_rank.tolist() == rank.reshape(-1).tolist()
 
 
 def test_label_and_mask_forms_agree():

@@ -1,5 +1,6 @@
 """Cover pressure values, separated/spanning values, rates and their laws."""
 
+import hashlib
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpress import lattice, toppressure
-from covpress.coveralg import SetFamily, orbit_join
+from covpress.coveralg import SetFamily, box_join, membership_partition, orbit_join
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, make_circle_doubling
 from covpress.solvers import STATUS_EXACT
 from covpress.toppressure import (
@@ -357,29 +358,36 @@ def test_topological_pressure_2d_matches_per_box_values():
                 assert report[name][mode].samples[t - 1] == per_box[mode]
 
 
-def test_overlap_cover_on_3x3_torus_is_certified_at_the_root(monkeypatch):
-    # Two-symbol configurations on the 3 x 3 torus under the two unit shifts
-    # (bit 3i + j holds the symbol at (i, j)), the overlapping cover
-    # {x00 = 0}, {x00 = 1}, {x00 = x01} and phi = 0.5 * x00.  At box (2, 2)
-    # the root bounds certify both greedy answers, whose values and states
-    # are pinned; without the bounds both searches ran out of nodes.
-    x = np.arange(1 << 9, dtype=np.int64)
+def torus_shift(p, q):
+    """Two-symbol configurations on the p x q torus under the two unit shifts
+    (bit q*i + j holds the symbol at (i, j)), and the state numbers."""
+    x = np.arange(1 << (p * q), dtype=np.int64)
 
     def shifted(di, dj):
         out = np.zeros_like(x)
-        for i in range(3):
-            for j in range(3):
-                out |= ((x >> (((i + di) % 3) * 3 + (j + dj) % 3)) & 1) << (i * 3 + j)
+        for i in range(p):
+            for j in range(q):
+                out |= ((x >> (((i + di) % p) * q + (j + dj) % q)) & 1) << (i * q + j)
         return out
 
-    sys = FiniteSystem(generators=(shifted(1, 0), shifted(0, 1)))
+    return FiniteSystem(generators=(shifted(1, 0), shifted(0, 1))), x
+
+
+def overlap_cover(x):
+    """The overlapping cover {x00 = 0}, {x00 = 1}, {x00 = x01}."""
     x00, x01 = x & 1, (x >> 1) & 1
-    cover = SetFamily.from_state_sets(
-        x.size,
-        [np.flatnonzero(x00 == 0).tolist(), np.flatnonzero(x00 == 1).tolist(),
-         np.flatnonzero(x00 == x01).tolist()],
+    return SetFamily.from_state_sets(
+        x.size, [np.flatnonzero(x00 == 0), np.flatnonzero(x00 == 1), np.flatnonzero(x00 == x01)]
     )
-    f = Potential(0.5 * x00)
+
+
+def test_overlap_cover_on_3x3_torus_is_certified_at_the_root(monkeypatch):
+    # The overlapping cover on the 3 x 3 torus and phi = 0.5 * x00.  At box
+    # (2, 2) the root bounds certify both greedy answers, whose values and
+    # states are pinned; without the bounds both searches ran out of nodes.
+    sys, x = torus_shift(3, 3)
+    cover = overlap_cover(x)
+    f = Potential(0.5 * (x & 1))
     results = []
 
     def recorded(solve):
@@ -401,11 +409,44 @@ def test_overlap_cover_on_3x3_torus_is_certified_at_the_root(monkeypatch):
     assert [(r.fallback, r.nodes) for r in results[2:]] == [(None, 1)] * 2
 
 
+def test_overlap_cover_on_4x4_torus_is_exact_at_box_2_2():
+    # 65,536 states; at (2, 2) the join has 49 members on 64 atoms, and the
+    # dual-ascent bounds of Q, P and G run over 64 distinct holder columns.
+    sys, x = torus_shift(4, 4)
+    quad = pressure_quadruple(sys, Potential(0.37 * (x & 1)), overlap_cover(x), (2, 2))
+    for mode in "QPSG":
+        assert (quad[mode].log_value, quad[mode].status) == (3.58065179892254, STATUS_EXACT)
+
+
+# SHA-256 of (box, mode, repr(log_value), status, chosen) over every sample of
+# the N = 2 evaluator on the 4 x 4 origin partition (all 16 boxes) and the
+# 3 x 3 overlapping cover, both under phi = 0.37 * x00.  A change that moves
+# any of these bytes must explain the new digest.
+N2_QUADRUPLE_SHA256 = "1113d0056f863504a2cfe5a961714ba01557b276d9b39c7317544696d4d02608"
+
+
+def test_n2_quadruple_bytes_are_pinned():
+    records = []
+    big, xa = torus_shift(4, 4)
+    origin = SetFamily.from_labels(xa & 1)
+    for n in itertools.product(range(1, 5), repeat=2):
+        quad = pressure_quadruple(big, Potential(0.37 * (xa & 1)), origin, n, member_budget=65536)
+        records += [(n, m, repr(s.log_value), s.status, s.chosen) for m, s in quad.items()]
+    small, xb = torus_shift(3, 3)
+    for n in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)):
+        quad = pressure_quadruple(small, Potential(0.37 * (xb & 1)), overlap_cover(xb), n)
+        records += [(n, m, repr(s.log_value), s.status, s.chosen) for m, s in quad.items()]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == N2_QUADRUPLE_SHA256
+
+
 @st.composite
 def wide_spread_instances(draw):
     """A system of at most 7 states (one map, or two commuting maps acting on
     the coordinates of a product), an overlapping cover or a partition, a
-    potential scaled by up to 2000, and a box of at most 2 per axis."""
+    potential scaled by up to 2000, and a box of at most 2 per axis.
+
+    Half the potentials are constant on the family's membership classes, so
+    the box's ergodic sums are constant on every atom of the join."""
     sizes = draw(st.sampled_from([(2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (3, 2)]))
     m = int(np.prod(sizes))
     coords = np.array(list(itertools.product(*(range(c) for c in sizes))))
@@ -425,9 +466,13 @@ def wide_spread_instances(draw):
             sets[0].add(min(sets[1]))
         family = SetFamily.from_state_sets(m, sets)
     scale = draw(st.floats(0.0, 2000.0))
-    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    flat = draw(st.booleans())
+    size = family.atom_count if flat else m
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    if flat:
+        values = values[family.atoms]
     n = tuple(draw(st.integers(1, 2)) for _ in sizes)
-    return FiniteSystem(generators=tuple(gens)), family, Potential(scale * np.array(values)), n
+    return FiniteSystem(generators=tuple(gens)), family, Potential(scale * values), n
 
 
 def _log_sum(values):
@@ -506,6 +551,49 @@ def test_pressure_quadruple_matches_enumeration_at_wide_spreads(case):
         assert list(chosen) == sorted(set(chosen))
         assert admissible(sum(1 << x for x in chosen)), mode
         assert log_sum_exp(solver_field[list(chosen)].tolist()) == quad[mode].log_value, mode
+
+
+def _atom_extremum(joined, f_field, pick):
+    """Per atom, the min or max of the ergodic sum and the lowest state
+    attaining it: one pass per extremum, as the evaluator took them before
+    it shared a flat field's min with its max."""
+    atoms = joined.atoms
+    best = membership_partition(joined).group_extremum(f_field, pick)
+    hits = np.flatnonzero(f_field == best[atoms])
+    reps = np.full(joined.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(reps, atoms[hits], hits)
+    return best, reps
+
+
+def _two_pass_extrema(joined, f_field):
+    return (*_atom_extremum(joined, f_field, "min"), *_atom_extremum(joined, f_field, "max"))
+
+
+@given(wide_spread_instances())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_extrema_give_the_two_pass_samples(case):
+    # Partitions and overlapping covers, with fields flat on the join's
+    # atoms and not: the evaluator's samples equal those it gives when the
+    # min and the max are taken in separate passes, byte for byte.
+    sys, family, f, n = case
+    joined, field = box_join(sys, family, f, n)
+    lo, lo_reps, hi, hi_reps = toppressure._atom_extrema(joined, field)
+    flat = bool((field == lo[joined.atoms]).all())
+    assert (hi is lo) == flat
+    assert (hi_reps is lo_reps) == flat
+    for got, want in zip((lo, lo_reps, hi, hi_reps), _two_pass_extrema(joined, field)):
+        assert got.tobytes() == want.tobytes()
+    quad = toppressure.quadruple_from_joined(joined, field, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toppressure, "_atom_extrema", _two_pass_extrema)
+        reference = toppressure.quadruple_from_joined(joined, field, n)
+    assert list(quad) == list(reference) == list("QPGS")
+    for mode, sample in quad.items():
+        want = reference[mode]
+        assert (sample.n, sample.lam, sample.status, sample.chosen) == (
+            want.n, want.lam, want.status, want.chosen
+        ), mode
+        assert repr(sample.log_value) == repr(want.log_value), mode
 
 
 def test_member_log_weights_modes():
