@@ -33,6 +33,7 @@ whichever way they are asked for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -515,29 +516,32 @@ class ClosenessGraph:
     """States are adjacent when some member of the joined family holds both.
 
     The graph runs off membership classes, i.e. the family's atoms, ordered
-    by their lowest state.  A class is internally a clique, and two classes
-    are adjacent exactly when their member sets intersect, which is all the
-    separated/spanning solvers need.  For a partition the classes are the
-    cells and the graph is a disjoint union of cliques.
+    by their lowest state; `class_sizes` counts the states of each.  A class
+    is internally a clique, and two classes are adjacent exactly when they
+    share a member, which is all the separated/spanning solvers need.  For a
+    cover, `holds` is the bool members x classes incidence and `shares` the
+    classes x classes matrix of classes sharing a member (every class shares
+    one with itself), computed once when first asked for.  A partition's
+    graph is a disjoint union of cliques, one per cell, and stores neither.
     """
 
     def __init__(self, family: SetFamily):
-        self.family = family
         _, first = np.unique(family.atoms, return_index=True)
         self.class_atoms = np.argsort(first)
-        self.class_members = [family.holders(a) for a in self.class_atoms]
+        self.class_sizes = np.bincount(family.atoms)[self.class_atoms]
+        self.holds = None
+        if not family.is_partition:
+            flags = np.array([family.atom_flags(i) for i in range(family.count)])
+            self.holds = flags[:, self.class_atoms]
+
+    @functools.cached_property
+    def shares(self) -> np.ndarray | None:
+        return None if self.holds is None else self.holds.T @ self.holds
 
     def class_adjacency(self) -> list[int]:
         """Bitmask adjacency between membership classes (no self loops)."""
-        member_classes: list[list[int]] = [[] for _ in range(self.family.count)]
-        for c, held in enumerate(self.class_members):
-            for m in held:
-                member_classes[m].append(c)
-        adj = [0] * len(self.class_members)
-        for classes in member_classes:
-            clique = 0
-            for c in classes:
-                clique |= 1 << c
-            for c in classes:
-                adj[c] |= clique & ~(1 << c)
-        return adj
+        if self.shares is None:
+            return [0] * len(self.class_atoms)
+        adjacent = self.shares.copy()
+        np.fill_diagonal(adjacent, False)
+        return [_mask(row) for row in adjacent]

@@ -43,25 +43,6 @@ def as_point(p: Iterable[int], dim: int | None = None) -> Coords:
     return pt
 
 
-def add(n: Coords, m: Coords) -> Coords:
-    if len(n) != len(m):
-        raise ValueError(f"dimension mismatch: {n} vs {m}")
-    out = tuple(a + b for a, b in zip(n, m))
-    if any(c > MAX_CARDINALITY for c in out):
-        raise BoxOverflowError(f"sum {n} + {m} leaves 64-bit range")
-    return out
-
-
-def mul(n: Coords, m: Coords) -> Coords:
-    """Componentwise product of two points."""
-    if len(n) != len(m):
-        raise ValueError(f"dimension mismatch: {n} vs {m}")
-    out = tuple(a * b for a, b in zip(n, m))
-    if any(c > MAX_CARDINALITY for c in out):
-        raise BoxOverflowError(f"product {n} * {m} leaves 64-bit range")
-    return out
-
-
 def diagonal(t: int, dim: int) -> Coords:
     """The point (t, ..., t); limits are taken along these."""
     return as_point([t] * dim)

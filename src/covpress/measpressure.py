@@ -16,6 +16,7 @@ identity that links separated sums to partition entropy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -131,8 +132,16 @@ def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
     """Entropy of a partition for a finite (not necessarily unit-mass) measure."""
     if not family.is_partition:
         raise ValueError("partition entropy needs a partition")
-    masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count).tolist()
-    return math.fsum(-v * math.log(v) for v in masses if v > 0.0)
+    masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
+    # One libm log per distinct mass, its term repeated once per class of
+    # that mass: `fsum` is exact, so this is the float of the class-by-class
+    # sum.  The runs of equal masses are found in place, without the copy
+    # that np.unique makes.
+    masses.sort()
+    starts = np.flatnonzero(np.r_[True, masses[1:] != masses[:-1]][: len(masses)])
+    counts = np.diff(starts, append=len(masses)).tolist()
+    terms = [(-v * math.log(v), c) for v, c in zip(masses[starts].tolist(), counts) if v > 0.0]
+    return math.fsum(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, terms)))
 
 
 def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:

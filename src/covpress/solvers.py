@@ -7,6 +7,13 @@ that its optimum is at least 1 (subcover: log-domain greedy value over the
 greedy ratio H(d); independent set: the largest log-weight), so whatever
 underflows is below float resolution; values go back to log scale.
 
+A subcover instance is a bool members x elements incidence with a size
+per element: an element may stand for several interchangeable ones (the
+states of one membership class), and counts that many times in the greedy
+gains, the H(d) shift and the search bound.  Since every member holds all
+or none of an element's copies, an instance and its expansion to one
+element per copy give the same result, nodes included.
+
 Exactness is never silently degraded: every result carries a status, and the
 branch-and-bound falls back to the greedy answer (with the greedy status)
 when an instance is over the size threshold or the node budget runs out;
@@ -20,18 +27,19 @@ clique-cover upper bound for the independent set (Ostergard 2001).  When the
 bound and the greedy value agree to within `_TIE_SLACK` (a few ulps,
 relative), the greedy answer is returned as exact after one node, whatever
 the instance size.  So `exact` means optimal up to that tie tolerance.  The
-dual ascent runs over the distinct holder columns of the members x elements
-incidence, one element per column: an element held by the same members as
-an earlier one would add 0 to the bound.
+dual ascent runs over the distinct holder columns of the incidence: an
+element held by the same members as an earlier one would add 0 to the bound.
 
-Both searches fix their branching order once, before the search.  The cover
-search branches on the uncovered element covered by the fewest members (a
-static degree: a member covering an uncovered element always still meets the
-uncovered set), ties to the lowest element, and tries its members by
-(weight, index).  The independent-set search branches on the heaviest
-candidate vertex, ties to the lowest index, taking it before leaving it out.
-Relabelling elements and vertices in that order lets every node find its
-branch as the lowest set bit of one mask.
+Both searches fix their branching order once, before the search, and run
+on an explicit stack, so Python's recursion limit does not bound their
+depth.  The cover search branches on the uncovered element covered by the
+fewest members (a static degree: a member covering an uncovered element
+always still meets the uncovered set), ties to the lowest element, and
+tries its members by (weight, index).  The independent-set search branches
+on the heaviest candidate vertex, ties to the lowest index, taking it
+before leaving it out.  Relabelling elements (each repeated `size` times)
+and vertices in that order lets every node find its branch as the lowest
+set bit of one mask.
 """
 
 from __future__ import annotations
@@ -87,24 +95,27 @@ class SolveResult:
         return self.status == STATUS_EXACT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedCoverInstance:
-    """Minimize the total weight of a subfamily whose union covers `universe`."""
+    """Minimize the total weight of a subfamily that covers every element.
 
-    universe: int
-    members: tuple[int, ...]
+    `incidence` is the bool members x elements matrix of which member holds
+    which element, and element e stands for `sizes[e]` interchangeable
+    elements (the states of one membership class): it counts that many
+    times in the greedy gains and in the search bound.
+    """
+
+    incidence: np.ndarray
+    sizes: np.ndarray
     log_weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.members) != len(self.log_weights):
-            raise ValueError("one weight per member required")
+        if self.incidence.shape != (len(self.log_weights), len(self.sizes)):
+            raise ValueError("one weight per member and one size per element required")
         if any(not math.isfinite(w) for w in self.log_weights):
             raise ValueError("log-weights must be finite")
-        union = 0
-        for m in self.members:
-            union |= m
-        if self.universe & ~union:
-            raise ValueError("members do not cover the universe")
+        if not self.incidence.any(axis=0).all():
+            raise ValueError("members do not cover every element")
 
 
 def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
@@ -119,27 +130,27 @@ def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
 
 
 def _greedy_cover(
-    universe: int, members: Sequence[int], log_weights: Sequence[float], candidates: list[int]
+    incidence: np.ndarray, sizes: np.ndarray, log_weights: Sequence[float]
 ) -> list[int]:
-    """Classic ratio greedy over the candidate members, in the log domain;
-    ties broken toward the lowest member index."""
+    """Classic ratio greedy in the log domain: take the member of least
+    log-weight minus log gain, the gain being the total size of the
+    uncovered elements it holds, until every element is covered; ties go
+    to the lowest member index."""
+    log_weights = np.asarray(log_weights, dtype=np.float64)
+    remaining = np.ones(len(sizes), dtype=bool)
+    gains = incidence @ sizes
     chosen: list[int] = []
-    remaining = universe
-    while remaining:
-        best_i = -1
-        best_ratio = math.inf
-        for i in candidates:
-            gain = (members[i] & remaining).bit_count()
-            if gain == 0:
-                continue
-            ratio = log_weights[i] - math.log(gain)
-            if ratio < best_ratio:
-                best_ratio = ratio
-                best_i = i
-        if best_i < 0:
-            raise ValueError("members do not cover the universe")
-        chosen.append(best_i)
-        remaining &= ~members[best_i]
+    while remaining.any():
+        useful = np.flatnonzero(gains)
+        if not len(useful):
+            raise ValueError("members do not cover every element")
+        distinct, which = np.unique(gains[useful], return_inverse=True)
+        logs = np.array([math.log(g) for g in distinct.tolist()])
+        best = int(useful[np.argmin(log_weights[useful] - logs[which])])
+        chosen.append(best)
+        covered = remaining & incidence[best]
+        remaining &= ~covered
+        gains = gains - incidence[:, covered] @ sizes[covered]
     return chosen
 
 
@@ -156,61 +167,53 @@ def min_subcover_value(
     by branch and bound when small enough, else greedily (the status says
     which).
     """
-    members = [m & inst.universe for m in inst.members]
+    incidence, sizes = inst.incidence, inst.sizes
     chosen: list[int] = []
-    remaining = inst.universe
-    active = [i for i, m in enumerate(members) if m]
+    remaining = np.ones(len(sizes), dtype=bool)
+    active = np.flatnonzero(incidence.any(axis=1))
 
-    # Peel forced members: an element covered by exactly one active member
-    # pins that member into every subcover.  `once` and `twice` hold the
-    # uncovered elements met by at least one and at least two active members.
-    while remaining:
-        once = twice = 0
-        for i in active:
-            m = members[i] & remaining
-            twice |= once & m
-            once |= m
-        forced = [i for i in active if members[i] & remaining & ~twice]
-        if not forced:
+    # Peel forced members: an element held by exactly one active member
+    # pins that member into every subcover.
+    while remaining.any():
+        held = incidence[np.ix_(active, remaining)]
+        forced = active[held[:, held.sum(axis=0) == 1].any(axis=1)]
+        if not len(forced):
             break
         # Each forced member alone holds one of its elements, so none of them
         # is covered by the others.
-        chosen.extend(forced)
-        for i in forced:
-            remaining &= ~members[i]
-        active = [i for i in active if members[i] & remaining]
+        chosen.extend(forced.tolist())
+        remaining &= ~incidence[forced].any(axis=0)
+        active = active[incidence[np.ix_(active, remaining)].any(axis=1)]
 
     status = STATUS_EXACT
     nodes = 0
     fallback = None
-    if remaining:
-        log_weights = inst.log_weights
-        greedy = _greedy_cover(remaining, members, log_weights, active)
-        total = log_sum_exp([log_weights[i] for i in greedy])
+    if remaining.any():
+        held, sizes = incidence[np.ix_(active, remaining)], sizes[remaining]
+        log_weights = np.array(inst.log_weights)[active]
+        greedy = _greedy_cover(held, sizes, log_weights)
+        total = log_sum_exp(log_weights[greedy])
         # Greedy is within H(d) of the optimum (Chvatal 1979), so this shift puts
         # the optimum at >= 1, and no optimal subcover holds a member heavier
         # than the greedy total.
-        d = max((members[i] & remaining).bit_count() for i in active)
+        d = int((held @ sizes).max())
         shift = total - math.log(math.fsum(1.0 / k for k in range(1, d + 1)))
-        active = [i for i in active if log_weights[i] <= total]
-        masks = [members[i] for i in active]
-        weights = [math.exp(log_weights[i] - shift) for i in active]
-        position = {i: k for k, i in enumerate(active)}
-        greedy_value = math.fsum(weights[position[i]] for i in greedy)
+        keep = np.flatnonzero(log_weights <= total)
+        held, active = held[keep], active[keep]
+        weights = [math.exp(w - shift) for w in log_weights[keep].tolist()]
+        greedy = np.searchsorted(keep, greedy).tolist()
         cover = greedy
-        if _ties(greedy_value, _dual_ascent_bound(remaining, masks, weights)):
+        if _ties(math.fsum(weights[k] for k in greedy), _dual_ascent_bound(held, weights)):
             nodes = 1
         elif len(active) > exact_limit:
             fallback = FALLBACK_OVER_EXACT_LIMIT
         else:
-            picked, nodes = _branch_and_bound_cover(
-                remaining, masks, weights, [position[i] for i in greedy], node_budget
-            )
+            picked, nodes = _branch_and_bound_cover(held, sizes, weights, greedy, node_budget)
             if picked is None:
                 fallback = FALLBACK_NODE_BUDGET
             else:
-                cover = [active[i] for i in picked]
-        chosen.extend(cover)
+                cover = picked
+        chosen.extend(active[cover].tolist())
         if fallback is not None:
             status = STATUS_GREEDY_UPPER
 
@@ -226,7 +229,7 @@ def _ties(value: float, bound: float) -> bool:
     return abs(value - bound) <= _TIE_SLACK * max(value, bound)
 
 
-def _dual_ascent_bound(universe: int, members: Sequence[int], weights: Sequence[float]) -> float:
+def _dual_ascent_bound(incidence: np.ndarray, weights: Sequence[float]) -> float:
     """A lower bound on the minimum cover weight from a feasible LP dual.
 
     Elements are taken by increasing degree, ties to the lowest element;
@@ -235,11 +238,12 @@ def _dual_ascent_bound(universe: int, members: Sequence[int], weights: Sequence[
     negative, so the y_e add up to at most the weight of any cover.  An
     element held by the same members as an earlier one finds one of them at
     residual 0 and gets y_e = 0, so only the first element of each distinct
-    holder list is taken, and the sum is the same float.
+    holder list is taken, and the sum is the same float.  Element sizes
+    play no part: a repeated element is a repeated holder list.
     """
     residual = list(weights)
     ys = []
-    for held in _distinct_holders(_incidence(universe, members))[0]:
+    for held in _distinct_holders(incidence[:, _by_degree(incidence)])[0]:
         y = min(residual[i] for i in held)
         for i in held:
             residual[i] -= y
@@ -247,21 +251,12 @@ def _dual_ascent_bound(universe: int, members: Sequence[int], weights: Sequence[
     return math.fsum(ys)
 
 
-def _incidence(universe: int, members: Sequence[int]) -> np.ndarray:
-    """Which members hold which elements of the universe, as a bool matrix
-    of members x elements with the elements in (degree, element) order."""
-    width = universe.bit_length()
-    size = (width + 7) // 8
-    raw = b"".join((m & universe).to_bytes(size, "little") for m in (universe, *members))
-    flags = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(members) + 1, size),
-        axis=1, count=width, bitorder="little",
-    ).view(bool)
-    incidence = flags[1:, flags[0]]
-    return incidence[:, np.argsort(incidence.sum(axis=0), kind="stable")]
+def _by_degree(incidence: np.ndarray) -> np.ndarray:
+    """The columns of an incidence in (degree, element) order."""
+    return np.argsort(incidence.sum(axis=0), kind="stable")
 
 
-def _distinct_holders(incidence: np.ndarray) -> tuple[list[list[int]], list[int]]:
+def _distinct_holders(incidence: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
     """The distinct columns of an incidence as lists of the members holding
     them (increasing indices), numbered in the order they first come, and
     every column's number."""
@@ -269,7 +264,7 @@ def _distinct_holders(incidence: np.ndarray) -> tuple[list[list[int]], list[int]
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
-    return [np.flatnonzero(incidence[:, k]).tolist() for k in first[order]], number[rank].tolist()
+    return [np.flatnonzero(incidence[:, k]).tolist() for k in first[order]], number[rank]
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -282,8 +277,8 @@ def _set_bits(mask: int) -> list[int]:
 
 
 def _branch_and_bound_cover(
-    universe: int,
-    members: list[int],
+    incidence: np.ndarray,
+    sizes: np.ndarray,
     weights: list[float],
     greedy: list[int],
     node_budget: int,
@@ -291,34 +286,42 @@ def _branch_and_bound_cover(
     """Exact minimum-weight cover, starting from the greedy cover, and the
     number of nodes visited; the cover is None if the node budget runs out.
 
-    Elements are relabelled by (degree, index), so the uncovered element with
-    the fewest covering members is the lowest set bit of the uncovered mask.
+    Elements are relabelled by (degree, index), and element e becomes
+    sizes[e] consecutive bits of each member's mask, so the uncovered element
+    with the fewest covering members is the lowest set bit of the uncovered
+    mask, and bit counts weigh every element by its size.
     """
-    incidence = _incidence(universe, members)
-    rebased = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in incidence
-    ]
+    order = _by_degree(incidence)
+    incidence, sizes = incidence[:, order], sizes[order]
     holders, held_by = _distinct_holders(incidence)
     options = [sorted(held, key=lambda i: (weights[i], i)) for held in holders]
+    held_by = np.repeat(held_by, sizes).tolist()
+    rebased = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in np.repeat(incidence, sizes, axis=1)
+    ]
 
     best_value = sum(weights[i] for i in greedy)
     best_set = list(greedy)
     nodes = 0
-    exhausted = False
-
-    def dfs(remaining: int, cost: float, picked: list[int], live: list[tuple[int, float]]):
-        nonlocal best_value, best_set, nodes, exhausted
-        if exhausted:
-            return
+    # Frames are (remaining, cost, picked, live), `picked` a linked list of
+    # (member, rest) cells and `live` the (mask, weight) pairs that still met
+    # the parent's uncovered set.  Children are pushed in reverse option
+    # order, so frames pop in the order a recursive search visits its nodes.
+    stack = [((1 << len(held_by)) - 1, 0.0, None, list(zip(rebased, weights)))]
+    while stack:
+        remaining, cost, picked, live = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            exhausted = True
-            return
+            return None, nodes
         if not remaining:
             if cost < best_value:
                 best_value = cost
-                best_set = list(picked)
-            return
+                best_set = []
+                while picked is not None:
+                    i, picked = picked
+                    best_set.append(i)
+            continue
         # Lower bound: every uncovered element at the best weight-per-element.
         # A member that misses `remaining` misses it in every subtree too, so
         # only the (mask, weight) pairs still meeting it are passed down.
@@ -333,14 +336,10 @@ def _branch_and_bound_cover(
                     best_ratio = weight / gain
         bound = remaining.bit_count() * best_ratio * (1.0 - _PRUNE_SLACK)
         if cost + bound > best_value * (1.0 + _PRUNE_SLACK):
-            return
-        for i in options[held_by[(remaining & -remaining).bit_length() - 1]]:
-            picked.append(i)
-            dfs(remaining & ~rebased[i], cost + weights[i], picked, still_live)
-            picked.pop()
-
-    dfs((1 << len(held_by)) - 1, 0.0, [], list(zip(rebased, weights)))
-    return (None if exhausted else sorted(best_set)), nodes
+            continue
+        for i in reversed(options[held_by[(remaining & -remaining).bit_length() - 1]]):
+            stack.append((remaining & ~rebased[i], cost + weights[i], (i, picked), still_live))
+    return sorted(best_set), nodes
 
 
 def max_weight_independent_set(
@@ -359,6 +358,8 @@ def max_weight_independent_set(
     count = len(adjacency)
     if count != len(log_weights):
         raise ValueError("one weight per vertex required")
+    if any(not math.isfinite(w) for w in log_weights):
+        raise ValueError("log-weights must be finite")
     shift = max(log_weights, default=0.0)
     weights = [math.exp(w - shift) for w in log_weights]
 

@@ -16,10 +16,14 @@ optional `exact_limit`, taken only by `quadruple_from_joined`, caps all four
 searches; without it Q and P search up to `EXACT_LIMIT_FAMILIES` members and
 G and S up to `EXACT_LIMIT_NODES` classes.
 
-Separated sets are maximum-weight independent sets of the closeness graph,
-spanning sets are minimum-weight dominating sets, and both collapse states
-with identical membership before the search, so partition-shaped instances
-of any size stay exact.
+States lying in exactly the same members (one atom of the join) are
+interchangeable for all four values, so every search runs over these
+classes, numbered by lowest state, each weighing its number of states.
+Q and P cover the classes with the members; separated sets are
+maximum-weight independent sets of the closeness graph of classes, and
+spanning sets are minimum-weight dominating sets, a cover of the classes
+by the classes sharing a member with each.  Partition-shaped instances of
+any size stay exact.
 
 When the ergodic field is constant on every atom of the join (a flat field;
 the paper's doubling potentials and the torus site potential give one), a
@@ -129,21 +133,17 @@ def member_log_weights(family: SetFamily, f_field: np.ndarray, mode: str) -> np.
 
 
 def _subcover_sample(
-    joined: SetFamily,
-    members: Sequence[int] | None,
-    weights: np.ndarray,
-    n: Coords,
-    exact_limit: int,
+    graph: ClosenessGraph | None, weights: np.ndarray, n: Coords, exact_limit: int
 ) -> PressureSample:
-    """Cheapest subcover of the joined family under per-member log-weights;
-    `members` are its state bitmasks, None for a partition."""
+    """Cheapest subcover of the joined family under per-member log-weights,
+    solved over the classes of its closeness graph; `graph` is None for a
+    partition."""
     lam = box_cardinality(n)
-    if joined.is_partition:
+    if graph is None:
         # Every class holds states no other member covers, so the subcover is
         # the whole family and no search is needed.
         return PressureSample(n, lam, log_sum_exp(weights), STATUS_EXACT)
-    universe = (1 << joined.state_count) - 1
-    inst = WeightedCoverInstance(universe, members, tuple(float(w) for w in weights))
+    inst = WeightedCoverInstance(graph.holds, graph.class_sizes, tuple(weights.tolist()))
     res = min_subcover_value(inst, exact_limit=exact_limit)
     return PressureSample(n, lam, res.log_value, res.status)
 
@@ -151,8 +151,8 @@ def _subcover_sample(
 def cover_value_from_joined(joined: SetFamily, f_field: np.ndarray, n: Coords) -> PressureSample:
     """Q alone, of an already joined family, given the ergodic field at box n."""
     weights = member_log_weights(joined, f_field, "Q")
-    members = None if joined.is_partition else joined.members
-    return _subcover_sample(joined, members, weights, n, EXACT_LIMIT_FAMILIES)
+    graph = None if joined.is_partition else ClosenessGraph(joined)
+    return _subcover_sample(graph, weights, n, EXACT_LIMIT_FAMILIES)
 
 
 def _atom_extrema(
@@ -214,13 +214,14 @@ def quadruple_from_joined(
     share a member, G the lightest set of states that every state shares a
     member with.
 
-    States with identical membership are mutually close, so S and G work on
-    membership classes (atoms), each represented by its heaviest (S) or
-    lightest (G) state: S is a maximum-weight independent set of the class
-    graph, and G a weighted set cover in which a class covers the union of
-    its members.  On a partition the class graph is edgeless and each class
-    can only be covered from inside, so G is Q's log-sum of class minima
-    and S is P's of class maxima.
+    All four work on membership classes (atoms): Q and P cover them with
+    the members, each class counting its states.  States with identical
+    membership are mutually close, so each class is represented by its
+    heaviest (S) or lightest (G) state: S is a maximum-weight independent
+    set of the class graph, and G a weighted cover of the classes in which
+    a class covers every class it shares a member with.  On a partition the
+    class graph is edgeless and each class can only be covered from inside,
+    so G is Q's log-sum of class minima and S is P's of class maxima.
 
     When the field is constant on every atom, each class's minimum is its
     maximum and its lowest state represents both, so one extremum pass
@@ -235,29 +236,21 @@ def quadruple_from_joined(
     lam = box_cardinality(n)
     lo, lo_reps, hi, hi_reps = _atom_extrema(joined, f_field)
     if joined.is_partition:
-        q = _subcover_sample(joined, None, lo, n, member_limit)
+        q = _subcover_sample(None, lo, n, member_limit)
         g = replace(q, chosen=tuple(np.sort(lo_reps).tolist()))
         if hi is lo:
             # Class maxima are the class minima and their states, so P is
             # Q's log-sum, and S is G's with the same states.
             return {"Q": q, "P": q, "G": g, "S": g}
-        p = _subcover_sample(joined, None, hi, n, member_limit)
+        p = _subcover_sample(None, hi, n, member_limit)
         return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=tuple(np.sort(hi_reps).tolist()))}
-    members = joined.members
-    out = {
-        "Q": _subcover_sample(joined, members, joined.per_member(lo, np.minimum), n, member_limit),
-        "P": _subcover_sample(joined, members, joined.per_member(hi, np.maximum), n, member_limit),
-    }
     graph = ClosenessGraph(joined)
+    out = {
+        "Q": _subcover_sample(graph, joined.per_member(lo, np.minimum), n, member_limit),
+        "P": _subcover_sample(graph, joined.per_member(hi, np.maximum), n, member_limit),
+    }
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
-    coverage = []
-    for held in graph.class_members:
-        cov = 0
-        for m in held:
-            cov |= members[m]
-        coverage.append(cov)
-    universe = (1 << joined.state_count) - 1
-    inst = WeightedCoverInstance(universe, tuple(coverage), tuple(lo.tolist()))
+    inst = WeightedCoverInstance(graph.shares, graph.class_sizes, tuple(lo.tolist()))
     g = min_subcover_value(inst, exact_limit=class_limit)
     s = max_weight_independent_set(graph.class_adjacency(), hi.tolist(), exact_limit=class_limit)
     out["G"] = PressureSample(

@@ -412,7 +412,9 @@ def test_criterion_10_solver_oracle_equivalence():
             cov |= v
         members[0] |= universe & ~cov
         lw = [float(v) for v in rng.uniform(-2, 2, n_mem)]
-        res = min_subcover_value(WeightedCoverInstance(universe, tuple(members), tuple(lw)))
+        incidence = np.array([[v >> b & 1 for b in range(n_el)] for v in members], dtype=bool)
+        inst = WeightedCoverInstance(incidence, np.ones(n_el, dtype=np.int64), tuple(lw))
+        res = min_subcover_value(inst)
         assert res.status == STATUS_EXACT
         best = None
         for r in range(n_mem + 1):

@@ -643,7 +643,7 @@ def test_closeness_graph_extremes():
     # One class holding every state: all states are close, with no edge to draw.
     g2 = ClosenessGraph(orbit_join(sys, SetFamily.trivial(5), (2,)))
     assert g2.class_adjacency() == [0]
-    assert g2.class_members == [(0,)]
+    assert g2.class_sizes.tolist() == [5] and g2.holds is None
 
 
 def test_closeness_components_match_itineraries():
@@ -661,7 +661,14 @@ def test_closeness_graph_cover_classes():
     fam = SetFamily.from_state_sets(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
     g = ClosenessGraph(fam)
     # Memberships {0}, {0,1}, {1,2}, {2,3}, {3}: one class per state, a path.
-    assert g.class_members == [(0,), (0, 1), (1, 2), (2, 3), (3,)]
+    assert [tuple(np.flatnonzero(held)) for held in g.holds.T] == [
+        (0,), (0, 1), (1, 2), (2, 3), (3,)
+    ]
+    assert g.class_sizes.tolist() == [1] * 5
+    # Classes sharing a member, each with itself: the path with loops.
+    assert [sum(1 << c for c in np.flatnonzero(row)) for row in g.shares] == [
+        0b00011, 0b00111, 0b01110, 0b11100, 0b11000
+    ]
     assert g.class_adjacency() == [0b00010, 0b00101, 0b01010, 0b10100, 0b01000]
 
 

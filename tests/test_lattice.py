@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covpress import lattice
 from covpress.lattice import (
     BoxOverflowError,
     EmptyBoxError,
@@ -157,10 +156,3 @@ def test_residue_fraction_vanishes_on_diagonal():
             dec = decompose(n, q, k)
             lam = box_cardinality(n)
             assert len(dec.residue) * t <= 2 * dim * max(q) * lam
-
-
-def test_add_mul_checked():
-    assert lattice.add((1, 2), (3, 4)) == (4, 6)
-    assert lattice.mul((2, 3), (4, 5)) == (8, 15)
-    with pytest.raises(BoxOverflowError):
-        lattice.mul((2**40,), (2**40,))

@@ -69,6 +69,21 @@ def test_partition_entropy_values():
     assert partition_entropy(FiniteMeasure(np.zeros(3)), thirds) == 0.0
 
 
+def test_partition_entropy_matches_the_per_class_sum():
+    # Few state weights and small classes, so class masses repeat and some
+    # classes are massless: one log per distinct mass still gives the bytes
+    # of the sum taken class by class.
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        m = int(rng.integers(1, 300))
+        family = SetFamily.from_labels(rng.integers(0, int(rng.integers(1, m + 1)), size=m))
+        mu = FiniteMeasure(rng.choice([0.0, 0.0, 1 / 3, 0.25, 1e-300, 2.5], size=m))
+        masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
+        want = math.fsum(-v * math.log(v) for v in masses.tolist() if v > 0.0)
+        assert repr(partition_entropy(mu, family)) == repr(want)
+    assert partition_entropy(FiniteMeasure(np.zeros(0)), SetFamily.trivial(0)) == 0.0
+
+
 def test_conditional_entropy_cases():
     mu = FiniteMeasure(np.array([0.25, 0.25, 0.25, 0.25]))
     rows = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}], kind="partition")

@@ -29,6 +29,25 @@ from covpress.solvers import (
 )
 
 
+def incidence_of(universe, members):
+    """Members as a bool members x elements matrix over the set bits of
+    `universe` in increasing order, and unit element sizes."""
+    bits = [b for b in range(universe.bit_length()) if universe >> b & 1]
+    rows = [[m >> b & 1 for b in bits] for m in members]
+    incidence = np.array(rows, dtype=bool).reshape(len(members), len(bits))
+    return incidence, np.ones(len(bits), dtype=np.int64)
+
+
+def cover_instance(universe, members, log_weights):
+    """The instance of covering `universe` with bitmask members."""
+    return WeightedCoverInstance(*incidence_of(universe, members), tuple(log_weights))
+
+
+def cover_search(universe, members, weights, greedy, node_budget):
+    """`_branch_and_bound_cover` on bitmask members."""
+    return _branch_and_bound_cover(*incidence_of(universe, members), weights, greedy, node_budget)
+
+
 def exhaustive_min_cover(universe, members, log_weights):
     """Reference optimum over all 2^k subfamilies, summed in index order."""
     best = None
@@ -69,7 +88,7 @@ def log_sum(log_weights, chosen):
 
 
 def test_single_member_cover():
-    inst = WeightedCoverInstance(0b1111, (0b1111,), (math.log(2.5),))
+    inst = cover_instance(0b1111, (0b1111,), (math.log(2.5),))
     res = min_subcover_value(inst)
     assert res.status == STATUS_EXACT
     assert res.log_value == pytest.approx(math.log(2.5))
@@ -79,7 +98,7 @@ def test_single_member_cover():
 def test_partition_instance_all_forced():
     members = (0b0011, 0b0100, 0b1000)
     lw = (0.2, -0.3, 0.7)
-    res = min_subcover_value(WeightedCoverInstance(0b1111, members, lw))
+    res = min_subcover_value(cover_instance(0b1111, members, lw))
     assert res.status == STATUS_EXACT
     assert res.chosen == (0, 1, 2)
     assert res.log_value == pytest.approx(log_sum(lw, [0, 1, 2]))
@@ -90,7 +109,7 @@ def test_partition_instance_exact_beyond_limit():
     members = tuple(1 << i for i in range(40))
     lw = tuple(0.01 * i for i in range(40))
     res = min_subcover_value(
-        WeightedCoverInstance((1 << 40) - 1, members, lw), exact_limit=4
+        cover_instance((1 << 40) - 1, members, lw), exact_limit=4
     )
     assert res.status == STATUS_EXACT
     assert res.chosen == tuple(range(40))
@@ -100,7 +119,7 @@ def test_three_member_pinned_case():
     # Universe {0,1,2,3}; members {0,1},{2,3},{1,2,3}; weights 1,1,1.5.
     members = (0b0011, 0b1100, 0b1110)
     lw = (math.log(1.0), math.log(1.0), math.log(1.5))
-    res = min_subcover_value(WeightedCoverInstance(0b1111, members, lw))
+    res = min_subcover_value(cover_instance(0b1111, members, lw))
     assert res.status == STATUS_EXACT
     assert math.exp(res.log_value) == pytest.approx(2.0)
     assert res.chosen == (0, 1)
@@ -108,7 +127,7 @@ def test_three_member_pinned_case():
 
 def test_non_covering_instance_rejected():
     with pytest.raises(ValueError, match="cover"):
-        WeightedCoverInstance(0b111, (0b001, 0b010), (0.0, 0.0))
+        cover_instance(0b111, (0b001, 0b010), (0.0, 0.0))
 
 
 def test_greedy_fallback_reports_status():
@@ -119,7 +138,7 @@ def test_greedy_fallback_reports_status():
     for m in members:
         universe |= m
     res = min_subcover_value(
-        WeightedCoverInstance(universe, members, lw), exact_limit=8
+        cover_instance(universe, members, lw), exact_limit=8
     )
     # Forced peeling may or may not finish the job; if members remain the
     # status must be the greedy one and the value a valid upper bound.
@@ -143,7 +162,7 @@ def test_subcover_matches_exhaustive_random():
         # Ensure coverage.
         members[0] |= universe & ~int(np.bitwise_or.reduce(np.array(members)))
         lw = [float(w) for w in rng.uniform(-2, 2, size=n_mem)]
-        inst = WeightedCoverInstance(universe, tuple(members), tuple(lw))
+        inst = cover_instance(universe, tuple(members), tuple(lw))
         res = min_subcover_value(inst)
         assert res.status == STATUS_EXACT
         assert res.log_value == exhaustive_min_cover(universe, members, lw)
@@ -223,10 +242,36 @@ def test_mwis_search_depth_is_not_bounded_by_the_call_stack():
     assert res.chosen == (0,) + tuple(range(2, n))
 
 
+def test_cover_search_depth_is_not_bounded_by_the_call_stack():
+    # The edge cover of an odd 2,001-cycle at equal weights: the greedy cover
+    # of 1,001 edges is optimal, the root bound does not certify it, and the
+    # search dives about 1,000 picks deep, beyond Python's default recursion
+    # limit, before its node budget runs out.
+    n = 2001
+    incidence = np.zeros((n, n), dtype=bool)
+    incidence[np.arange(n), np.arange(n)] = True
+    incidence[np.arange(n), (np.arange(n) + 1) % n] = True
+    inst = WeightedCoverInstance(incidence, np.ones(n, dtype=np.int64), (0.0,) * n)
+    res = min_subcover_value(inst, exact_limit=5000, node_budget=3000)
+    assert (res.status, res.fallback, res.nodes) == (
+        STATUS_GREEDY_UPPER, FALLBACK_NODE_BUDGET, 3001
+    )
+    assert len(res.chosen) == 1001
+    assert incidence[list(res.chosen)].any(axis=0).all()
+    greedy = _greedy_cover(incidence, inst.sizes, [0.0] * n)
+    assert _branch_and_bound_cover(incidence, inst.sizes, [1.0] * n, greedy, 3000) == (None, 3001)
+
+
+@pytest.mark.parametrize("log_weights", [[math.inf, 0.0], [1.0, math.nan], [-math.inf, 0.0]])
+def test_mwis_rejects_non_finite_log_weights(log_weights):
+    with pytest.raises(ValueError, match="finite"):
+        max_weight_independent_set([0b10, 0b01], log_weights)
+
+
 def test_subcover_light_members_do_not_underflow():
     # A 1000-heavy member used to set the scale, so the -5 member underflowed
     # to weight 0 and tied with the two 0-weight members.
-    inst = WeightedCoverInstance(0b11, (0b11, 0b01, 0b10, 0b11), (1000.0, 0.0, 0.0, -5.0))
+    inst = cover_instance(0b11, (0b11, 0b01, 0b10, 0b11), (1000.0, 0.0, 0.0, -5.0))
     res = min_subcover_value(inst)
     assert res.status == STATUS_EXACT
     assert res.chosen == (3,)
@@ -268,7 +313,7 @@ def wide_cover_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_subcover_exact_for_wide_log_weight_spreads(case):
     universe, members, lw = case
-    res = min_subcover_value(WeightedCoverInstance(universe, members, lw))
+    res = min_subcover_value(cover_instance(universe, members, lw))
     assert res.status == STATUS_EXACT
     cov = 0
     for i in res.chosen:
@@ -325,8 +370,9 @@ def test_root_certificates_bound_the_enumerated_optima(cover_case, graph_case):
         for combo in index_sets(len(kept))
         if not universe & ~union_of(masks[k] for k in combo)
     )
-    assert _dual_ascent_bound(universe, masks, weights) <= least * (1.0 + _TIE_SLACK)
-    res = min_subcover_value(WeightedCoverInstance(universe, members, lw))
+    bound = _dual_ascent_bound(incidence_of(universe, masks)[0], weights)
+    assert bound <= least * (1.0 + _TIE_SLACK)
+    res = min_subcover_value(cover_instance(universe, members, lw))
     if res.nodes == 1:
         assert (res.status, res.fallback) == (STATUS_EXACT, None)
         assert abs(res.log_value - opt) <= _TIE_SLACK + LOG_RESOLUTION
@@ -351,13 +397,13 @@ def test_root_certificates_bound_the_enumerated_optima(cover_case, graph_case):
 def test_solve_results_count_nodes_and_name_the_fallback():
     # Member 0 is forced; members 1 and 2 both cover {2, 3} at equal weight,
     # so the dual-ascent bound meets the greedy cover at the root.
-    inst = WeightedCoverInstance(0b1111, (0b0011, 0b1100, 0b1110), (0.0, 0.0, 0.0))
+    inst = cover_instance(0b1111, (0b0011, 0b1100, 0b1110), (0.0, 0.0, 0.0))
     res = min_subcover_value(inst)
     assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 1)
     # Three members pairwise covering three elements: the dual-ascent bound
     # reaches 1 of the optimal 2, so the search runs, from element 0 through
     # each of its two members to two leaves each.
-    triangle = WeightedCoverInstance(0b111, (0b011, 0b110, 0b101), (0.0, 0.0, 0.0))
+    triangle = cover_instance(0b111, (0b011, 0b110, 0b101), (0.0, 0.0, 0.0))
     res = min_subcover_value(triangle)
     assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 7)
     res = min_subcover_value(triangle, node_budget=1)
@@ -366,7 +412,7 @@ def test_solve_results_count_nodes_and_name_the_fallback():
     assert (res.status, res.fallback, res.nodes) == (
         STATUS_GREEDY_UPPER, FALLBACK_OVER_EXACT_LIMIT, 0
     )
-    res = min_subcover_value(WeightedCoverInstance(0b11, (0b01, 0b10), (0.0, 0.0)))
+    res = min_subcover_value(cover_instance(0b11, (0b01, 0b10), (0.0, 0.0)))
     assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 0)
 
     path = [0b010, 0b101, 0b010]
@@ -509,14 +555,14 @@ def cover_searches(draw):
     members[0] |= universe & ~union
     weights = draw(st.lists(search_weights, min_size=len(members), max_size=len(members)))
     log_weights = [math.log(w) for w in weights]
-    greedy = _greedy_cover(universe, members, log_weights, list(range(len(members))))
+    greedy = _greedy_cover(*incidence_of(universe, members), log_weights)
     return universe, members, weights, greedy, draw(st.integers(1, 2000))
 
 
 @given(cover_searches())
 @settings(max_examples=300, deadline=None)
 def test_cover_search_visits_the_reference_nodes(case):
-    assert _branch_and_bound_cover(*case) == _reference_branch_and_bound_cover(*case)
+    assert cover_search(*case) == _reference_branch_and_bound_cover(*case)
 
 
 @st.composite
@@ -538,6 +584,60 @@ def test_mwis_search_visits_the_reference_nodes(case):
     adjacency, weights, budget = case
     got = _branch_and_bound_mwis(adjacency, weights, _greedy_mwis(adjacency, weights), budget)
     assert got == _reference_branch_and_bound_mwis(adjacency, weights, budget)
+
+
+@st.composite
+def sized_covers(draw):
+    """Up to 10 members on up to 7 elements of sizes 1 to 4: linear search
+    weights, and their logs scaled to spreads of up to 2000, with an exact
+    limit and a node budget, often tight."""
+    count = draw(st.integers(1, 10))
+    held_by = draw(st.lists(st.integers(1, (1 << count) - 1), min_size=1, max_size=7))
+    incidence = np.array([[pattern >> i & 1 for pattern in held_by] for i in range(count)], bool)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=len(held_by), max_size=len(held_by)))
+    sizes = np.array(sizes)
+    weights = draw(st.lists(search_weights, min_size=count, max_size=count))
+    scale = draw(st.one_of(st.sampled_from([1.0, 200.0]), st.floats(0.0, 200.0)))
+    log_weights = tuple(scale * math.log(w) for w in weights)
+    limits = (draw(st.sampled_from([0, 3, 24])), draw(st.sampled_from([1, 5, 30, NODE_BUDGET])))
+    return incidence, sizes, weights, log_weights, limits
+
+
+# Here a search that counted each element once would visit other nodes.
+@example((
+    np.array([[1, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0],
+              [0, 1, 0, 0, 0, 0]], dtype=bool),
+    np.array([1, 1, 1, 2, 1, 1]),
+    [0.25, 1.0, 0.25, 0.625, 0.5],
+    tuple(math.log(w) for w in [0.25, 1.0, 0.25, 0.625, 0.5]),
+    (0, 1),
+))
+@given(sized_covers())
+@settings(max_examples=300, deadline=None)
+def test_sized_elements_solve_as_their_copies(case):
+    # An element of size k and k copies of it, each of size 1, give the same
+    # result: value bytes, chosen, status, nodes and fallback.  So do the
+    # greedy and the search on their own.
+    incidence, sizes, weights, log_weights, (exact_limit, node_budget) = case
+    copies = np.repeat(np.arange(len(sizes)), sizes)
+    expanded = (incidence[:, copies], np.ones(len(copies), dtype=np.int64))
+    got, want = (
+        min_subcover_value(
+            WeightedCoverInstance(*inst, log_weights),
+            exact_limit=exact_limit,
+            node_budget=node_budget,
+        )
+        for inst in ((incidence, sizes), expanded)
+    )
+    assert repr(got.log_value) == repr(want.log_value)
+    assert (got.chosen, got.status, got.nodes, got.fallback) == (
+        want.chosen, want.status, want.nodes, want.fallback
+    )
+    greedy = _greedy_cover(incidence, sizes, [math.log(w) for w in weights])
+    assert greedy == _greedy_cover(*expanded, [math.log(w) for w in weights])
+    assert _branch_and_bound_cover(incidence, sizes, weights, greedy, NODE_BUDGET) == (
+        _branch_and_bound_cover(*expanded, weights, greedy, NODE_BUDGET)
+    )
 
 
 def _counting_peel(universe, members):
@@ -579,7 +679,7 @@ def sparse_covers(draw):
 @settings(max_examples=300, deadline=None)
 def test_forced_peel_matches_a_counting_peel(case):
     universe, members, weights = case
-    res = min_subcover_value(WeightedCoverInstance(universe, tuple(members), tuple(weights)))
+    res = min_subcover_value(cover_instance(universe, tuple(members), tuple(weights)))
     peeled, left = _counting_peel(universe, members)
     assert (res.nodes == 0) == (left == 0)
     if left == 0:
@@ -643,10 +743,9 @@ def repeated_holder_covers(draw):
 @settings(max_examples=300, deadline=None)
 def test_dual_ascent_over_distinct_holders_matches_the_per_bit_walk(case):
     universe, members, log_weights, weights = case
-    bound = _dual_ascent_bound(universe, members, weights)
+    bound = _dual_ascent_bound(incidence_of(universe, members)[0], weights)
     assert repr(bound) == repr(_reference_dual_ascent_bound(universe, members, weights))
     # The search takes its holder lists from the same incidence.
-    active = [i for i, m in enumerate(members) if m & universe]
-    greedy = _greedy_cover(universe, members, log_weights, active)
+    greedy = _greedy_cover(*incidence_of(universe, members), log_weights)
     search = (universe, members, weights, greedy, 2000)
-    assert _branch_and_bound_cover(*search) == _reference_branch_and_bound_cover(*search)
+    assert cover_search(*search) == _reference_branch_and_bound_cover(*search)

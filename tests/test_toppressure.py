@@ -6,13 +6,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covpress import lattice, toppressure
-from covpress.coveralg import SetFamily, box_join, membership_partition, orbit_join
+from covpress.coveralg import (
+    ClosenessGraph,
+    SetFamily,
+    box_join,
+    membership_partition,
+    orbit_join,
+)
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, make_circle_doubling
-from covpress.solvers import STATUS_EXACT
+from covpress.solvers import NODE_BUDGET, STATUS_EXACT, WeightedCoverInstance, min_subcover_value
 from covpress.toppressure import (
     PressureSample,
     deep_partition_sample,
@@ -410,8 +416,8 @@ def test_overlap_cover_on_3x3_torus_is_certified_at_the_root(monkeypatch):
 
 
 def test_overlap_cover_on_4x4_torus_is_exact_at_box_2_2():
-    # 65,536 states; at (2, 2) the join has 49 members on 64 atoms, and the
-    # dual-ascent bounds of Q, P and G run over 64 distinct holder columns.
+    # 65,536 states; at (2, 2) the join has 49 members on 64 atoms, and Q,
+    # P and G are solved over those 64 classes of 1,024 states each.
     sys, x = torus_shift(4, 4)
     quad = pressure_quadruple(sys, Potential(0.37 * (x & 1)), overlap_cover(x), (2, 2))
     for mode in "QPSG":
@@ -594,6 +600,72 @@ def test_one_pass_extrema_give_the_two_pass_samples(case):
             want.n, want.lam, want.status, want.chosen
         ), mode
         assert repr(sample.log_value) == repr(want.log_value), mode
+
+
+@st.composite
+def overlapping_joins(draw):
+    """An overlapping cover of at most 9 states, joined over a box of at
+    most 2 per axis under one map or two commuting ones, with the ergodic
+    field of a potential scaled by up to 2000.  Members are dense, so the
+    join's classes often hold several states."""
+    sizes = draw(st.sampled_from([(4,), (6,), (8,), (9,), (2, 2), (2, 3), (3, 3)]))
+    m = int(np.prod(sizes))
+    coords = np.array(list(itertools.product(*(range(c) for c in sizes))))
+    gens = []
+    for axis, size in enumerate(sizes):
+        local = np.array(draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        moved = coords.copy()
+        moved[:, axis] = local[coords[:, axis]]
+        gens.append(np.ravel_multi_index(moved.T, sizes))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=2, max_size=4))
+    masks[0] |= ((1 << m) - 1) & ~int(np.bitwise_or.reduce(masks))
+    sets = [[x for x in range(m) if mask >> x & 1] for mask in masks]
+    family = SetFamily.from_state_sets(m, sets)
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    f = Potential(draw(st.floats(0.0, 2000.0)) * values)
+    n = tuple(draw(st.integers(1, 2)) for _ in sizes)
+    joined, field = box_join(FiniteSystem(generators=tuple(gens)), family, f, n)
+    assume(not joined.is_partition)
+    return joined, field
+
+
+@given(
+    overlapping_joins(),
+    st.sampled_from([0, 3, 24]),
+    st.one_of(st.integers(1, 30), st.just(NODE_BUDGET)),
+)
+@settings(max_examples=400, deadline=None)
+def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
+    # Q, P and G of an overlapping join are solved over its classes, each
+    # element weighing its class size.  Expanded to one element per state
+    # (sizes 1), the same instances give the same results: value bytes,
+    # chosen members, status, node count and fallback.
+    joined, field = case
+    graph = ClosenessGraph(joined)
+    rank = np.empty(joined.atom_count, dtype=np.int64)
+    rank[graph.class_atoms] = np.arange(joined.atom_count)
+    class_of_state = rank[joined.atoms]
+    lo = np.full(joined.atom_count, np.inf)
+    np.minimum.at(lo, class_of_state, field)
+    instances = (
+        (graph.holds, toppressure.member_log_weights(joined, field, "Q")),
+        (graph.holds, toppressure.member_log_weights(joined, field, "P")),
+        (graph.shares, lo),
+    )
+    for incidence, log_weights in instances:
+        log_weights = tuple(log_weights.tolist())
+        by_class = WeightedCoverInstance(incidence, graph.class_sizes, log_weights)
+        by_state = WeightedCoverInstance(
+            incidence[:, class_of_state], np.ones(len(field), dtype=np.int64), log_weights
+        )
+        got, want = (
+            min_subcover_value(inst, exact_limit=exact_limit, node_budget=node_budget)
+            for inst in (by_class, by_state)
+        )
+        assert repr(got.log_value) == repr(want.log_value)
+        assert (got.chosen, got.status, got.nodes, got.fallback) == (
+            want.chosen, want.status, want.nodes, want.fallback
+        )
 
 
 def test_member_log_weights_modes():
