@@ -3,9 +3,10 @@
 The config file format is one `key = value` pair per line, `#` starts a
 comment.  Unknown keys are rejected so typos cannot silently fall back to
 defaults, and so are keys the chosen experiment does not read.  Every
-randomized choice is pinned by `seed`; budgets must be positive, and the
-leakage geometry (rings, sectors, bands, slices) must fit the disk grid, so
-a bad value fails at load time rather than mid-run.
+randomized choice is pinned by `seed`; budgets must be positive, the
+leakage geometry (rings, sectors, bands, slices) must fit the disk grid,
+leakage needs two depths and the deep box 2**deep_exponent must fit in 64
+bits, so a bad value fails at load time rather than mid-run.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ class ExperimentConfig:
         for name in ("n_max", "member_budget", "cases", "seeds", "deep_exponent"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.experiment == "leakage" and self.n_max < 2:
+            # The admissible verdict reads a tail slope over the last two depths.
+            raise ValueError("leakage needs n_max >= 2")
+        if self.deep_exponent > 62:
+            # A box of 2**63 points leaves the 64-bit cardinality range.
+            raise ValueError("deep_exponent must be at most 62")
         if self.exact_limit is not None and self.exact_limit <= 0:
             raise ValueError("exact_limit must be positive")
         if not self.euclid_eps > 0:  # NaN too

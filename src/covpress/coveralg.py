@@ -28,7 +28,9 @@ point, adds the potential at each point to the field, and yields both after
 every shell.  A single box is the sweep's last item (`box_join`,
 `orbit_join`); a rate along the diagonal reads every item of the sweep over
 (n_max, .., n_max).  So the join and field at a box are the same bytes
-whichever way they are asked for.
+whichever way they are asked for.  `is_join_stable` is the one certificate
+that a join has stopped refining: joined with its pullback through every
+generator, it gains no member.
 """
 
 from __future__ import annotations
@@ -237,13 +239,6 @@ class SetFamily:
             [ufunc.reduce(per_atom[_bits(m, self.atom_count)]) for m in self._incidence]
         )
 
-    def group_extremum(self, values: np.ndarray, mode: str) -> np.ndarray:
-        """Per-member min or max of a per-state value array."""
-        reducer = np.minimum if mode == "min" else np.maximum
-        out = np.full(self.atom_count, np.inf if mode == "min" else -np.inf)
-        reducer.at(out, self.atoms, values)
-        return self.per_member(out, reducer)
-
     def __eq__(self, other) -> bool:
         """Equality as unordered families of sets."""
         if not isinstance(other, SetFamily):
@@ -394,6 +389,21 @@ def box_sweep(
                 field = field + f.values[tk]
         walked = lam
         yield box, SetFamily(state[0], state[2]), field
+
+
+def is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
+    """True when pulling back through every generator refines nothing more.
+
+    A stable orbit join equals the join over every larger box, so along a
+    sweep the certificate is read once, at the last box.
+    """
+    if family.count == sys.state_count:
+        return True  # one class per state: nothing left to refine
+    for axis in range(sys.dim):
+        k = tuple(1 if a == axis else 0 for a in range(sys.dim))
+        if join(family, preimage_family(sys, family, k)).count != family.count:
+            return False
+    return True
 
 
 def box_join(

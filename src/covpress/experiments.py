@@ -54,7 +54,6 @@ from covpress.measpressure import FiniteMeasure, measure_pressure
 from covpress.solvers import STATUS_EXACT, STATUS_GREEDY_LOWER
 from covpress.toppressure import (
     PressureSample,
-    cover_value_from_joined,
     deep_partition_sample,
     quadruple_from_joined,
     rate_sequence,
@@ -195,6 +194,8 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
                     arc_q.append(quad["Q"])
                 (reached,) = n
         except CoverBudgetError as exc:
+            if not arc_q:  # no arc depth fits: nothing to judge, say which budget
+                raise
             stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {exc}")
 
     estimate = rate_sequence(arc_q, "Q")
@@ -365,7 +366,10 @@ def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIte
         sys, rings, sectors, cfg.euclid_band, cfg.euclid_eps, cfg.n_max
     )
     q_samples = {
-        name: [cover_value_from_joined(joined, f_field, n) for n, joined, f_field in sweep(fam, f0)]
+        name: [
+            quadruple_from_joined(joined, f_field, n)["Q"]
+            for n, joined, f_field in sweep(fam, f0)
+        ]
         for name, fam in (("admissible", admissible), ("trivial", trivial))
     }
 

@@ -28,8 +28,8 @@ from covpress.coveralg import (
     box_join,
     box_sweep,
     classify_admissible_partition,
+    is_join_stable,
     join,
-    preimage_family,
     refines,
 )
 from covpress.dynsys import (
@@ -163,17 +163,6 @@ def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
     )
 
 
-def _is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
-    """True when pulling back through every generator refines nothing more."""
-    if family.count == sys.state_count:
-        return True  # one class per state: nothing left to refine
-    for axis in range(sys.dim):
-        k = tuple(1 if a == axis else 0 for a in range(sys.dim))
-        if join(family, preimage_family(sys, family, k)).count != family.count:
-            return False
-    return True
-
-
 def entropy_rate(
     mu: FiniteMeasure,
     sys: FiniteSystem,
@@ -188,22 +177,20 @@ def entropy_rate(
     limit (the subdivision argument behind the existence of the limit), and
     once the join is stable under every generator preimage the limit itself
     is zero: the joined entropy is stuck at a constant while the box grows.
+    A join stable at some depth equals the join at every deeper one, so the
+    last join is stable exactly when any was, and only it is tested.
     """
     if not family.is_partition:
         raise ValueError("entropy rates are defined for partitions")
     if check_invariance and not is_invariant(mu, sys):
         raise ValueError("measure is not invariant within tolerance")
     samples = []
-    stable = False
     sweep = box_sweep(sys, family, None, diagonal(n_max, sys.dim), member_budget)
     for n, joined, _ in sweep:
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
-        stable = stable or _is_join_stable(sys, joined)
-    est = rate_sequence(samples, "H")
-    exact_rates = [s.rate for s in samples]
-    est.fekete_bound = min(exact_rates)
-    if stable:
+    est = rate_sequence(samples, "H")  # raises unless the sweep yielded a join
+    if is_join_stable(sys, joined):
         # Joined entropy is constant from here on, so the rate limit is zero.
         est.extrapolated = 0.0
     return est

@@ -8,13 +8,15 @@ shares a member with a chosen one).  All values are handled and reported in
 log scale.  Q <= P and G <= S <= P hold instance by instance, and so does
 Q <= G when the joined family is a partition.
 
-`pressure_quadruple` is the per-box entry: it walks the box once for the
-join and the ergodic field and hands both to `quadruple_from_joined`, which
-rate sweeps call directly at every depth; `cover_value_from_joined` gives Q
-alone.  S and G samples carry their chosen states in `.chosen`.  One
-optional `exact_limit`, taken only by `quadruple_from_joined`, caps all four
-searches; without it Q and P search up to `EXACT_LIMIT_FAMILIES` members and
-G and S up to `EXACT_LIMIT_NODES` classes.
+`quadruple_from_joined` is the one evaluator: every value, at every box,
+is read off its result.  `pressure_quadruple` walks one box for the join and
+the ergodic field and hands both to it; rate sweeps call it at every depth;
+`deep_partition_sample` calls it on a stable partition with the ergodic
+field of a box too deep to walk.  S and G samples carry their chosen states
+in `.chosen`.  One optional `exact_limit`, taken only by
+`quadruple_from_joined`, caps all four searches; without it Q and P search
+up to `EXACT_LIMIT_FAMILIES` members and G and S up to `EXACT_LIMIT_NODES`
+classes.
 
 States lying in exactly the same members (one atom of the join) are
 interchangeable for all four values, so every search runs over these
@@ -47,6 +49,7 @@ from covpress.coveralg import (
     box_join,
     box_sweep,
     classify_admissible,
+    is_join_stable,
 )
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal
@@ -106,15 +109,16 @@ class PressureEstimate:
 def rate_sequence(samples: Sequence[PressureSample], mode: str) -> PressureEstimate:
     """Bundle samples into an estimate.
 
-    In P mode every exactly solved sample rate is a valid upper bound for the
-    limit (the value sequence is submultiplicative up to a vanishing boundary
-    correction), so the running minimum is reported as the bound.
+    In P and H (entropy) mode every exactly solved sample rate is a valid
+    upper bound for the limit (the value sequence is submultiplicative up to
+    a vanishing boundary correction), so the running minimum is reported as
+    the bound.
     """
     samples = sorted(samples, key=lambda s: s.lam)
     if not samples:
         raise ValueError("need at least one sample")
     fekete = None
-    if mode == "P":
+    if mode in ("P", "H"):
         exact_rates = [s.rate for s in samples if s.status == STATUS_EXACT]
         fekete = min(exact_rates) if exact_rates else None
     return PressureEstimate(
@@ -125,34 +129,14 @@ def rate_sequence(samples: Sequence[PressureSample], mode: str) -> PressureEstim
     )
 
 
-def member_log_weights(family: SetFamily, f_field: np.ndarray, mode: str) -> np.ndarray:
-    """Per-member log-weight: the min (Q) or max (P) of the ergodic sum."""
-    if mode not in ("Q", "P"):
-        raise ValueError(f"mode must be Q or P, got {mode!r}")
-    return family.group_extremum(f_field, "min" if mode == "Q" else "max")
-
-
 def _subcover_sample(
-    graph: ClosenessGraph | None, weights: np.ndarray, n: Coords, exact_limit: int
+    graph: ClosenessGraph, weights: np.ndarray, n: Coords, exact_limit: int
 ) -> PressureSample:
-    """Cheapest subcover of the joined family under per-member log-weights,
-    solved over the classes of its closeness graph; `graph` is None for a
-    partition."""
-    lam = box_cardinality(n)
-    if graph is None:
-        # Every class holds states no other member covers, so the subcover is
-        # the whole family and no search is needed.
-        return PressureSample(n, lam, log_sum_exp(weights), STATUS_EXACT)
+    """Cheapest subcover of the joined cover under per-member log-weights,
+    solved over the classes of its closeness graph."""
     inst = WeightedCoverInstance(graph.holds, graph.class_sizes, tuple(weights.tolist()))
     res = min_subcover_value(inst, exact_limit=exact_limit)
-    return PressureSample(n, lam, res.log_value, res.status)
-
-
-def cover_value_from_joined(joined: SetFamily, f_field: np.ndarray, n: Coords) -> PressureSample:
-    """Q alone, of an already joined family, given the ergodic field at box n."""
-    weights = member_log_weights(joined, f_field, "Q")
-    graph = None if joined.is_partition else ClosenessGraph(joined)
-    return _subcover_sample(graph, weights, n, EXACT_LIMIT_FAMILIES)
+    return PressureSample(n, box_cardinality(n), res.log_value, res.status)
 
 
 def _atom_extrema(
@@ -236,13 +220,15 @@ def quadruple_from_joined(
     lam = box_cardinality(n)
     lo, lo_reps, hi, hi_reps = _atom_extrema(joined, f_field)
     if joined.is_partition:
-        q = _subcover_sample(None, lo, n, member_limit)
+        # Every class holds states no other member covers, so the subcover
+        # is the whole family and no search is needed.
+        q = PressureSample(n, lam, log_sum_exp(lo), STATUS_EXACT)
         g = replace(q, chosen=tuple(np.sort(lo_reps).tolist()))
         if hi is lo:
             # Class maxima are the class minima and their states, so P is
             # Q's log-sum, and S is G's with the same states.
             return {"Q": q, "P": q, "G": g, "S": g}
-        p = _subcover_sample(None, hi, n, member_limit)
+        p = PressureSample(n, lam, log_sum_exp(hi), STATUS_EXACT)
         return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=tuple(np.sort(hi_reps).tolist()))}
     graph = ClosenessGraph(joined)
     out = {
@@ -265,23 +251,20 @@ def quadruple_from_joined(
 def stabilized_partition(sys: FiniteSystem, family: SetFamily) -> tuple[SetFamily, int]:
     """The orbit join at every depth beyond the point where it stops refining.
 
-    Only for 1-d actions.  Once joining one more preimage level adds nothing,
-    deeper joins never refine again, so the fixed partition equals the join
-    at every larger box.  Returns the partition and the depth at which it is
-    first attained.
+    Only for 1-d actions.  The first swept join that `is_join_stable`
+    accepts equals the join at every larger box; it is returned with its
+    depth, the depth at which the fixed partition is first attained.
     """
     if sys.dim != 1:
         raise ValueError("stabilization is implemented for 1-d actions")
     if not family.is_partition:
         raise ValueError("stabilization needs a partition")
     # A join of M states refines at most M - 1 times, so it is stable by depth M.
-    previous = None
     for (t,), joined, _ in box_sweep(
-        sys, family, None, (sys.state_count + 1,), member_budget=sys.state_count
+        sys, family, None, (sys.state_count,), member_budget=sys.state_count
     ):
-        if previous is not None and joined.count == previous.count:
-            return previous, t - 1
-        previous = joined
+        if is_join_stable(sys, joined):
+            return joined, t
     raise RuntimeError("partition failed to stabilize within the step limit")
 
 
@@ -292,20 +275,20 @@ def deep_partition_sample(
     exponent: int,
     mode: str = "Q",
 ) -> PressureSample:
-    """Exact pressure value of a partition at box depth 2**exponent.
+    """Exact Q, P, S or G value of a partition at box depth 2**exponent.
 
-    The join has stabilized long before such depths, so the member weights
-    only need the ergodic sums, which the doubling scheme provides without
-    iterating the box.  This reads the limit rate off a finite system to
-    float precision.
+    The join has stabilized long before such depths, so it is the stable
+    partition, and the evaluator only needs the ergodic sums, which the
+    doubling scheme provides without iterating the box.  This reads the
+    limit rate off a finite system to float precision.
     """
+    if mode not in ("Q", "P", "S", "G"):
+        raise ValueError(f"mode must be Q, P, S or G, got {mode!r}")
     stable, depth = stabilized_partition(sys, family)
     if 2**exponent < depth:
         raise ValueError(f"depth 2**{exponent} is below the stabilization depth {depth}")
     _, f_deep = birkhoff_doubling(sys, f, exponent)
-    weights = member_log_weights(stable, f_deep, mode)
-    lam = 2**exponent
-    return PressureSample((lam,), lam, log_sum_exp(weights), STATUS_EXACT)
+    return quadruple_from_joined(stable, f_deep, (2**exponent,))[mode]
 
 
 def topological_pressure(

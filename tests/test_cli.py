@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from covpress.cli import main
 from covpress.config import ExperimentConfig, load_config, parse_config_text
-from covpress.coveralg import SetFamily
+from covpress.coveralg import CoverBudgetError, SetFamily
 from covpress.dynsys import make_disk_system
 from covpress.experiments import (
     ResultRow,
@@ -152,6 +152,21 @@ def test_doubling_budget_stops_the_sweep():
     assert max(r.lam for r in rows if r.cover == "arcs") == 5
     assert "arcs swept to depth 5 of 8" in verdicts[0].detail
     assert len(verdicts) == 1
+
+
+def test_doubling_budget_below_depth_one_names_the_budget(tmp_path, capsys):
+    # No arc depth fits, so no rate can be judged: the sweep's own error
+    # reaches stderr, naming the budget.
+    with pytest.raises(CoverBudgetError, match="has 2 members, budget 1"):
+        run_experiment(load_config("doubling", overrides={"m": 101, "member_budget": 1}))
+    conf = tmp_path / "b.conf"
+    conf.write_text("m = 101\nmember_budget = 1\n", encoding="utf-8")
+    out = tmp_path / "res"
+    assert main(["doubling", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "join over box (1,) (cardinality 1) has 2 members, budget 1" in err
+    assert "need at least one sample" not in err
+    assert not (out / "doubling.csv").exists()
 
 
 def per_depth_euclid_count(sys, rings, sectors, band, eps, depth):
@@ -310,6 +325,35 @@ def test_bad_leakage_geometry_rejected_at_load_time(tmp_path, values, key):
     out = tmp_path / "res"
     assert main(["leakage", "--config", str(conf), "--out", str(out)]) == 1
     assert not (out / "leakage.csv").exists()
+
+
+def test_leakage_needs_two_depths(tmp_path, capsys):
+    # The admissible verdict reads a tail slope over the last two depths.
+    with pytest.raises(ValueError, match="leakage needs n_max >= 2"):
+        load_config("leakage", overrides={"n_max": 1})
+    out = tmp_path / "res"
+    assert main(["leakage", "--n-max", "1", "--out", str(out)]) == 1
+    assert "error: leakage needs n_max >= 2" in capsys.readouterr().err
+    assert not (out / "leakage.csv").exists()
+    assert load_config("leakage", overrides={"n_max": 2}).n_max == 2
+
+
+def test_deep_exponent_must_fit_in_64_bits(tmp_path, capsys):
+    conf = tmp_path / "deep.conf"
+    conf.write_text("deep_exponent = 70\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="deep_exponent must be at most 62"):
+        load_config("finite-vp", config_path=conf)
+    with pytest.raises(ValueError, match="deep_exponent must be at most 62"):
+        load_config("finite-vp", overrides={"deep_exponent": 63})
+    out = tmp_path / "res"
+    assert main(["finite-vp", "--config", str(conf), "--out", str(out)]) == 1
+    assert "error: deep_exponent must be at most 62" in capsys.readouterr().err
+    assert not (out / "finite-vp.csv").exists()
+    # The largest accepted exponent runs: its box, 2**62 points, is in range.
+    cfg = load_config("finite-vp", overrides={"deep_exponent": 62, "seeds": 2, "n_max": 2})
+    rows, verdicts = run_experiment(cfg)
+    assert verdicts[0].passed
+    assert [r.lam for r in rows if r.lam > 2] == [2**62, 2**62]
 
 
 def test_finite_vp_two_seeds():

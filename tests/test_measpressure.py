@@ -1,13 +1,16 @@
 """Measures, entropy, measure pressure, and the lower-bound construction."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpress import coveralg, dynsys, lattice, measpressure
-from covpress.coveralg import SetFamily, join, orbit_join
+from covpress.coveralg import SetFamily, is_join_stable, join, orbit_join
 from covpress.dynsys import (
     FiniteSystem,
     Potential,
@@ -31,7 +34,8 @@ from covpress.measpressure import (
     separated_entropy_link_check,
     variation_distance,
 )
-from covpress.toppressure import pressure_quadruple
+from covpress.solvers import STATUS_EXACT
+from covpress.toppressure import PressureSample, pressure_quadruple
 
 
 def three_cycle_system():
@@ -170,10 +174,10 @@ def test_singleton_join_is_stable_without_joining(monkeypatch):
     def refuse(*args):
         raise AssertionError("a join with one class per state was refined")
 
-    monkeypatch.setattr(measpressure, "join", refuse)
-    assert measpressure._is_join_stable(sys, SetFamily.singletons(101))
+    monkeypatch.setattr(coveralg, "join", refuse)
+    assert is_join_stable(sys, SetFamily.singletons(101))
     monkeypatch.undo()
-    assert not measpressure._is_join_stable(sys, SetFamily.from_labels(np.arange(101) < 50))
+    assert not is_join_stable(sys, SetFamily.from_labels(np.arange(101) < 50))
 
 
 def test_entropy_subadditivity_random():
@@ -207,6 +211,52 @@ def test_entropy_rate_dirac_and_trivial():
     trivial = SetFamily.from_state_sets(3, [range(3)], kind="partition")
     est2 = entropy_rate(FiniteMeasure.uniform(3), sys, trivial, 4, check_invariance=False)
     assert est2.extrapolated == pytest.approx(0.0)
+
+
+def test_entropy_rate_needs_a_sample():
+    sys = three_cycle_system()
+    with pytest.raises(ValueError, match="need at least one sample"):
+        entropy_rate(FiniteMeasure.uniform_on([0, 1, 2], 4), sys, SetFamily.singletons(4), 0)
+
+
+@st.composite
+def lattice_partitions(draw):
+    """One map, or two commuting maps acting on the coordinates of a
+    product, on at most 9 states; a partition into at most 3 classes; a
+    positive measure; and a diagonal depth of at most 4."""
+    sizes = draw(st.sampled_from([(2,), (3,), (5,), (7,), (9,), (2, 2), (2, 3), (3, 3)]))
+    m = int(np.prod(sizes))
+    coords = np.array(list(itertools.product(*(range(c) for c in sizes))))
+    gens = []
+    for axis, size in enumerate(sizes):
+        local = np.array(draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        moved = coords.copy()
+        moved[:, axis] = local[coords[:, axis]]
+        gens.append(np.ravel_multi_index(moved.T, sizes))
+    labels = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    family = SetFamily.from_labels(np.array(labels))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    mu = FiniteMeasure(weights / weights.sum())
+    return FiniteSystem(generators=tuple(gens)), family, mu, draw(st.integers(1, 4))
+
+
+@given(lattice_partitions())
+@settings(max_examples=300, deadline=None)
+def test_entropy_rate_reads_stability_at_the_last_depth(case):
+    # Testing stability at every depth and taking the OR gives the same
+    # estimate as testing the last join alone, with the same bound.
+    sys, family, mu, n_max = case
+    samples, stable = [], False
+    for t in range(1, n_max + 1):
+        n = lattice.diagonal(t, sys.dim)
+        joined = orbit_join(sys, family, n, member_budget=10**6)
+        h = partition_entropy(mu, joined)
+        samples.append(PressureSample(n, lattice.box_cardinality(n), h, STATUS_EXACT))
+        stable = stable or is_join_stable(sys, joined)
+    est = entropy_rate(mu, sys, family, n_max, check_invariance=False)
+    assert [s.log_value for s in est.samples] == [s.log_value for s in samples]
+    assert est.fekete_bound == min(s.rate for s in samples)
+    assert est.extrapolated == (0.0 if stable else samples[-1].rate)
 
 
 def test_entropy_rate_requires_invariance():
@@ -368,7 +418,8 @@ def test_upper_bound_lemma_fixed_depth():
         for t in (1, 2, 3):
             joined = orbit_join(sys, c, (t,))
             f_field = birkhoff_field(sys, f, (t,))
-            sup_per_cell = joined.group_extremum(f_field, "max")
+            sup_per_cell = np.full(joined.count, -np.inf)
+            np.maximum.at(sup_per_cell, joined.atoms, f_field)
             shift = float(sup_per_cell.max())
             log_sum = shift + math.log(
                 math.fsum(math.exp(v - shift) for v in sup_per_cell)

@@ -14,7 +14,7 @@ from covpress.coveralg import (
     ClosenessGraph,
     SetFamily,
     box_join,
-    membership_partition,
+    box_sweep,
     orbit_join,
 )
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, make_circle_doubling
@@ -23,7 +23,6 @@ from covpress.toppressure import (
     PressureSample,
     deep_partition_sample,
     log_sum_exp,
-    member_log_weights,
     pressure_quadruple,
     rate_sequence,
     stabilized_partition,
@@ -296,11 +295,53 @@ def test_deep_partition_sample_matches_direct():
     rng = np.random.default_rng(9)
     f = Potential(rng.uniform(-0.5, 0.5, 31))
     part = arc_cover(31, kind="partition")
-    for mode in ("Q", "P"):
+    for mode in ("Q", "P", "S", "G"):
         deep = deep_partition_sample(sys, f, part, 5, mode=mode)
         direct = pressure_quadruple(sys, f, part, (32,), member_budget=10**6)[mode]
         assert deep.log_value == pytest.approx(direct.log_value, abs=1e-9)
         assert deep.lam == 32
+
+
+def test_deep_partition_sample_rejects_unknown_mode():
+    sys = make_circle_doubling(31)
+    f = Potential.constant(0.0, 31)
+    for mode in ("X", "", "QP", "H"):
+        with pytest.raises(ValueError, match="mode must be Q, P, S or G"):
+            deep_partition_sample(sys, f, arc_cover(31, kind="partition"), 5, mode=mode)
+
+
+def stabilized_by_counts(sys, family):
+    """The stable partition and its depth, found as the first depth whose
+    count the next depth repeats."""
+    previous = None
+    for (t,), joined, _ in box_sweep(
+        sys, family, None, (sys.state_count + 1,), member_budget=sys.state_count
+    ):
+        if previous is not None and joined.count == previous.count:
+            return previous, t - 1
+        previous = joined
+    raise AssertionError("no depth repeated its predecessor's count")
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
+            st.lists(st.integers(0, 3), min_size=m, max_size=m),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_stabilized_partition_matches_the_count_comparison(case):
+    # The first join the stability certificate accepts is the join whose
+    # count the next depth repeats: same depth, same atom bytes.
+    gen, labels = (np.array(v) for v in case)
+    sys = FiniteSystem(generators=(gen,))
+    family = SetFamily.from_labels(labels)
+    stable, depth = stabilized_partition(sys, family)
+    want, want_depth = stabilized_by_counts(sys, family)
+    assert depth == want_depth
+    assert stable.atoms.tobytes() == want.atoms.tobytes()
 
 
 def test_deep_sample_identity_map_reads_max():
@@ -564,7 +605,8 @@ def _atom_extremum(joined, f_field, pick):
     attaining it: one pass per extremum, as the evaluator took them before
     it shared a flat field's min with its max."""
     atoms = joined.atoms
-    best = membership_partition(joined).group_extremum(f_field, pick)
+    best = np.full(joined.atom_count, np.inf if pick == "min" else -np.inf)
+    (np.minimum if pick == "min" else np.maximum).at(best, atoms, f_field)
     hits = np.flatnonzero(f_field == best[atoms])
     reps = np.full(joined.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(reps, atoms[hits], hits)
@@ -646,11 +688,13 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
     rank[graph.class_atoms] = np.arange(joined.atom_count)
     class_of_state = rank[joined.atoms]
     lo = np.full(joined.atom_count, np.inf)
-    np.minimum.at(lo, class_of_state, field)
+    np.minimum.at(lo, joined.atoms, field)
+    hi = np.full(joined.atom_count, -np.inf)
+    np.maximum.at(hi, joined.atoms, field)
     instances = (
-        (graph.holds, toppressure.member_log_weights(joined, field, "Q")),
-        (graph.holds, toppressure.member_log_weights(joined, field, "P")),
-        (graph.shares, lo),
+        (graph.holds, joined.per_member(lo, np.minimum)),
+        (graph.holds, joined.per_member(hi, np.maximum)),
+        (graph.shares, lo[graph.class_atoms]),
     )
     for incidence, log_weights in instances:
         log_weights = tuple(log_weights.tolist())
@@ -666,15 +710,6 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
         assert (got.chosen, got.status, got.nodes, got.fallback) == (
             want.chosen, want.status, want.nodes, want.fallback
         )
-
-
-def test_member_log_weights_modes():
-    fam = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}], kind="partition")
-    field = np.array([1.0, 2.0, -1.0, 5.0])
-    assert member_log_weights(fam, field, "Q").tolist() == [1.0, -1.0]
-    assert member_log_weights(fam, field, "P").tolist() == [2.0, 5.0]
-    with pytest.raises(ValueError):
-        member_log_weights(fam, field, "X")
 
 
 def test_log_sum_exp_empty_and_large():
