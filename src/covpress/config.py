@@ -5,6 +5,7 @@ comment.  Unknown keys are rejected so typos cannot silently fall back to
 defaults, and so are keys the chosen experiment does not read.  Every
 randomized choice is pinned by `seed`; budgets must be positive, the
 leakage geometry (rings, sectors, bands, slices) must fit the disk grid,
+`slices` must be at least 2 so the pizza cover stays non-admissible,
 leakage needs two depths and the deep box 2**deep_exponent must fit in 64
 bits, so a bad value fails at load time rather than mid-run.
 """
@@ -98,8 +99,10 @@ class ExperimentConfig:
         for name in ("euclid_band", "annulus_rings"):
             if not 1 <= getattr(self, name) <= self.rings:
                 raise ValueError(f"{name} must be between 1 and rings = {self.rings}")
-        if self.slices < 1 or self.sectors % self.slices:
-            raise ValueError(f"slices must be a positive divisor of sectors = {self.sectors}")
+        if self.slices < 2 or self.sectors % self.slices:
+            # One slice holds the whole marked ring, so the pizza cover
+            # would be admissible.
+            raise ValueError(f"slices must be a divisor of sectors = {self.sectors}, at least 2")
 
 
 # How a config file value of each key is read: by the type of its field.

@@ -10,9 +10,10 @@ Rates are read along the diagonal boxes, and each cover is swept once:
 points per depth, and every value at that depth is computed from that one
 join.  The euclidean separated counts of all depths come from one pass as
 well: a grid of time-0 buckets proposes candidate pairs, the exact distance
-test decides them, and memory stays O(cells x depth).  The disk grid, the
-pizza cover and the annulus partition are built from arrays, not per-cell
-loops.
+test at time 0 filters them, the full-depth test decides the rest, and a
+greedy over per-cell depth bitmasks counts every depth at once; memory
+stays O(cells x depth).  The disk grid, the pizza cover and the annulus
+partition are built from arrays, not per-cell loops.
 """
 
 from __future__ import annotations
@@ -271,11 +272,21 @@ def euclid_separated_count(
     eps: a close pair lies in neighbouring buckets, so each cell's candidates
     are its later cells in the 3 x 3 buckets around its own.  The exact
     distance test then decides every candidate, so the bucketing can widen
-    the candidate set but never change a decision.  Rows are handled in
+    the candidate set but never change a decision.  The test runs at time 0
+    first; only the pairs close there get distances at every time, since a
+    pair apart at time 0 is separated at every depth.  Rows are handled in
     chunks of bounded candidates x depth, so memory stays O(cells x depth)
-    however many pairs are close.  Then each cell in turn, at every depth
-    where it is still unblocked, blocks its later cells that stay close
-    through that depth.
+    however many pairs are close.
+
+    The greedy runs on depth bitmasks: each cell has a Python int whose bit
+    d - 1 says it is close through depth d to an earlier chosen cell, and
+    each close pair's rows are packed the same way (64-bit words, low word
+    first, so depths over 64 work too).  Each cell in turn is chosen at the
+    depths where its bit is clear; a cell chosen at none is skipped, and
+    otherwise it blocks, at those depths, its later cells that stay close
+    through them.  A cell's pairs become Python ints only when it is chosen
+    somewhere, which keeps the traced memory of a chunk small.  The count
+    at depth d is the number of cells without bit d - 1.
     """
     # The outer `band` rings, ring by ring, each in sector order.
     band_states = np.arange(_disk_index(sectors, rings - band, 0), _disk_index(sectors, rings, 0))
@@ -307,8 +318,11 @@ def euclid_separated_count(
     # one row never has more than `count` candidates.
     budget = max(count, (1 << 16) // depth)
 
-    # blocked[i, d - 1]: cell i is close through depth d to an earlier chosen cell.
-    blocked = np.zeros((count, depth), dtype=bool)
+    # blocked[i] bit d - 1: cell i is close through depth d to an earlier chosen cell.
+    full = (1 << depth) - 1
+    words = -(-depth // 64)
+    nbytes = 8 * words
+    blocked = [0] * count
     start = 0
     while start < count:
         stop = int(np.searchsorted(offsets, offsets[start] + budget, "right")) - 1
@@ -318,18 +332,33 @@ def euclid_separated_count(
         j = order[np.arange(runs.sum()) + np.repeat(lo[start:stop].ravel() - run_starts, runs)]
         later = j > i
         i, j = i[later], j[later]
-        # Column k: still close at every time up to k, so unseparated at depth k + 1.
+        # A pair apart at time 0 is separated at every depth.
+        near = ~(np.sqrt((x[0, i] - x[0, j]) ** 2 + (y[0, i] - y[0, j]) ** 2) > eps)
+        i, j = i[near], j[near]
+        # Row k: still close at every time up to k, so unseparated at depth k + 1.
         close = ~np.logical_or.accumulate(
             np.sqrt((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2) > eps, axis=0
-        ).T
-        near = close[:, 0]
-        i, j, close = i[near], j[near], close[near]
+        )
+        # A pair's mask: bit k is row k, in 64-bit words, low word first.
+        packed = np.packbits(close, axis=0, bitorder="little")
+        masks = np.zeros((len(i), nbytes), dtype=np.uint8)
+        masks[:, : len(packed)] = packed.T
+        masks = masks.view("<u8")
         firsts = np.flatnonzero(np.diff(i, prepend=-1))
         for cell, a, b in zip(i[firsts].tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(i)]):
             # The cell is chosen at exactly the depths where it is unblocked.
-            blocked[j[a:b]] |= ~blocked[cell] & close[a:b]
+            free = full & ~blocked[cell]
+            if not free:
+                continue
+            cell_masks = masks[a:b, 0].tolist()
+            for w in range(1, words):
+                cell_masks = [m | h << 64 * w for m, h in zip(cell_masks, masks[a:b, w].tolist())]
+            for other, mask in zip(j[a:b].tolist(), cell_masks):
+                blocked[other] |= free & mask
         start = stop
-    return (count - blocked.sum(axis=0)).tolist()
+    rows = np.frombuffer(b"".join(b.to_bytes(nbytes, "little") for b in blocked), dtype=np.uint8)
+    bits = np.unpackbits(rows.reshape(count, nbytes), axis=1, bitorder="little")[:, :depth]
+    return (count - bits.sum(axis=0)).tolist()
 
 
 def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictItem]]:
@@ -350,11 +379,13 @@ def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIte
     rows: list[ResultRow] = []
 
     pizza = pizza_cover(sys, rings, sectors, cfg.slices)
-    assert not classify_admissible(sys, pizza).is_admissible
+    if classify_admissible(sys, pizza).is_admissible:
+        raise ValueError(f"the pizza cover with {cfg.slices} slices is admissible")
     # Distinct itineraries of the cover: classes of the membership partition.
     pizza_cells = membership_partition(pizza)
     admissible = annulus_cell_partition(sys, rings, sectors, cfg.annulus_rings)
-    assert classify_admissible(sys, admissible).is_admissible
+    if not classify_admissible(sys, admissible).is_admissible:
+        raise ValueError(f"the annulus partition with {cfg.annulus_rings} rings is not admissible")
     trivial = SetFamily.trivial(m)
 
     def sweep(family, f=None):

@@ -260,6 +260,20 @@ def test_euclid_counts_with_eps_over_several_rings(widths):
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "rings, sectors, band, eps, depth",
+    [(3, 16, 3, 0.3, 65), (4, 12, 4, 0.5, 67), (5, 8, 4, 0.2, 70), (5, 16, 5, 0.3, 68)],
+)
+def test_euclid_counts_past_depth_64(rings, sectors, band, eps, depth):
+    # Orbits merge toward the centre, so some pairs stay close past depth
+    # 64 and the greedy reads the high word of their depth masks.
+    sys = make_disk_system(rings, sectors)
+    got = euclid_separated_count(sys, rings, sectors, band, eps, depth)
+    want = [per_depth_euclid_count(sys, rings, sectors, band, eps, d) for d in range(1, depth + 1)]
+    assert got == want
+    assert got[64] < band * sectors  # a cell is blocked at depth 65
+
+
 def pizza_cover_by_sets(sys, rings, sectors, slices):
     """Reference: the pizza cover from state-set comprehensions."""
     width = sectors // slices
@@ -309,6 +323,7 @@ BAD_LEAKAGE_GEOMETRY = [
     ({"annulus_rings": 0}, "annulus_rings"),
     ({"rings": 8, "annulus_rings": 9}, "annulus_rings"),
     ({"slices": 0}, "slices"),
+    ({"slices": 1}, "slices"),
     ({"sectors": 16, "slices": 3}, "slices"),
     ({"rings": 1}, "rings"),
     ({"sectors": 1, "slices": 1}, "sectors"),
