@@ -323,11 +323,11 @@ BAD_LEAKAGE_GEOMETRY = [
     ({"annulus_rings": 0}, "annulus_rings"),
     ({"rings": 8, "annulus_rings": 9}, "annulus_rings"),
     ({"slices": 0}, "slices"),
-    ({"slices": 1}, "slices"),
     ({"sectors": 16, "slices": 3}, "slices"),
     ({"rings": 1}, "rings"),
     ({"sectors": 1, "slices": 1}, "sectors"),
     ({"euclid_eps": float("nan")}, "euclid_eps"),
+    ({"slices": 1}, "slices"),
 ]
 
 
