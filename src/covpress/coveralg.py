@@ -15,7 +15,11 @@ state count the codes are ranked through a flag array in time linear in
 both; past that the kernel sorts them, with the same result.  Only covers
 with overlapping members also lift their member bitmasks onto the finer
 atoms and intersect them.  `join`, `preimage_family`, `refines`, partition
-equality and every box sweep step are that kernel.  On top of families sit
+equality and every box sweep step are that kernel.  Within a sweep's
+shell a partition's codes stay unranked, as mixed-radix itinerary codes,
+and are ranked once per yielded box, or sooner when their code space
+passes the member budget or the flag bound; the atoms, counts and budget
+errors are those of ranking at every point.  On top of families sit
 admissibility classification against the system's marked states, the
 strongly-admissible cover built from an admissible partition, the
 potential-level cover, and the closeness graph of states sharing a member.
@@ -53,15 +57,21 @@ class CoverBudgetError(RuntimeError):
     """A join exceeded the configured member or box budget."""
 
 
+def _flag_bound(size: int) -> int:
+    """The largest code space `_dense_unique` ranks `size` codes in through a
+    flag array: four times the input plus 4096."""
+    return 4 * size + 4096
+
+
 def _dense_unique(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """`np.unique(codes, return_inverse=True)` for int64 codes in [0, bound).
 
     The sorted distinct codes and each code's rank among them.  A flag array
     over the code space gets them in O(len(codes) + bound) time; a code
-    space over four times the input plus 4096 is sorted instead, which
-    keeps the flag array's memory O(len(codes)).
+    space over `_flag_bound(len(codes))` is sorted instead, which keeps the
+    flag array's memory O(len(codes)).
     """
-    if bound > 4 * len(codes) + 4096:
+    if bound > _flag_bound(len(codes)):
         return np.unique(codes, return_inverse=True)
     seen = np.zeros(bound, dtype=bool)
     seen[codes] = True
@@ -280,19 +290,27 @@ def _side(family: SetFamily, image: np.ndarray | slice = slice(None)) -> tuple:
     return family.atoms[image], family.atom_count, family._incidence
 
 
-def _join_atoms(left: tuple, right: tuple) -> tuple:
+def _join_atoms(left: tuple, right: tuple, defer: int = 0) -> tuple:
     """The join of two families, each given as (atom labels, label bound,
     incidence or None for a partition), in the same form.
 
-    The pair codes of the labels, ranked, are the joined atoms.  Unless both
-    sides are partitions, the members are the nonempty intersections of the
-    lifted members, first occurrences kept in (left member, right member)
-    order.
+    The pair codes of the labels, ranked, are the joined atoms.  When both
+    sides are partitions and the code space is at most `defer`, the codes
+    are returned unranked, with the code space as their bound: a partition
+    side's labels need only lie below its bound, and ranking them later
+    gives the same atoms, since ranks keep the order of the codes.  Unless
+    both sides are partitions, the members are the nonempty intersections
+    of the lifted members, first occurrences kept in (left member, right
+    member) order.
     """
     left_atoms, left_count, left_incidence = left
     right_atoms, right_count, right_incidence = right
-    pairs, atoms = _dense_unique(left_atoms * right_count + right_atoms, left_count * right_count)
-    if left_incidence is None and right_incidence is None:
+    codes, bound = left_atoms * right_count + right_atoms, left_count * right_count
+    partition = left_incidence is None and right_incidence is None
+    if partition and bound <= defer:
+        return codes, bound, None
+    pairs, atoms = _dense_unique(codes, bound)
+    if partition:
         return atoms, len(pairs), None
     mine = _lift(left_incidence, left_count, pairs // right_count)
     theirs = _lift(right_incidence, right_count, pairs % right_count)
@@ -358,16 +376,26 @@ def box_sweep(
     Each box point after the origin joins in the family pulled back through
     it, so states are identified exactly when their atom agrees at every
     point, and a cover's members are intersected in first-occurrence order
-    over (joined-so-far member, next preimage member).
-    The field is the sum of f over the box points, None when f is.  A box
-    over DEFAULT_LAMBDA_BUDGET points raises CoverBudgetError before its
-    shell is walked, and a join over `member_budget` members raises it too;
-    the items already yielded stand, and since a join only refines, no
-    larger box would fit either.
+    over (joined-so-far member, next preimage member).  A partition's
+    itinerary codes are ranked once per yielded box, at the shell's last
+    point, or earlier when their code space passes `member_budget` or the
+    flag bound; ranking keeps the codes' lexicographic order, so the atoms,
+    counts and budget errors are those of ranking at every point.
+    The field is the sum of f over the box points, None when f is; each
+    shell adds onto a new array, so a yielded field is never written again.
+    A box over DEFAULT_LAMBDA_BUDGET points raises CoverBudgetError before
+    its shell is walked, and a join over `member_budget` members raises it
+    too, at the same point as a per-point count would; the items already
+    yielded stand, and since a join only refines, no larger box would fit
+    either.
     """
     n = as_point(n, dim=sys.dim)
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
+    # Within a shell, partition codes stay unranked while their code space
+    # is at most both the member budget and the flag bound: the class count
+    # is then within budget, and the later ranking takes the flag array.
+    defer = min(member_budget, _flag_bound(sys.state_count))
     walk = iter_box_maps(sys, n)
     state = None
     field = None if f is None else np.zeros(sys.state_count)
@@ -376,16 +404,23 @@ def box_sweep(
         box = tuple(min(t, c) for c in n)
         _check_box(box)
         lam = box_cardinality(box)
-        for _, tk in itertools.islice(walk, lam - walked):
-            # The walk starts at the origin, whose pullback is the family itself.
-            state = _side(family, tk) if state is None else _join_atoms(state, _side(family, tk))
+        last = lam - walked - 1
+        for i, (_, tk) in enumerate(itertools.islice(walk, lam - walked)):
+            # The walk starts at the origin, whose pullback is the family
+            # itself; the shell's last point ranks the codes it yields.
+            pulled = _side(family, tk)
+            state = pulled if state is None else _join_atoms(state, pulled, defer if i < last else 0)
+            # An unranked state's bound is its code space, at most the budget.
             members = state[1] if state[2] is None else len(state[2])
             if members > member_budget:
                 raise CoverBudgetError(
                     f"join over box {box} (cardinality {lam}) has {members} members, "
                     f"budget {member_budget}"
                 )
-            if field is not None:
+            if field is not None and i:
+                field += f.values[tk]
+            elif field is not None:
+                # A new array per shell: a yielded field is never written again.
                 field = field + f.values[tk]
         walked = lam
         yield box, SetFamily(state[0], state[2]), field

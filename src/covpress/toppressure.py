@@ -64,19 +64,44 @@ from covpress.solvers import (
 )
 
 
+class _SortedStates:
+    """A field of states read as a tuple of ints in increasing order.
+
+    It may be set to any int array, which is sorted and converted on the
+    first read and kept from then on, so a caller that never reads it pays
+    nothing for it.
+    """
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        states = obj.__dict__[self._slot]
+        if not isinstance(states, tuple):
+            states = obj.__dict__[self._slot] = tuple(np.sort(states).tolist())
+        return states
+
+    def __set__(self, obj, states):
+        # The dataclass passes this descriptor itself for an omitted field.
+        obj.__dict__[self._slot] = () if states is self else states
+
+
 @dataclass(frozen=True)
 class PressureSample:
     """One evaluated box: the value in log scale and the normalized rate.
 
     An S or G sample also carries the states whose weights make up its value
-    (separated for S, spanning for G), in increasing order.
+    (separated for S, spanning for G), in increasing order; they are sorted
+    when `.chosen` is first read.
     """
 
     n: Coords
     lam: int
     log_value: float
     status: str
-    chosen: tuple[int, ...] = field(default=(), repr=False)
+    chosen: tuple[int, ...] = field(default=_SortedStates(), repr=False)
 
     @property
     def rate(self) -> float:
@@ -223,13 +248,13 @@ def quadruple_from_joined(
         # Every class holds states no other member covers, so the subcover
         # is the whole family and no search is needed.
         q = PressureSample(n, lam, log_sum_exp(lo), STATUS_EXACT)
-        g = replace(q, chosen=tuple(np.sort(lo_reps).tolist()))
+        g = replace(q, chosen=lo_reps)
         if hi is lo:
             # Class maxima are the class minima and their states, so P is
             # Q's log-sum, and S is G's with the same states.
             return {"Q": q, "P": q, "G": g, "S": g}
         p = PressureSample(n, lam, log_sum_exp(hi), STATUS_EXACT)
-        return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=tuple(np.sort(hi_reps).tolist()))}
+        return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=hi_reps)}
     graph = ClosenessGraph(joined)
     out = {
         "Q": _subcover_sample(graph, joined.per_member(lo, np.minimum), n, member_limit),
@@ -239,12 +264,8 @@ def quadruple_from_joined(
     inst = WeightedCoverInstance(graph.shares, graph.class_sizes, tuple(lo.tolist()))
     g = min_subcover_value(inst, exact_limit=class_limit)
     s = max_weight_independent_set(graph.class_adjacency(), hi.tolist(), exact_limit=class_limit)
-    out["G"] = PressureSample(
-        n, lam, g.log_value, g.status, tuple(sorted(int(lo_reps[c]) for c in g.chosen))
-    )
-    out["S"] = PressureSample(
-        n, lam, s.log_value, s.status, tuple(sorted(int(hi_reps[c]) for c in s.chosen))
-    )
+    out["G"] = PressureSample(n, lam, g.log_value, g.status, lo_reps[list(g.chosen)])
+    out["S"] = PressureSample(n, lam, s.log_value, s.status, hi_reps[list(s.chosen)])
     return out
 
 

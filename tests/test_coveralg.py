@@ -1,5 +1,6 @@
 """Family algebra: joins, refinement, admissibility, closeness."""
 
+import contextlib
 import itertools
 from unittest import mock
 
@@ -379,6 +380,95 @@ def test_box_sweep_matches_a_sorting_fold_on_both_paths():
             with mock.patch.object(coveralg, "_dense_unique", _sorting_unique):
                 assert sweep_bytes(sys, family, n) == got
     assert set(paths) == {False, True}
+
+
+def per_point_ranked_sweep(sys, family, n, member_budget, walked):
+    """The partition sweep ranking its pair codes at every box point: yields
+    (box, atom bytes, class count) after each shell and raises the sweep's
+    budget error at the first point whose join has too many classes.
+    `walked` counts the points joined so far."""
+    atoms, count = family.atoms, family.atom_count
+    boxes = iter([tuple(min(t, c) for c in n) for t in range(1, max(n) + 1)])
+    box = next(boxes)
+    for point, (_, tk) in enumerate(iter_box_maps(sys, n)):
+        lam = box_cardinality(box)
+        if point == lam:
+            yield box, atoms.tobytes(), count
+            box = next(boxes)
+            lam = box_cardinality(box)
+        walked[0] += 1
+        if point:
+            codes = atoms * family.atom_count + family.atoms[tk]
+            distinct, atoms = np.unique(codes, return_inverse=True)
+            count = len(distinct)
+        if count > member_budget:
+            raise CoverBudgetError(
+                f"join over box {box} (cardinality {lam}) has {count} members, "
+                f"budget {member_budget}"
+            )
+    yield box, atoms.tobytes(), count
+
+
+@given(covered_systems(dims=(1, 2, 3)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_deferred_ranking_matches_a_per_point_ranked_fold(case, data):
+    # Within a shell the sweep leaves partition codes unranked up to the
+    # member budget and the flag bound; a flag bound patched low makes it
+    # rank mid-shell too.  Atoms, counts and budget errors must be those of
+    # ranking at every point, raised after the same number of points.
+    sys, _, n = case
+    m = sys.state_count
+    classes = data.draw(st.integers(1, 5))
+    family = SetFamily.from_labels(
+        np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=m, max_size=m)))
+    )
+    space = family.count ** box_cardinality(n)  # the code space of the whole box
+    budget = data.draw(st.integers(1, m + 1) | st.integers(m + 1, space + m + 1))
+    flag_bound = data.draw(st.none() | st.integers(0, 60))
+
+    def run(sweep):
+        items = []
+        try:
+            for item in sweep:
+                items.append(item)
+        except CoverBudgetError as exc:
+            return items, str(exc)
+        return items, None
+
+    want_walked = [0]
+    want = run(per_point_ranked_sweep(sys, family, n, budget, want_walked))
+    got_walked = [0]
+
+    def counted(sys, n):
+        for item in iter_box_maps(sys, n):
+            got_walked[0] += 1
+            yield item
+
+    patches = [mock.patch.object(coveralg, "iter_box_maps", counted)]
+    if flag_bound is not None:
+        patches.append(mock.patch.object(coveralg, "_flag_bound", lambda size: flag_bound))
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        items, error = run(box_sweep(sys, family, None, n, member_budget=budget))
+    got = [(box, joined.atoms.tobytes(), joined.count) for box, joined, _ in items], error
+    assert got == want
+    if error is not None:
+        assert got_walked == want_walked
+
+
+def test_yielded_fields_are_never_written_again():
+    # Shells of the (3, 4) box hold 1, 3, 5 and 3 points; every field kept
+    # from the sweep must still be the ergodic sum over its own box.
+    x = np.arange(35)
+    rows, cols = x // 7, x % 7
+    sys = FiniteSystem(generators=((2 * rows) % 5 * 7 + cols, rows * 7 + (3 * cols + 1) % 7))
+    f = Potential(np.sin(x * 1.3))
+    for family in (SetFamily.from_labels(x % 3), SetFamily.from_state_sets(35, [range(20), range(15, 35)])):
+        items = list(box_sweep(sys, family, f, (3, 4)))
+        assert [box for box, _, _ in items] == [(1, 1), (2, 2), (3, 3), (3, 4)]
+        for box, _, field in items:
+            assert field.tobytes() == birkhoff_field(sys, f, box).tobytes()
 
 
 def test_diagonal_sweep_stops_at_member_budget():
