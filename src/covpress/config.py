@@ -6,14 +6,19 @@ defaults, and so are keys the chosen experiment does not read.  Every
 randomized choice is pinned by `seed`; budgets must be positive, the
 leakage geometry (rings, sectors, bands, slices) must fit the disk grid,
 `slices` must be at least 2 so the pizza cover stays non-admissible,
-leakage needs two depths and the deep box 2**deep_exponent must fit in 64
-bits, so a bad value fails at load time rather than mid-run.
+leakage needs two depths, the deep box 2**deep_exponent must fit in 64
+bits and finite-vp needs `max_states` >= 2.  The doubling size and
+potential, and the full shift, go through the checks their runs make, so a
+bad value fails at load time rather than mid-run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from covpress.dynsys import check_doubling_size, potential_from_spec
+from covpress.fullshift import FullShiftSpec
 
 EXPERIMENTS = ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift")
 
@@ -103,6 +108,20 @@ class ExperimentConfig:
             # One slice holds the whole marked ring, so the pizza cover
             # would be admissible.
             raise ValueError(f"slices must be a divisor of sectors = {self.sectors}, at least 2")
+        if self.max_states < 2:
+            # finite-vp draws systems of 2..max_states states.
+            raise ValueError("max_states must be at least 2")
+        # The run's own checks of the values it builds from.
+        if self.experiment == "doubling":
+            check_doubling_size(self.m)
+            potential_from_spec(self.potential, self.m, arc_states=())
+        if self.experiment == "fullshift":
+            self.fullshift_spec()
+
+    def fullshift_spec(self) -> FullShiftSpec:
+        """The full shift of the `fullshift` experiment: `symbols`, `dim` and `phi`."""
+        phi = tuple(float(v) for v in self.phi.split(",") if v.strip())
+        return FullShiftSpec(self.symbols, self.dim, phi)
 
 
 # How a config file value of each key is read: by the type of its field.

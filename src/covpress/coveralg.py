@@ -3,10 +3,14 @@
 Every family has one representation.  Its *atoms* are its membership
 classes: two states share an atom exactly when they lie in the same
 members.  `atoms` holds one int64 label per state, and each member is a
-bitmask over atoms.  A family whose members are pairwise disjoint is a
-partition: each member is then a single atom, the incidence is the identity,
-and it is never stored, so a partition is just its label array however many
-classes it has.  Partition-ness is read off the data, never declared.
+bitmask over atoms.  The bitmasks are private storage, read only by the
+constructor and the join kernel; every other reader takes the bool members
+x atoms matrix `SetFamily.incidence()`, and `bool_rows` and `row_masks` are
+the one conversion between the two forms.  A family whose members are
+pairwise disjoint is a partition: each member is then a single atom, the
+incidence is the identity, and it is never stored, so a partition is just
+its label array however many classes it has.  Partition-ness is read off
+the data, never declared.
 
 One kernel, `_join_atoms`, joins two families: each state gets a pair code
 below the product of the atom counts, and the distinct codes, in sorted
@@ -102,23 +106,28 @@ def unique_columns(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, rank
 
 
-def _bits(mask: int, width: int) -> np.ndarray:
-    """A bitmask as a bool array of the given width."""
-    raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
+def bool_rows(masks: Sequence[int], width: int) -> np.ndarray:
+    """Bitmasks as the rows of a bool matrix `width` columns wide: entry
+    (i, j) is bit j of masks[i].  Every mask must lie below 2**width."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+    return bits.view(bool)
 
 
-def _mask(flags: np.ndarray) -> int:
-    """A bool array as a bitmask."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The rows of a bool matrix as bitmasks, the inverse of `bool_rows`."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class SetFamily:
     """An immutable cover or partition of states 0..M-1: atoms plus incidence.
 
     `atoms[s]` is the membership class of state s, numbered 0..atom_count-1.
-    A cover keeps each member as a bitmask over atoms; a partition (pairwise
-    disjoint members) stores no incidence, and its atom i is its member i.
+    A cover keeps each member as a private bitmask over atoms, which
+    readers see through `incidence()`; a partition (pairwise disjoint
+    members) stores no incidence, and its atom i is its member i.
     Members are deduplicated and empty ones dropped at construction.
     """
 
@@ -155,7 +164,7 @@ class SetFamily:
         if not flags.any(axis=0).all():
             raise ValueError("family members do not cover the state space")
         first, merged = unique_columns(flags)
-        return cls(merged[atoms], [_mask(row) for row in flags[:, first]])
+        return cls(merged[atoms], row_masks(flags[:, first]))
 
     @classmethod
     def from_state_sets(
@@ -213,41 +222,24 @@ class SetFamily:
     @property
     def labels(self) -> np.ndarray | None:
         """Per-state member index for a partition, None for a cover."""
-        return self.atoms if self._incidence is None else None
+        return self.atoms if self.is_partition else None
 
     def as_labels(self) -> np.ndarray:
         """Per-state member index; partitions only."""
-        if self._incidence is not None:
+        if not self.is_partition:
             raise ValueError("only partitions have a label form")
         return self.atoms
 
-    def atom_flags(self, i: int) -> np.ndarray:
-        """Which atoms member i holds, as a bool array over atoms."""
-        if self._incidence is None:
-            return np.arange(self.atom_count) == i
-        return _bits(self._incidence[i], self.atom_count)
-
-    def holders(self, a: int) -> tuple[int, ...]:
-        """Indices of the members holding atom a."""
-        if self._incidence is None:
-            return (int(a),)
-        return tuple(i for i, m in enumerate(self._incidence) if m >> int(a) & 1)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        """Members as bitmasks over states."""
-        return tuple(_mask(self.atom_flags(i)[self.atoms]) for i in range(self.count))
+    def incidence(self) -> np.ndarray | None:
+        """The bool members x atoms matrix, row i the atoms member i holds;
+        None for a partition, whose member i is atom i.  Built from the
+        private masks on each call."""
+        return None if self._incidence is None else bool_rows(self._incidence, self.atom_count)
 
     def member_states(self, i: int) -> list[int]:
-        return np.flatnonzero(self.atom_flags(i)[self.atoms]).tolist()
-
-    def per_member(self, per_atom: np.ndarray, ufunc) -> np.ndarray:
-        """Combine per-atom values into per-member values with `ufunc`."""
-        if self._incidence is None:
-            return per_atom
-        return np.array(
-            [ufunc.reduce(per_atom[_bits(m, self.atom_count)]) for m in self._incidence]
-        )
+        rows = self.incidence()
+        held = self.atoms == i if rows is None else rows[i][self.atoms]
+        return np.flatnonzero(held).tolist()
 
     def __eq__(self, other) -> bool:
         """Equality as unordered families of sets."""
@@ -255,10 +247,12 @@ class SetFamily:
             return NotImplemented
         if self.state_count != other.state_count or self.count != other.count:
             return False
-        if self.is_partition and other.is_partition:
-            # Same partition iff labels agree up to renaming.
-            return _join_atoms(_side(self), _side(other))[1] == self.count
-        return sorted(self.members) == sorted(other.members)
+        if self.is_partition or other.is_partition:
+            # Same partition iff labels agree up to renaming; no cover is a partition.
+            same = self.is_partition == other.is_partition
+            return same and _join_atoms(_side(self), _side(other))[1] == self.count
+        mine, theirs = (row_masks(f.incidence()[:, f.atoms]) for f in (self, other))
+        return set(mine) == set(theirs)
 
     def __repr__(self) -> str:
         kind = "partition" if self.is_partition else "cover"
@@ -280,8 +274,8 @@ def _lift(incidence: Sequence[int] | None, count: int, parent: np.ndarray) -> li
     None) as bitmasks over finer atoms, where finer atom j lies inside atom
     parent[j]."""
     if incidence is None:
-        return [_mask(parent == i) for i in range(count)]
-    return [_mask(_bits(m, count)[parent]) for m in incidence]
+        return row_masks(np.arange(count)[:, None] == parent)
+    return row_masks(bool_rows(incidence, count)[:, parent])
 
 
 def _side(family: SetFamily, image: np.ndarray | slice = slice(None)) -> tuple:
@@ -490,10 +484,14 @@ def classify_admissible(sys: FiniteSystem, family: SetFamily) -> AdmissibilityRe
     if not sys.marked:
         return AdmissibilityReport(True, True, 0 if family.count else None)
     marked = np.unique(family.atoms[sorted(sys.marked)])
-    # A member holding every marked atom holds the first one.
-    holders = [i for i in family.holders(marked[0]) if family.atom_flags(i)[marked].all()]
-    witness = holders[0] if holders else None
-    return AdmissibilityReport(bool(holders), len(holders) == family.count, witness)
+    rows = family.incidence()
+    if rows is None:
+        # A partition's member i is atom i, so it holds every marked atom only if there is one.
+        holders = marked if len(marked) == 1 else marked[:0]
+    else:
+        holders = np.flatnonzero(rows[:, marked].all(axis=1))
+    witness = int(holders[0]) if len(holders) else None
+    return AdmissibilityReport(bool(len(holders)), len(holders) == family.count, witness)
 
 
 def classify_admissible_partition(
@@ -574,14 +572,17 @@ class ClosenessGraph:
         _, first = np.unique(family.atoms, return_index=True)
         self.class_atoms = np.argsort(first)
         self.class_sizes = np.bincount(family.atoms)[self.class_atoms]
-        self.holds = None
-        if not family.is_partition:
-            flags = np.array([family.atom_flags(i) for i in range(family.count)])
-            self.holds = flags[:, self.class_atoms]
+        rows = family.incidence()
+        self.holds = None if rows is None else rows[:, self.class_atoms]
 
     @functools.cached_property
     def shares(self) -> np.ndarray | None:
-        return None if self.holds is None else self.holds.T @ self.holds
+        if self.holds is None:
+            return None
+        # numpy multiplies bool matrices without BLAS.  A float32 product
+        # sums non-negative counts, which are > 0 exactly where a member is shared.
+        counts = self.holds.astype(np.float32)
+        return counts.T @ counts > 0
 
     def class_adjacency(self) -> list[int]:
         """Bitmask adjacency between membership classes (no self loops)."""
@@ -589,4 +590,4 @@ class ClosenessGraph:
             return [0] * len(self.class_atoms)
         adjacent = self.shares.copy()
         np.fill_diagonal(adjacent, False)
-        return [_mask(row) for row in adjacent]
+        return row_masks(adjacent)

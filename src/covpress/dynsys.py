@@ -101,6 +101,23 @@ class Potential:
         return Potential(self.values + float(c))
 
 
+def potential_from_spec(spec: str, m: int, arc_states: Iterable[int] | None = None) -> Potential:
+    """Decode a `constant:c | arc:a | values:v1,v2,...` potential spec."""
+    kind, _, arg = spec.partition(":")
+    if kind == "constant":
+        return Potential.constant(float(arg or 0.0), m)
+    if kind == "arc":
+        if arc_states is None:
+            raise ValueError("arc potentials need a system with a designated arc")
+        return Potential.indicator(arc_states, m, height=float(arg or 1.0))
+    if kind == "values":
+        vals = [float(v) for v in arg.split(",") if v.strip()]
+        if len(vals) != m:
+            raise ValueError(f"need {m} potential values, got {len(vals)}")
+        return Potential(np.asarray(vals))
+    raise ValueError(f"unknown potential spec {spec!r}")
+
+
 def power_map(sys: FiniteSystem, k: Coords) -> np.ndarray:
     """The map for lattice power k, as a state-index array."""
     k = as_point(k, dim=sys.dim)
@@ -202,14 +219,19 @@ def birkhoff_doubling(sys: FiniteSystem, f: Potential, exponent: int) -> tuple[n
     return tk, fk
 
 
-def make_circle_doubling(m: int) -> FiniteSystem:
-    """Angle-doubling on m equally spaced circle points, m odd so it is a bijection.
+def check_doubling_size(m: int) -> None:
+    """Refuse an m for which angle doubling on m points is not a bijection.
 
     An even m would glue pairs of states and collapse itinerary counts, so it
     is rejected rather than silently accepted.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"need an odd m >= 3 (got {m}); doubling mod even m is not a bijection")
+
+
+def make_circle_doubling(m: int) -> FiniteSystem:
+    """Angle-doubling on m equally spaced circle points, m odd so it is a bijection."""
+    check_doubling_size(m)
     states = np.arange(m, dtype=np.int64)
     gen = (2 * states) % m
     angles = 2.0 * np.pi * states / m

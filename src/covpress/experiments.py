@@ -29,6 +29,7 @@ from covpress.config import ExperimentConfig
 from covpress.coveralg import (
     CoverBudgetError,
     SetFamily,
+    bool_rows,
     box_sweep,
     classify_admissible,
     join,
@@ -41,10 +42,10 @@ from covpress.dynsys import (
     cycle_structure,
     make_circle_doubling,
     make_disk_system,
+    potential_from_spec,
 )
 from covpress.fullshift import (
     CYLINDER_BUDGET,
-    FullShiftSpec,
     bernoulli_pressure,
     cylinder_sum,
     exact_pressure,
@@ -127,23 +128,6 @@ def _count_row(experiment, cover, mode, t, count, status=STATUS_EXACT, bound=Non
         bound=bound,
         solver_status=status,
     )
-
-
-def potential_from_spec(spec: str, m: int, arc_states: Sequence[int] | None = None) -> Potential:
-    """Decode a `constant:c | arc:a | values:v1,v2,...` potential spec."""
-    kind, _, arg = spec.partition(":")
-    if kind == "constant":
-        return Potential.constant(float(arg or 0.0), m)
-    if kind == "arc":
-        if arc_states is None:
-            raise ValueError("arc potentials need a system with a designated arc")
-        return Potential.indicator(arc_states, m, height=float(arg or 1.0))
-    if kind == "values":
-        vals = [float(v) for v in arg.split(",") if v.strip()]
-        if len(vals) != m:
-            raise ValueError(f"need {m} potential values, got {len(vals)}")
-        return Potential(np.asarray(vals))
-    raise ValueError(f"unknown potential spec {spec!r}")
 
 
 def system_from_config(cfg: ExperimentConfig) -> FiniteSystem:
@@ -356,9 +340,7 @@ def euclid_separated_count(
             for other, mask in zip(j[a:b].tolist(), cell_masks):
                 blocked[other] |= free & mask
         start = stop
-    rows = np.frombuffer(b"".join(b.to_bytes(nbytes, "little") for b in blocked), dtype=np.uint8)
-    bits = np.unpackbits(rows.reshape(count, nbytes), axis=1, bitorder="little")[:, :depth]
-    return (count - bits.sum(axis=0)).tolist()
+    return (count - bool_rows(blocked, depth).sum(axis=0)).tolist()
 
 
 def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictItem]]:
@@ -581,8 +563,7 @@ def run_lattice_check(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Verd
 def run_fullshift(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictItem]]:
     """Closed-form oracle: cylinder sums, the optimizing product measure."""
     experiment = "fullshift"
-    phi = tuple(float(v) for v in cfg.phi.split(",") if v.strip())
-    spec = FullShiftSpec(cfg.symbols, cfg.dim, phi)
+    spec = cfg.fullshift_spec()
     top = exact_pressure(spec)
     rows: list[ResultRow] = []
     worst = 0.0

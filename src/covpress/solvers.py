@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from covpress.coveralg import unique_columns
+from covpress.coveralg import row_masks, unique_columns
 
 EXACT_LIMIT_FAMILIES = 24
 EXACT_LIMIT_NODES = 2000
@@ -296,10 +296,7 @@ def _branch_and_bound_cover(
     holders, held_by = _distinct_holders(incidence)
     options = [sorted(held, key=lambda i: (weights[i], i)) for held in holders]
     held_by = np.repeat(held_by, sizes).tolist()
-    rebased = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in np.repeat(incidence, sizes, axis=1)
-    ]
+    rebased = row_masks(np.repeat(incidence, sizes, axis=1))
 
     best_value = sum(weights[i] for i in greedy)
     best_set = list(greedy)

@@ -256,11 +256,11 @@ def quadruple_from_joined(
         p = PressureSample(n, lam, log_sum_exp(hi), STATUS_EXACT)
         return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=hi_reps)}
     graph = ClosenessGraph(joined)
-    out = {
-        "Q": _subcover_sample(graph, joined.per_member(lo, np.minimum), n, member_limit),
-        "P": _subcover_sample(graph, joined.per_member(hi, np.maximum), n, member_limit),
-    }
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
+    out = {
+        "Q": _subcover_sample(graph, np.where(graph.holds, lo, np.inf).min(1), n, member_limit),
+        "P": _subcover_sample(graph, np.where(graph.holds, hi, -np.inf).max(1), n, member_limit),
+    }
     inst = WeightedCoverInstance(graph.shares, graph.class_sizes, tuple(lo.tolist()))
     g = min_subcover_value(inst, exact_limit=class_limit)
     s = max_weight_independent_set(graph.class_adjacency(), hi.tolist(), exact_limit=class_limit)

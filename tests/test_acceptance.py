@@ -460,7 +460,7 @@ def test_criterion_10_solver_oracle_equivalence():
         sample = pressure_quadruple(sys, f, fam, (1,))["G"]
         assert sample.status == STATUS_EXACT
         # Closed neighborhoods under "shares a member".
-        members = fam.members
+        members = [sum(1 << x for x in fam.member_states(i)) for i in range(fam.count)]
         neighborhoods = []
         for x in range(m):
             nb = 0

@@ -296,8 +296,13 @@ def annulus_partition_by_loop(sys, rings, sectors, annulus_rings):
     return SetFamily.from_labels(labels)
 
 
+def family_bytes(family):
+    rows = family.incidence()
+    return family.atoms.tobytes(), None if rows is None else (rows.shape, rows.tobytes())
+
+
 def same_family(a, b):
-    return (a.atoms.tobytes(), a._incidence) == (b.atoms.tobytes(), b._incidence)
+    return family_bytes(a) == family_bytes(b)
 
 
 @given(st.integers(2, 24), st.integers(2, 48), st.integers(0, 10**6), st.integers(1, 24))
@@ -340,6 +345,30 @@ def test_bad_leakage_geometry_rejected_at_load_time(tmp_path, values, key):
     out = tmp_path / "res"
     assert main(["leakage", "--config", str(conf), "--out", str(out)]) == 1
     assert not (out / "leakage.csv").exists()
+
+
+# Values a run would refuse only after it started; load_config refuses them.
+BAD_RUN_VALUES = [
+    ("doubling", {"m": 100}, "odd m"),
+    ("doubling", {"m": 1}, "odd m"),
+    ("doubling", {"potential": "bogus:1"}, "unknown potential spec"),
+    ("doubling", {"m": 5, "potential": "values:1,2,3"}, "need 5 potential values"),
+    ("fullshift", {"symbols": 0}, "at least one symbol"),
+    ("fullshift", {"dim": 0}, "dimension must be positive"),
+    ("fullshift", {"symbols": 3, "phi": "0,1"}, "one potential value per symbol"),
+    ("finite-vp", {"max_states": 1}, "max_states"),
+]
+
+
+@pytest.mark.parametrize("experiment, values, message", BAD_RUN_VALUES)
+def test_bad_run_values_rejected_at_load_time(tmp_path, experiment, values, message):
+    with pytest.raises(ValueError, match=message):
+        load_config(experiment, overrides=values)
+    conf = tmp_path / "bad.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    out = tmp_path / "res"
+    assert main([experiment, "--config", str(conf), "--out", str(out)]) == 1
+    assert not (out / f"{experiment}.csv").exists()
 
 
 def test_leakage_needs_two_depths(tmp_path, capsys):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covpress import coveralg
@@ -81,7 +81,7 @@ def test_construction_dedups_and_validates():
     arrays = SetFamily.from_state_sets(4, [np.array([1, 0]), np.arange(1, 4)])
     sets = SetFamily.from_state_sets(4, [{0, 1}, {1, 2, 3}])
     assert arrays.atoms.tolist() == sets.atoms.tolist()
-    assert arrays.members == sets.members
+    assert arrays.incidence().tolist() == sets.incidence().tolist()
     for bad in (np.array([0, 4]), np.array([-1, 1, 2, 3])):
         with pytest.raises(ValueError, match="outside"):
             SetFamily.from_state_sets(4, [bad, np.arange(4)])
@@ -105,6 +105,52 @@ def test_unique_columns_ranks_columns_as_np_unique_does(columns):
     got_first, got_rank = coveralg.unique_columns(flags)
     assert got_first.tolist() == first.tolist()
     assert got_rank.tolist() == rank.reshape(-1).tolist()
+
+
+@given(
+    st.integers(0, 80).flatmap(
+        lambda width: st.tuples(
+            st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=20)
+        )
+    )
+)
+@example((0, []))
+@example((0, [0, 0]))
+@example((13, [1 << 12, 0, 5]))
+@settings(max_examples=200, deadline=None)
+def test_bitmask_codec_round_trips(case):
+    # Widths 0 and non-multiples of 8 included: entry (i, j) is bit j of
+    # mask i, and packing the rows gives the masks back.
+    width, masks = case
+    rows = coveralg.bool_rows(masks, width)
+    assert (rows.dtype, rows.shape) == (np.dtype(bool), (len(masks), width))
+    assert rows.tolist() == [[bool(m >> j & 1) for j in range(width)] for m in masks]
+    assert coveralg.row_masks(rows) == masks
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.sets(st.integers(0, m - 1)), max_size=6))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_incidence_rows_are_the_member_states(case):
+    # Row i of the incidence, read through the atoms, is member i's state
+    # set; the members are the nonempty input sets, each once.  States no
+    # set holds get a singleton each, so partitions come up too.
+    m, sets = case
+    covered = set().union(*sets)
+    sets = [*sets, *({x} for x in range(m) if x not in covered)]
+    fam = SetFamily.from_state_sets(m, sets)
+    rows = fam.incidence()
+    if fam.is_partition:
+        assert rows is None
+        rows = np.arange(fam.atom_count)[:, None] == np.arange(fam.atom_count)
+    assert rows.shape == (fam.count, fam.atom_count)
+    got = [np.flatnonzero(row[fam.atoms]).tolist() for row in rows]
+    assert got == [fam.member_states(i) for i in range(fam.count)]
+    assert set(map(frozenset, got)) == {frozenset(s) for s in sets if s}
+    assert len(got) == len(set(map(frozenset, got)))
 
 
 def test_label_and_mask_forms_agree():
@@ -318,10 +364,15 @@ def _sorting_unique(codes, bound):
     return np.unique(codes, return_inverse=True)
 
 
+def incidence_bytes(family):
+    rows = family.incidence()
+    return None if rows is None else (rows.shape, rows.tobytes())
+
+
 def sweep_bytes(sys, family, n):
     """Every item of the sweep: box, atom bytes and member incidence."""
     return [
-        (box, joined.atoms.tobytes(), joined._incidence)
+        (box, joined.atoms.tobytes(), incidence_bytes(joined))
         for box, joined, _ in box_sweep(sys, family, None, n, member_budget=10**6)
     ]
 
@@ -783,10 +834,6 @@ def test_intersection_counting_bound():
         depth = int(rng.integers(1, 4))
         joined_ref = orbit_join(sys, refining, (depth,))
         joined_part = orbit_join(sys, part, (depth,))
-        part_masks = joined_part.members
         for i in range(joined_ref.count):
-            mask = 0
-            for s in joined_ref.member_states(i):
-                mask |= 1 << s
-            touched = sum(1 for pm in part_masks if pm & mask)
+            touched = len(set(joined_part.as_labels()[joined_ref.member_states(i)]))
             assert touched <= 2 ** box_cardinality((depth,))

@@ -15,9 +15,17 @@ from covpress.coveralg import (
     SetFamily,
     box_join,
     box_sweep,
+    cover_from_partition,
     orbit_join,
 )
-from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, make_circle_doubling
+from covpress.dynsys import (
+    FiniteSystem,
+    Potential,
+    birkhoff_field,
+    make_circle_doubling,
+    make_disk_system,
+)
+from covpress.experiments import annulus_cell_partition
 from covpress.solvers import NODE_BUDGET, STATUS_EXACT, WeightedCoverInstance, min_subcover_value
 from covpress.toppressure import (
     PressureSample,
@@ -465,6 +473,24 @@ def test_overlap_cover_on_4x4_torus_is_exact_at_box_2_2():
         assert (quad[mode].log_value, quad[mode].status) == (3.58065179892254, STATUS_EXACT)
 
 
+def test_strongly_admissible_cover_on_the_16x64_disk():
+    # The paper's central object at a realistic size: the annulus partition
+    # of the 16 x 64 disk with every other cell glued to its 4-ring annulus
+    # cell, under zero potential.  Its joins have 769 and 813 members.
+    sys = make_disk_system(16, 64)
+    cover = cover_from_partition(sys, annulus_cell_partition(sys, 16, 64, 4))
+    f = Potential.constant(0.0, sys.state_count)
+    got = []
+    for n, joined, field in box_sweep(sys, cover, f, (2,), member_budget=10**5):
+        quad = toppressure.quadruple_from_joined(joined, field, n)
+        assert {s.status for s in quad.values()} == {STATUS_EXACT}
+        got.append((joined.count, *(quad[mode].log_value for mode in "QPSG")))
+    assert got == [
+        (769, 6.645090969505644, 6.645090969505644, 6.645090969505644, 0.0),
+        (813, 6.699500340161678, 6.699500340161678, 6.699500340161678, 0.0),
+    ]
+
+
 # SHA-256 of (box, mode, repr(log_value), status, chosen) over every sample of
 # the N = 2 evaluator on the 4 x 4 origin partition (all 16 boxes) and the
 # 3 x 3 overlapping cover, both under phi = 0.37 * x00.  A change that moves
@@ -671,6 +697,12 @@ def overlapping_joins(draw):
     return joined, field
 
 
+def per_member_loop(joined, per_atom, ufunc):
+    """Per member, `ufunc` reduced over the values of the atoms it holds,
+    one member at a time."""
+    return np.array([ufunc.reduce(per_atom[row]) for row in joined.incidence()])
+
+
 @given(
     overlapping_joins(),
     st.sampled_from([0, 3, 24]),
@@ -681,7 +713,9 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
     # Q, P and G of an overlapping join are solved over its classes, each
     # element weighing its class size.  Expanded to one element per state
     # (sizes 1), the same instances give the same results: value bytes,
-    # chosen members, status, node count and fallback.
+    # chosen members, status, node count and fallback.  Q and P weigh each
+    # member by a per-member loop, and at the default node budget the
+    # evaluator's Q and P equal the results of those weights.
     joined, field = case
     graph = ClosenessGraph(joined)
     rank = np.empty(joined.atom_count, dtype=np.int64)
@@ -692,11 +726,12 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
     hi = np.full(joined.atom_count, -np.inf)
     np.maximum.at(hi, joined.atoms, field)
     instances = (
-        (graph.holds, joined.per_member(lo, np.minimum)),
-        (graph.holds, joined.per_member(hi, np.maximum)),
-        (graph.shares, lo[graph.class_atoms]),
+        ("Q", graph.holds, per_member_loop(joined, lo, np.minimum)),
+        ("P", graph.holds, per_member_loop(joined, hi, np.maximum)),
+        ("G", graph.shares, lo[graph.class_atoms]),
     )
-    for incidence, log_weights in instances:
+    quad = toppressure.quadruple_from_joined(joined, field, (1,), exact_limit=exact_limit)
+    for mode, incidence, log_weights in instances:
         log_weights = tuple(log_weights.tolist())
         by_class = WeightedCoverInstance(incidence, graph.class_sizes, log_weights)
         by_state = WeightedCoverInstance(
@@ -710,6 +745,9 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
         assert (got.chosen, got.status, got.nodes, got.fallback) == (
             want.chosen, want.status, want.nodes, want.fallback
         )
+        if mode != "G" and node_budget == NODE_BUDGET:
+            assert repr(quad[mode].log_value) == repr(got.log_value), mode
+            assert quad[mode].status == got.status, mode
 
 
 def test_log_sum_exp_empty_and_large():
