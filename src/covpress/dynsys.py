@@ -93,6 +93,8 @@ class Potential:
 
     @classmethod
     def indicator(cls, states: Iterable[int], m: int, height: float = 1.0) -> "Potential":
+        if not math.isfinite(height):  # checked even when no state takes it
+            raise ValueError("potential values must be finite")
         vals = np.zeros(m)
         vals[list(states)] = float(height)
         return cls(vals)

@@ -145,6 +145,12 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
     e^(a * ones-in-word), so the value telescopes to the binomial sum
     (1 + e^a)^depth and the limiting rate is log(1 + e^a); a constant
     potential just shifts the zero-potential rate log 2.
+
+    A potential constant on each arc, as the `constant` and `arc` ones are,
+    has a level cover coarser than the arcs, so `arcs_bfe` equals `arcs`
+    and its rows come from the one arc sweep.  Each distinct cover is swept
+    once; a repeat reuses the earlier quadruples and budget stop under its
+    own name.
     """
     sys = system_from_config(cfg)
     m = sys.state_count
@@ -163,31 +169,43 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
 
     stopped = []
     arc_q = []
+    # (cover, per-depth quadruples, the budget error that ended its sweep)
+    swept: list[tuple[SetFamily, list, CoverBudgetError | None]] = []
     for name, family in covers:
+        # Equal families have equal joins at every depth: sweep each one once.
+        prior = next((entry for entry in swept if entry[0] == family), None)
+        if prior is None:
+            quads, error = [], None
+            sweep = box_sweep(sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget)
+            try:
+                for n, joined, f_field in sweep:
+                    quads.append((n, quadruple_from_joined(joined, f_field, n, cfg.exact_limit)))
+            except CoverBudgetError as exc:
+                error = exc
+            swept.append((family, quads, error))
+        else:
+            _, quads, error = prior
         p_best = math.inf
-        reached = 0
-        sweep = box_sweep(sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget)
-        try:
-            for n, joined, f_field in sweep:
-                quad = quadruple_from_joined(joined, f_field, n, cfg.exact_limit)
-                for mode in ("Q", "P", "S", "G"):
-                    bound = None
-                    if mode == "P" and quad["P"].status == STATUS_EXACT:
-                        p_best = bound = min(p_best, quad["P"].rate)
-                    rows.append(_sample_row(experiment, name, mode, quad[mode], bound=bound))
-                if name == "arcs":
-                    arc_q.append(quad["Q"])
-                (reached,) = n
-        except CoverBudgetError as exc:
+        for n, quad in quads:
+            for mode in ("Q", "P", "S", "G"):
+                bound = None
+                if mode == "P" and quad["P"].status == STATUS_EXACT:
+                    p_best = bound = min(p_best, quad["P"].rate)
+                rows.append(_sample_row(experiment, name, mode, quad[mode], bound=bound))
+        if name == "arcs":
+            arc_q = [quad["Q"] for _, quad in quads]
+        if error is not None:
             if not arc_q:  # no arc depth fits: nothing to judge, say which budget
-                raise
-            stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {exc}")
+                raise error
+            reached = quads[-1][0][0] if quads else 0
+            stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {error}")
 
     estimate = rate_sequence(arc_q, "Q")
     final = estimate.samples[-1]
     kind, _, arg = cfg.potential.partition(":")
     if kind == "arc":
-        target = math.log(1.0 + math.exp(float(arg or 1.0)))
+        a = float(arg or 1.0)
+        target = max(a, 0.0) + math.log1p(math.exp(-abs(a)))  # log(1 + e^a), no overflow
     elif kind == "constant":
         target = math.log(2.0) + float(arg or 0.0)
     else:

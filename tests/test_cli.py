@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covpress import experiments
 from covpress.cli import main
 from covpress.config import ExperimentConfig, load_config, parse_config_text
-from covpress.coveralg import CoverBudgetError, SetFamily
+from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
 from covpress.dynsys import make_disk_system
 from covpress.experiments import (
     ResultRow,
@@ -26,7 +27,9 @@ from covpress.experiments import (
     run_lattice_check,
     system_from_config,
 )
+from covpress.solvers import STATUS_EXACT
 from covpress.svg import rate_plot_svg
+from covpress.toppressure import quadruple_from_joined, rate_sequence
 
 
 def test_parse_config_text():
@@ -150,8 +153,95 @@ def test_doubling_budget_stops_the_sweep():
     rows, verdicts = run_experiment(cfg)
     # 2**t itinerary cells: depth 5 is the last one within 40 members.
     assert max(r.lam for r in rows if r.cover == "arcs") == 5
-    assert "arcs swept to depth 5 of 8" in verdicts[0].detail
+    stop = "join over box (6,) (cardinality 6) has 64 members, budget 40"
+    assert verdicts[0].detail == (
+        "final Q rate 0.693147 vs target 0.693147 (|gap| = 0.000000); "
+        f"arcs swept to depth 5 of 8: {stop}; arcs_bfe swept to depth 5 of 8: {stop}"
+    )
     assert len(verdicts) == 1
+
+
+def sweep_every_cover(cfg):
+    """Reference: `run_doubling`'s rows and verdict detail with every cover
+    swept on its own, equal or not."""
+    sys = system_from_config(cfg)
+    m = sys.state_count
+    split = (m + 1) // 2
+    f = potential_from_spec(cfg.potential, m, arc_states=range(split, m))
+    arcs = SetFamily.from_labels(np.arange(m) >= split)
+    eps = max(float(f.values.max() - f.values.min()), 1e-9) / 2.0
+    covers = [("arcs", arcs), ("arcs_bfe", join(arcs, potential_cover(sys, f, eps)))]
+    rows, stopped, arc_q = [], [], []
+    for name, family in covers:
+        p_best = math.inf
+        reached = 0
+        try:
+            for n, joined, f_field in box_sweep(
+                sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget
+            ):
+                quad = quadruple_from_joined(joined, f_field, n, cfg.exact_limit)
+                for mode in ("Q", "P", "S", "G"):
+                    bound = None
+                    if mode == "P" and quad["P"].status == STATUS_EXACT:
+                        p_best = bound = min(p_best, quad["P"].rate)
+                    rows.append(
+                        ResultRow("doubling", name, mode, quad[mode].n, quad[mode].lam,
+                                  quad[mode].raw_value, quad[mode].rate, bound,
+                                  quad[mode].status)
+                    )
+                if name == "arcs":
+                    arc_q.append(quad["Q"])
+                (reached,) = n
+        except CoverBudgetError as exc:
+            stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {exc}")
+    estimate = rate_sequence(arc_q, "Q")
+    note = "" if estimate.is_monotone() else "; note: rate sequence is not monotone"
+    note += "".join(f"; {text}" for text in stopped)
+    kind, _, arg = cfg.potential.partition(":")
+    if kind == "values":
+        return rows, "no closed-form target for a values potential" + note
+    target = math.log(1.0 + math.exp(float(arg))) if kind == "arc" else math.log(2.0)
+    rate = estimate.samples[-1].rate
+    gap = abs(rate - target)
+    return rows, f"final Q rate {rate:.6f} vs target {target:.6f} (|gap| = {gap:.6f}){note}"
+
+
+# A ramp is constant on no arc, so its level cover splits both arcs.
+RAMP_101 = "values:" + ",".join(f"{i / 100:g}" for i in range(101))
+SHARED_SWEEP_CASES = [
+    pytest.param("constant:0", 1, id="constant"),
+    pytest.param("arc:1", 1, id="arc"),
+    pytest.param(RAMP_101, 2, id="ramp"),
+]
+
+
+@pytest.mark.parametrize("potential, sweeps", SHARED_SWEEP_CASES)
+@pytest.mark.parametrize("budget", [None, 40])
+def test_doubling_sweeps_each_distinct_cover_once(monkeypatch, potential, sweeps, budget):
+    overrides = {"m": 101, "potential": potential}
+    if budget is not None:
+        overrides.update(n_max=8, member_budget=budget)
+    cfg = load_config("doubling", overrides=overrides)
+    expected_rows, expected_detail = sweep_every_cover(cfg)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return box_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "box_sweep", counted)
+    rows, verdicts = run_experiment(cfg)
+    assert len(calls) == sweeps
+    assert rows == expected_rows
+    assert [v.detail for v in verdicts] == [expected_detail]
+    assert {r.cover for r in rows} == {"arcs", "arcs_bfe"}
+
+
+def test_doubling_target_does_not_overflow():
+    # math.exp(800) overflows; the verdict still prints log(1 + e^800).
+    cfg = load_config("doubling", overrides={"m": 101, "potential": "arc:800"})
+    _, verdicts = run_experiment(cfg)
+    assert "target 800.000000" in verdicts[0].detail
 
 
 def test_doubling_budget_below_depth_one_names_the_budget(tmp_path, capsys):
@@ -357,6 +447,9 @@ BAD_RUN_VALUES = [
     ("fullshift", {"dim": 0}, "dimension must be positive"),
     ("fullshift", {"symbols": 3, "phi": "0,1"}, "one potential value per symbol"),
     ("finite-vp", {"max_states": 1}, "max_states"),
+    ("doubling", {"potential": "arc:inf"}, "must be finite"),
+    ("doubling", {"potential": "arc:-inf"}, "must be finite"),
+    ("doubling", {"potential": "arc:nan"}, "must be finite"),
 ]
 
 
