@@ -16,7 +16,6 @@ identity that links separated sums to partition entropy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -41,7 +40,7 @@ from covpress.dynsys import (
     power_map,
 )
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal, sym_diff_cardinality
-from covpress.solvers import STATUS_EXACT
+from covpress.solvers import STATUS_EXACT, counted_fsum
 from covpress.toppressure import PressureEstimate, PressureSample, rate_sequence
 
 INVARIANCE_TOL = 1e-9
@@ -120,7 +119,8 @@ def is_invariant(mu: FiniteMeasure, sys: FiniteSystem, tol: float = INVARIANCE_T
     for axis in range(sys.dim):
         k = tuple(1 if a == axis else 0 for a in range(sys.dim))
         image = np.bincount(power_map(sys, k), weights=mu.weights, minlength=sys.state_count)
-        if math.fsum(np.abs(image - mu.weights).tolist()) > tol:
+        # Mostly zeros for an invariant measure: each distinct one is added once.
+        if counted_fsum(*np.unique(np.abs(image - mu.weights), return_counts=True)) > tol:
             return False
     return True
 
@@ -136,19 +136,23 @@ def invariant_cycle_mixture(sys: FiniteSystem, rng: np.random.Generator, mass: f
 
 
 def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
-    """Entropy of a partition for a finite (not necessarily unit-mass) measure."""
+    """Entropy of a partition for a finite (not necessarily unit-mass) measure.
+
+    One libm log per distinct class mass, its term added once with the
+    number of classes of that mass by `counted_fsum`: the float of the
+    class-by-class `fsum`.
+    """
     if not family.is_partition:
         raise ValueError("partition entropy needs a partition")
     masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
-    # One libm log per distinct mass, its term repeated once per class of
-    # that mass: `fsum` is exact, so this is the float of the class-by-class
-    # sum.  The runs of equal masses are found in place, without the copy
-    # that np.unique makes.
+    # The runs of equal masses are found in place, without the copy that
+    # np.unique makes.
     masses.sort()
     starts = np.flatnonzero(np.r_[True, masses[1:] != masses[:-1]][: len(masses)])
-    counts = np.diff(starts, append=len(masses)).tolist()
-    terms = [(-v * math.log(v), c) for v, c in zip(masses[starts].tolist(), counts) if v > 0.0]
-    return math.fsum(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, terms)))
+    counts = np.diff(starts, append=len(masses))
+    distinct = masses[starts]
+    held = distinct > 0.0
+    return counted_fsum([-v * math.log(v) for v in distinct[held].tolist()], counts[held])
 
 
 def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:

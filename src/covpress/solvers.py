@@ -118,15 +118,44 @@ class WeightedCoverInstance:
             raise ValueError("members do not cover every element")
 
 
+def counted_fsum(values: Sequence[float] | np.ndarray, counts: Sequence[int] | np.ndarray) -> float:
+    """`math.fsum` of each `values[i]` taken `counts[i]` times, at a cost
+    set by the number of values, not by the total count.
+
+    k copies of x add up to the sum of x * 2**j over the set bits j of k.
+    Scaling by a power of two up loses no bits, subnormals included, so
+    each scaled copy is exact unless it overflows; `fsum` is correctly
+    rounded, so the scaled copies give the float of the expanded sum.  A
+    finite value whose scaled copy overflows raises OverflowError, as the
+    expanded `fsum` does for terms of one sign.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    try:
+        with np.errstate(over="raise"):
+            copies = [
+                values[counts >> j & 1 == 1] * 2.0**j
+                for j in range(int(counts.max(initial=0)).bit_length())
+            ]
+    except FloatingPointError:
+        raise OverflowError("a scaled copy overflows in counted_fsum") from None
+    return math.fsum(np.concatenate(copies).tolist()) if copies else 0.0
+
+
 def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
-    """log(sum(exp(v))), shifted by the largest value; `fsum` is exactly
-    rounded, so the result does not depend on the order of `values`.  The
-    exponentials are libm's `math.exp`, whose bytes the CSVs pin."""
+    """log(sum(exp(v))), shifted by the largest value.
+
+    Each distinct shifted value gets one libm `math.exp`, whose bytes the
+    CSVs pin, and `counted_fsum` adds it once per occurrence, exactly: the
+    result is the float of the element-by-element `fsum`, whatever the
+    order of `values`.  A +inf value gives +inf.
+    """
     vals = np.asarray(values, dtype=np.float64)
     shift = float(vals.max()) if len(vals) else -math.inf
-    if shift == -math.inf:
-        return -math.inf
-    return shift + math.log(math.fsum(map(math.exp, (vals - shift).tolist())))
+    if math.isinf(shift):
+        return shift
+    distinct, counts = np.unique(vals - shift, return_counts=True)
+    return shift + math.log(counted_fsum([math.exp(v) for v in distinct.tolist()], counts))
 
 
 def _greedy_cover(

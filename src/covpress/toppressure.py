@@ -197,6 +197,20 @@ def _atom_extrema(
     return lo, lowest(f_field == lo[atoms]), hi, lowest(f_field == hi[atoms])
 
 
+def _member_extrema(
+    holds: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per member of a members x classes incidence, the min of `lo` and the
+    max of `hi` over the classes it holds.
+
+    Every member holds a class, so each one's run of the incidence's
+    nonzeros is nonempty and is reduced without a dense float matrix.
+    """
+    rows, cols = np.nonzero(holds)
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    return np.minimum.reduceat(lo[cols], starts), np.maximum.reduceat(hi[cols], starts)
+
+
 def pressure_quadruple(
     sys: FiniteSystem,
     f: Potential,
@@ -257,9 +271,10 @@ def quadruple_from_joined(
         return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=hi_reps)}
     graph = ClosenessGraph(joined)
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
+    q_weights, p_weights = _member_extrema(graph.holds, lo, hi)
     out = {
-        "Q": _subcover_sample(graph, np.where(graph.holds, lo, np.inf).min(1), n, member_limit),
-        "P": _subcover_sample(graph, np.where(graph.holds, hi, -np.inf).max(1), n, member_limit),
+        "Q": _subcover_sample(graph, q_weights, n, member_limit),
+        "P": _subcover_sample(graph, p_weights, n, member_limit),
     }
     inst = WeightedCoverInstance(graph.shares, graph.class_sizes, tuple(lo.tolist()))
     g = min_subcover_value(inst, exact_limit=class_limit)

@@ -88,6 +88,26 @@ def test_partition_entropy_matches_the_per_class_sum():
     assert partition_entropy(FiniteMeasure(np.zeros(0)), SetFamily.trivial(0)) == 0.0
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 500),
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e300)), min_size=1, max_size=4
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_partition_entropy_is_the_class_by_class_fsum(seed, m, pool):
+    # Random partitions whose state weights come from a small pool, so class
+    # masses repeat; zero-mass classes and masses above 1 (negative terms)
+    # included.
+    rng = np.random.default_rng(seed)
+    family = SetFamily.from_labels(rng.integers(0, int(rng.integers(1, m + 2)), size=m))
+    mu = FiniteMeasure(rng.choice(pool, size=m))
+    masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
+    want = math.fsum(-v * math.log(v) for v in masses.tolist() if v > 0.0)
+    assert repr(partition_entropy(mu, family)) == repr(want)
+
+
 def test_conditional_entropy_cases():
     mu = FiniteMeasure(np.array([0.25, 0.25, 0.25, 0.25]))
     rows = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}], kind="partition")

@@ -24,6 +24,7 @@ from covpress.solvers import (
     _dual_ascent_bound,
     _greedy_cover,
     _greedy_mwis,
+    counted_fsum,
     max_weight_independent_set,
     min_subcover_value,
 )
@@ -749,3 +750,41 @@ def test_dual_ascent_over_distinct_holders_matches_the_per_bit_walk(case):
     greedy = _greedy_cover(*incidence_of(universe, members), log_weights)
     search = (universe, members, weights, greedy, 2000)
     assert cover_search(*search) == _reference_branch_and_bound_cover(*search)
+
+
+# Terms of any sign whose counted sums cannot overflow, or non-negative
+# terms up to the largest float, whose sums may.
+_bounded_terms = st.one_of(st.floats(0.0, 1.0), st.floats(-1e300, 1e300))
+_huge_terms = st.floats(0.0, 1.7976931348623157e308)
+
+
+@example([(0.1, 65536)])
+@given(
+    st.one_of(
+        st.lists(st.tuples(_bounded_terms, st.integers(0, 3000)), max_size=8),
+        st.lists(st.tuples(_huge_terms, st.integers(0, 3000)), max_size=8),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_counted_fsum_is_the_expanded_fsum(pairs):
+    # Subnormals included: scaled copies are exact, so the sum is the float
+    # of the fsum over every copy, and it overflows where that one does.
+    values, counts = [v for v, _ in pairs], [c for _, c in pairs]
+    expanded = [v for v, c in pairs for _ in range(c)]
+    try:
+        want = math.fsum(expanded)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            counted_fsum(values, counts)
+    else:
+        assert repr(counted_fsum(values, counts)) == repr(want)
+        assert repr(counted_fsum(np.array(values), np.array(counts))) == repr(want)
+
+
+def test_counted_fsum_edge_cases():
+    assert counted_fsum([], []) == 0.0
+    assert counted_fsum([2.5], [0]) == 0.0
+    assert counted_fsum([5e-324, 1.0], [3, 2]) == math.fsum([5e-324] * 3 + [1.0] * 2)
+    assert counted_fsum([math.inf, 1.0], [4, 1]) == math.inf
+    with pytest.raises(OverflowError):
+        counted_fsum([1e308], [2])

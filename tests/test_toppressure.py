@@ -3,10 +3,11 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covpress import lattice, toppressure
@@ -750,6 +751,24 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
             assert quad[mode].status == got.status, mode
 
 
+@given(overlapping_joins())
+@settings(max_examples=300, deadline=None)
+def test_member_extrema_match_the_dense_where(case):
+    # Q's and P's member weights, reduced over each member's run of the
+    # incidence's nonzeros, are the floats of the dense members x classes
+    # `np.where` form: min and max are exact whatever the order.
+    joined, field = case
+    graph = ClosenessGraph(joined)
+    lo, _, hi, _ = (a[graph.class_atoms] for a in toppressure._atom_extrema(joined, field))
+    got = toppressure._member_extrema(graph.holds, lo, hi)
+    want = (
+        np.where(graph.holds, lo, np.inf).min(1),
+        np.where(graph.holds, hi, -np.inf).max(1),
+    )
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_log_sum_exp_empty_and_large():
     assert log_sum_exp([]) == -math.inf
     assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0))
@@ -763,9 +782,28 @@ def scalar_log_sum_exp(values):
     return shift + math.log(math.fsum(math.exp(v - shift) for v in values))
 
 
-@given(st.lists(st.floats(-2000.0, 2000.0), max_size=40))
+@st.composite
+def repeated_spreads(draw):
+    """Up to six values, each repeated up to 3,000 times, in a random order:
+    a top value, values up to 2000 below it (their exponentials underflow
+    to subnormals from about 708 below and to 0 from about 745), and -inf."""
+    top = draw(st.floats(-50.0, 50.0))
+    gaps = st.one_of(st.floats(0.0, 2000.0), st.floats(700.0, 760.0), st.just(math.inf))
+    pool = [top] + [top - g for g in draw(st.lists(gaps, max_size=5))]
+    counts = draw(st.lists(st.integers(1, 3000), min_size=len(pool), max_size=len(pool)))
+    values = np.repeat(pool, counts)
+    np.random.default_rng(draw(st.integers(0, 2**32 - 1))).shuffle(values)
+    return values.tolist()
+
+
+# 65,536 equal values: one class per state of the 4 x 4 torus at box (4, 4)
+# under a constant potential.
+@example([-0.37] * 65536)
+@given(st.one_of(st.lists(st.floats(-2000.0, 2000.0), max_size=40), repeated_spreads()))
 @settings(max_examples=200, deadline=None)
 def test_log_sum_exp_of_arrays_and_lists_matches_the_scalar_fold(values):
+    # Repeated values take one exponential per distinct value and exact
+    # multiplicities, and still give the bytes of the fold over every value.
     assert log_sum_exp(values) == scalar_log_sum_exp(values)
     assert log_sum_exp(np.array(values)) == scalar_log_sum_exp(values)
 
@@ -777,3 +815,12 @@ def test_log_sum_exp_keeps_libm_exponentials():
     for _ in range(3000):
         values = rng.uniform(-3.0, 3.0, int(rng.integers(2, 40)))
         assert log_sum_exp(values) == scalar_log_sum_exp(values.tolist())
+
+
+def test_log_sum_exp_of_an_infinite_value_is_infinite():
+    # A finite potential whose box sum overflows puts +inf in a field; the
+    # log-sum is then +inf, without the nan and the warning of inf - inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_sum_exp([math.inf, 0.0]) == math.inf
+        assert log_sum_exp(np.array([0.0, -math.inf, math.inf, math.inf])) == math.inf
