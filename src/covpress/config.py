@@ -124,9 +124,18 @@ class ExperimentConfig:
         return FullShiftSpec(self.symbols, self.dim, phi)
 
 
+def _read_bool(value: str) -> bool:
+    word = value.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
+
+
 # How a config file value of each key is read: by the type of its field.
 _READERS = {
-    "bool": lambda value: value.lower() in ("1", "true", "yes", "on"),
+    "bool": _read_bool,
     "int": int,
     "int | None": int,
     "float": float,
@@ -148,7 +157,10 @@ def parse_config_text(text: str) -> dict:
         key = key.replace("-", "_")
         if key not in _KEY_READERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        out[key] = _KEY_READERS[key](value)
+        try:
+            out[key] = _KEY_READERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return out
 
 

@@ -21,24 +21,28 @@ with overlapping members also lift their member bitmasks onto the finer
 atoms and intersect them.  `join`, `preimage_family`, `refines`, partition
 equality and every box sweep step are that kernel.  Within a sweep's
 shell a partition's codes stay unranked, as mixed-radix itinerary codes,
-and are ranked once per yielded box, or sooner when their code space
-passes the member budget or the flag bound; the atoms, counts and budget
-errors are those of ranking at every point.  On top of families sit
-admissibility classification against the system's marked states, the
-strongly-admissible cover built from an admissible partition, the
-potential-level cover, and the closeness graph of states sharing a member.
+and are ranked once per yielded box (`box_join`: once, at the box's last
+point), or sooner when their code space passes the member budget or the
+flag bound; the atoms, counts and budget errors are those of ranking at
+every point.  On top of families sit admissibility classification against
+the system's marked states, the strongly-admissible cover built from an
+admissible partition, the potential-level cover, and the closeness graph
+of states sharing a member.
 
 The box sweep is the one place where joins and ergodic sums are built.
 `box_sweep` walks the box below n once, in the shell order of
-`dynsys.iter_box_maps` (all points of the box min(t, n) before any point of
-min(t + 1, n)), refines the join by the family pulled back through each
-point, adds the potential at each point to the field, and yields both after
-every shell.  A single box is the sweep's last item (`box_join`,
-`orbit_join`); a rate along the diagonal reads every item of the sweep over
-(n_max, .., n_max).  So the join and field at a box are the same bytes
-whichever way they are asked for.  `is_join_stable` is the one certificate
-that a join has stopped refining: joined with its pullback through every
-generator, it gains no member.
+`dynsys.iter_box_pullbacks` (all points of the box min(t, n) before any
+point of min(t + 1, n)), which pulls the atom labels and the potential
+values back point by point without composing state maps.  It refines the
+join by the labels pulled back to each point, adds the values there to the
+field, and yields both after every shell.  A single box is the sweep's
+last item (`box_join`, `orbit_join`), built by the same walk and join step
+but ranked and wrapped in a `SetFamily` only at its end; a rate along the
+diagonal reads every item of the sweep over (n_max, .., n_max).  So the
+join and field at a box are the same bytes whichever way they are asked
+for.  `is_join_stable` is the one certificate that a join has stopped
+refining: joined with its pullback through every generator, it gains no
+member.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from covpress.dynsys import FiniteSystem, Potential, iter_box_maps, power_map
+from covpress.dynsys import FiniteSystem, Potential, iter_box_pullbacks, power_map
 from covpress.lattice import Coords, as_point, box_cardinality
 
 DEFAULT_MEMBER_BUDGET = 4096
@@ -278,10 +282,10 @@ def _lift(incidence: Sequence[int] | None, count: int, parent: np.ndarray) -> li
     return row_masks(bool_rows(incidence, count)[:, parent])
 
 
-def _side(family: SetFamily, image: np.ndarray | slice = slice(None)) -> tuple:
-    """The family pulled back through a state map (the identity by default),
-    as one side of `_join_atoms`."""
-    return family.atoms[image], family.atom_count, family._incidence
+def _side(family: SetFamily, atoms: np.ndarray | None = None) -> tuple:
+    """The family as one side of `_join_atoms`, or, given `atoms`, its atom
+    labels pulled back through a state map, the family pulled back."""
+    return family.atoms if atoms is None else atoms, family.atom_count, family._incidence
 
 
 def _join_atoms(left: tuple, right: tuple, defer: int = 0) -> tuple:
@@ -339,7 +343,7 @@ def preimage_family(sys: FiniteSystem, family: SetFamily, k: Coords) -> SetFamil
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
     trivial = _side(SetFamily.trivial(sys.state_count))
-    atoms, _, incidence = _join_atoms(trivial, _side(family, power_map(sys, k)))
+    atoms, _, incidence = _join_atoms(trivial, _side(family, family.atoms[power_map(sys, k)]))
     return SetFamily(atoms, incidence)
 
 
@@ -357,6 +361,58 @@ def _check_box(n: Coords) -> None:
         raise CoverBudgetError(f"box cardinality {lam} exceeds budget {DEFAULT_LAMBDA_BUDGET}")
 
 
+def _join_shells(
+    sys: FiniteSystem,
+    family: SetFamily,
+    f: Potential | None,
+    n: Coords,
+    member_budget: int,
+    every_shell: bool,
+) -> Iterator[tuple[Coords, tuple, np.ndarray | None]]:
+    """Yield (box, join state, field) for the boxes min(t, n), t = 1..max(n),
+    from one walk of the box below n in shell order; the state is as
+    `_join_atoms` left it.
+
+    With `every_shell` a partition's codes are ranked at each shell's last
+    point and each shell adds onto a new field, so every item can be kept;
+    without it they are ranked only at the box's last point and one field
+    is added onto throughout, so only the last item is whole.
+    """
+    if family.state_count != sys.state_count:
+        raise ValueError("family does not live on this system")
+    # Partition codes stay unranked while their code space is at most both
+    # the member budget and the flag bound: the class count is then within
+    # budget, and the later ranking takes the flag array.
+    defer = min(member_budget, _flag_bound(sys.state_count))
+    # The walk pulls back the atom labels and the potential values; the
+    # origin's pullback is the family itself.
+    walk = iter_box_pullbacks(sys, n, (family.atoms,) if f is None else (family.atoms, f.values))
+    state = None
+    field = None if f is None else np.zeros(sys.state_count)
+    walked = 0
+    for t in range(1, max(n) + 1):
+        box = tuple(min(t, c) for c in n)
+        _check_box(box)
+        lam = box_cardinality(box)
+        rank_at = lam - walked - 1 if every_shell or t == max(n) else -1
+        for i, (_, pulled) in enumerate(itertools.islice(walk, lam - walked)):
+            side = _side(family, pulled[0])
+            state = side if state is None else _join_atoms(state, side, 0 if i == rank_at else defer)
+            # An unranked state's bound is its code space, at most the budget.
+            members = state[1] if state[2] is None else len(state[2])
+            if members > member_budget:
+                raise CoverBudgetError(
+                    f"join over box {box} (cardinality {lam}) has {members} members, "
+                    f"budget {member_budget}"
+                )
+            if field is not None and i == 0 and every_shell:
+                field = field + pulled[1]  # a yielded field is never written again
+            elif field is not None:
+                field += pulled[1]
+        walked = lam
+        yield box, state, field
+
+
 def box_sweep(
     sys: FiniteSystem,
     family: SetFamily,
@@ -368,13 +424,15 @@ def box_sweep(
     t = 1..max(n), from one walk of the box below n in shell order.
 
     Each box point after the origin joins in the family pulled back through
-    it, so states are identified exactly when their atom agrees at every
-    point, and a cover's members are intersected in first-occurrence order
-    over (joined-so-far member, next preimage member).  A partition's
-    itinerary codes are ranked once per yielded box, at the shell's last
-    point, or earlier when their code space passes `member_budget` or the
-    flag bound; ranking keeps the codes' lexicographic order, so the atoms,
-    counts and budget errors are those of ranking at every point.
+    it, whose atom labels the walk carries from point to point along with
+    the values of f, so states are identified exactly when their atom
+    agrees at every point, and a cover's members are intersected in
+    first-occurrence order over (joined-so-far member, next preimage
+    member).  A partition's itinerary codes are ranked once per yielded
+    box, at the shell's last point, or earlier when their code space passes
+    `member_budget` or the flag bound; ranking keeps the codes'
+    lexicographic order, so the atoms, counts and budget errors are those
+    of ranking at every point.
     The field is the sum of f over the box points, None when f is; each
     shell adds onto a new array, so a yielded field is never written again.
     A box over DEFAULT_LAMBDA_BUDGET points raises CoverBudgetError before
@@ -384,40 +442,8 @@ def box_sweep(
     either.
     """
     n = as_point(n, dim=sys.dim)
-    if family.state_count != sys.state_count:
-        raise ValueError("family does not live on this system")
-    # Within a shell, partition codes stay unranked while their code space
-    # is at most both the member budget and the flag bound: the class count
-    # is then within budget, and the later ranking takes the flag array.
-    defer = min(member_budget, _flag_bound(sys.state_count))
-    walk = iter_box_maps(sys, n)
-    state = None
-    field = None if f is None else np.zeros(sys.state_count)
-    walked = 0
-    for t in range(1, max(n) + 1):
-        box = tuple(min(t, c) for c in n)
-        _check_box(box)
-        lam = box_cardinality(box)
-        last = lam - walked - 1
-        for i, (_, tk) in enumerate(itertools.islice(walk, lam - walked)):
-            # The walk starts at the origin, whose pullback is the family
-            # itself; the shell's last point ranks the codes it yields.
-            pulled = _side(family, tk)
-            state = pulled if state is None else _join_atoms(state, pulled, defer if i < last else 0)
-            # An unranked state's bound is its code space, at most the budget.
-            members = state[1] if state[2] is None else len(state[2])
-            if members > member_budget:
-                raise CoverBudgetError(
-                    f"join over box {box} (cardinality {lam}) has {members} members, "
-                    f"budget {member_budget}"
-                )
-            if field is not None and i:
-                field += f.values[tk]
-            elif field is not None:
-                # A new array per shell: a yielded field is never written again.
-                field = field + f.values[tk]
-        walked = lam
-        yield box, SetFamily(state[0], state[2]), field
+    for box, (atoms, _, incidence), field in _join_shells(sys, family, f, n, member_budget, True):
+        yield box, SetFamily(atoms, incidence), field
 
 
 def is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
@@ -443,12 +469,16 @@ def box_join(
     member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> tuple[SetFamily, np.ndarray | None]:
     """The join and the field over the whole box below n: the last item of
-    `box_sweep`.  A box over DEFAULT_LAMBDA_BUDGET is refused before any walk."""
+    `box_sweep`, from the same walk and join step.  A partition's codes are
+    ranked once, at the box's last point, unless their code space passes
+    `member_budget` or the flag bound sooner, and no family or field is
+    built for the smaller boxes.  A box over DEFAULT_LAMBDA_BUDGET is
+    refused before any walk."""
     n = as_point(n, dim=sys.dim)
     _check_box(n)
-    for _, joined, field in box_sweep(sys, family, f, n, member_budget):
+    for _, (atoms, _, incidence), field in _join_shells(sys, family, f, n, member_budget, False):
         pass
-    return joined, field
+    return SetFamily(atoms, incidence), field
 
 
 def orbit_join(

@@ -144,56 +144,76 @@ def apply_power(sys: FiniteSystem, k: Coords, x: int) -> int:
     return x
 
 
-def _lex_maps(
-    sys: FiniteSystem, n: Coords, start: np.ndarray
-) -> Iterator[tuple[Coords, np.ndarray]]:
-    """Yield (k, x -> T^k(start[x])) for every k in the box below n, in lex order."""
-    # stack[d] holds the map for the prefix point (k[0], .., k[d-1], 0, .., 0).
-    stack: list[np.ndarray] = [start] * (sys.dim + 1)
+def _lex_pullbacks(
+    sys: FiniteSystem, n: Coords, start: tuple[np.ndarray, ...]
+) -> Iterator[tuple[Coords, tuple[np.ndarray, ...]]]:
+    """Yield (k, each start array pulled back through T^k) for every k in
+    the box below n, in lex order."""
+    # stack[d] holds the arrays for the prefix point (k[0], .., k[d-1], 0, .., 0).
+    stack = [start] * (sys.dim + 1)
     prev: Coords | None = None
     for k in iter_box(n):
         if prev is not None:
             # Lex order increments exactly one axis and resets deeper ones.
             axis = next(i for i in range(sys.dim) if k[i] != prev[i])
-            stack[axis + 1] = sys.generators[axis][stack[axis + 1]]
+            g = sys.generators[axis]
+            stack[axis + 1] = tuple(a[g] for a in stack[axis + 1])
             for deeper in range(axis + 1, sys.dim):
                 stack[deeper + 1] = stack[deeper]
         yield k, stack[-1]
         prev = k
 
 
-def iter_box_maps(sys: FiniteSystem, n: Coords) -> Iterator[tuple[Coords, np.ndarray]]:
-    """Yield (k, power-k map) for every k in the box below n, in shell order.
+def iter_box_pullbacks(
+    sys: FiniteSystem, n: Coords, arrays: tuple[np.ndarray, ...]
+) -> Iterator[tuple[Coords, tuple[np.ndarray, ...]]]:
+    """Yield (k, arrays pulled back through T^k) for every k in the box
+    below n, in shell order: each array a, read as a function of the state,
+    becomes a o T^k, the bytes of a[power_map(sys, k)].
 
     Shell t is the points with max(k) = t - 1: every point of the box
     min(t, n) comes before any point of min(t + 1, n), so the walk of the
     box (t, .., t) starts the walk of every larger cube.  A shell is one slab
     per axis a, the points whose last coordinate equal to t - 1 is k_a,
     walked in lex order from T_a^(t-1).  In 1-d the order is 0, 1, 2, ...
-    Memory stays at 2 dim + 1 maps however large the box is.
+    The generators commute, so a o T^(k + e) = (a o T^k)[g] for the
+    generator g of the unit step e: each point costs one gather per array,
+    and no state map is composed unless it is one of the arrays.  Memory
+    stays at 2 dim + 1 copies of each array however large the box is.
     """
     n = as_point(n, dim=sys.dim)
     if any(c == 0 for c in n):
         raise EmptyBoxError(f"box {n} is empty")
-    tops = [np.arange(sys.state_count, dtype=np.int64)] * sys.dim  # per axis: T_a^(t-1)
+    if any(len(a) != sys.state_count for a in arrays):
+        raise ValueError("every pulled-back array needs one entry per state")
+    tops = [tuple(arrays)] * sys.dim  # per axis: the arrays pulled back through T_a^(t-1)
     for t in range(1, max(n) + 1):
         for a in range(sys.dim):
             if t > n[a]:
                 continue
             if t > 1:
-                tops[a] = sys.generators[a][tops[a]]
+                g = sys.generators[a]
+                tops[a] = tuple(x[g] for x in tops[a])
             slab = tuple(1 if b == a else min(t if b < a else t - 1, c) for b, c in enumerate(n))
             if 0 in slab:
                 continue
-            for k, tk in _lex_maps(sys, slab, tops[a]):
-                yield k[:a] + (t - 1,) + k[a + 1 :], tk
+            for k, pulled in _lex_pullbacks(sys, slab, tops[a]):
+                yield k[:a] + (t - 1,) + k[a + 1 :], pulled
+
+
+def iter_box_maps(sys: FiniteSystem, n: Coords) -> Iterator[tuple[Coords, np.ndarray]]:
+    """Yield (k, power-k map) for every k in the box below n, in the shell
+    order of `iter_box_pullbacks`: the identity map pulled back."""
+    identity = np.arange(sys.state_count, dtype=np.int64)
+    for k, (tk,) in iter_box_pullbacks(sys, n, (identity,)):
+        yield k, tk
 
 
 def birkhoff_field(sys: FiniteSystem, f: Potential, n: Coords) -> np.ndarray:
     """The ergodic sum of f over the box below n, for every state at once."""
     total = np.zeros(sys.state_count)
-    for _, tk in iter_box_maps(sys, n):
-        total += f.values[tk]
+    for _, (fk,) in iter_box_pullbacks(sys, n, (f.values,)):
+        total += fk
     return total
 
 

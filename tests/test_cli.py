@@ -46,6 +46,14 @@ def test_parse_config_text():
         parse_config_text("nope = 3")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just words")
+    # Booleans take 1/true/yes/on and 0/false/no/off in any case; any other
+    # spelling is refused with its line, not read as False.
+    for word in ("ON", "Yes", "1", "true", "off", "FALSE", "0", "No"):
+        want = word.lower() in ("on", "yes", "1", "true")
+        assert parse_config_text(f"svg = {word}") == {"svg": want}
+    for word in ("nope", "ture", "", "2"):
+        with pytest.raises(ValueError, match=rf"line 2: svg: .*got '{word}'"):
+            parse_config_text(f"m = 101\nsvg = {word}")
 
 
 def test_load_config_defaults_and_overrides(tmp_path):

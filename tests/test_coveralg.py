@@ -29,6 +29,7 @@ from covpress.dynsys import (
     Potential,
     birkhoff_field,
     iter_box_maps,
+    iter_box_pullbacks,
     make_circle_doubling,
     make_disk_system,
     power_system,
@@ -490,12 +491,12 @@ def test_deferred_ranking_matches_a_per_point_ranked_fold(case, data):
     want = run(per_point_ranked_sweep(sys, family, n, budget, want_walked))
     got_walked = [0]
 
-    def counted(sys, n):
-        for item in iter_box_maps(sys, n):
+    def counted(sys, n, arrays):
+        for item in iter_box_pullbacks(sys, n, arrays):
             got_walked[0] += 1
             yield item
 
-    patches = [mock.patch.object(coveralg, "iter_box_maps", counted)]
+    patches = [mock.patch.object(coveralg, "iter_box_pullbacks", counted)]
     if flag_bound is not None:
         patches.append(mock.patch.object(coveralg, "_flag_bound", lambda size: flag_bound))
     with contextlib.ExitStack() as stack:
@@ -539,12 +540,12 @@ def test_diagonal_sweep_stops_at_box_budget(monkeypatch):
     monkeypatch.setattr(coveralg, "DEFAULT_LAMBDA_BUDGET", 9)
     walked = []
 
-    def counted(sys, n):
-        for item in iter_box_maps(sys, n):
+    def counted(sys, n, arrays):
+        for item in iter_box_pullbacks(sys, n, arrays):
             walked.append(item[0])
             yield item
 
-    monkeypatch.setattr(coveralg, "iter_box_maps", counted)
+    monkeypatch.setattr(coveralg, "iter_box_pullbacks", counted)
     sys = FiniteSystem(generators=(np.arange(3), np.arange(3)))
     sweep = box_sweep(sys, SetFamily.singletons(3), None, diagonal(5, 2))
     seen = []

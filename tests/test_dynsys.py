@@ -17,6 +17,7 @@ from covpress.dynsys import (
     birkhoff_sum,
     cycle_structure,
     iter_box_maps,
+    iter_box_pullbacks,
     make_circle_doubling,
     make_disk_system,
     power_map,
@@ -83,8 +84,12 @@ def shell_key(k):
 def test_iter_box_maps_matches_power_map():
     # Every point once, in shell order, with its power map; 2-d boxes and
     # clipped 3-d ones, whose shells lose slabs once an axis is used up.
+    # Labels and values pulled back along the same walk are the bytes of
+    # gathering them through the power map.
     states = np.arange(37, dtype=np.int64)
     gens = ((2 * states) % 37, (3 * states) % 37, (5 * states) % 37)
+    labels = states * 7 % 5
+    values = np.sin(states * 1.3)
     for n in [(3, 4), (2, 4), (4, 2), (3, 1, 2), (2, 3, 3)]:
         sys = FiniteSystem(generators=gens[: len(n)])
         walked = []
@@ -92,6 +97,13 @@ def test_iter_box_maps_matches_power_map():
             assert np.array_equal(arr, power_map(sys, k))
             walked.append(k)
         assert walked == sorted(lattice.enumerate_box(n), key=shell_key)
+        pulled = list(iter_box_pullbacks(sys, n, (labels, values)))
+        assert [k for k, _ in pulled] == walked
+        for k, (label_k, value_k) in pulled:
+            tk = power_map(sys, k)
+            assert label_k.dtype == labels.dtype and value_k.dtype == values.dtype
+            assert label_k.tobytes() == labels[tk].tobytes()
+            assert value_k.tobytes() == values[tk].tobytes()
 
 
 def test_birkhoff_constant_and_single_term():

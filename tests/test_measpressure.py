@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covpress import coveralg, dynsys, lattice, measpressure
+from covpress import coveralg, dynsys, lattice
 from covpress.coveralg import SetFamily, is_join_stable, join, orbit_join
 from covpress.dynsys import (
     FiniteSystem,
@@ -534,15 +534,15 @@ def test_separated_link_walks_its_box_twice(monkeypatch):
     arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)], kind="partition")
     f = Potential(np.random.default_rng(10).normal(size=101))
     chosen = pressure_quadruple(sys, f, arc, (3,))["S"].chosen
-    walk = dynsys.iter_box_maps
+    walk = dynsys.iter_box_pullbacks
     walks = []
 
-    def counted(sys, n):
+    def counted(sys, n, arrays):
         walks.append(tuple(n))
-        return walk(sys, n)
+        return walk(sys, n, arrays)
 
-    for module in (coveralg, dynsys, measpressure):
-        monkeypatch.setattr(module, "iter_box_maps", counted)
+    for module in (coveralg, dynsys):
+        monkeypatch.setattr(module, "iter_box_pullbacks", counted)
     report = separated_entropy_link_check(sys, f, arc, (3,), chosen, arc)
     assert walks == [(3,), (3,)]
     monkeypatch.undo()

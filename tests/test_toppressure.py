@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from covpress import lattice, toppressure
+from covpress import coveralg, lattice, toppressure
 from covpress.coveralg import (
     ClosenessGraph,
     SetFamily,
@@ -511,6 +511,32 @@ def test_n2_quadruple_bytes_are_pinned():
         quad = pressure_quadruple(small, Potential(0.37 * (xb & 1)), overlap_cover(xb), n)
         records += [(n, m, repr(s.log_value), s.status, s.chosen) for m, s in quad.items()]
     assert hashlib.sha256(repr(records).encode()).hexdigest() == N2_QUADRUPLE_SHA256
+
+
+def test_box_join_ranks_a_partition_once(monkeypatch):
+    # Over every box of the 4 x 4 torus the origin partition's itinerary
+    # codes fit the 65,536 budget, so a single box ranks them once, at its
+    # last point, over the whole code space; the join and the field are
+    # the bytes of the sweep's last item.
+    big, xa = torus_shift(4, 4)
+    origin = SetFamily.from_labels(xa & 1)
+    f = Potential(0.37 * (xa & 1))
+    real = coveralg._dense_unique
+    ranked = []
+
+    def counted(codes, bound):
+        ranked.append(bound)
+        return real(codes, bound)
+
+    for n in ((4, 4), (2, 3), (1, 4)):
+        *_, (_, want, want_field) = box_sweep(big, origin, f, n, member_budget=65536)
+        ranked.clear()
+        monkeypatch.setattr(coveralg, "_dense_unique", counted)
+        joined, field = box_join(big, origin, f, n, member_budget=65536)
+        monkeypatch.undo()
+        assert ranked == [2 ** lattice.box_cardinality(n)]
+        assert (joined.atoms.tobytes(), joined.count) == (want.atoms.tobytes(), want.count)
+        assert field.tobytes() == want_field.tobytes()
 
 
 @st.composite
