@@ -14,6 +14,7 @@ bad value fails at load time rather than mid-run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -96,8 +97,8 @@ class ExperimentConfig:
             raise ValueError("deep_exponent must be at most 62")
         if self.exact_limit is not None and self.exact_limit <= 0:
             raise ValueError("exact_limit must be positive")
-        if not self.euclid_eps > 0:  # NaN too
-            raise ValueError("euclid_eps must be positive")
+        if not (self.euclid_eps > 0 and math.isfinite(self.euclid_eps)):
+            raise ValueError("euclid_eps must be positive and finite")
         for name in ("rings", "sectors"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")

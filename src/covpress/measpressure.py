@@ -314,8 +314,12 @@ def _empirical_measures(
     sigma = FiniteMeasure(sigma_w)
 
     avg = np.zeros(sys.state_count)
+    idx = np.asarray(chosen)
+    weights = sigma.weights[idx]
     for _, tk in iter_box_maps(sys, n):
-        avg += np.bincount(tk[np.asarray(chosen)], weights=sigma.weights[chosen], minlength=sys.state_count)
+        # Sum over the distinct images only; bincount adds each one's weights in chosen order.
+        images, inverse = np.unique(tk[idx], return_inverse=True)
+        avg[images] += np.bincount(inverse, weights=weights)
     averaged = FiniteMeasure(avg / lam)
     return EmpiricalMeasures(sigma=sigma, averaged=averaged, log_normalizer=log_normalizer)
 

@@ -1,14 +1,20 @@
 """Config parsing, experiment drivers, CSV contract, CLI exit codes."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import covpress
 from covpress import experiments
 from covpress.cli import main
 from covpress.config import ExperimentConfig, load_config, parse_config_text
@@ -431,6 +437,7 @@ BAD_LEAKAGE_GEOMETRY = [
     ({"sectors": 1, "slices": 1}, "sectors"),
     ({"euclid_eps": float("nan")}, "euclid_eps"),
     ({"slices": 1}, "slices"),
+    ({"euclid_eps": float("inf")}, "euclid_eps"),
 ]
 
 
@@ -579,6 +586,34 @@ def test_cli_rerun_identical_bytes(tmp_path):
     assert main(["lattice-check", "--out", str(a), "--seed", "7"]) == 0
     assert main(["lattice-check", "--out", str(b), "--seed", "7"]) == 0
     assert (a / "lattice-check.csv").read_bytes() == (b / "lattice-check.csv").read_bytes()
+
+
+# Run in a fresh interpreter: whatever numpy submodule a CLI run imports
+# lazily is paid for on every run, and no warm process would see it.
+FRESH_IMPORT_SCRIPT = """
+import json, sys
+from covpress.cli import main
+
+def numpy_modules():
+    return {name for name in sys.modules if name.split(".")[0] == "numpy"}
+
+before = numpy_modules()
+loaded = {}
+for experiment in ("doubling", "leakage"):
+    assert main([experiment, "--out", sys.argv[1] + "/" + experiment]) == 0
+    loaded[experiment] = sorted(numpy_modules() - before)
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_runs_import_no_numpy_module_after_start(tmp_path):
+    src = str(Path(covpress.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {"doubling": [], "leakage": []}
 
 
 # SHA-256 of each experiment's CSV at its default config.  A refactor that

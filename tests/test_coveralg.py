@@ -679,6 +679,51 @@ def test_classify_admissible_partition_reports_noncompact():
     assert not classify_admissible_partition(sys, split_outer).is_admissible_partition
 
 
+@st.composite
+def disk_families(draw):
+    """A small disk system and a partition or cover of it whose marked
+    states fall in one atom or, when drawn so, possibly in several."""
+    sys = make_disk_system(draw(st.integers(2, 4)), draw(st.integers(2, 6)))
+    m = sys.state_count
+    marked = sorted(sys.marked)
+    one_atom = draw(st.booleans())
+    if draw(st.booleans()):
+        labels = np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+        if one_atom:
+            labels[marked] = labels[marked[0]]
+        return sys, SetFamily.from_labels(labels)
+    count = draw(st.integers(1, 4))
+    flags = np.array(draw(st.lists(st.booleans(), min_size=count * m, max_size=count * m)))
+    flags = flags.reshape(count, m)
+    flags[0, ~flags.any(axis=0)] = True
+    if draw(st.booleans()):
+        flags[-1, marked] = True  # an admissible cover, with its marked states in one atom or several
+    if one_atom:
+        flags[:, marked] = flags[:, [marked[0]]]
+    return sys, SetFamily.from_state_sets(m, [np.flatnonzero(row) for row in flags])
+
+
+def unique_marked_atoms(sys, family):
+    return np.unique(family.atoms[sorted(sys.marked)])
+
+
+def classify_reports(sys, family):
+    reports = [classify_admissible(sys, family)]
+    if family.is_partition:
+        reports.append(classify_admissible_partition(sys, family))
+    return reports
+
+
+@given(disk_families())
+@settings(max_examples=200, deadline=None)
+def test_marked_atoms_match_np_unique(case):
+    sys, family = case
+    assert coveralg._marked_atoms(sys, family).tolist() == unique_marked_atoms(sys, family).tolist()
+    reports = classify_reports(sys, family)
+    with mock.patch.object(coveralg, "_marked_atoms", unique_marked_atoms):
+        assert reports == classify_reports(sys, family)
+
+
 def test_cover_from_partition():
     sys = FiniteSystem(generators=(np.arange(6),), marked=frozenset({5}))
     part = SetFamily.from_state_sets(

@@ -166,15 +166,21 @@ def test_conditional_entropy_matches_the_dense_matrix():
         assert conditional_entropy(mu, c, d) == dense_conditional_entropy(mu, c, d)
 
 
-def test_conditional_entropy_of_65536_classes_runs_in_linear_memory():
-    # The 4 x 4 two-symbol torus (bit 4i + j holds the symbol at (i, j)):
-    # the row shift rotates the 16-bit word by one nibble, the column shift
-    # each nibble by one bit.  Over the box (4, 4) the origin partition's
-    # join separates all 65,536 states; a C x D matrix would take 32 GiB.
+def four_by_four_torus():
+    """The 4 x 4 two-symbol torus (bit 4i + j holds the symbol at (i, j)):
+    the row shift rotates the 16-bit word by one nibble, the column shift
+    each nibble by one bit."""
     x = np.arange(1 << 16, dtype=np.int64)
     rows = (x >> 4) | ((x & 0xF) << 12)
     cols = ((x >> 1) & 0x7777) | ((x & 0x1111) << 3)
-    sys = FiniteSystem(generators=(rows, cols))
+    return FiniteSystem(generators=(rows, cols))
+
+
+def test_conditional_entropy_of_65536_classes_runs_in_linear_memory():
+    # Over the box (4, 4) the origin partition's join separates all 65,536
+    # states of the 4 x 4 torus; a C x D matrix would take 32 GiB.
+    sys = four_by_four_torus()
+    x = np.arange(sys.state_count)
     joined = orbit_join(sys, SetFamily.from_labels(x & 1), (4, 4), member_budget=x.size)
     assert joined.count == x.size
     mu = FiniteMeasure.uniform(x.size)
@@ -474,6 +480,35 @@ def test_empirical_sigma_weights_proportional():
     field = birkhoff_field(sys, f, (2,))
     raw = np.exp(field[e])
     assert np.allclose(emp.sigma.weights[e], raw / raw.sum(), atol=1e-12)
+
+
+def full_bincount_average(sys, n, chosen, weights):
+    """The averaged empirical measure summed as one full-length bincount per box point."""
+    avg = np.zeros(sys.state_count)
+    for _, tk in dynsys.iter_box_maps(sys, n):
+        avg += np.bincount(tk[chosen], weights=weights[chosen], minlength=sys.state_count)
+    return avg / lattice.box_cardinality(n)
+
+
+@pytest.mark.parametrize(
+    "make, n, count",
+    [
+        (four_by_four_torus, (4, 4), 16),
+        (four_by_four_torus, (4, 4), 2000),
+        (four_by_four_torus, (4, 4), 1 << 16),
+        (lambda: make_circle_doubling(1001), (9,), 300),
+        # A random self-map: many chosen states share an image at each point.
+        (lambda: FiniteSystem(generators=(np.random.default_rng(5).integers(0, 500, 500),)), (6,), 400),
+    ],
+)
+def test_empirical_average_is_byte_equal_to_full_bincounts(make, n, count):
+    sys = make()
+    rng = np.random.default_rng(count)
+    f = Potential(rng.normal(size=sys.state_count))
+    chosen = np.sort(rng.choice(sys.state_count, size=count, replace=False))
+    emp = empirical_measures(sys, f, n, chosen.tolist())
+    reference = full_bincount_average(sys, n, chosen, emp.sigma.weights)
+    assert emp.averaged.weights.tobytes() == reference.tobytes()
 
 
 def test_invariance_defect_zero_shift():
