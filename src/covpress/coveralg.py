@@ -32,10 +32,12 @@ of states sharing a member.
 The box sweep is the one place where joins and ergodic sums are built.
 `box_sweep` walks the box below n once, in the shell order of
 `dynsys.iter_box_pullbacks` (all points of the box min(t, n) before any
-point of min(t + 1, n)), which pulls the atom labels and the potential
-values back point by point without composing state maps.  It refines the
-join by the labels pulled back to each point, adds the values there to the
-field, and yields both after every shell.  A single box is the sweep's
+point of min(t + 1, n)), which pulls the atom labels back point by point
+without composing state maps.  It refines the join by the labels pulled
+back to each point and yields it with the field after every shell.  A
+potential constant on the family's atoms is summed per joined atom along
+the join's pairs; any other one is pulled back too and summed per state,
+with the same bytes.  A single box is the sweep's
 last item (`box_join`, `orbit_join`), built by the same walk and join step
 but ranked and wrapped in a `SetFamily` only at its end; a rate along the
 diagonal reads every item of the sweep over (n_max, .., n_max).  So the
@@ -288,31 +290,37 @@ def _side(family: SetFamily, atoms: np.ndarray | None = None) -> tuple:
     return family.atoms if atoms is None else atoms, family.atom_count, family._incidence
 
 
-def _join_atoms(left: tuple, right: tuple, defer: int = 0) -> tuple:
+def _join_atoms(left: tuple, right: tuple, defer: int = 0, out: np.ndarray | None = None) -> tuple:
     """The join of two families, each given as (atom labels, label bound,
-    incidence or None for a partition), in the same form.
+    incidence or None for a partition), in the same form, followed by the
+    sorted distinct pair codes that the joined atoms rank.
 
-    The pair codes of the labels, ranked, are the joined atoms.  When both
-    sides are partitions and the code space is at most `defer`, the codes
-    are returned unranked, with the code space as their bound: a partition
-    side's labels need only lie below its bound, and ranking them later
-    gives the same atoms, since ranks keep the order of the codes.  Unless
-    both sides are partitions, the members are the nonempty intersections
-    of the lifted members, first occurrences kept in (left member, right
-    member) order.
+    The pair codes of the labels, ranked, are the joined atoms: atom j
+    pairs left atom pairs[j] // (right bound) with right atom
+    pairs[j] % (right bound); the codes are written into `out` when given.
+    When both sides are partitions and the code space is at most `defer`,
+    the codes are returned unranked, with the code space as their bound and
+    no pairs: a partition side's labels need only lie below its bound, and
+    ranking them later gives the same atoms, since ranks keep their order.
+    Unless both sides are partitions, the members are the nonempty
+    intersections of the lifted members, first occurrences kept in (left
+    member, right member) order.
     """
     left_atoms, left_count, left_incidence = left
     right_atoms, right_count, right_incidence = right
-    codes, bound = left_atoms * right_count + right_atoms, left_count * right_count
+    codes = np.multiply(left_atoms, right_count, out=out)
+    codes += right_atoms
+    bound = left_count * right_count
     partition = left_incidence is None and right_incidence is None
     if partition and bound <= defer:
-        return codes, bound, None
+        return codes, bound, None, None
     pairs, atoms = _dense_unique(codes, bound)
     if partition:
-        return atoms, len(pairs), None
+        return atoms, len(pairs), None, pairs
     mine = _lift(left_incidence, left_count, pairs // right_count)
     theirs = _lift(right_incidence, right_count, pairs % right_count)
-    return atoms, len(pairs), list(dict.fromkeys(m & t for m in mine for t in theirs if m & t))
+    members = list(dict.fromkeys(m & t for m in mine for t in theirs if m & t))
+    return atoms, len(pairs), members, pairs
 
 
 # -- reports ------------------------------------------------------------
@@ -343,7 +351,7 @@ def preimage_family(sys: FiniteSystem, family: SetFamily, k: Coords) -> SetFamil
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
     trivial = _side(SetFamily.trivial(sys.state_count))
-    atoms, _, incidence = _join_atoms(trivial, _side(family, family.atoms[power_map(sys, k)]))
+    atoms, _, incidence, _ = _join_atoms(trivial, _side(family, family.atoms[power_map(sys, k)]))
     return SetFamily(atoms, incidence)
 
 
@@ -351,7 +359,7 @@ def join(a: SetFamily, b: SetFamily) -> SetFamily:
     """All nonempty pairwise intersections, deduplicated; refines both inputs."""
     if a.state_count != b.state_count:
         raise ValueError("families live on different systems")
-    atoms, _, incidence = _join_atoms(_side(a), _side(b))
+    atoms, _, incidence, _ = _join_atoms(_side(a), _side(b))
     return SetFamily(atoms, incidence)
 
 
@@ -373,31 +381,62 @@ def _join_shells(
     from one walk of the box below n in shell order; the state is as
     `_join_atoms` left it.
 
+    When f is flat on the family's atoms, f o T^k is phi[atoms o T^k] for
+    phi, f's value per atom, so the field is a function of the joined atom:
+    the walk carries the atom labels alone, `vals[j]` adds up phi along
+    atom j's itinerary, extended by the join's pairs at every point, and
+    `vals[atoms]` is the field.  Each term is added in the walk's order
+    from +0.0, as a per-state sum adds it, so the bytes are the same.  A
+    potential that is not flat is pulled back and added per state.
+
     With `every_shell` a partition's codes are ranked at each shell's last
-    point and each shell adds onto a new field, so every item can be kept;
-    without it they are ranked only at the box's last point and one field
-    is added onto throughout, so only the last item is whole.
+    point and every item has a new field, so every item can be kept;
+    without it they are ranked only at the box's last point and the field
+    is whole only there, so only the last item is.
     """
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
+    if f is not None and len(f.values) != sys.state_count:
+        raise ValueError("potential does not live on this system")
     # Partition codes stay unranked while their code space is at most both
     # the member budget and the flag bound: the class count is then within
     # budget, and the later ranking takes the flag array.
     defer = min(member_budget, _flag_bound(sys.state_count))
-    # The walk pulls back the atom labels and the potential values; the
-    # origin's pullback is the family itself.
-    walk = iter_box_pullbacks(sys, n, (family.atoms,) if f is None else (family.atoms, f.values))
+    phi = None
+    if f is not None:
+        phi = np.empty(family.atom_count)
+        phi[family.atoms] = f.values
+        if not (phi[family.atoms] == f.values).all():
+            phi = None
+    per_state = f is not None and phi is None
+    # The walk pulls back the atom labels, and the potential values when f
+    # is not flat; the origin's pullback is the family itself.
+    walk = iter_box_pullbacks(sys, n, (family.atoms, f.values) if per_state else (family.atoms,))
+    codes = np.empty(sys.state_count, dtype=np.int64)  # the join codes of every point
     state = None
-    field = None if f is None else np.zeros(sys.state_count)
+    field = np.zeros(sys.state_count) if per_state else None
+    # The origin's terms, added to +0.0 as the per-state sum adds them.
+    vals = None if phi is None else 0.0 + phi
     walked = 0
     for t in range(1, max(n) + 1):
         box = tuple(min(t, c) for c in n)
         _check_box(box)
         lam = box_cardinality(box)
-        rank_at = lam - walked - 1 if every_shell or t == max(n) else -1
+        whole = every_shell or t == max(n)
+        rank_at = lam - walked - 1 if whole else -1
         for i, (_, pulled) in enumerate(itertools.islice(walk, lam - walked)):
             side = _side(family, pulled[0])
-            state = side if state is None else _join_atoms(state, side, 0 if i == rank_at else defer)
+            if state is None:
+                state = side
+            else:
+                atoms, bound, incidence, pairs = _join_atoms(
+                    state, side, 0 if i == rank_at else defer, codes
+                )
+                state = atoms, bound, incidence
+                if phi is not None and pairs is None:  # unranked: vals spans the code space
+                    vals = (vals[:, None] + phi).ravel()
+                elif phi is not None:
+                    vals = vals[pairs // family.atom_count] + phi[pairs % family.atom_count]
             # An unranked state's bound is its code space, at most the budget.
             members = state[1] if state[2] is None else len(state[2])
             if members > member_budget:
@@ -405,11 +444,13 @@ def _join_shells(
                     f"join over box {box} (cardinality {lam}) has {members} members, "
                     f"budget {member_budget}"
                 )
-            if field is not None and i == 0 and every_shell:
+            if per_state and i == 0 and every_shell:
                 field = field + pulled[1]  # a yielded field is never written again
-            elif field is not None:
+            elif per_state:
                 field += pulled[1]
         walked = lam
+        if phi is not None and whole:
+            field = vals[state[0]]
         yield box, state, field
 
 
@@ -424,17 +465,18 @@ def box_sweep(
     t = 1..max(n), from one walk of the box below n in shell order.
 
     Each box point after the origin joins in the family pulled back through
-    it, whose atom labels the walk carries from point to point along with
-    the values of f, so states are identified exactly when their atom
-    agrees at every point, and a cover's members are intersected in
-    first-occurrence order over (joined-so-far member, next preimage
-    member).  A partition's itinerary codes are ranked once per yielded
+    it, whose atom labels the walk carries from point to point, so states
+    are identified exactly when their atom agrees at every point, and a
+    cover's members are intersected in first-occurrence order over
+    (joined-so-far member, next preimage member).  A partition's itinerary codes are ranked once per yielded
     box, at the shell's last point, or earlier when their code space passes
     `member_budget` or the flag bound; ranking keeps the codes'
     lexicographic order, so the atoms, counts and budget errors are those
     of ranking at every point.
-    The field is the sum of f over the box points, None when f is; each
-    shell adds onto a new array, so a yielded field is never written again.
+    The field is the sum of f over the box points, None when f is, with
+    the bytes of `dynsys.birkhoff_field`; a yielded field is never written
+    again.  When f is constant on the family's atoms the walk carries no
+    values: the sum is kept per joined atom and read off the atoms.
     A box over DEFAULT_LAMBDA_BUDGET points raises CoverBudgetError before
     its shell is walked, and a join over `member_budget` members raises it
     too, at the same point as a per-point count would; the items already
@@ -496,7 +538,7 @@ def refines(finer: SetFamily, coarser: SetFamily) -> bool:
     i.e. is itself a member of their join."""
     if finer.state_count != coarser.state_count:
         raise ValueError("families live on different systems")
-    atoms, count, incidence = _join_atoms(_side(finer), _side(coarser))
+    atoms, count, incidence, _ = _join_atoms(_side(finer), _side(coarser))
     if incidence is None:
         # The coarser label must be constant on each finer class.
         return count == finer.count

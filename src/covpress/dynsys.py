@@ -254,11 +254,8 @@ def check_doubling_size(m: int) -> None:
 def make_circle_doubling(m: int) -> FiniteSystem:
     """Angle-doubling on m equally spaced circle points, m odd so it is a bijection."""
     check_doubling_size(m)
-    states = np.arange(m, dtype=np.int64)
-    gen = (2 * states) % m
-    angles = 2.0 * np.pi * states / m
-    geometry = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return FiniteSystem(generators=(gen,), marked=frozenset(), geometry=geometry)
+    gen = (2 * np.arange(m, dtype=np.int64)) % m
+    return FiniteSystem(generators=(gen,))
 
 
 def make_disk_system(rings: int, sectors: int) -> FiniteSystem:

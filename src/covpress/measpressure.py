@@ -63,7 +63,7 @@ class FiniteMeasure:
             raise ValueError("measure weights must be finite and non-negative")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "mass", float(math.fsum(w.tolist())))
+        object.__setattr__(self, "mass", counted_fsum(*np.unique(w, return_counts=True)))
 
     @classmethod
     def dirac(cls, x: int, m: int) -> "FiniteMeasure":

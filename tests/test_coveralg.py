@@ -14,6 +14,7 @@ from covpress.coveralg import (
     ClosenessGraph,
     CoverBudgetError,
     SetFamily,
+    box_join,
     box_sweep,
     classify_admissible,
     classify_admissible_partition,
@@ -521,6 +522,82 @@ def test_yielded_fields_are_never_written_again():
         assert [box for box, _, _ in items] == [(1, 1), (2, 2), (3, 3), (3, 4)]
         for box, _, field in items:
             assert field.tobytes() == birkhoff_field(sys, f, box).tobytes()
+
+
+# Signed zeros, and magnitudes far enough apart that the order of the
+# additions shows in the bytes.
+FIELD_VALUES = st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.3, 1e16, -1e16, 1.0, 2.5e-8])
+
+
+@given(covered_systems(), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_swept_and_joined_fields_are_the_birkhoff_bytes(case, as_partition, flat, data):
+    # A potential flat on the family's atoms is summed over itineraries, the
+    # walk carrying the atom labels alone; any other potential is pulled back
+    # with them.  Either way every field kept from the sweep, and the box's
+    # own field, has the bytes of the per-state sum.
+    sys, sets, n = case
+    m = sys.state_count
+    if as_partition:
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        family = SetFamily.from_labels(np.array(labels))
+    else:
+        family = SetFamily.from_state_sets(m, sets)
+    if flat:
+        phi = data.draw(st.lists(FIELD_VALUES, min_size=family.atom_count, max_size=family.atom_count))
+        values = np.array(phi)[family.atoms]
+        # Either sign of zero may stand for an atom's 0.
+        signs = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        values[(values == 0) & signs] = -0.0
+    else:
+        values = np.array(data.draw(st.lists(FIELD_VALUES, min_size=m, max_size=m)))
+    f = Potential(values)
+    is_flat = all(len(set(values[family.atoms == a].tolist())) == 1 for a in range(family.atom_count))
+
+    carried = []
+
+    def counted(sys, n, arrays):
+        carried.append(len(arrays))
+        yield from iter_box_pullbacks(sys, n, arrays)
+
+    with mock.patch.object(coveralg, "iter_box_pullbacks", counted):
+        items = list(box_sweep(sys, family, f, n, member_budget=10**6))
+        joined, field = box_join(sys, family, f, n, member_budget=10**6)
+    assert carried == ([1, 1] if is_flat else [2, 2])
+    for box, _, swept in items:
+        assert swept.tobytes() == birkhoff_field(sys, f, box).tobytes()
+    assert field.tobytes() == birkhoff_field(sys, f, n).tobytes()
+    assert joined.atoms.tobytes() == items[-1][1].atoms.tobytes()
+
+
+def test_flat_fields_keep_the_order_and_sign_of_each_term():
+    # On the 6-cycle with the parity partition, 0.1 + 1e16 + 0.1 + ... is
+    # not 1e16 + 0.1 + ..., and a field of signed zeros is +0.0.
+    sys = FiniteSystem(generators=((np.arange(6) + 1) % 6,))
+    family = SetFamily.from_labels(np.arange(6) % 2)
+    potentials = [
+        np.where(np.arange(6) % 2, 1e16, 0.1),
+        np.where(np.arange(6) % 2, 0.1, 1e16),
+        np.array([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]),
+        np.full(6, -0.0),
+    ]
+    for values in potentials:
+        f = Potential(values)
+        for n in [(1,), (2,), (3,), (5,)]:
+            want = birkhoff_field(sys, f, n).tobytes()
+            assert box_join(sys, family, f, n)[1].tobytes() == want
+            assert list(box_sweep(sys, family, f, n))[-1][2].tobytes() == want
+    assert birkhoff_field(sys, Potential(np.full(6, -0.0)), (3,)).tobytes() == np.zeros(6).tobytes()
+
+
+def test_a_potential_off_the_system_is_refused():
+    # One value would broadcast over any atom table; it must not pass as flat.
+    sys = make_circle_doubling(7)
+    for values in (np.zeros(1), np.zeros(8)):
+        with pytest.raises(ValueError, match="potential does not live on this system"):
+            list(box_sweep(sys, arc_partition(7), Potential(values), (3,)))
+        with pytest.raises(ValueError, match="potential does not live on this system"):
+            box_join(sys, arc_partition(7), Potential(values), (3,))
 
 
 def test_diagonal_sweep_stops_at_member_budget():

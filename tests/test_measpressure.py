@@ -59,6 +59,24 @@ def test_invariance_checks():
     assert not is_invariant(FiniteMeasure.uniform_on([0, 1], 4), sys)
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3000),
+    st.lists(
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e300)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_measure_mass_is_the_state_by_state_fsum(seed, m, pool, distinct):
+    # Weights from a small pool repeat; `distinct` draws them all apart.
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, size=m) if distinct else rng.choice(pool, size=m)
+    assert repr(FiniteMeasure(w).mass) == repr(math.fsum(w.tolist()))
+
+
 def test_partition_entropy_values():
     one_cell = SetFamily.trivial(4)
     one_cell = SetFamily.from_state_sets(4, [range(4)], kind="partition")
