@@ -4,134 +4,15 @@ The package computes the four cover-based pressure quantities (weighted
 minimal subcovers, separated and spanning sums), measure-theoretic pressure,
 and the admissibility bookkeeping that keeps boundary complexity from leaking
 into the numbers.  See README.md for the experiment drivers.
+
+Only the names of README's library sketch are re-exported here; everything
+else is imported from its module (`covpress.coveralg`, `covpress.dynsys`, ...).
 """
 
-from covpress.coveralg import (
-    AdmissibilityReport,
-    ClosenessGraph,
-    CoverBudgetError,
-    PartitionAdmissibilityReport,
-    SetFamily,
-    box_sweep,
-    classify_admissible,
-    classify_admissible_partition,
-    cover_from_partition,
-    join,
-    membership_partition,
-    orbit_join,
-    potential_cover,
-    preimage_family,
-    refines,
-)
-from covpress.dynsys import (
-    FiniteSystem,
-    Potential,
-    apply_power,
-    birkhoff_field,
-    birkhoff_sum,
-    cycle_structure,
-    make_circle_doubling,
-    make_disk_system,
-    power_system,
-)
-from covpress.fullshift import (
-    FullShiftSpec,
-    bernoulli_pressure,
-    cylinder_sum,
-    exact_pressure,
-    gibbs_optimizer,
-)
-from covpress.lattice import (
-    TileDecomposition,
-    box_cardinality,
-    decompose,
-    diagonal,
-    enumerate_box,
-    sym_diff_cardinality,
-)
-from covpress.measpressure import (
-    FiniteMeasure,
-    conditional_entropy,
-    empirical_measures,
-    entropy_rate,
-    invariance_defect,
-    is_invariant,
-    ks_entropy,
-    measure_pressure,
-    partition_entropy,
-    pushforward,
-    separated_entropy_link_check,
-)
-from covpress.solvers import (
-    SolveResult,
-    WeightedCoverInstance,
-    max_weight_independent_set,
-    min_subcover_value,
-)
-from covpress.toppressure import (
-    PressureEstimate,
-    PressureSample,
-    pressure_quadruple,
-    rate_sequence,
-    topological_pressure,
-)
+from covpress.coveralg import SetFamily
+from covpress.dynsys import Potential, make_circle_doubling
+from covpress.toppressure import pressure_quadruple
 
-__all__ = [
-    "AdmissibilityReport",
-    "ClosenessGraph",
-    "CoverBudgetError",
-    "FiniteMeasure",
-    "FiniteSystem",
-    "FullShiftSpec",
-    "PartitionAdmissibilityReport",
-    "Potential",
-    "PressureEstimate",
-    "PressureSample",
-    "SetFamily",
-    "SolveResult",
-    "TileDecomposition",
-    "WeightedCoverInstance",
-    "apply_power",
-    "bernoulli_pressure",
-    "birkhoff_field",
-    "birkhoff_sum",
-    "box_cardinality",
-    "box_sweep",
-    "classify_admissible",
-    "classify_admissible_partition",
-    "conditional_entropy",
-    "cover_from_partition",
-    "cycle_structure",
-    "cylinder_sum",
-    "decompose",
-    "diagonal",
-    "empirical_measures",
-    "entropy_rate",
-    "enumerate_box",
-    "exact_pressure",
-    "gibbs_optimizer",
-    "invariance_defect",
-    "is_invariant",
-    "join",
-    "ks_entropy",
-    "make_circle_doubling",
-    "make_disk_system",
-    "max_weight_independent_set",
-    "measure_pressure",
-    "membership_partition",
-    "min_subcover_value",
-    "orbit_join",
-    "partition_entropy",
-    "potential_cover",
-    "power_system",
-    "preimage_family",
-    "pressure_quadruple",
-    "pushforward",
-    "rate_sequence",
-    "refines",
-    "separated_entropy_link_check",
-    "sym_diff_cardinality",
-    "topological_pressure",
-]
+__all__ = ["Potential", "SetFamily", "make_circle_doubling", "pressure_quadruple"]
 
 __version__ = "0.1.0"

@@ -24,15 +24,13 @@ def build_parser() -> argparse.ArgumentParser:
             "and the full-shift oracle."
         ),
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", type=Path, default=None, help="key = value config file")
-        p.add_argument("--out", type=str, default=None, help="output directory (default: out)")
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--exact-limit", type=int, default=None, dest="exact_limit")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--svg", action="store_true", default=None, help="also write a rate plot")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", type=Path, default=None, help="key = value config file")
+    parser.add_argument("--out", type=str, default=None, help="output directory (default: out)")
+    parser.add_argument("--n-max", type=int, default=None, dest="n_max")
+    parser.add_argument("--exact-limit", type=int, default=None, dest="exact_limit")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--svg", action="store_true", default=None, help="also write a rate plot")
     return parser
 
 

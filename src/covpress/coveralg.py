@@ -308,7 +308,7 @@ def _join_atoms(left: tuple, right: tuple, defer: int = 0, out: np.ndarray | Non
     """
     left_atoms, left_count, left_incidence = left
     right_atoms, right_count, right_incidence = right
-    codes = np.multiply(left_atoms, right_count, out=out)
+    codes = np.multiply(left_atoms, right_count, out=out, dtype=np.int64)  # labels may be narrow
     codes += right_atoms
     bound = left_count * right_count
     partition = left_incidence is None and right_incidence is None
@@ -387,7 +387,10 @@ def _join_shells(
     atom j's itinerary, extended by the join's pairs at every point, and
     `vals[atoms]` is the field.  Each term is added in the walk's order
     from +0.0, as a per-state sum adds it, so the bytes are the same.  A
-    potential that is not flat is pulled back and added per state.
+    potential that is not flat is pulled back and added per state.  The
+    labels are walked in the narrowest unsigned dtype that holds them, so
+    each pullback gathers 1 or 2 bytes per state for up to 65,536 atoms;
+    `_join_atoms` widens their codes to int64.
 
     With `every_shell` a partition's codes are ranked at each shell's last
     point and every item has a new field, so every item can be kept;
@@ -411,7 +414,8 @@ def _join_shells(
     per_state = f is not None and phi is None
     # The walk pulls back the atom labels, and the potential values when f
     # is not flat; the origin's pullback is the family itself.
-    walk = iter_box_pullbacks(sys, n, (family.atoms, f.values) if per_state else (family.atoms,))
+    labels = family.atoms.astype(np.min_scalar_type(max(family.atom_count - 1, 0)))
+    walk = iter_box_pullbacks(sys, n, (labels, f.values) if per_state else (labels,))
     codes = np.empty(sys.state_count, dtype=np.int64)  # the join codes of every point
     state = None
     field = np.zeros(sys.state_count) if per_state else None

@@ -179,7 +179,9 @@ def iter_box_pullbacks(
     The generators commute, so a o T^(k + e) = (a o T^k)[g] for the
     generator g of the unit step e: each point costs one gather per array,
     and no state map is composed unless it is one of the arrays.  Memory
-    stays at 2 dim + 1 copies of each array however large the box is.
+    stays at 2 dim + 1 copies of each array however large the box is, in
+    the array's own dtype: the box sweep walks atom labels in the
+    narrowest unsigned dtype that holds them.
     """
     n = as_point(n, dim=sys.dim)
     if any(c == 0 for c in n):

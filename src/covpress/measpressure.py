@@ -26,7 +26,6 @@ from covpress.coveralg import (
     SetFamily,
     box_join,
     box_sweep,
-    classify_admissible_partition,
     is_join_stable,
     join,
     refines,
@@ -45,7 +44,6 @@ from covpress.toppressure import PressureEstimate, PressureSample, rate_sequence
 
 INVARIANCE_TOL = 1e-9
 PROBABILITY_TOL = 1e-9
-EXHAUSTIVE_STATE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -116,9 +114,8 @@ def is_invariant(mu: FiniteMeasure, sys: FiniteSystem, tol: float = INVARIANCE_T
     """
     if len(mu.weights) != sys.state_count:
         raise ValueError("measure does not live on this system")
-    for axis in range(sys.dim):
-        k = tuple(1 if a == axis else 0 for a in range(sys.dim))
-        image = np.bincount(power_map(sys, k), weights=mu.weights, minlength=sys.state_count)
+    for g in sys.generators:  # each generator is its unit step's power map
+        image = np.bincount(g, weights=mu.weights, minlength=sys.state_count)
         # Mostly zeros for an invariant measure: each distinct one is added once.
         if counted_fsum(*np.unique(np.abs(image - mu.weights), return_counts=True)) > tol:
             return False
@@ -207,67 +204,18 @@ def entropy_rate(
     return est
 
 
-def _iter_set_partitions(items: Sequence[int]):
-    """All set partitions, in a deterministic refinement order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _iter_set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
+def ks_entropy(mu: FiniteMeasure, sys: FiniteSystem, n_max: int = 16) -> float:
+    """Entropy of the system: the entropy rate of the singleton partition,
+    which refines every other partition.  Deterministic finite maps always
+    certify a zero limit."""
+    return entropy_rate(mu, sys, SetFamily.singletons(sys.state_count), n_max).extrapolated
 
 
-def ks_entropy(
-    mu: FiniteMeasure,
-    sys: FiniteSystem,
-    strategy: str = "fixed",
-    partition: SetFamily | None = None,
-    state_cap: int = EXHAUSTIVE_STATE_CAP,
-    n_max: int = 16,
-) -> float:
-    """Entropy of the system: the best partition entropy rate.
-
-    strategy "fixed" rates the given partition; "exhaustive" sweeps every set
-    partition of the states (capped, the count is a Bell number);
-    "admissible_only" keeps the partitions with at most one class touching
-    the marked states.  Deterministic finite maps always certify a zero
-    limit, so the strategies mostly exercise that the restriction to
-    admissible partitions loses nothing.
-    """
-    if strategy == "fixed":
-        fam = partition if partition is not None else SetFamily.singletons(sys.state_count)
-        return entropy_rate(mu, sys, fam, n_max).extrapolated
-    if strategy not in ("exhaustive", "admissible_only"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if sys.state_count > state_cap:
-        raise ValueError(
-            f"{strategy} strategy enumerates set partitions; "
-            f"state count {sys.state_count} exceeds cap {state_cap}"
-        )
-    best = 0.0
-    for blocks in _iter_set_partitions(list(range(sys.state_count))):
-        fam = SetFamily.from_state_sets(sys.state_count, blocks, kind="partition")
-        if strategy == "admissible_only":
-            if not classify_admissible_partition(sys, fam).is_admissible_partition:
-                continue
-        best = max(best, entropy_rate(mu, sys, fam, n_max).extrapolated)
-    return best
-
-
-def measure_pressure(
-    mu: FiniteMeasure,
-    sys: FiniteSystem,
-    f: Potential,
-    strategy: str = "fixed",
-    partition: SetFamily | None = None,
-) -> float:
+def measure_pressure(mu: FiniteMeasure, sys: FiniteSystem, f: Potential) -> float:
     """Entropy plus the integral of the potential."""
     if not is_invariant(mu, sys):
         raise ValueError("measure is not invariant within tolerance")
-    h = ks_entropy(mu, sys, strategy=strategy, partition=partition)
-    return h + mu.integrate(f)
+    return ks_entropy(mu, sys) + mu.integrate(f)
 
 
 # -- the lower-bound construction ----------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import covpress
 from covpress import experiments
-from covpress.cli import main
+from covpress.cli import build_parser, main
 from covpress.config import ExperimentConfig, load_config, parse_config_text
 from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
 from covpress.dynsys import make_disk_system
@@ -588,11 +588,50 @@ def test_cli_rerun_identical_bytes(tmp_path):
     assert (a / "lattice-check.csv").read_bytes() == (b / "lattice-check.csv").read_bytes()
 
 
+def test_cli_help_lists_every_experiment(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: covpress")
+    for name in ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift"):
+        assert name in text
+
+
+def test_cli_unknown_experiment_exits_2(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["torus", "--out", "unused"])
+    assert done.value.code == 2
+    assert "invalid choice: 'torus'" in capsys.readouterr().err
+
+
+def test_cli_options_parse_on_either_side_of_the_experiment():
+    parser = build_parser()
+    after = parser.parse_args(["doubling", "--n-max", "3", "--seed", "4", "--svg", "--out", "o"])
+    before = parser.parse_args(["--n-max", "3", "--seed", "4", "--svg", "--out", "o", "doubling"])
+    assert vars(after) == vars(before) == {
+        "experiment": "doubling", "config": None, "out": "o", "n_max": 3,
+        "exact_limit": None, "seed": 4, "svg": True,
+    }
+
+
+def test_readme_library_sketch_runs(capsys):
+    # The sketch imports only from the package namespace, which re-exports
+    # its four names and no others.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(sketch, scope)
+    assert {mode: s.rate for mode, s in scope["quad"].items()} == dict.fromkeys("QPGS", math.log(8) / 3)
+    assert len(scope["quad"]["S"].chosen) == 8
+    assert sorted(covpress.__all__) == ["Potential", "SetFamily", "make_circle_doubling", "pressure_quadruple"]
+
+
 # Run in a fresh interpreter: whatever numpy submodule a CLI run imports
 # lazily is paid for on every run, and no warm process would see it.
 FRESH_IMPORT_SCRIPT = """
 import json, sys
-from covpress.cli import main
+from covpress.cli import build_parser, main
 
 def numpy_modules():
     return {name for name in sys.modules if name.split(".")[0] == "numpy"}

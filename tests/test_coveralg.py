@@ -510,6 +510,38 @@ def test_deferred_ranking_matches_a_per_point_ranked_fold(case, data):
         assert got_walked == want_walked
 
 
+@pytest.mark.parametrize(
+    "m, dtype",
+    [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
+)
+def test_narrow_labels_join_as_int64_at_the_dtype_boundaries(m, dtype):
+    # The sweep walks atom labels in the narrowest unsigned dtype that holds
+    # them.  Singletons on m states fill that dtype (256, 65,536) or just
+    # pass it (257, 65,537), and their first join's pair codes pass 2**8 or
+    # 2**16: codes computed in the labels' dtype would wrap or overflow.
+    x = np.arange(m, dtype=np.int64)
+    sys = FiniteSystem(generators=((3 * x + 1) % m,))
+    family = SetFamily.singletons(m)
+    f = Potential(np.random.default_rng(m).normal(size=m))
+    n = (3,)
+    walked = []
+
+    def counted(sys, n, arrays):
+        walked.append(arrays[0].dtype)
+        yield from iter_box_pullbacks(sys, n, arrays)
+
+    with mock.patch.object(coveralg, "iter_box_pullbacks", counted):
+        items = list(box_sweep(sys, family, f, n, member_budget=10**6))
+        joined, field = box_join(sys, family, f, n, member_budget=10**6)
+    assert walked == [dtype, dtype]
+    want = list(per_point_ranked_sweep(sys, family, n, 10**6, [0]))
+    assert [(box, j.atoms.tobytes(), j.count) for box, j, _ in items] == want
+    assert (joined.atoms.tobytes(), joined.count) == want[-1][1:]
+    for box, _, swept in items:
+        assert swept.tobytes() == birkhoff_field(sys, f, box).tobytes()
+    assert field.tobytes() == birkhoff_field(sys, f, n).tobytes()
+
+
 def test_yielded_fields_are_never_written_again():
     # Shells of the (3, 4) box hold 1, 3, 5 and 3 points; every field kept
     # from the sweep must still be the ergodic sum over its own box.
@@ -890,14 +922,6 @@ def test_potential_cover_box_level_bound():
             states = joined.member_states(i)
             vals = [field[s] for s in states]
             assert max(vals) - min(vals) <= t * eps + 1e-12
-
-
-def test_ks_entropy_cap_enforced():
-    from covpress.measpressure import FiniteMeasure, ks_entropy
-
-    sys = make_circle_doubling(11)
-    with pytest.raises(ValueError, match="cap"):
-        ks_entropy(FiniteMeasure.uniform(11), sys, strategy="exhaustive", state_cap=8)
 
 
 def test_closeness_graph_extremes():
