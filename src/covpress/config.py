@@ -135,6 +135,7 @@ def _read_bool(value: str) -> bool:
 
 
 # How a config file value of each key is read: by the type of its field.
+# The experiment is the command's positional argument; a file cannot set it.
 _READERS = {
     "bool": _read_bool,
     "int": int,
@@ -142,7 +143,9 @@ _READERS = {
     "float": float,
     "str": str,
 }
-_KEY_READERS = {f.name: _READERS[f.type] for f in fields(ExperimentConfig)}
+_KEY_READERS = {
+    f.name: _READERS[f.type] for f in fields(ExperimentConfig) if f.name != "experiment"
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -175,9 +178,7 @@ def load_config(
         raise ValueError(f"unknown experiment {experiment!r}")
     merged: dict = dict(_EXPERIMENT_DEFAULTS.get(experiment, {}))
     if config_path is not None:
-        file_values = parse_config_text(Path(config_path).read_text(encoding="utf-8"))
-        file_values.pop("experiment", None)
-        merged.update(file_values)
+        merged.update(parse_config_text(Path(config_path).read_text(encoding="utf-8")))
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(merged) - set(_KEY_READERS)

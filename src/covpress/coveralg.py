@@ -242,11 +242,6 @@ class SetFamily:
         private masks on each call."""
         return None if self._incidence is None else bool_rows(self._incidence, self.atom_count)
 
-    def member_states(self, i: int) -> list[int]:
-        rows = self.incidence()
-        held = self.atoms == i if rows is None else rows[i][self.atoms]
-        return np.flatnonzero(held).tolist()
-
     def __eq__(self, other) -> bool:
         """Equality as unordered families of sets."""
         if not isinstance(other, SetFamily):

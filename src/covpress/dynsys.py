@@ -131,19 +131,6 @@ def power_map(sys: FiniteSystem, k: Coords) -> np.ndarray:
     return out
 
 
-def apply_power(sys: FiniteSystem, k: Coords, x: int) -> int:
-    """Apply the power-k map to a single state."""
-    if len(k) != sys.dim:
-        raise DimensionMismatchError(f"point {k} vs dimension {sys.dim}")
-    if not 0 <= x < sys.state_count:
-        raise ValueError(f"state {x} out of range")
-    for axis, reps in enumerate(as_point(k, dim=sys.dim)):
-        g = sys.generators[axis]
-        for _ in range(reps):
-            x = int(g[x])
-    return x
-
-
 def _lex_pullbacks(
     sys: FiniteSystem, n: Coords, start: tuple[np.ndarray, ...]
 ) -> Iterator[tuple[Coords, tuple[np.ndarray, ...]]]:
@@ -203,27 +190,12 @@ def iter_box_pullbacks(
                 yield k[:a] + (t - 1,) + k[a + 1 :], pulled
 
 
-def iter_box_maps(sys: FiniteSystem, n: Coords) -> Iterator[tuple[Coords, np.ndarray]]:
-    """Yield (k, power-k map) for every k in the box below n, in the shell
-    order of `iter_box_pullbacks`: the identity map pulled back."""
-    identity = np.arange(sys.state_count, dtype=np.int64)
-    for k, (tk,) in iter_box_pullbacks(sys, n, (identity,)):
-        yield k, tk
-
-
 def birkhoff_field(sys: FiniteSystem, f: Potential, n: Coords) -> np.ndarray:
     """The ergodic sum of f over the box below n, for every state at once."""
     total = np.zeros(sys.state_count)
     for _, (fk,) in iter_box_pullbacks(sys, n, (f.values,)):
         total += fk
     return total
-
-
-def birkhoff_sum(sys: FiniteSystem, f: Potential, n: Coords, x: int) -> float:
-    """Ergodic sum of f over the box below n, along the orbit of x."""
-    if not 0 <= x < sys.state_count:
-        raise ValueError(f"state {x} out of range")
-    return float(birkhoff_field(sys, f, n)[x])
 
 
 def birkhoff_doubling(sys: FiniteSystem, f: Potential, exponent: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,18 +267,6 @@ def make_disk_system(rings: int, sectors: int) -> FiniteSystem:
     geometry[1:, 1] = np.outer(r_c, [math.sin(t) for t in theta_c.tolist()]).ravel()
     marked = frozenset(range(1 + (rings - 1) * sectors, m))
     return FiniteSystem(generators=(gen,), marked=marked, geometry=geometry)
-
-
-def power_system(sys: FiniteSystem, m: Coords) -> FiniteSystem:
-    """The action re-indexed through componentwise multiples of m."""
-    m = as_point(m, dim=sys.dim)
-    if any(c < 1 for c in m):
-        raise ValueError(f"power point must be componentwise >= 1, got {m}")
-    gens = tuple(
-        power_map(sys, tuple(reps if b == axis else 0 for b in range(sys.dim)))
-        for axis, reps in enumerate(m)
-    )
-    return FiniteSystem(generators=gens, marked=sys.marked, geometry=sys.geometry)
 
 
 def cycle_structure(sys: FiniteSystem, f: Potential) -> list[tuple[tuple[int, ...], float]]:

@@ -58,19 +58,6 @@ def box_cardinality(n: Coords) -> int:
     return card
 
 
-def enumerate_box(n: Coords) -> list[Coords]:
-    """All points componentwise below n, in lexicographic order.
-
-    Raises EmptyBoxError when a coordinate is zero: callers always want a
-    nonempty box and silent emptiness hides bugs.
-    """
-    n = as_point(n)
-    if any(c == 0 for c in n):
-        raise EmptyBoxError(f"box {n} is empty")
-    box_cardinality(n)
-    return list(itertools.product(*(range(c) for c in n)))
-
-
 def iter_box(n: Coords) -> Iterator[Coords]:
     """Lazy lexicographic iteration over the box below n."""
     n = as_point(n)

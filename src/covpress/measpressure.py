@@ -22,22 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from covpress.coveralg import (
-    SetFamily,
-    box_join,
-    box_sweep,
-    is_join_stable,
-    join,
-    refines,
-)
-from covpress.dynsys import (
-    FiniteSystem,
-    Potential,
-    birkhoff_field,
-    cycle_structure,
-    iter_box_maps,
-    power_map,
-)
+from covpress.coveralg import SetFamily, box_join, box_sweep, is_join_stable, refines
+from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, iter_box_pullbacks, power_map
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal, sym_diff_cardinality
 from covpress.solvers import STATUS_EXACT, counted_fsum
 from covpress.toppressure import PressureEstimate, PressureSample, rate_sequence
@@ -62,12 +48,6 @@ class FiniteMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mass", counted_fsum(*np.unique(w, return_counts=True)))
-
-    @classmethod
-    def dirac(cls, x: int, m: int) -> "FiniteMeasure":
-        w = np.zeros(m)
-        w[x] = 1.0
-        return cls(w)
 
     @classmethod
     def uniform(cls, m: int) -> "FiniteMeasure":
@@ -122,16 +102,6 @@ def is_invariant(mu: FiniteMeasure, sys: FiniteSystem, tol: float = INVARIANCE_T
     return True
 
 
-def invariant_cycle_mixture(sys: FiniteSystem, rng: np.random.Generator, mass: float = 1.0) -> FiniteMeasure:
-    """Random invariant measure: a mixture of uniform cycle measures."""
-    cycles = cycle_structure(sys, Potential.constant(0.0, sys.state_count))
-    coeffs = rng.dirichlet(np.ones(len(cycles))) * mass
-    w = np.zeros(sys.state_count)
-    for (states, _), c in zip(cycles, coeffs):
-        w[list(states)] += c / len(states)
-    return FiniteMeasure(w)
-
-
 def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
     """Entropy of a partition for a finite (not necessarily unit-mass) measure.
 
@@ -150,25 +120,6 @@ def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
     distinct = masses[starts]
     held = distinct > 0.0
     return counted_fsum([-v * math.log(v) for v in distinct[held].tolist()], counts[held])
-
-
-def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
-    """Expected entropy of C under the conditional measures given D's classes."""
-    if not mu.is_probability():
-        raise ValueError("conditional entropy is defined for probability measures")
-    if not (c.is_partition and d.is_partition):
-        raise ValueError("conditional entropy needs partitions")
-    # One mass per class of the join, i.e. per (C class, D class) pair in
-    # (C, D) order, so each D mass sums its pairs in C's class order, as a
-    # column sum of the dense C x D matrix would, and gets the same bytes.
-    cells = join(c, d)
-    joint = np.bincount(cells.atoms, weights=mu.weights, minlength=cells.count)
-    d_of = np.empty(cells.count, dtype=np.int64)
-    d_of[cells.atoms] = d.atoms
-    d_mass = np.bincount(d_of, weights=joint, minlength=d.count)[d_of]
-    return math.fsum(
-        p * math.log(dm / p) for p, dm in zip(joint.tolist(), d_mass.tolist()) if p > 0.0
-    )
 
 
 def entropy_rate(
@@ -204,11 +155,11 @@ def entropy_rate(
     return est
 
 
-def ks_entropy(mu: FiniteMeasure, sys: FiniteSystem, n_max: int = 16) -> float:
+def ks_entropy(mu: FiniteMeasure, sys: FiniteSystem) -> float:
     """Entropy of the system: the entropy rate of the singleton partition,
-    which refines every other partition.  Deterministic finite maps always
-    certify a zero limit."""
-    return entropy_rate(mu, sys, SetFamily.singletons(sys.state_count), n_max).extrapolated
+    which refines every other partition.  Its join is stable from the
+    first box on, so one depth certifies the zero limit."""
+    return entropy_rate(mu, sys, SetFamily.singletons(sys.state_count), 1).extrapolated
 
 
 def measure_pressure(mu: FiniteMeasure, sys: FiniteSystem, f: Potential) -> float:
@@ -264,7 +215,7 @@ def _empirical_measures(
     avg = np.zeros(sys.state_count)
     idx = np.asarray(chosen)
     weights = sigma.weights[idx]
-    for _, tk in iter_box_maps(sys, n):
+    for _, (tk,) in iter_box_pullbacks(sys, n, (np.arange(sys.state_count),)):
         # Sum over the distinct images only; bincount adds each one's weights in chosen order.
         images, inverse = np.unique(tk[idx], return_inverse=True)
         avg[images] += np.bincount(inverse, weights=weights)

@@ -1,0 +1,64 @@
+"""Reference constructions that only the tests use.
+
+Each builds a value the program never needs, so that a test can check a
+theorem or an identity of the code under test against it: powered systems,
+random invariant measures, conditional entropy and the states of one member
+of a family.
+"""
+
+import math
+
+import numpy as np
+
+from covpress.coveralg import SetFamily, join
+from covpress.dynsys import FiniteSystem, Potential, cycle_structure, power_map
+from covpress.lattice import Coords, as_point
+from covpress.measpressure import FiniteMeasure
+
+
+def power_system(sys: FiniteSystem, m: Coords) -> FiniteSystem:
+    """The action re-indexed through componentwise multiples of m."""
+    m = as_point(m, dim=sys.dim)
+    if any(c < 1 for c in m):
+        raise ValueError(f"power point must be componentwise >= 1, got {m}")
+    gens = tuple(
+        power_map(sys, tuple(reps if b == axis else 0 for b in range(sys.dim)))
+        for axis, reps in enumerate(m)
+    )
+    return FiniteSystem(generators=gens, marked=sys.marked, geometry=sys.geometry)
+
+
+def invariant_cycle_mixture(sys: FiniteSystem, rng: np.random.Generator, mass: float = 1.0) -> FiniteMeasure:
+    """Random invariant measure: a mixture of uniform cycle measures."""
+    cycles = cycle_structure(sys, Potential.constant(0.0, sys.state_count))
+    coeffs = rng.dirichlet(np.ones(len(cycles))) * mass
+    w = np.zeros(sys.state_count)
+    for (states, _), c in zip(cycles, coeffs):
+        w[list(states)] += c / len(states)
+    return FiniteMeasure(w)
+
+
+def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
+    """Expected entropy of C under the conditional measures given D's classes."""
+    if not mu.is_probability():
+        raise ValueError("conditional entropy is defined for probability measures")
+    if not (c.is_partition and d.is_partition):
+        raise ValueError("conditional entropy needs partitions")
+    # One mass per class of the join, i.e. per (C class, D class) pair in
+    # (C, D) order, so each D mass sums its pairs in C's class order, as a
+    # column sum of the dense C x D matrix would, and gets the same bytes.
+    cells = join(c, d)
+    joint = np.bincount(cells.atoms, weights=mu.weights, minlength=cells.count)
+    d_of = np.empty(cells.count, dtype=np.int64)
+    d_of[cells.atoms] = d.atoms
+    d_mass = np.bincount(d_of, weights=joint, minlength=d.count)[d_of]
+    return math.fsum(
+        p * math.log(dm / p) for p, dm in zip(joint.tolist(), d_mass.tolist()) if p > 0.0
+    )
+
+
+def member_states(fam: SetFamily, i: int) -> list[int]:
+    """The states of member i, in increasing order."""
+    rows = fam.incidence()
+    held = fam.atoms == i if rows is None else rows[i][fam.atoms]
+    return np.flatnonzero(held).tolist()

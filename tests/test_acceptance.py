@@ -28,10 +28,8 @@ from covpress.fullshift import (
 from covpress.lattice import box_cardinality, decompose, sym_diff_cardinality
 from covpress.measpressure import (
     FiniteMeasure,
-    conditional_entropy,
     empirical_measures,
     invariance_defect,
-    invariant_cycle_mixture,
     measure_pressure,
     partition_entropy,
     separated_entropy_link_check,
@@ -43,6 +41,7 @@ from covpress.solvers import (
     min_subcover_value,
 )
 from covpress.toppressure import pressure_quadruple
+from oracles import conditional_entropy, invariant_cycle_mixture, member_states
 
 LOG2 = math.log(2.0)
 
@@ -460,7 +459,7 @@ def test_criterion_10_solver_oracle_equivalence():
         sample = pressure_quadruple(sys, f, fam, (1,))["G"]
         assert sample.status == STATUS_EXACT
         # Closed neighborhoods under "shares a member".
-        members = [sum(1 << x for x in fam.member_states(i)) for i in range(fam.count)]
+        members = [sum(1 << x for x in member_states(fam, i)) for i in range(fam.count)]
         neighborhoods = []
         for x in range(m):
             nb = 0

@@ -94,6 +94,19 @@ def test_load_config_rejects_keys_the_experiment_does_not_read(tmp_path):
         load_config("nope")
 
 
+def test_config_file_cannot_set_the_experiment(tmp_path, capsys):
+    # The experiment is the positional argument; a file naming another one
+    # is refused, not run as the positional one.
+    with pytest.raises(ValueError, match="line 1: unknown config key 'experiment'"):
+        parse_config_text("experiment = leakage")
+    conf = tmp_path / "exp.conf"
+    conf.write_text("experiment = leakage\n", encoding="utf-8")
+    out = tmp_path / "res"
+    assert main(["doubling", "--config", str(conf), "--out", str(out)]) == 1
+    assert "error: line 1: unknown config key 'experiment'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_potential_from_spec():
     f = potential_from_spec("constant:2.5", 4)
     assert np.allclose(f.values, 2.5)
@@ -653,6 +666,45 @@ def test_cli_runs_import_no_numpy_module_after_start(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(done.stdout.splitlines()[-1]) == {"doubling": [], "leakage": []}
+
+
+# perfbench's traced workers patch `SetFamily.as_labels`,
+# `ClosenessGraph.class_adjacency` and `experiments.ThreadPoolExecutor`, and
+# read `SolveResult.is_exact` and `SetFamily.labels`: renaming any of them
+# breaks only the traced benchmark run, so a fresh process instruments
+# covpress and drives each patched name once.
+PERFBENCH_HOOKS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import spans
+from covpress.coveralg import SetFamily
+from covpress.dynsys import Potential, make_circle_doubling
+from covpress.toppressure import pressure_quadruple
+
+rec = spans.Recorder()
+spans.instrument(rec)
+SetFamily.from_labels(np.array([0, 1, 0])).as_labels()
+system = make_circle_doubling(7)
+cover = SetFamily.from_state_sets(7, [range(5), range(3, 7)])
+pressure_quadruple(system, Potential.constant(0.0, 7), cover, (2,))
+values = {}
+for span in rec.spans:
+    values.setdefault(span["name"], []).append(span["value"])
+assert values["coveralg.as_labels"] == [0], values
+assert "coveralg.ClosenessGraph.class_adjacency" in values, values
+for solver in ("solvers.min_subcover_value", "solvers.max_weight_independent_set"):
+    assert values[solver] and None not in values[solver], values
+"""
+
+
+def test_perfbench_instruments_the_names_it_patches():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-c", PERFBENCH_HOOKS_SCRIPT, str(root / "perfbench")],
+        env=env, capture_output=True, text=True, check=True,
+    )
 
 
 # SHA-256 of each experiment's CSV at its default config.  A refactor that

@@ -11,18 +11,15 @@ from covpress import lattice
 from covpress.dynsys import (
     FiniteSystem,
     Potential,
-    apply_power,
     birkhoff_doubling,
     birkhoff_field,
-    birkhoff_sum,
     cycle_structure,
-    iter_box_maps,
     iter_box_pullbacks,
     make_circle_doubling,
     make_disk_system,
     power_map,
-    power_system,
 )
+from oracles import power_system
 
 
 def doubling_tripling(m):
@@ -41,15 +38,15 @@ def test_noncommuting_generators_rejected():
 def test_apply_power_identity_and_doubling():
     sys = make_circle_doubling(7)
     for x in range(7):
-        assert apply_power(sys, (0,), x) == x
-    assert apply_power(sys, (1,), 3) == 6
-    assert apply_power(sys, (2,), 3) == 5
+        assert power_map(sys, (0,))[x] == x
+    assert power_map(sys, (1,))[3] == 6
+    assert power_map(sys, (2,))[3] == 5
 
 
 def test_apply_power_dimension_checked():
     sys = make_circle_doubling(7)
     with pytest.raises(ValueError):
-        apply_power(sys, (1, 1), 3)
+        power_map(sys, (1, 1))
 
 
 @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 100))
@@ -57,8 +54,8 @@ def test_apply_power_dimension_checked():
 def test_semigroup_law_1d(k, m, x):
     sys = make_circle_doubling(101)
     x %= 101
-    via_sum = apply_power(sys, (k + m,), x)
-    via_composition = apply_power(sys, (k,), apply_power(sys, (m,), x))
+    via_sum = power_map(sys, (k + m,))[x]
+    via_composition = power_map(sys, (k,))[power_map(sys, (m,))[x]]
     assert via_sum == via_composition
 
 
@@ -72,7 +69,7 @@ def test_semigroup_law_2d(k, m, x):
     sys = doubling_tripling(101)
     x %= 101
     ksum = tuple(a + b for a, b in zip(k, m))
-    assert apply_power(sys, ksum, x) == apply_power(sys, k, apply_power(sys, m, x))
+    assert power_map(sys, ksum)[x] == power_map(sys, k)[power_map(sys, m)[x]]
 
 
 def shell_key(k):
@@ -81,9 +78,10 @@ def shell_key(k):
     return top, max(a for a, c in enumerate(k) if c == top), k
 
 
-def test_iter_box_maps_matches_power_map():
-    # Every point once, in shell order, with its power map; 2-d boxes and
-    # clipped 3-d ones, whose shells lose slabs once an axis is used up.
+def test_iter_box_pullbacks_match_power_map():
+    # Every point once, in shell order, with its power map (the identity
+    # pulled back); 2-d boxes and clipped 3-d ones, whose shells lose slabs
+    # once an axis is used up.
     # Labels and values pulled back along the same walk are the bytes of
     # gathering them through the power map.
     states = np.arange(37, dtype=np.int64)
@@ -93,10 +91,10 @@ def test_iter_box_maps_matches_power_map():
     for n in [(3, 4), (2, 4), (4, 2), (3, 1, 2), (2, 3, 3)]:
         sys = FiniteSystem(generators=gens[: len(n)])
         walked = []
-        for k, arr in iter_box_maps(sys, n):
+        for k, (arr,) in iter_box_pullbacks(sys, n, (states,)):
             assert np.array_equal(arr, power_map(sys, k))
             walked.append(k)
-        assert walked == sorted(lattice.enumerate_box(n), key=shell_key)
+        assert walked == sorted(lattice.iter_box(n), key=shell_key)
         pulled = list(iter_box_pullbacks(sys, n, (labels, values)))
         assert [k for k, _ in pulled] == walked
         for k, (label_k, value_k) in pulled:
@@ -109,9 +107,9 @@ def test_iter_box_maps_matches_power_map():
 def test_birkhoff_constant_and_single_term():
     sys = make_circle_doubling(11)
     f = Potential.constant(2.5, 11)
-    assert birkhoff_sum(sys, f, (4,), 3) == pytest.approx(2.5 * 4)
+    assert birkhoff_field(sys, f, (4,))[3] == pytest.approx(2.5 * 4)
     g = Potential(np.linspace(-1, 1, 11))
-    assert birkhoff_sum(sys, g, (1,), 6) == pytest.approx(float(g.values[6]))
+    assert birkhoff_field(sys, g, (1,))[6] == pytest.approx(float(g.values[6]))
 
 
 def test_birkhoff_even_indicator_orbit():
@@ -119,7 +117,7 @@ def test_birkhoff_even_indicator_orbit():
     # two of those states are even.
     sys = make_circle_doubling(7)
     f = Potential.indicator([0, 2, 4, 6], 7)
-    assert birkhoff_sum(sys, f, (3,), 1) == pytest.approx(2.0)
+    assert birkhoff_field(sys, f, (3,))[1] == pytest.approx(2.0)
 
 
 def test_birkhoff_additivity_over_tiling():
@@ -130,11 +128,11 @@ def test_birkhoff_additivity_over_tiling():
     n, q, k = (6, 5), (2, 2), (1, 0)
     dec = lattice.decompose(n, q, k)
     for x in [0, 17, 40]:
-        whole = birkhoff_sum(sys, f, n, x)
+        whole = birkhoff_field(sys, f, n)[x]
         tiles = sum(
-            birkhoff_sum(sys, f, q, apply_power(sys, p, x)) for p in sorted(dec.corners)
+            birkhoff_field(sys, f, q)[power_map(sys, p)[x]] for p in sorted(dec.corners)
         )
-        rest = sum(float(f.values[apply_power(sys, p, x)]) for p in sorted(dec.residue))
+        rest = sum(float(f.values[power_map(sys, p)[x]]) for p in sorted(dec.residue))
         assert whole == pytest.approx(tiles + rest, abs=1e-9)
 
 

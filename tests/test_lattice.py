@@ -17,7 +17,7 @@ from covpress.lattice import (
     box_cardinality,
     decompose,
     diagonal,
-    enumerate_box,
+    iter_box,
     sym_diff_cardinality,
 )
 
@@ -50,11 +50,11 @@ def brute_sym_diff(n, m):
 
 
 def test_enumerate_box_1d():
-    assert enumerate_box((2,)) == [(0,), (1,)]
+    assert list(iter_box((2,))) == [(0,), (1,)]
 
 
 def test_enumerate_box_2d_lexicographic():
-    pts = enumerate_box((2, 3))
+    pts = list(iter_box((2, 3)))
     assert len(pts) == 6
     assert pts == sorted(pts)
     assert pts[0] == (0, 0) and pts[-1] == (1, 2)
@@ -66,7 +66,7 @@ def test_box_cardinality_product():
 
 def test_empty_box_rejected():
     with pytest.raises(EmptyBoxError):
-        enumerate_box((3, 0))
+        list(iter_box((3, 0)))
 
 
 def test_cardinality_overflow_checked():
@@ -89,7 +89,7 @@ def test_decompose_1d_offset_one():
 def test_decompose_unit_tiles():
     dec = decompose((4, 3), (1, 1), (0, 0))
     assert dec.residue == frozenset()
-    assert dec.corners == frozenset(enumerate_box((4, 3)))
+    assert dec.corners == frozenset(iter_box((4, 3)))
 
 
 def test_decompose_rejects_anchor_outside_tile():

@@ -9,22 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covpress import coveralg, dynsys, lattice
+from covpress import coveralg, dynsys, lattice, measpressure
 from covpress.coveralg import SetFamily, is_join_stable, join, orbit_join
 from covpress.dynsys import (
     FiniteSystem,
     Potential,
     birkhoff_field,
     make_circle_doubling,
-    power_system,
 )
 from covpress.measpressure import (
     FiniteMeasure,
-    conditional_entropy,
     empirical_measures,
     entropy_rate,
     invariance_defect,
-    invariant_cycle_mixture,
     is_invariant,
     ks_entropy,
     measure_pressure,
@@ -35,6 +32,7 @@ from covpress.measpressure import (
 )
 from covpress.solvers import STATUS_EXACT
 from covpress.toppressure import PressureSample, pressure_quadruple
+from oracles import conditional_entropy, invariant_cycle_mixture, member_states, power_system
 
 
 def three_cycle_system():
@@ -53,7 +51,7 @@ def test_pushforward_identity_and_cycle():
 def test_invariance_checks():
     sys = three_cycle_system()
     fixed = FiniteSystem(generators=(np.array([0, 0, 2]),))
-    assert is_invariant(FiniteMeasure.dirac(0, 3), fixed)
+    assert is_invariant(FiniteMeasure.uniform_on([0], 3), fixed)
     assert is_invariant(FiniteMeasure.uniform_on([0, 1, 2], 4), sys)
     assert not is_invariant(FiniteMeasure.uniform_on([0, 1], 4), sys)
 
@@ -247,7 +245,7 @@ def test_joined_entropy_log_bound():
 
 def test_entropy_rate_dirac_and_trivial():
     sys = FiniteSystem(generators=(np.array([0, 0, 2]),))
-    mu = FiniteMeasure.dirac(0, 3)
+    mu = FiniteMeasure.uniform_on([0], 3)
     c = SetFamily.singletons(3)
     est = entropy_rate(mu, sys, c, 4)
     assert all(s.rate == pytest.approx(0.0) for s in est.samples)
@@ -339,7 +337,7 @@ def test_ks_entropy_deterministic_zero_fixed():
 def test_measure_pressure_cases():
     fixed = FiniteSystem(generators=(np.array([0, 0, 2]),))
     f = Potential(np.array([0.7, -1.0, 2.0]))
-    assert measure_pressure(FiniteMeasure.dirac(0, 3), fixed, f) == pytest.approx(0.7)
+    assert measure_pressure(FiniteMeasure.uniform_on([0], 3), fixed, f) == pytest.approx(0.7)
     two_cycle = FiniteSystem(generators=(np.array([1, 0, 2]),))
     mu = FiniteMeasure.uniform_on([0, 1], 3)
     g = Potential(np.array([0.0, 3.0, 5.0]))
@@ -494,7 +492,7 @@ def test_empirical_sigma_weights_proportional():
 def full_bincount_average(sys, n, chosen, weights):
     """The averaged empirical measure summed as one full-length bincount per box point."""
     avg = np.zeros(sys.state_count)
-    for _, tk in dynsys.iter_box_maps(sys, n):
+    for _, (tk,) in dynsys.iter_box_pullbacks(sys, n, (np.arange(sys.state_count),)):
         avg += np.bincount(tk[chosen], weights=weights[chosen], minlength=sys.state_count)
     return avg / lattice.box_cardinality(n)
 
@@ -585,7 +583,7 @@ def test_separated_link_walks_its_box_twice(monkeypatch):
         walks.append(tuple(n))
         return walk(sys, n, arrays)
 
-    for module in (coveralg, dynsys):
+    for module in (coveralg, dynsys, measpressure):
         monkeypatch.setattr(module, "iter_box_pullbacks", counted)
     report = separated_entropy_link_check(sys, f, arc, (3,), chosen, arc)
     assert walks == [(3,), (3,)]
@@ -602,7 +600,7 @@ def test_separated_link_inapplicable_cases():
     f = Potential.constant(0.0, 11)
     # Two states in one itinerary cell: the at-most-one condition fails.
     joined = orbit_join(sys, arc, (2,))
-    cell = joined.member_states(0)
+    cell = member_states(joined, 0)
     report = separated_entropy_link_check(sys, f, arc, (2,), cell[:2], arc)
     assert not report.applicable
 

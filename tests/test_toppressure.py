@@ -37,6 +37,7 @@ from covpress.toppressure import (
     stabilized_partition,
     topological_pressure,
 )
+from oracles import member_states
 
 
 def arc_cover(m, split=None, kind="cover"):
@@ -591,7 +592,7 @@ def test_pressure_quadruple_matches_enumeration_at_wide_spreads(case):
     sys, family, f, n = case
     m = sys.state_count
     full = (1 << m) - 1
-    members = {sum(1 << x for x in family.member_states(i)) for i in range(family.count)}
+    members = {sum(1 << x for x in member_states(family, i)) for i in range(family.count)}
     joined = {full}
     field = np.zeros(m)
     for k in itertools.product(*(range(c) for c in n)):
