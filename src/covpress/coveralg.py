@@ -36,8 +36,8 @@ point of min(t + 1, n)), which pulls the atom labels back point by point
 without composing state maps.  It refines the join by the labels pulled
 back to each point and yields it with the field after every shell.  A
 potential constant on the family's atoms is summed per joined atom along
-the join's pairs; any other one is pulled back too and summed per state,
-with the same bytes.  A single box is the sweep's
+the join's pairs and kept so (`AtomSums`); any other one is pulled back
+too and summed per state, with the same bytes.  A single box is the sweep's
 last item (`box_join`, `orbit_join`), built by the same walk and join step
 but ranked and wrapped in a `SetFamily` only at its end; a rate along the
 diagonal reads every item of the sweep over (n_max, .., n_max).  So the
@@ -74,7 +74,7 @@ def _flag_bound(size: int) -> int:
 
 
 def _dense_unique(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.unique(codes, return_inverse=True)` for int64 codes in [0, bound).
+    """`np.unique(codes, return_inverse=True)` for integer codes in [0, bound).
 
     The sorted distinct codes and each code's rank among them.  A flag array
     over the code space gets them in O(len(codes) + bound) time; a code
@@ -97,18 +97,21 @@ def unique_columns(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed down the rows: `np.unique(packed columns, axis=0,
     return_index=True, return_inverse=True)` without the sorted values.
 
-    Up to 64 rows, a column packs into one big-endian uint64 key, which
-    sorts as its bytes do but without the record comparisons.
+    Up to 64 rows a column is a uint64 code, row 0 its top bit as in its
+    packed bytes, so codes order as the bytes do and `_dense_unique` ranks
+    them; taller columns are sorted as packed byte records.
     """
-    columns = np.packbits(flags, axis=0).T
     if len(flags) > 64:
+        columns = np.packbits(flags, axis=0).T
         _, first, rank = np.unique(columns, axis=0, return_index=True, return_inverse=True)
         return first, rank.reshape(-1)
-    keys = np.zeros((len(columns), 8), dtype=np.uint8)
-    keys[:, : columns.shape[1]] = columns
-    _, first, rank = np.unique(
-        keys.view(">u8").ravel().astype(np.uint64), return_index=True, return_inverse=True
-    )
+    codes = np.zeros(flags.shape[1], dtype=np.uint64)
+    for row in flags:
+        codes <<= 1
+        codes |= row
+    distinct, rank = _dense_unique(codes, 1 << len(flags))
+    first = np.full(len(distinct), len(codes))
+    np.minimum.at(first, rank, np.arange(len(codes)))
     return first, rank
 
 
@@ -199,8 +202,13 @@ class SetFamily:
 
     @classmethod
     def from_labels(cls, labels: np.ndarray) -> "SetFamily":
-        _, normalized = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-        return cls(normalized)
+        """The partition by label, atoms ranked as `np.unique(labels, return_inverse=True)`
+        ranks them, by `_dense_unique`: no sort while the label range is within its flag bound."""
+        labels = np.asarray(labels, dtype=np.int64)
+        lo, hi = (int(labels.min()), int(labels.max())) if len(labels) else (0, -1)
+        # Past the flag bound the labels are sorted as given: the shift could overflow.
+        codes = labels - lo if hi - lo < _flag_bound(len(labels)) else labels
+        return cls(_dense_unique(codes, hi - lo + 1)[1])
 
     @classmethod
     def trivial(cls, state_count: int) -> "SetFamily":
@@ -364,6 +372,18 @@ def _check_box(n: Coords) -> None:
         raise CoverBudgetError(f"box cardinality {lam} exceeds budget {DEFAULT_LAMBDA_BUDGET}")
 
 
+@dataclass(frozen=True)
+class AtomSums:
+    """A field constant on each atom of its join: every state of atom a has `values[a]`."""
+
+    values: np.ndarray
+
+
+def state_field(joined: SetFamily, field: AtomSums | np.ndarray | None) -> np.ndarray | None:
+    """A swept field per state, whichever form the sweep gave it in."""
+    return field.values[joined.atoms] if isinstance(field, AtomSums) else field
+
+
 def _join_shells(
     sys: FiniteSystem,
     family: SetFamily,
@@ -371,7 +391,7 @@ def _join_shells(
     n: Coords,
     member_budget: int,
     every_shell: bool,
-) -> Iterator[tuple[Coords, tuple, np.ndarray | None]]:
+) -> Iterator[tuple[Coords, tuple, AtomSums | np.ndarray | None]]:
     """Yield (box, join state, field) for the boxes min(t, n), t = 1..max(n),
     from one walk of the box below n in shell order; the state is as
     `_join_atoms` left it.
@@ -380,7 +400,7 @@ def _join_shells(
     phi, f's value per atom, so the field is a function of the joined atom:
     the walk carries the atom labels alone, `vals[j]` adds up phi along
     atom j's itinerary, extended by the join's pairs at every point, and
-    `vals[atoms]` is the field.  Each term is added in the walk's order
+    the field is `AtomSums(vals)`.  Each term is added in the walk's order
     from +0.0, as a per-state sum adds it, so the bytes are the same.  A
     potential that is not flat is pulled back and added per state.  The
     labels are walked in the narrowest unsigned dtype that holds them, so
@@ -435,7 +455,8 @@ def _join_shells(
                 if phi is not None and pairs is None:  # unranked: vals spans the code space
                     vals = (vals[:, None] + phi).ravel()
                 elif phi is not None:
-                    vals = vals[pairs // family.atom_count] + phi[pairs % family.atom_count]
+                    left, right = np.divmod(pairs, family.atom_count)
+                    vals = vals[left] + phi[right]
             # An unranked state's bound is its code space, at most the budget.
             members = state[1] if state[2] is None else len(state[2])
             if members > member_budget:
@@ -449,8 +470,19 @@ def _join_shells(
                 field += pulled[1]
         walked = lam
         if phi is not None and whole:
-            field = vals[state[0]]
+            field = AtomSums(vals)
         yield box, state, field
+
+
+def _family(atoms: np.ndarray, incidence: Sequence | None, field: AtomSums | np.ndarray | None) -> tuple:
+    """A join state as a `SetFamily` and its field, `AtomSums` moved along
+    when the constructor numbers a pairwise disjoint cover's atoms by member."""
+    joined = SetFamily(atoms, incidence)
+    if isinstance(field, AtomSums) and incidence is not None and joined.is_partition:
+        moved = np.empty_like(field.values)
+        moved[joined.atoms] = field.values[atoms]
+        field = AtomSums(moved)
+    return joined, field
 
 
 def box_sweep(
@@ -459,7 +491,7 @@ def box_sweep(
     f: Potential | None,
     n: Coords,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
-) -> Iterator[tuple[Coords, SetFamily, np.ndarray | None]]:
+) -> Iterator[tuple[Coords, SetFamily, AtomSums | np.ndarray | None]]:
     """Yield (box, orbit join, ergodic-sum field) for the boxes min(t, n),
     t = 1..max(n), from one walk of the box below n in shell order.
 
@@ -473,9 +505,9 @@ def box_sweep(
     lexicographic order, so the atoms, counts and budget errors are those
     of ranking at every point.
     The field is the sum of f over the box points, None when f is, with
-    the bytes of `dynsys.birkhoff_field`; a yielded field is never written
-    again.  When f is constant on the family's atoms the walk carries no
-    values: the sum is kept per joined atom and read off the atoms.
+    the bytes of `dynsys.birkhoff_field` read per state (`state_field`); a
+    yielded field is never written again.  When f is constant on the
+    family's atoms the walk carries no values and the field is `AtomSums`.
     A box over DEFAULT_LAMBDA_BUDGET points raises CoverBudgetError before
     its shell is walked, and a join over `member_budget` members raises it
     too, at the same point as a per-point count would; the items already
@@ -484,7 +516,7 @@ def box_sweep(
     """
     n = as_point(n, dim=sys.dim)
     for box, (atoms, _, incidence), field in _join_shells(sys, family, f, n, member_budget, True):
-        yield box, SetFamily(atoms, incidence), field
+        yield box, *_family(atoms, incidence, field)
 
 
 def is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
@@ -508,18 +540,18 @@ def box_join(
     f: Potential | None,
     n: Coords,
     member_budget: int = DEFAULT_MEMBER_BUDGET,
-) -> tuple[SetFamily, np.ndarray | None]:
+) -> tuple[SetFamily, AtomSums | np.ndarray | None]:
     """The join and the field over the whole box below n: the last item of
-    `box_sweep`, from the same walk and join step.  A partition's codes are
-    ranked once, at the box's last point, unless their code space passes
-    `member_budget` or the flag bound sooner, and no family or field is
-    built for the smaller boxes.  A box over DEFAULT_LAMBDA_BUDGET is
-    refused before any walk."""
+    `box_sweep`, in its forms, from the same walk and join step.  A
+    partition's codes are ranked once, at the box's last point, unless
+    their code space passes `member_budget` or the flag bound sooner, and
+    no family or field is built for the smaller boxes.  A box over
+    DEFAULT_LAMBDA_BUDGET is refused before any walk."""
     n = as_point(n, dim=sys.dim)
     _check_box(n)
     for _, (atoms, _, incidence), field in _join_shells(sys, family, f, n, member_budget, False):
         pass
-    return SetFamily(atoms, incidence), field
+    return _family(atoms, incidence, field)
 
 
 def orbit_join(

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from covpress.coveralg import SetFamily, box_join, box_sweep, is_join_stable, refines
+from covpress.coveralg import SetFamily, box_join, box_sweep, is_join_stable, refines, state_field
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, iter_box_pullbacks, power_map
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal, sym_diff_cardinality
 from covpress.solvers import STATUS_EXACT, counted_fsum
@@ -272,6 +272,7 @@ def separated_entropy_link_check(
     n = as_point(n, dim=sys.dim)
     lam = box_cardinality(n)
     joined, f_field = box_join(sys, refining, f, n, member_budget)
+    f_field = state_field(joined, f_field)
     labels = joined.as_labels()
     chosen = sorted(int(x) for x in separated)
     cell_of = [int(labels[x]) for x in chosen]

@@ -28,10 +28,10 @@ by the classes sharing a member with each.  Partition-shaped instances of
 any size stay exact.
 
 When the ergodic field is constant on every atom of the join (a flat field;
-the paper's doubling potentials and the torus site potential give one), a
-box is evaluated from one pass over its states plus per-atom work: the atom
-minima and their lowest states serve as the maxima too, and on a partition
-P is Q's sample and S is G's.
+the paper's doubling potentials and the torus site potential give one),
+the sweep hands it over per atom, and a box is evaluated from one pass over
+its states for the atoms' lowest states plus per-atom work: the atom sums
+serve as minima and maxima, and on a partition P is Q's sample and S G's.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from covpress.coveralg import (
     DEFAULT_MEMBER_BUDGET,
+    AtomSums,
     ClosenessGraph,
     SetFamily,
     box_join,
@@ -165,30 +166,29 @@ def _subcover_sample(
 
 
 def _atom_extrema(
-    joined: SetFamily, f_field: np.ndarray
+    joined: SetFamily, f_field: AtomSums | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per atom, the min of the ergodic sum and the lowest state attaining
     it, then the max and the lowest state attaining that.
 
-    When every state has the value of its atom's lowest state, the field is
-    constant on each atom, and every state attains its atom's min and max:
-    the same two arrays are returned for both, and no extremum pass is made.
+    On a field constant on each atom, `AtomSums` or a per-state field whose
+    every state has the value of its atom's lowest state, every state
+    attains its atom's min and max: the same two arrays are returned for
+    both, and no extremum pass is made.
     """
     atoms, count = joined.atoms, joined.atom_count
     states = np.arange(len(atoms))
 
-    def lowest(hits: np.ndarray | None = None) -> np.ndarray:
-        """Per atom, the lowest state flagged in `hits` (any state when None)."""
+    def lowest(hits: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Per atom, the lowest state flagged in `hits` (any state by default)."""
         reps = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
-        if hits is None:
-            np.minimum.at(reps, atoms, states)
-        else:
-            np.minimum.at(reps, atoms[hits], states[hits])
+        np.minimum.at(reps, atoms[hits], states[hits])
         return reps
 
     first = lowest()
-    value = f_field[first]
-    if (f_field == value[atoms]).all():
+    per_atom = isinstance(f_field, AtomSums)
+    value = f_field.values if per_atom else f_field[first]
+    if per_atom or (f_field == value[atoms]).all():
         return value, first, value, first
     lo = np.full(count, np.inf)
     np.minimum.at(lo, atoms, f_field)
@@ -228,9 +228,9 @@ def pressure_quadruple(
 
 
 def quadruple_from_joined(
-    joined: SetFamily, f_field: np.ndarray, n: Coords, exact_limit: int | None = None
+    joined: SetFamily, f_field: AtomSums | np.ndarray, n: Coords, exact_limit: int | None = None
 ) -> dict[str, PressureSample]:
-    """Q, P, G and S of an already joined family, given the ergodic field at box n.
+    """Q, P, G and S of a joined family, given the box-n ergodic field per state or as `AtomSums`.
 
     Q and P are the cheapest subcovers weighted per member by the min and
     max of the ergodic sum.  S is the heaviest set of states no two of which
@@ -247,9 +247,9 @@ def quadruple_from_joined(
     so G is Q's log-sum of class minima and S is P's of class maxima.
 
     When the field is constant on every atom, each class's minimum is its
-    maximum and its lowest state represents both, so one extremum pass
-    serves all four values; on a partition P is then Q's sample and S is
-    G's, with the same log-sum and the same states.
+    maximum and its lowest state represents both, so one pass for the
+    lowest states serves all four values; on a partition P is then Q's
+    sample and S is G's, with the same log-sum and the same states.
 
     `exact_limit`, when given, caps all four searches; otherwise Q and P use
     `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.

@@ -668,6 +668,41 @@ def test_cli_runs_import_no_numpy_module_after_start(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == {"doubling": [], "leakage": []}
 
 
+# Run in a fresh interpreter with `np.unique` wrapped, so that every call the
+# default doubling run makes is seen with its input size.
+UNIQUE_SIZES_SCRIPT = """
+import json, sys
+import numpy as np
+from covpress import experiments
+from covpress.config import load_config
+
+sizes = []
+unique = np.unique
+
+def counted(values, *args, **kwargs):
+    sizes.append(int(np.size(values)))
+    return unique(values, *args, **kwargs)
+
+np.unique = counted
+cfg = load_config("doubling")
+experiments.run_doubling(cfg)
+print(json.dumps({"sizes": sizes, "states": experiments.system_from_config(cfg).state_count}))
+"""
+
+
+def test_default_doubling_sorts_no_state_sized_array():
+    # Labels and level-cover columns are ranked through the flag array and
+    # the evaluator reads per-atom sums, so np.unique only ever sees
+    # per-atom arrays: at most 2**14 of the 100,003 states.
+    src = str(Path(covpress.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", UNIQUE_SIZES_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["sizes"] and max(seen["sizes"]) < seen["states"], seen
+
+
 # perfbench's traced workers patch `SetFamily.as_labels`,
 # `ClosenessGraph.class_adjacency` and `experiments.ThreadPoolExecutor`, and
 # read `SolveResult.is_exact` and `SetFamily.labels`: renaming any of them

@@ -24,6 +24,7 @@ from covpress.coveralg import (
     potential_cover,
     preimage_family,
     refines,
+    state_field,
 )
 from covpress.dynsys import (
     FiniteSystem,
@@ -88,24 +89,59 @@ def test_construction_dedups_and_validates():
             SetFamily.from_state_sets(4, [bad, np.arange(4)])
 
 
-@given(
-    st.integers(1, 70).flatmap(
-        lambda rows: st.lists(
-            st.lists(st.booleans(), min_size=rows, max_size=rows), min_size=1, max_size=40
-        )
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_unique_columns_ranks_columns_as_np_unique_does(columns):
-    # Up to 64 rows the columns are ranked by one integer key each; the
-    # first occurrences and ranks are those of the packed byte records.
-    flags = np.array(columns, dtype=bool).T
+@st.composite
+def bool_matrices(draw):
+    """A bool matrix of 0-70 rows and 0-40 columns, its columns random or
+    all equal; the row counts around the byte and code-width edges are
+    drawn more often."""
+    rows = draw(st.sampled_from([0, 1, 8, 9, 13, 17, 62, 63, 64, 65]) | st.integers(1, 70))
+    count = draw(st.integers(0, 40))
+    column = st.lists(st.booleans(), min_size=rows, max_size=rows)
+    if draw(st.booleans()):
+        columns = [draw(column)] * count
+    else:
+        columns = draw(st.lists(column, min_size=count, max_size=count))
+    return np.array(columns, dtype=bool).reshape(count, rows).T
+
+
+@given(bool_matrices())
+@settings(max_examples=300, deadline=None)
+def test_unique_columns_ranks_columns_as_np_unique_does(flags):
+    # Up to 64 rows the columns are ranked as uint64 codes, through the flag
+    # array up to 12 rows and by a sort past them; taller ones are sorted
+    # as records.  The first occurrences and ranks are those of the packed
+    # byte records.
     _, first, rank = np.unique(
         np.packbits(flags, axis=0).T, axis=0, return_index=True, return_inverse=True
     )
     got_first, got_rank = coveralg.unique_columns(flags)
     assert got_first.tolist() == first.tolist()
     assert got_rank.tolist() == rank.reshape(-1).tolist()
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(
+    st.one_of(
+        st.lists(st.booleans(), max_size=40).map(lambda xs: np.array(xs, dtype=bool)),
+        st.lists(st.integers(-6, 6), max_size=40).map(lambda xs: np.array(xs, dtype=np.int64)),
+        st.lists(st.integers(-5000, 5000), max_size=4).map(lambda xs: np.array(xs, dtype=np.int64)),
+        st.lists(INT64, max_size=40).map(lambda xs: np.array(xs, dtype=np.int64)),
+        st.tuples(INT64, st.integers(0, 40)).map(lambda c: np.full(c[1], c[0], dtype=np.int64)),
+    )
+)
+@example(np.array([0, 4103]))  # a range at the flag bound of two labels
+@example(np.array([0, 4104]))  # one past it
+@example(np.array([-(2**63), 2**63 - 1]))  # a range whose shift would overflow
+@settings(max_examples=300, deadline=None)
+def test_from_labels_ranks_labels_as_np_unique_does(labels):
+    # Label ranges within the flag bound are ranked without a sort, wider
+    # ones sorted as given; either way the atoms are np.unique's ranks.
+    _, want = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    family = SetFamily.from_labels(labels)
+    assert (family.atoms.dtype, family.atoms.tobytes()) == (want.dtype, want.tobytes())
+    assert family.count == len(set(labels.tolist())) and family.is_partition
 
 
 @given(
@@ -334,7 +370,7 @@ def test_box_sweep_matches_bruteforce_shells(case, as_partition, data):
     for box, joined, field in box_sweep(sys, family, f, n, member_budget=10**6):
         boxes.append(box)
         assert_shell_order_join(joined, shell_preimages(sys, family, box), m)
-        assert field.tobytes() == birkhoff_field(sys, f, box).tobytes()
+        assert state_field(joined, field).tobytes() == birkhoff_field(sys, f, box).tobytes()
     assert boxes == [tuple(min(t, c) for c in n) for t in range(1, max(n) + 1)]
 
 
@@ -537,9 +573,9 @@ def test_narrow_labels_join_as_int64_at_the_dtype_boundaries(m, dtype):
     want = list(per_point_ranked_sweep(sys, family, n, 10**6, [0]))
     assert [(box, j.atoms.tobytes(), j.count) for box, j, _ in items] == want
     assert (joined.atoms.tobytes(), joined.count) == want[-1][1:]
-    for box, _, swept in items:
-        assert swept.tobytes() == birkhoff_field(sys, f, box).tobytes()
-    assert field.tobytes() == birkhoff_field(sys, f, n).tobytes()
+    for box, swept_join, swept in items:
+        assert state_field(swept_join, swept).tobytes() == birkhoff_field(sys, f, box).tobytes()
+    assert state_field(joined, field).tobytes() == birkhoff_field(sys, f, n).tobytes()
 
 
 def test_yielded_fields_are_never_written_again():
@@ -552,8 +588,8 @@ def test_yielded_fields_are_never_written_again():
     for family in (SetFamily.from_labels(x % 3), SetFamily.from_state_sets(35, [range(20), range(15, 35)])):
         items = list(box_sweep(sys, family, f, (3, 4)))
         assert [box for box, _, _ in items] == [(1, 1), (2, 2), (3, 3), (3, 4)]
-        for box, _, field in items:
-            assert field.tobytes() == birkhoff_field(sys, f, box).tobytes()
+        for box, joined, field in items:
+            assert state_field(joined, field).tobytes() == birkhoff_field(sys, f, box).tobytes()
 
 
 # Signed zeros, and magnitudes far enough apart that the order of the
@@ -596,10 +632,27 @@ def test_swept_and_joined_fields_are_the_birkhoff_bytes(case, as_partition, flat
         items = list(box_sweep(sys, family, f, n, member_budget=10**6))
         joined, field = box_join(sys, family, f, n, member_budget=10**6)
     assert carried == ([1, 1] if is_flat else [2, 2])
-    for box, _, swept in items:
-        assert swept.tobytes() == birkhoff_field(sys, f, box).tobytes()
-    assert field.tobytes() == birkhoff_field(sys, f, n).tobytes()
+    for box, swept_join, swept in items:
+        assert state_field(swept_join, swept).tobytes() == birkhoff_field(sys, f, box).tobytes()
+    assert state_field(joined, field).tobytes() == birkhoff_field(sys, f, n).tobytes()
     assert joined.atoms.tobytes() == items[-1][1].atoms.tobytes()
+
+
+def test_a_cover_joined_into_a_partition_keeps_its_atom_sums():
+    # Under T = (2, 0, 2) the cover {0, 1}, {1, 2} joins over the box (2,)
+    # into {1}, {0}, {2}: pairwise disjoint, so the join's atoms are
+    # numbered by member, not in pair-code order, and the flat field's
+    # sums must move with them.
+    sys = FiniteSystem(generators=(np.array([2, 0, 2]),))
+    cover = SetFamily.from_state_sets(3, [{0, 1}, {1, 2}])
+    f = Potential(np.array([0.5, -1.25, 3.0]))
+    want = birkhoff_field(sys, f, (2,))
+    joined, field = box_join(sys, cover, f, (2,))
+    assert joined.is_partition and joined.atoms.tolist() == [1, 0, 2]
+    assert isinstance(field, coveralg.AtomSums)
+    assert state_field(joined, field).tobytes() == want.tobytes()
+    swept, swept_field = list(box_sweep(sys, cover, f, (2,)))[-1][1:]
+    assert state_field(swept, swept_field).tobytes() == want.tobytes()
 
 
 def test_flat_fields_keep_the_order_and_sign_of_each_term():
@@ -617,8 +670,8 @@ def test_flat_fields_keep_the_order_and_sign_of_each_term():
         f = Potential(values)
         for n in [(1,), (2,), (3,), (5,)]:
             want = birkhoff_field(sys, f, n).tobytes()
-            assert box_join(sys, family, f, n)[1].tobytes() == want
-            assert list(box_sweep(sys, family, f, n))[-1][2].tobytes() == want
+            assert state_field(*box_join(sys, family, f, n)).tobytes() == want
+            assert state_field(*list(box_sweep(sys, family, f, n))[-1][1:]).tobytes() == want
     assert birkhoff_field(sys, Potential(np.full(6, -0.0)), (3,)).tobytes() == np.zeros(6).tobytes()
 
 

@@ -18,6 +18,7 @@ from covpress.coveralg import (
     box_sweep,
     cover_from_partition,
     orbit_join,
+    state_field,
 )
 from covpress.dynsys import (
     FiniteSystem,
@@ -537,7 +538,7 @@ def test_box_join_ranks_a_partition_once(monkeypatch):
         monkeypatch.undo()
         assert ranked == [2 ** lattice.box_cardinality(n)]
         assert (joined.atoms.tobytes(), joined.count) == (want.atoms.tobytes(), want.count)
-        assert field.tobytes() == want_field.tobytes()
+        assert state_field(joined, field).tobytes() == state_field(want, want_field).tobytes()
 
 
 @st.composite
@@ -668,6 +669,7 @@ def _atom_extremum(joined, f_field, pick):
 
 
 def _two_pass_extrema(joined, f_field):
+    f_field = state_field(joined, f_field)
     return (*_atom_extremum(joined, f_field, "min"), *_atom_extremum(joined, f_field, "max"))
 
 
@@ -680,7 +682,7 @@ def test_one_pass_extrema_give_the_two_pass_samples(case):
     sys, family, f, n = case
     joined, field = box_join(sys, family, f, n)
     lo, lo_reps, hi, hi_reps = toppressure._atom_extrema(joined, field)
-    flat = bool((field == lo[joined.atoms]).all())
+    flat = bool((state_field(joined, field) == lo[joined.atoms]).all())
     assert (hi is lo) == flat
     assert (hi_reps is lo_reps) == flat
     for got, want in zip((lo, lo_reps, hi, hi_reps), _two_pass_extrema(joined, field)):
@@ -696,6 +698,57 @@ def test_one_pass_extrema_give_the_two_pass_samples(case):
             want.n, want.lam, want.status, want.chosen
         ), mode
         assert repr(sample.log_value) == repr(want.log_value), mode
+
+
+@st.composite
+def signed_zero_instances(draw):
+    """A `wide_spread_instances` case, or its system, family and box under a
+    potential of signed zeros, which is flat on every family."""
+    sys, family, f, n = draw(wide_spread_instances())
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.booleans(), min_size=len(f.values), max_size=len(f.values)))
+        f = Potential(np.where(signs, -0.0, 0.0))
+    return sys, family, f, n
+
+
+_TORUS_2X3, _X_2X3 = torus_shift(2, 3)
+
+
+@given(signed_zero_instances())
+@example(  # a cover whose join over (2,) is pairwise disjoint, atoms numbered by member
+    (
+        FiniteSystem(generators=(np.array([2, 0, 2]),)),
+        SetFamily.from_state_sets(3, [{0, 1}, {1, 2}]),
+        Potential(np.array([0.5, -1.25, 3.0])),
+        (2,),
+    )
+)
+@example(  # a singleton join whose atoms run backwards
+    (
+        make_circle_doubling(7),
+        SetFamily.from_labels(np.arange(7) < 4),
+        Potential(np.where(np.arange(7) < 4, 0.25, -1.5)),
+        (3,),
+    )
+)
+@example((_TORUS_2X3, overlap_cover(_X_2X3), Potential(0.37 * (_X_2X3 & 1)), (2, 2)))
+@settings(max_examples=300, deadline=None)
+def test_atom_sums_evaluate_as_the_per_state_field(case):
+    # A field flat on the family's atoms comes from the sweep as
+    # `AtomSums`, any other per state; the evaluator's samples from it are
+    # those of the per-state Birkhoff field, byte for byte.
+    sys, family, f, n = case
+    joined, field = box_join(sys, family, f, n)
+    flat = all(len(set(f.values[family.atoms == a].tolist())) == 1 for a in range(family.atom_count))
+    assert isinstance(field, coveralg.AtomSums) == flat
+    by_atom, by_state = (
+        toppressure.quadruple_from_joined(joined, fld, n) for fld in (field, birkhoff_field(sys, f, n))
+    )
+    for mode in "QPSG":
+        got, want = by_atom[mode], by_state[mode]
+        assert (repr(got.log_value), got.status, got.chosen) == (
+            repr(want.log_value), want.status, want.chosen
+        ), mode
 
 
 @st.composite
@@ -722,7 +775,7 @@ def overlapping_joins(draw):
     n = tuple(draw(st.integers(1, 2)) for _ in sizes)
     joined, field = box_join(FiniteSystem(generators=tuple(gens)), family, f, n)
     assume(not joined.is_partition)
-    return joined, field
+    return joined, state_field(joined, field)
 
 
 def per_member_loop(joined, per_atom, ufunc):
