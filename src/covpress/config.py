@@ -8,8 +8,9 @@ leakage geometry (rings, sectors, bands, slices) must fit the disk grid,
 `slices` must be at least 2 so the pizza cover stays non-admissible,
 leakage needs two depths, the deep box 2**deep_exponent must fit in 64
 bits and finite-vp needs `max_states` >= 2.  The doubling size and
-potential, and the full shift, go through the checks their runs make, so a
-bad value fails at load time rather than mid-run.
+potential (with the level grid its run builds for a potential that is not
+constant on each arc), and the full shift, go through the checks their runs
+make, so a bad value fails at load time rather than mid-run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from covpress.dynsys import check_doubling_size, potential_from_spec
+import numpy as np
+
+from covpress.coveralg import SetFamily, atom_values, check_level_grid
+from covpress.dynsys import Potential, check_doubling_size, potential_from_spec
 from covpress.fullshift import FullShiftSpec
 
 EXPERIMENTS = ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift")
@@ -115,9 +119,32 @@ class ExperimentConfig:
         # The run's own checks of the values it builds from.
         if self.experiment == "doubling":
             check_doubling_size(self.m)
-            potential_from_spec(self.potential, self.m, arc_states=())
+            if self.potential.startswith("values:"):
+                # `constant` and `arc` are constant on each arc, so only a
+                # values list can need the level grid; the others skip the arcs.
+                self.doubling_inputs()
+            else:
+                potential_from_spec(self.potential, self.m, arc_states=())
         if self.experiment == "fullshift":
             self.fullshift_spec()
+
+    def doubling_inputs(self) -> tuple[SetFamily, Potential, float | None]:
+        """The `doubling` run's half-circle arcs, its potential, and the eps
+        of the potential-level cover joined onto the arcs: half the spread,
+        at least 5e-10, or None when the potential is constant on each arc,
+        as `constant` and `arc` potentials are, for then every level member
+        is a union of arcs and the join is the arcs.  An eps whose level
+        grid floats cannot resolve is refused here, by the cover's own check.
+        """
+        split = (self.m + 1) // 2
+        f = potential_from_spec(self.potential, self.m, arc_states=range(split, self.m))
+        arcs = SetFamily.from_labels(np.arange(self.m) >= split)
+        if atom_values(arcs, f) is not None:
+            return arcs, f, None
+        # Python floats: a spread past the float range is inf, with no numpy overflow warning.
+        eps = max(float(f.values.max()) - float(f.values.min()), 1e-9) / 2.0
+        check_level_grid(f.values, eps)
+        return arcs, f, eps
 
     def fullshift_spec(self) -> FullShiftSpec:
         """The full shift of the `fullshift` experiment: `symbols`, `dim` and `phi`."""

@@ -16,7 +16,8 @@ One kernel, `_join_atoms`, joins two families: each state gets a pair code
 below the product of the atom counts, and the distinct codes, in sorted
 order, become the new atoms.  When that bound is at most a few times the
 state count the codes are ranked through a flag array in time linear in
-both; past that the kernel sorts them, with the same result.  Only covers
+both, and when every code occurs they are their own ranks and become the
+atoms as they are; past that bound the kernel sorts them, with the same result.  Only covers
 with overlapping members also lift their member bitmasks onto the finer
 atoms and intersect them.  `join`, `preimage_family`, `refines`, partition
 equality and every box sweep step are that kernel.  Within a sweep's
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -79,13 +81,16 @@ def _dense_unique(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray
     The sorted distinct codes and each code's rank among them.  A flag array
     over the code space gets them in O(len(codes) + bound) time; a code
     space over `_flag_bound(len(codes))` is sorted instead, which keeps the
-    flag array's memory O(len(codes)).
+    flag array's memory O(len(codes)).  When every code occurs, int64 codes
+    are their own ranks and are returned as they are, not copied.
     """
     if bound > _flag_bound(len(codes)):
         return np.unique(codes, return_inverse=True)
     seen = np.zeros(bound, dtype=bool)
     seen[codes] = True
     distinct = np.flatnonzero(seen)
+    if len(distinct) == bound and codes.dtype == np.int64:
+        return distinct, codes  # every code occurs, so each is its own rank
     rank = np.empty(bound, dtype=np.int64)
     rank[distinct] = np.arange(len(distinct))
     return distinct, rank[codes]
@@ -142,12 +147,19 @@ class SetFamily:
 
     __slots__ = ("atoms", "atom_count", "_incidence")
 
-    def __init__(self, atoms: np.ndarray, incidence: Sequence[int] | None = None):
+    def __init__(
+        self,
+        atoms: np.ndarray,
+        incidence: Sequence[int] | None = None,
+        atom_count: int | None = None,
+    ):
         """`atoms` must already be the membership classes, labelled densely;
         `incidence` lists the members as atom bitmasks, or is None when
-        atom i is member i."""
+        atom i is member i.  `atom_count`, when the caller knows it, is
+        taken as given; otherwise it is read off the labels."""
         atoms = np.asarray(atoms, dtype=np.int64)
-        atom_count = int(atoms.max()) + 1 if len(atoms) else 0
+        if atom_count is None:
+            atom_count = int(atoms.max()) + 1 if len(atoms) else 0
         if incidence is not None:
             incidence = tuple(dict.fromkeys(m for m in incidence if m))
             if sum(m.bit_count() for m in incidence) == atom_count:
@@ -254,6 +266,8 @@ class SetFamily:
         """Equality as unordered families of sets."""
         if not isinstance(other, SetFamily):
             return NotImplemented
+        if self is other:
+            return True
         if self.state_count != other.state_count or self.count != other.count:
             return False
         if self.is_partition or other.is_partition:
@@ -372,6 +386,13 @@ def _check_box(n: Coords) -> None:
         raise CoverBudgetError(f"box cardinality {lam} exceeds budget {DEFAULT_LAMBDA_BUDGET}")
 
 
+def atom_values(family: SetFamily, f: Potential) -> np.ndarray | None:
+    """f's value per atom when f is constant on the family's atoms, else None."""
+    phi = np.empty(family.atom_count)
+    phi[family.atoms] = f.values
+    return phi if (phi[family.atoms] == f.values).all() else None
+
+
 @dataclass(frozen=True)
 class AtomSums:
     """A field constant on each atom of its join: every state of atom a has `values[a]`."""
@@ -420,12 +441,7 @@ def _join_shells(
     # the member budget and the flag bound: the class count is then within
     # budget, and the later ranking takes the flag array.
     defer = min(member_budget, _flag_bound(sys.state_count))
-    phi = None
-    if f is not None:
-        phi = np.empty(family.atom_count)
-        phi[family.atoms] = f.values
-        if not (phi[family.atoms] == f.values).all():
-            phi = None
+    phi = None if f is None else atom_values(family, f)
     per_state = f is not None and phi is None
     # The walk pulls back the atom labels, and the potential values when f
     # is not flat; the origin's pullback is the family itself.
@@ -472,12 +488,17 @@ def _join_shells(
         if phi is not None and whole:
             field = AtomSums(vals)
         yield box, state, field
+        if every_shell and state[0] is codes:
+            # The kept atoms are the codes ranked in place: join into a fresh buffer.
+            codes = np.empty_like(codes)
 
 
-def _family(atoms: np.ndarray, incidence: Sequence | None, field: AtomSums | np.ndarray | None) -> tuple:
-    """A join state as a `SetFamily` and its field, `AtomSums` moved along
-    when the constructor numbers a pairwise disjoint cover's atoms by member."""
-    joined = SetFamily(atoms, incidence)
+def _family(state: tuple, field: AtomSums | np.ndarray | None) -> tuple:
+    """A join state as a `SetFamily`, with the atom count the state holds,
+    and its field, `AtomSums` moved along when the constructor numbers a
+    pairwise disjoint cover's atoms by member."""
+    atoms, count, incidence = state
+    joined = SetFamily(atoms, incidence, count)
     if isinstance(field, AtomSums) and incidence is not None and joined.is_partition:
         moved = np.empty_like(field.values)
         moved[joined.atoms] = field.values[atoms]
@@ -515,8 +536,8 @@ def box_sweep(
     either.
     """
     n = as_point(n, dim=sys.dim)
-    for box, (atoms, _, incidence), field in _join_shells(sys, family, f, n, member_budget, True):
-        yield box, *_family(atoms, incidence, field)
+    for box, state, field in _join_shells(sys, family, f, n, member_budget, True):
+        yield box, *_family(state, field)
 
 
 def is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
@@ -549,9 +570,9 @@ def box_join(
     DEFAULT_LAMBDA_BUDGET is refused before any walk."""
     n = as_point(n, dim=sys.dim)
     _check_box(n)
-    for _, (atoms, _, incidence), field in _join_shells(sys, family, f, n, member_budget, False):
+    for _, state, field in _join_shells(sys, family, f, n, member_budget, False):
         pass
-    return _family(atoms, incidence, field)
+    return _family(state, field)
 
 
 def orbit_join(
@@ -633,6 +654,26 @@ def cover_from_partition(sys: FiniteSystem, partition: SetFamily) -> SetFamily:
     return SetFamily._from_flags(partition.atoms, flags)
 
 
+def check_level_grid(values: np.ndarray, eps: float) -> None:
+    """Refuse an eps whose level grid floats cannot resolve at these values.
+
+    The grid's numbers stay below the values' size plus 2 eps.  Every value
+    lies within eps / 4 of a grid center, and the center and its interval's
+    ends are each off by at most half the float spacing there, so while
+    that spacing is under eps / 4 (and finite) every value lies strictly
+    inside an interval and the grid covers the states.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    size = float(np.abs(values).max(initial=0.0))
+    spacing = math.ulp(size + 2 * eps)
+    if not 4 * spacing < eps:
+        raise ValueError(
+            f"eps = {eps!r} is too fine for a level grid over potential values of size "
+            f"up to {size!r}, whose float spacing is {spacing!r}; it needs eps > 4 x spacing"
+        )
+
+
 def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
     """Cover by preimages of value intervals of diameter eps on a half-eps grid.
 
@@ -643,11 +684,10 @@ def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
     admissible: the interval around the marked value yields a member
     containing every marked state.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     vals = f.values
     if len(vals) != sys.state_count:
         raise ValueError("potential does not live on this system")
+    check_level_grid(vals, eps)
     if sys.marked:
         marked_vals = {float(vals[s]) for s in sys.marked}
         if len(marked_vals) != 1:
@@ -664,11 +704,20 @@ def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
 # -- closeness ------------------------------------------------------------
 
 
+def lowest_states(family: SetFamily, hits: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """Per atom, the lowest state flagged in `hits` (any state by default);
+    the int64 maximum for an atom with none."""
+    reps = np.full(family.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(reps, family.atoms[hits], np.arange(family.state_count)[hits])
+    return reps
+
+
 class ClosenessGraph:
     """States are adjacent when some member of the joined family holds both.
 
     The graph runs off membership classes, i.e. the family's atoms, ordered
-    by their lowest state; `class_sizes` counts the states of each.  A class
+    by their lowest state (an argsort of one value per atom, no sort of the
+    states); `class_sizes` counts the states of each.  A class
     is internally a clique, and two classes are adjacent exactly when they
     share a member, which is all the separated/spanning solvers need.  For a
     cover, `holds` is the bool members x classes incidence and `shares` the
@@ -677,9 +726,9 @@ class ClosenessGraph:
     graph is a disjoint union of cliques, one per cell, and stores neither.
     """
 
-    def __init__(self, family: SetFamily):
-        _, first = np.unique(family.atoms, return_index=True)
-        self.class_atoms = np.argsort(first)
+    def __init__(self, family: SetFamily, lowest: np.ndarray | None = None):
+        """`lowest`, each atom's lowest state, is found here unless the caller has it."""
+        self.class_atoms = np.argsort(lowest_states(family) if lowest is None else lowest)
         self.class_sizes = np.bincount(family.atoms)[self.class_atoms]
         rows = family.incidence()
         self.holds = None if rows is None else rows[:, self.class_atoms]

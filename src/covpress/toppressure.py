@@ -51,6 +51,7 @@ from covpress.coveralg import (
     box_sweep,
     classify_admissible,
     is_join_stable,
+    lowest_states,
 )
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal
@@ -167,9 +168,10 @@ def _subcover_sample(
 
 def _atom_extrema(
     joined: SetFamily, f_field: AtomSums | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per atom, the min of the ergodic sum and the lowest state attaining
-    it, then the max and the lowest state attaining that.
+    it, then the max and the lowest state attaining that, and last each
+    atom's lowest state, which orders the closeness graph's classes.
 
     On a field constant on each atom, `AtomSums` or a per-state field whose
     every state has the value of its atom's lowest state, every state
@@ -177,24 +179,17 @@ def _atom_extrema(
     both, and no extremum pass is made.
     """
     atoms, count = joined.atoms, joined.atom_count
-    states = np.arange(len(atoms))
-
-    def lowest(hits: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Per atom, the lowest state flagged in `hits` (any state by default)."""
-        reps = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(reps, atoms[hits], states[hits])
-        return reps
-
-    first = lowest()
+    first = lowest_states(joined)
     per_atom = isinstance(f_field, AtomSums)
     value = f_field.values if per_atom else f_field[first]
     if per_atom or (f_field == value[atoms]).all():
-        return value, first, value, first
+        return value, first, value, first, first
     lo = np.full(count, np.inf)
     np.minimum.at(lo, atoms, f_field)
     hi = np.full(count, -np.inf)
     np.maximum.at(hi, atoms, f_field)
-    return lo, lowest(f_field == lo[atoms]), hi, lowest(f_field == hi[atoms])
+    lo_reps = lowest_states(joined, f_field == lo[atoms])
+    return lo, lo_reps, hi, lowest_states(joined, f_field == hi[atoms]), first
 
 
 def _member_extrema(
@@ -257,7 +252,7 @@ def quadruple_from_joined(
     member_limit = EXACT_LIMIT_FAMILIES if exact_limit is None else exact_limit
     class_limit = EXACT_LIMIT_NODES if exact_limit is None else exact_limit
     lam = box_cardinality(n)
-    lo, lo_reps, hi, hi_reps = _atom_extrema(joined, f_field)
+    lo, lo_reps, hi, hi_reps, first = _atom_extrema(joined, f_field)
     if joined.is_partition:
         # Every class holds states no other member covers, so the subcover
         # is the whole family and no search is needed.
@@ -269,7 +264,7 @@ def quadruple_from_joined(
             return {"Q": q, "P": q, "G": g, "S": g}
         p = PressureSample(n, lam, log_sum_exp(hi), STATUS_EXACT)
         return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=hi_reps)}
-    graph = ClosenessGraph(joined)
+    graph = ClosenessGraph(joined, first)
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
     q_weights, p_weights = _member_extrema(graph.holds, lo, hi)
     out = {

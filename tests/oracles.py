@@ -2,8 +2,9 @@
 
 Each builds a value the program never needs, so that a test can check a
 theorem or an identity of the code under test against it: powered systems,
-random invariant measures, conditional entropy and the states of one member
-of a family.
+random invariant measures, conditional entropy, the states of one member
+of a family, and the two-symbol full shift on a small torus with its
+overlapping cover.
 """
 
 import math
@@ -62,3 +63,26 @@ def member_states(fam: SetFamily, i: int) -> list[int]:
     rows = fam.incidence()
     held = fam.atoms == i if rows is None else rows[i][fam.atoms]
     return np.flatnonzero(held).tolist()
+
+
+def torus_shift(p, q):
+    """Two-symbol configurations on the p x q torus under the two unit shifts
+    (bit q*i + j holds the symbol at (i, j)), and the state numbers."""
+    x = np.arange(1 << (p * q), dtype=np.int64)
+
+    def shifted(di, dj):
+        out = np.zeros_like(x)
+        for i in range(p):
+            for j in range(q):
+                out |= ((x >> (((i + di) % p) * q + (j + dj) % q)) & 1) << (i * q + j)
+        return out
+
+    return FiniteSystem(generators=(shifted(1, 0), shifted(0, 1))), x
+
+
+def overlap_cover(x):
+    """The overlapping cover {x00 = 0}, {x00 = 1}, {x00 = x01}."""
+    x00, x01 = x & 1, (x >> 1) & 1
+    return SetFamily.from_state_sets(
+        x.size, [np.flatnonzero(x00 == 0), np.flatnonzero(x00 == 1), np.flatnonzero(x00 == x01)]
+    )

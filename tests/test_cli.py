@@ -19,14 +19,13 @@ from covpress import experiments
 from covpress.cli import build_parser, main
 from covpress.config import ExperimentConfig, load_config, parse_config_text
 from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
-from covpress.dynsys import make_disk_system
+from covpress.dynsys import make_disk_system, potential_from_spec
 from covpress.experiments import (
     ResultRow,
     VerdictItem,
     annulus_cell_partition,
     euclid_separated_count,
     pizza_cover,
-    potential_from_spec,
     rows_to_csv,
     run_experiment,
     run_fullshift,
@@ -264,6 +263,49 @@ def test_doubling_sweeps_each_distinct_cover_once(monkeypatch, potential, sweeps
     assert {r.cover for r in rows} == {"arcs", "arcs_bfe"}
 
 
+# 51 x 0.3 on the lower arc of m = 101, then 50 x -1.2: constant on each arc.
+ARC_VALUES_101 = "values:" + ",".join(["0.3"] * 51 + ["-1.2"] * 50)
+
+
+@pytest.mark.parametrize("potential", ["constant:0", "arc:1", ARC_VALUES_101])
+def test_doubling_builds_no_level_cover_for_arc_constant_potentials(monkeypatch, potential):
+    # Constant on each arc, the potential's level members are unions of
+    # arcs, so `arcs_bfe` is `arcs`: no level cover and no join are built,
+    # and the rows and verdict are those of sweeping the joined cover.
+    cfg = load_config("doubling", overrides={"m": 101, "n_max": 6, "potential": potential})
+    expected_rows, expected_detail = sweep_every_cover(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level cover was built")
+
+    monkeypatch.setattr(experiments, "potential_cover", refuse)
+    monkeypatch.setattr(experiments, "join", refuse)
+    rows, verdicts = run_experiment(cfg)
+    assert rows == expected_rows
+    assert [v.detail for v in verdicts] == [expected_detail]
+
+
+@pytest.mark.parametrize(
+    "m, n_max, potential",
+    [
+        (100003, 8, "constant:1e10"),
+        (100003, 8, "constant:1e300"),
+        (100003, 8, "constant:-1e300"),
+        (11, 6, "values:" + ",".join(["1e17"] * 6 + ["1.0000000000000002e17"] * 5)),
+    ],
+)
+def test_doubling_runs_large_magnitude_potentials(tmp_path, m, n_max, potential):
+    # A level grid cannot resolve a constant 1e10, or arcs 16 apart near
+    # 1e17, and it overflows at 1e300.  Constant on each arc, none of these
+    # potentials needs the grid, and each run passes with every row written.
+    conf = tmp_path / "big.conf"
+    conf.write_text(f"m = {m}\nn_max = {n_max}\npotential = {potential}\n", encoding="utf-8")
+    out = tmp_path / "res"
+    assert main(["doubling", "--config", str(conf), "--out", str(out)]) == 0
+    lines = (out / "doubling.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 2 * 4 * n_max
+
+
 def test_doubling_target_does_not_overflow():
     # math.exp(800) overflows; the verdict still prints log(1 + e^800).
     cfg = load_config("doubling", overrides={"m": 101, "potential": "arc:800"})
@@ -478,6 +520,18 @@ BAD_RUN_VALUES = [
     ("doubling", {"potential": "arc:inf"}, "must be finite"),
     ("doubling", {"potential": "arc:-inf"}, "must be finite"),
     ("doubling", {"potential": "arc:nan"}, "must be finite"),
+    # Not constant on the lower arc: values 16 apart near 1e17 defeat a
+    # level grid of eps = 8, and a spread past the float range its eps.
+    (
+        "doubling",
+        {"m": 11, "potential": "values:" + ",".join(["1e17"] * 5 + ["1.0000000000000002e17"] * 6)},
+        r"eps = 8.0 .* float spacing is 16.0",
+    ),
+    (
+        "doubling",
+        {"m": 11, "potential": "values:1e308,-1e308," + ",".join(["0"] * 9)},
+        "eps must be positive and finite, got inf",
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covpress import coveralg
@@ -35,7 +35,7 @@ from covpress.dynsys import (
     make_disk_system,
 )
 from covpress.lattice import box_cardinality, diagonal
-from oracles import member_states, power_system
+from oracles import member_states, overlap_cover, power_system, torus_shift
 
 
 def arc_partition(m, split=None):
@@ -397,6 +397,24 @@ def test_dense_unique_edge_cases(bound):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+@given(st.integers(1, 300), st.integers(0, 300), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_dense_unique_returns_the_codes_when_every_code_occurs(bound, extra, rnd):
+    # Every code in [0, bound) occurs, so each code's rank is the code: the
+    # input array itself comes back, and it is np.unique's inverse.
+    codes = list(range(bound)) + [rnd.randrange(bound) for _ in range(extra)]
+    rnd.shuffle(codes)
+    codes = np.array(codes, dtype=np.int64)
+    distinct, rank = coveralg._dense_unique(codes, bound)
+    assert rank is codes
+    for got, want in zip((distinct, rank), np.unique(codes, return_inverse=True)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # uint64 codes, as `unique_columns` makes, still get int64 ranks by the gather.
+    wide = codes.astype(np.uint64)
+    rank = coveralg._dense_unique(wide, bound)[1]
+    assert rank.dtype == np.int64 and rank.tobytes() == codes.tobytes()
+
+
 def _sorting_unique(codes, bound):
     return np.unique(codes, return_inverse=True)
 
@@ -434,25 +452,13 @@ def test_box_sweep_matches_a_sorting_fold(case, base, data):
 def test_box_sweep_matches_a_sorting_fold_on_both_paths():
     # Singletons on 101 and 512 states make code spaces past 4 * M + 4096,
     # so the sort path runs as well as the flag array.
-    x = np.arange(1 << 9, dtype=np.int64)
-
-    def shifted(di, dj):
-        out = np.zeros_like(x)
-        for i in range(3):
-            for j in range(3):
-                out |= ((x >> (((i + di) % 3) * 3 + (j + dj) % 3)) & 1) << (i * 3 + j)
-        return out
-
-    torus = FiniteSystem(generators=(shifted(1, 0), shifted(0, 1)))
-    x00, x01 = x & 1, (x >> 1) & 1
-    torus_cover = SetFamily.from_state_sets(
-        x.size, [np.flatnonzero(x00 == 0), np.flatnonzero(x00 == 1), np.flatnonzero(x00 == x01)]
-    )
+    torus, x = torus_shift(3, 3)
+    torus_cover = overlap_cover(x)
     doubling = make_circle_doubling(101)
     arcs = SetFamily.from_state_sets(101, [range(0, 40), range(30, 80), range(70, 101)])
     cases = [
         (doubling, (4,), [arc_partition(101), arcs, SetFamily.singletons(101)]),
-        (torus, (3, 2), [SetFamily.from_labels(x00), torus_cover, SetFamily.singletons(512)]),
+        (torus, (3, 2), [SetFamily.from_labels(x & 1), torus_cover, SetFamily.singletons(512)]),
     ]
     paths = []
     real = coveralg._dense_unique
@@ -468,6 +474,39 @@ def test_box_sweep_matches_a_sorting_fold_on_both_paths():
             with mock.patch.object(coveralg, "_dense_unique", _sorting_unique):
                 assert sweep_bytes(sys, family, n) == got
     assert set(paths) == {False, True}
+
+
+def test_swept_atoms_ranked_in_place_stay_read_only_and_exact():
+    # Sweeps in which every pair code occurs at some box: the doubling arcs
+    # at m = 101 (2**t itineraries up to t = 6) and the 2 x 3 torus, whose
+    # window patterns all occur.  Ranks that are the codes themselves are
+    # handed out as the yielded atoms, so the sweep must join the next box
+    # into a fresh buffer: every kept item stays read-only and equals a
+    # fresh `box_join` at its box.
+    torus, x = torus_shift(2, 3)
+    cases = [
+        (make_circle_doubling(101), (10,), [arc_partition(101)]),
+        (torus, (2, 3), [SetFamily.from_labels(x & 1), overlap_cover(x)]),
+    ]
+    in_place = []
+    real = coveralg._dense_unique
+
+    def spy(codes, bound):
+        distinct, rank = real(codes, bound)
+        in_place.append(rank is codes)
+        return distinct, rank
+
+    for sys, n, families in cases:
+        for family in families:
+            with mock.patch.object(coveralg, "_dense_unique", spy):
+                items = list(box_sweep(sys, family, None, n, member_budget=10**6))
+            for box, joined, _ in items:
+                assert not joined.atoms.flags.writeable
+                fresh = box_join(sys, family, None, box, member_budget=10**6)[0]
+                assert joined.atoms.tobytes() == fresh.atoms.tobytes()
+                assert joined.atom_count == fresh.atom_count
+                assert incidence_bytes(joined) == incidence_bytes(fresh)
+    assert True in in_place and False in in_place
 
 
 def per_point_ranked_sweep(sys, family, n, member_budget, walked):
@@ -975,6 +1014,92 @@ def test_potential_cover_box_level_bound():
             states = member_states(joined, i)
             vals = [field[s] for s in states]
             assert max(vals) - min(vals) <= t * eps + 1e-12
+
+
+HEIGHTS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@given(st.integers(1, 60).map(lambda k: 2 * k + 1), HEIGHTS, HEIGHTS)
+@example(101, 0.0, 1.0)
+@example(101, -0.0, 0.0)
+@example(11, 0.3, -1.2)
+@example(11, 1e300, 0.0)
+@settings(max_examples=200, deadline=None)
+def test_level_cover_of_an_arc_constant_potential_is_coarser_than_the_arcs(m, lower, upper):
+    # A potential constant on each half-circle arc: each level member
+    # depends only on the value, so it is a union of arcs, and the arcs
+    # joined with the level cover are the arcs.  `doubling` relies on this
+    # to skip the level cover.  Where floats cannot resolve the grid, the
+    # cover refuses it with the eps and the float spacing named.
+    split = (m + 1) // 2
+    arcs = SetFamily.from_labels(np.arange(m) >= split)
+    f = Potential(np.where(np.arange(m) >= split, upper, lower))
+    assert coveralg.atom_values(arcs, f) is not None
+    eps = max(float(f.values.max()) - float(f.values.min()), 1e-9) / 2.0
+    try:
+        levels = potential_cover(make_circle_doubling(m), f, eps)
+    except ValueError as exc:
+        assert "float spacing" in str(exc) or "positive and finite" in str(exc)
+        return
+    assert join(arcs, levels) == arcs
+
+
+def test_potential_cover_refuses_a_grid_floats_cannot_resolve():
+    # Values near 1e17 are 16 apart, so an eps of 8 cannot place a grid
+    # interval around each of them; the cover says so before building it.
+    sys = make_circle_doubling(11)
+    f = Potential(np.array([1e17] * 10 + [1e17 + 16]))
+    with pytest.raises(ValueError, match=r"eps = 8.0 .* float spacing is 16.0"):
+        potential_cover(sys, f, 8.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        potential_cover(sys, f, float("inf"))
+    with pytest.raises(ValueError, match="positive and finite"):
+        potential_cover(sys, f, 0.0)
+    # At eps = 128, over 4 x spacing, the grid resolves the 16 apart.
+    assert potential_cover(sys, f, 128.0).count >= 2
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+@example([0.0, 0.0, 1.7120886998688722e307], 1.2e308)  # the grid's top end would overflow
+@settings(max_examples=300, deadline=None)
+def test_level_grid_the_check_accepts_covers_every_state(values, eps):
+    # Any finite values and eps: the cover is built, members within eps, or
+    # refused by the grid check, never left with a state outside every member.
+    spread = float(max(values)) - float(min(values))
+    assume(spread / eps < 1e4)  # the grid has about 2 spread / eps intervals
+    f = Potential(np.array(values))
+    try:
+        fam = potential_cover(make_circle_doubling(3), f, eps)
+    except ValueError as exc:
+        assert "float spacing" in str(exc) or "positive and finite" in str(exc)
+        return
+    for i in range(fam.count):
+        held = f.values[member_states(fam, i)]
+        assert held.max() - held.min() < eps
+
+
+@given(covered_systems(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_closeness_graph_orders_classes_as_np_unique(case, partition):
+    # Classes are ordered by their lowest state: the argsort of each atom's
+    # lowest state, given or found, is the order `np.unique`'s first indices give.
+    sys, sets, n = case
+    m = sys.state_count
+    family = SetFamily.from_state_sets(m, sets)
+    if partition:
+        family = coveralg.membership_partition(family)
+    joined = orbit_join(sys, family, n, member_budget=10**6)
+    _, first = np.unique(joined.atoms, return_index=True)
+    want_atoms = np.argsort(first)
+    want_sizes = np.bincount(joined.atoms)[want_atoms]
+    for graph in (ClosenessGraph(joined), ClosenessGraph(joined, coveralg.lowest_states(joined))):
+        assert graph.class_atoms.tobytes() == want_atoms.tobytes()
+        assert graph.class_sizes.tobytes() == want_sizes.tobytes()
 
 
 def test_closeness_graph_extremes():

@@ -38,7 +38,7 @@ from covpress.toppressure import (
     stabilized_partition,
     topological_pressure,
 )
-from oracles import member_states
+from oracles import member_states, overlap_cover, torus_shift
 
 
 def arc_cover(m, split=None, kind="cover"):
@@ -416,29 +416,6 @@ def test_topological_pressure_2d_matches_per_box_values():
                 assert report[name][mode].samples[t - 1] == per_box[mode]
 
 
-def torus_shift(p, q):
-    """Two-symbol configurations on the p x q torus under the two unit shifts
-    (bit q*i + j holds the symbol at (i, j)), and the state numbers."""
-    x = np.arange(1 << (p * q), dtype=np.int64)
-
-    def shifted(di, dj):
-        out = np.zeros_like(x)
-        for i in range(p):
-            for j in range(q):
-                out |= ((x >> (((i + di) % p) * q + (j + dj) % q)) & 1) << (i * q + j)
-        return out
-
-    return FiniteSystem(generators=(shifted(1, 0), shifted(0, 1))), x
-
-
-def overlap_cover(x):
-    """The overlapping cover {x00 = 0}, {x00 = 1}, {x00 = x01}."""
-    x00, x01 = x & 1, (x >> 1) & 1
-    return SetFamily.from_state_sets(
-        x.size, [np.flatnonzero(x00 == 0), np.flatnonzero(x00 == 1), np.flatnonzero(x00 == x01)]
-    )
-
-
 def test_overlap_cover_on_3x3_torus_is_certified_at_the_root(monkeypatch):
     # The overlapping cover on the 3 x 3 torus and phi = 0.5 * x00.  At box
     # (2, 2) the root bounds certify both greedy answers, whose values and
@@ -670,7 +647,10 @@ def _atom_extremum(joined, f_field, pick):
 
 def _two_pass_extrema(joined, f_field):
     f_field = state_field(joined, f_field)
-    return (*_atom_extremum(joined, f_field, "min"), *_atom_extremum(joined, f_field, "max"))
+    first = np.unique(joined.atoms, return_index=True)[1]  # each atom's lowest state
+    return (
+        *_atom_extremum(joined, f_field, "min"), *_atom_extremum(joined, f_field, "max"), first
+    )
 
 
 @given(wide_spread_instances())
@@ -681,11 +661,14 @@ def test_one_pass_extrema_give_the_two_pass_samples(case):
     # min and the max are taken in separate passes, byte for byte.
     sys, family, f, n = case
     joined, field = box_join(sys, family, f, n)
-    lo, lo_reps, hi, hi_reps = toppressure._atom_extrema(joined, field)
+    extrema = toppressure._atom_extrema(joined, field)
+    lo, lo_reps, hi, hi_reps, first = extrema
     flat = bool((state_field(joined, field) == lo[joined.atoms]).all())
     assert (hi is lo) == flat
     assert (hi_reps is lo_reps) == flat
-    for got, want in zip((lo, lo_reps, hi, hi_reps), _two_pass_extrema(joined, field)):
+    two_pass = _two_pass_extrema(joined, field)
+    assert len(extrema) == len(two_pass) == 5
+    for got, want in zip(extrema, two_pass):
         assert got.tobytes() == want.tobytes()
     quad = toppressure.quadruple_from_joined(joined, field, n)
     with pytest.MonkeyPatch.context() as patch:
@@ -839,7 +822,7 @@ def test_member_extrema_match_the_dense_where(case):
     # `np.where` form: min and max are exact whatever the order.
     joined, field = case
     graph = ClosenessGraph(joined)
-    lo, _, hi, _ = (a[graph.class_atoms] for a in toppressure._atom_extrema(joined, field))
+    lo, _, hi, _, _ = (a[graph.class_atoms] for a in toppressure._atom_extrema(joined, field))
     got = toppressure._member_extrema(graph.holds, lo, hi)
     want = (
         np.where(graph.holds, lo, np.inf).min(1),
