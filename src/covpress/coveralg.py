@@ -43,9 +43,11 @@ last item (`box_join`, `orbit_join`), built by the same walk and join step
 but ranked and wrapped in a `SetFamily` only at its end; a rate along the
 diagonal reads every item of the sweep over (n_max, .., n_max).  So the
 join and field at a box are the same bytes whichever way they are asked
-for.  `is_join_stable` is the one certificate that a join has stopped
-refining: joined with its pullback through every generator, it gains no
-member.
+for.  A 1-d partition sweep stops joining after its first point that adds
+no atom: there J_(t+1) = alpha v T^-1 J_t, so the join repeats at every
+later point, and the walk only extends the field.  `is_join_stable`
+certifies the same in any dimension: joined with its pullback through
+every generator, the join gains no member.
 """
 
 from __future__ import annotations
@@ -432,6 +434,12 @@ def _join_shells(
     point and every item has a new field, so every item can be kept;
     without it they are ranked only at the box's last point and the field
     is whole only there, so only the last item is.
+
+    In 1-d, once a ranked partition state joins a point into as many atoms
+    as it had, no later point is joined: the state, its atoms array
+    included, is the join at every larger box, and the budget checks see
+    the same count.  A flat field then adds phi at the pulled label of one
+    state per atom, which is the term the join's pairs would have added.
     """
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
@@ -452,6 +460,11 @@ def _join_shells(
     field = np.zeros(sys.state_count) if per_state else None
     # The origin's terms, added to +0.0 as the per-state sum adds them.
     vals = None if phi is None else 0.0 + phi
+    # Only a ranked state's bound is an atom count, so only a join of two
+    # ranked states is checked for stability; `reps` is one state per atom.
+    watch = sys.dim == 1 and family.is_partition
+    stable = False
+    ranked = True  # the origin's bound is the family's atom count
     walked = 0
     for t in range(1, max(n) + 1):
         box = tuple(min(t, c) for c in n)
@@ -463,16 +476,24 @@ def _join_shells(
             side = _side(family, pulled[0])
             if state is None:
                 state = side
+            elif stable:
+                if phi is not None:
+                    vals = vals + phi[pulled[0][reps]]
             else:
                 atoms, bound, incidence, pairs = _join_atoms(
                     state, side, 0 if i == rank_at else defer, codes
                 )
+                stable = watch and ranked and pairs is not None and bound == state[1]
+                ranked = pairs is not None
                 state = atoms, bound, incidence
                 if phi is not None and pairs is None:  # unranked: vals spans the code space
                     vals = (vals[:, None] + phi).ravel()
                 elif phi is not None:
                     left, right = np.divmod(pairs, family.atom_count)
                     vals = vals[left] + phi[right]
+                if stable and phi is not None:
+                    reps = np.empty(bound, dtype=np.int64)
+                    reps[atoms] = np.arange(sys.state_count)
             # An unranked state's bound is its code space, at most the budget.
             members = state[1] if state[2] is None else len(state[2])
             if members > member_budget:
@@ -488,7 +509,7 @@ def _join_shells(
         if phi is not None and whole:
             field = AtomSums(vals)
         yield box, state, field
-        if every_shell and state[0] is codes:
+        if every_shell and not stable and state[0] is codes:
             # The kept atoms are the codes ranked in place: join into a fresh buffer.
             codes = np.empty_like(codes)
 
@@ -524,7 +545,9 @@ def box_sweep(
     box, at the shell's last point, or earlier when their code space passes
     `member_budget` or the flag bound; ranking keeps the codes'
     lexicographic order, so the atoms, counts and budget errors are those
-    of ranking at every point.
+    of ranking at every point.  A 1-d partition join that a point leaves
+    with as many atoms as before is the join of every later box, so from
+    there no point is joined, and each item is the same atoms.
     The field is the sum of f over the box points, None when f is, with
     the bytes of `dynsys.birkhoff_field` read per state (`state_field`); a
     yielded field is never written again.  When f is constant on the

@@ -271,20 +271,21 @@ def euclid_separated_count(
     are its later cells in the 3 x 3 buckets around its own.  The exact
     distance test then decides every candidate, so the bucketing can widen
     the candidate set but never change a decision.  The test runs at time 0
-    first; only the pairs close there get distances at every time, since a
-    pair apart at time 0 is separated at every depth.  Rows are handled in
-    chunks of bounded candidates x depth, so memory stays O(cells x depth)
-    however many pairs are close.
+    first; a pair apart there is separated at every depth.  Each pair close
+    at time 0 carries its separation time, the number of leading times at
+    which it is close: time t measures only the pairs still close through
+    t - 1, and the loop stops when none are left.  Rows are handled in
+    chunks of bounded candidates, so memory per chunk stays O(candidates)
+    however deep the count goes.
 
     The greedy runs on depth bitmasks: each cell has a Python int whose bit
-    d - 1 says it is close through depth d to an earlier chosen cell, and
-    each close pair's rows are packed the same way (64-bit words, low word
-    first, so depths over 64 work too).  Each cell in turn is chosen at the
-    depths where its bit is clear; a cell chosen at none is skipped, and
-    otherwise it blocks, at those depths, its later cells that stay close
-    through them.  A cell's pairs become Python ints only when it is chosen
-    somewhere, which keeps the traced memory of a chunk small.  The count
-    at depth d is the number of cells without bit d - 1.
+    d - 1 says it is close through depth d to an earlier chosen cell, and a
+    pair close at its first k times is close through depths 1..k, the mask
+    2**k - 1, so depths over 64 need no word handling.  Each cell in turn
+    is chosen at the depths where its bit is clear; a cell chosen at none is
+    skipped, and otherwise it blocks, at those depths, its later cells that
+    stay close through them.  The count at depth d is the number of cells
+    without bit d - 1.
     """
     # The outer `band` rings, ring by ring, each in sector order.
     band_states = np.arange(_disk_index(sectors, rings - band, 0), _disk_index(sectors, rings, 0))
@@ -312,14 +313,13 @@ def euclid_separated_count(
     hi = np.stack([np.searchsorted(keys, key + d * height + 1, "right") for d in (-1, 0, 1)], axis=1)
     spans = hi - lo
     offsets = np.concatenate([[0], np.cumsum(spans.sum(axis=1))])
-    # A chunk of rows has at most max(count x depth, 2**16) candidate distances;
-    # one row never has more than `count` candidates.
+    # A chunk of rows has at most max(count, 2**16 // depth) candidates;
+    # one row never has more than `count`.
     budget = max(count, (1 << 16) // depth)
 
     # blocked[i] bit d - 1: cell i is close through depth d to an earlier chosen cell.
     full = (1 << depth) - 1
-    words = -(-depth // 64)
-    nbytes = 8 * words
+    prefix = [(1 << k) - 1 for k in range(depth + 1)]  # bits 0..k-1: depths 1..k
     blocked = [0] * count
     start = 0
     while start < count:
@@ -333,25 +333,26 @@ def euclid_separated_count(
         # A pair apart at time 0 is separated at every depth.
         near = ~(np.sqrt((x[0, i] - x[0, j]) ** 2 + (y[0, i] - y[0, j]) ** 2) > eps)
         i, j = i[near], j[near]
-        # Row k: still close at every time up to k, so unseparated at depth k + 1.
-        close = ~np.logical_or.accumulate(
-            np.sqrt((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2) > eps, axis=0
-        )
-        # A pair's mask: bit k is row k, in 64-bit words, low word first.
-        packed = np.packbits(close, axis=0, bitorder="little")
-        masks = np.zeros((len(i), nbytes), dtype=np.uint8)
-        masks[:, : len(packed)] = packed.T
-        masks = masks.view("<u8")
+        # close[p]: the leading times at which pair p is close, so it is
+        # unseparated exactly at depths 1..close[p]; only pairs close through
+        # t - 1 are measured at t.
+        close = np.ones(len(i), dtype=np.int64)
+        alive = np.arange(len(i))
+        for t in range(1, depth):
+            ai, aj = i[alive], j[alive]
+            alive = alive[~(np.sqrt((x[t, ai] - x[t, aj]) ** 2 + (y[t, ai] - y[t, aj]) ** 2) > eps)]
+            if not len(alive):
+                break
+            close[alive] += 1
         firsts = np.flatnonzero(np.diff(i, prepend=-1))
-        for cell, a, b in zip(i[firsts].tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(i)]):
+        ends = [*firsts.tolist(), len(i)]
+        others, masks = j.tolist(), [prefix[k] for k in close.tolist()]
+        for cell, a, b in zip(i[firsts].tolist(), ends, ends[1:]):
             # The cell is chosen at exactly the depths where it is unblocked.
             free = full & ~blocked[cell]
             if not free:
                 continue
-            cell_masks = masks[a:b, 0].tolist()
-            for w in range(1, words):
-                cell_masks = [m | h << 64 * w for m, h in zip(cell_masks, masks[a:b, w].tolist())]
-            for other, mask in zip(j[a:b].tolist(), cell_masks):
+            for other, mask in zip(others[a:b], masks[a:b]):
                 blocked[other] |= free & mask
         start = stop
     return (count - bool_rows(blocked, depth).sum(axis=0)).tolist()

@@ -36,6 +36,7 @@ serve as minima and maxima, and on a partition P is Q's sample and S G's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -50,7 +51,6 @@ from covpress.coveralg import (
     box_join,
     box_sweep,
     classify_admissible,
-    is_join_stable,
     lowest_states,
 )
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling
@@ -282,19 +282,19 @@ def quadruple_from_joined(
 def stabilized_partition(sys: FiniteSystem, family: SetFamily) -> tuple[SetFamily, int]:
     """The orbit join at every depth beyond the point where it stops refining.
 
-    Only for 1-d actions.  The first swept join that `is_join_stable`
-    accepts equals the join at every larger box; it is returned with its
-    depth, the depth at which the fixed partition is first attained.
+    Only for 1-d actions, where J_(t+1) = alpha v T^-1 J_t: the first swept
+    join whose count the next depth repeats equals the join at every larger
+    box.  It is returned with its depth, the depth at which the fixed
+    partition is first attained.
     """
     if sys.dim != 1:
         raise ValueError("stabilization is implemented for 1-d actions")
     if not family.is_partition:
         raise ValueError("stabilization needs a partition")
-    # A join of M states refines at most M - 1 times, so it is stable by depth M.
-    for (t,), joined, _ in box_sweep(
-        sys, family, None, (sys.state_count,), member_budget=sys.state_count
-    ):
-        if is_join_stable(sys, joined):
+    # A join of M states refines at most M - 1 times, so depth M + 1 repeats depth M.
+    sweep = box_sweep(sys, family, None, (sys.state_count + 1,), member_budget=sys.state_count)
+    for ((t,), joined, _), (_, deeper, _) in itertools.pairwise(sweep):
+        if deeper.count == joined.count:
             return joined, t
     raise RuntimeError("partition failed to stabilize within the step limit")
 

@@ -384,6 +384,20 @@ def test_euclid_counts_wide_band_large_eps_stay_small():
     assert got == want
 
 
+def test_euclid_count_memory_on_the_leakage_grid():
+    # The default leakage count: chunks of at most 2**16 // depth candidates
+    # and one separation time per close pair keep the traced peak small.
+    rings, sectors = 64, 256
+    sys = make_disk_system(rings, sectors)
+    tracemalloc.start()
+    try:
+        euclid_separated_count(sys, rings, sectors, 8, 0.04, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 @given(
     st.integers(2, 12),
     st.sampled_from([8, 16, 32, 48]),

@@ -34,6 +34,7 @@ from covpress.dynsys import (
     make_circle_doubling,
     make_disk_system,
 )
+from covpress.experiments import annulus_cell_partition
 from covpress.lattice import box_cardinality, diagonal
 from oracles import member_states, overlap_cover, power_system, torus_shift
 
@@ -615,6 +616,89 @@ def test_narrow_labels_join_as_int64_at_the_dtype_boundaries(m, dtype):
     for box, swept_join, swept in items:
         assert state_field(swept_join, swept).tobytes() == birkhoff_field(sys, f, box).tobytes()
     assert state_field(joined, field).tobytes() == birkhoff_field(sys, f, n).tobytes()
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
+            st.lists(st.integers(0, 3), min_size=m, max_size=m),
+        )
+    ),
+    st.sampled_from(["flat", "per-state", None]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_stable_partition_sweep_keeps_the_joins_and_fields(case, kind, tight, data):
+    # Swept to 2M + 2, well past the depth where a 1-d partition join stops
+    # refining: the points after it join nothing, yet every item keeps the
+    # shell-order join and the birkhoff bytes, and the box join, ranked only
+    # past the budget when it is tight, is the sweep's last item.
+    gen, labels = (np.array(v) for v in case)
+    sys = FiniteSystem(generators=(gen,))
+    m = sys.state_count
+    family = SetFamily.from_labels(labels)
+    if kind == "flat":
+        phi = data.draw(st.lists(FIELD_VALUES, min_size=family.atom_count, max_size=family.atom_count))
+        f = Potential(np.array(phi)[family.atoms])
+    elif kind == "per-state":
+        f = Potential(np.array(data.draw(st.lists(FIELD_VALUES, min_size=m, max_size=m))))
+    else:
+        f = None
+    n = (2 * m + 2,)
+    budget = m if tight else 10**6
+    items = list(box_sweep(sys, family, f, n, member_budget=budget))
+    assert [box for box, _, _ in items] == [(t,) for t in range(1, n[0] + 1)]
+    for box, joined, field in items:
+        assert_shell_order_join(joined, shell_preimages(sys, family, box), m)
+        if f is None:
+            assert field is None
+        else:
+            assert state_field(joined, field).tobytes() == birkhoff_field(sys, f, box).tobytes()
+    joined, field = box_join(sys, family, f, n, member_budget=budget)
+    assert joined.atoms.tobytes() == items[-1][1].atoms.tobytes()
+    if f is not None:
+        assert state_field(joined, field).tobytes() == state_field(*items[-1][1:]).tobytes()
+
+
+def test_stable_partition_sweeps_stop_joining_on_the_leakage_grid():
+    # At 64 x 256 the annulus partition refines at its first 6 joins and
+    # repeats at the 7th, the trivial partition repeats at once: the other
+    # points of the 12-point sweep join nothing.
+    rings, sectors = 64, 256
+    sys = make_disk_system(rings, sectors)
+    f0 = Potential.constant(0.0, sys.state_count)
+    for family, joins, counts in (
+        (annulus_cell_partition(sys, rings, sectors, 16), 7, [12290, 13170, 13557, 13851, 14015, 14084] + [14143] * 6),
+        (SetFamily.trivial(sys.state_count), 1, [1] * 12),
+    ):
+        with mock.patch.object(coveralg, "_join_atoms", wraps=coveralg._join_atoms) as spy:
+            items = list(box_sweep(sys, family, f0, (12,), member_budget=65536))
+        assert [joined.count for _, joined, _ in items] == counts
+        assert spy.call_count == joins
+
+
+def test_a_2d_sweep_joins_at_every_point():
+    # The stable-join shortcut rests on a 1-d recurrence.  Here the first
+    # generator is the identity, so the ranked join at (1, 0) adds no atom,
+    # yet the shift along the second axis splits every pair at (0, 1).
+    m = 8
+    sys = FiniteSystem(generators=(np.arange(m), (np.arange(m) + 1) % m))
+    family = SetFamily.from_labels(np.arange(m) // 2)
+    with mock.patch.object(coveralg, "_join_atoms", wraps=coveralg._join_atoms) as spy:
+        items = list(box_sweep(sys, family, None, (2, 2), member_budget=m))
+    assert [joined.count for _, joined, _ in items] == [4, 8]
+    assert spy.call_count == box_cardinality((2, 2)) - 1
+
+
+def test_a_deferred_code_space_is_not_an_atom_count():
+    # On the 7-cycle labelled 0000001 the joins of 2, 3 and 4 points have
+    # 3, 4 and 5 atoms.  Under a budget of 7 the 2-point codes stay unranked
+    # with code space 4, which the 3-point join's 4 atoms do not repeat.
+    sys = FiniteSystem(generators=((np.arange(7) + 1) % 7,))
+    family = SetFamily.from_labels(np.arange(7) == 6)
+    assert [orbit_join(sys, family, (t,), member_budget=7).count for t in (3, 4, 7)] == [4, 5, 7]
 
 
 def test_yielded_fields_are_never_written_again():
