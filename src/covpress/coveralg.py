@@ -39,12 +39,12 @@ back to each point and yields it with the field after every shell.  A
 potential constant on the family's atoms is summed per joined atom along
 the join's pairs and kept so (`AtomSums`); any other one is pulled back
 too and summed per state, with the same bytes.  A single box is the sweep's
-last item (`box_join`, `orbit_join`), built by the same walk and join step
-but ranked and wrapped in a `SetFamily` only at its end; a rate along the
-diagonal reads every item of the sweep over (n_max, .., n_max).  So the
-join and field at a box are the same bytes whichever way they are asked
-for.  A 1-d partition sweep stops joining after its first point that adds
-no atom: there J_(t+1) = alpha v T^-1 J_t, so the join repeats at every
+last item (`box_join`), built by the same walk and join step but ranked
+and wrapped in a `SetFamily` only at its end; a rate along the diagonal
+reads every item of the sweep over (n_max, .., n_max).  So the join and
+field at a box are the same bytes whichever way they are asked for.  A
+1-d partition sweep stops joining after its first point that adds no
+atom: there J_(t+1) = alpha v T^-1 J_t, so the join repeats at every
 later point, and the walk only extends the field.  `is_join_stable`
 certifies the same in any dimension: joined with its pullback through
 every generator, the join gains no member.
@@ -268,8 +268,6 @@ class SetFamily:
         """Equality as unordered families of sets."""
         if not isinstance(other, SetFamily):
             return NotImplemented
-        if self is other:
-            return True
         if self.state_count != other.state_count or self.count != other.count:
             return False
         if self.is_partition or other.is_partition:
@@ -596,16 +594,6 @@ def box_join(
     for _, state, field in _join_shells(sys, family, f, n, member_budget, False):
         pass
     return _family(state, field)
-
-
-def orbit_join(
-    sys: FiniteSystem,
-    family: SetFamily,
-    n: Coords,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-) -> SetFamily:
-    """Join of the preimages of the family over the whole box below n."""
-    return box_join(sys, family, None, n, member_budget)[0]
 
 
 def refines(finer: SetFamily, coarser: SetFamily) -> bool:

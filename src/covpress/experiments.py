@@ -19,7 +19,6 @@ partition are built from arrays, not per-cell loops.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - only perfbench/spans.py uses it
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,6 +60,16 @@ from covpress.toppressure import (
 )
 
 CSV_HEADER = "experiment,cover,mode,n,lambda_n,raw_value,rate,bound,solver_status"
+
+
+def __getattr__(name: str):
+    # Imported on first read: only perfbench's traced workers use it, to subclass
+    # it, and no run starts a pool.  Delete once perfbench drops `TracedPool` (ROADMAP item 1).
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +157,8 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
     A potential constant on each arc, as the `constant` and `arc` ones are,
     has a level cover whose members are unions of arcs, so `arcs_bfe` is
     `arcs` itself: no level cover is built, and its rows come from the one
-    arc sweep.  Any other potential's level cover is joined onto the arcs.
-    Each distinct cover is swept once; a repeat reuses the earlier
-    quadruples and budget stop under its own name.
+    arc sweep, quadruples and budget stop alike.  Any other potential's
+    level cover is joined onto the arcs and swept on its own.
     """
     sys = system_from_config(cfg)
     arcs, f, eps = cfg.doubling_inputs()
@@ -162,12 +170,10 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
 
     stopped = []
     arc_q = []
-    # (cover, per-depth quadruples, the budget error that ended its sweep)
-    swept: list[tuple[SetFamily, list, CoverBudgetError | None]] = []
     for name, family in covers:
-        # Equal families have equal joins at every depth: sweep each one once.
-        prior = next((entry for entry in swept if entry[0] == family), None)
-        if prior is None:
+        # `arcs_bfe` is `arcs` itself exactly when `doubling_inputs` builds no
+        # level cover; its rows then reuse the arc sweep.
+        if family is not arcs or name == "arcs":
             quads, error = [], None
             sweep = box_sweep(sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget)
             try:
@@ -175,9 +181,6 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
                     quads.append((n, quadruple_from_joined(joined, f_field, n, cfg.exact_limit)))
             except CoverBudgetError as exc:
                 error = exc
-            swept.append((family, quads, error))
-        else:
-            _, quads, error = prior
         p_best = math.inf
         for n, quad in quads:
             for mode in ("Q", "P", "S", "G"):
@@ -488,7 +491,10 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
         for states, mean in cycles:
             mu = FiniteMeasure.uniform_on(states, m)
             value = measure_pressure(mu, sys, f)
-            assert abs(value - mean) <= 1e-9
+            if abs(value - mean) > 1e-9:
+                raise RuntimeError(
+                    f"{tag}: cycle measure pressure {value!r} is not the cycle mean {mean!r}"
+                )
             best = max(best, value)
         rows.append(
             ResultRow(

@@ -115,7 +115,7 @@ def decompose(n: Coords, q: Coords, k: Coords) -> TileDecomposition:
     # The tiles fill the product of the per-axis ranges [k_j, k_j + q_j * c_j),
     # c_j the number of corners on axis j; the residue is everything else.
     tiled = [range(kj, kj + qj * len(c)) for kj, qj, c in zip(k, q, axis_corners)]
-    residue = frozenset(pt for pt in iter_box(n) if any(c not in s for c, s in zip(pt, tiled)))
+    residue = frozenset(iter_box(n)).difference(itertools.product(*tiled))
     return TileDecomposition(n=n, q=q, k=k, corners=corners, residue=residue)
 
 

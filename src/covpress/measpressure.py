@@ -29,7 +29,6 @@ from covpress.solvers import STATUS_EXACT, counted_fsum
 from covpress.toppressure import PressureEstimate, PressureSample, rate_sequence
 
 INVARIANCE_TOL = 1e-9
-PROBABILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class FiniteMeasure:
         object.__setattr__(self, "mass", counted_fsum(*np.unique(w, return_counts=True)))
 
     @classmethod
-    def uniform(cls, m: int) -> "FiniteMeasure":
-        return cls(np.full(m, 1.0 / m))
-
-    @classmethod
     def uniform_on(cls, states: Iterable[int], m: int) -> "FiniteMeasure":
         states = list(states)
         w = np.zeros(m)
@@ -64,9 +59,6 @@ class FiniteMeasure:
         if alpha < 0:
             raise ValueError("scaling factor must be non-negative")
         return FiniteMeasure(self.weights * alpha)
-
-    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
-        return abs(self.mass - 1.0) <= tol
 
     def integrate(self, f: Potential) -> float:
         return float(math.fsum((self.weights * f.values).tolist()))
@@ -163,9 +155,7 @@ def ks_entropy(mu: FiniteMeasure, sys: FiniteSystem) -> float:
 
 
 def measure_pressure(mu: FiniteMeasure, sys: FiniteSystem, f: Potential) -> float:
-    """Entropy plus the integral of the potential."""
-    if not is_invariant(mu, sys):
-        raise ValueError("measure is not invariant within tolerance")
+    """Entropy plus the integral of the potential (`entropy_rate` checks invariance)."""
     return ks_entropy(mu, sys) + mu.integrate(f)
 
 

@@ -12,8 +12,8 @@ Q <= G when the joined family is a partition.
 is read off its result.  `pressure_quadruple` walks one box for the join and
 the ergodic field and hands both to it; rate sweeps call it at every depth;
 `deep_partition_sample` calls it on a stable partition with the ergodic
-field of a box too deep to walk.  S and G samples carry their chosen states
-in `.chosen`.  One optional `exact_limit`, taken only by
+field of a box too deep to walk.  S and G samples carry their chosen states,
+read sorted in `.chosen`.  One optional `exact_limit`, taken only by
 `quadruple_from_joined`, caps all four searches; without it Q and P search
 up to `EXACT_LIMIT_FAMILIES` members and G and S up to `EXACT_LIMIT_NODES`
 classes.
@@ -36,6 +36,7 @@ serve as minima and maxima, and on a partition P is Q's sample and S G's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -66,44 +67,24 @@ from covpress.solvers import (
 )
 
 
-class _SortedStates:
-    """A field of states read as a tuple of ints in increasing order.
-
-    It may be set to any int array, which is sorted and converted on the
-    first read and kept from then on, so a caller that never reads it pays
-    nothing for it.
-    """
-
-    def __set_name__(self, owner, name):
-        self._slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        states = obj.__dict__[self._slot]
-        if not isinstance(states, tuple):
-            states = obj.__dict__[self._slot] = tuple(np.sort(states).tolist())
-        return states
-
-    def __set__(self, obj, states):
-        # The dataclass passes this descriptor itself for an omitted field.
-        obj.__dict__[self._slot] = () if states is self else states
-
-
 @dataclass(frozen=True)
 class PressureSample:
     """One evaluated box: the value in log scale and the normalized rate.
 
     An S or G sample also carries the states whose weights make up its value
-    (separated for S, spanning for G), in increasing order; they are sorted
-    when `.chosen` is first read.
+    (separated for S, spanning for G) as any int array in `states`; `.chosen`
+    reads them as a tuple in increasing order, sorted on its first read.
     """
 
     n: Coords
     lam: int
     log_value: float
     status: str
-    chosen: tuple[int, ...] = field(default=_SortedStates(), repr=False)
+    states: np.ndarray | tuple = field(default=(), repr=False, compare=False)
+
+    @functools.cached_property
+    def chosen(self) -> tuple[int, ...]:
+        return tuple(np.sort(self.states).tolist())
 
     @property
     def rate(self) -> float:
@@ -173,17 +154,14 @@ def _atom_extrema(
     it, then the max and the lowest state attaining that, and last each
     atom's lowest state, which orders the closeness graph's classes.
 
-    On a field constant on each atom, `AtomSums` or a per-state field whose
-    every state has the value of its atom's lowest state, every state
-    attains its atom's min and max: the same two arrays are returned for
-    both, and no extremum pass is made.
+    On `AtomSums`, a field the sweep found constant on each atom, every
+    state attains its atom's min and max: the same two arrays are returned
+    for both, and no extremum pass is made.
     """
-    atoms, count = joined.atoms, joined.atom_count
     first = lowest_states(joined)
-    per_atom = isinstance(f_field, AtomSums)
-    value = f_field.values if per_atom else f_field[first]
-    if per_atom or (f_field == value[atoms]).all():
-        return value, first, value, first, first
+    if isinstance(f_field, AtomSums):
+        return f_field.values, first, f_field.values, first, first
+    atoms, count = joined.atoms, joined.atom_count
     lo = np.full(count, np.inf)
     np.minimum.at(lo, atoms, f_field)
     hi = np.full(count, -np.inf)
@@ -241,10 +219,10 @@ def quadruple_from_joined(
     class graph is edgeless and each class can only be covered from inside,
     so G is Q's log-sum of class minima and S is P's of class maxima.
 
-    When the field is constant on every atom, each class's minimum is its
-    maximum and its lowest state represents both, so one pass for the
-    lowest states serves all four values; on a partition P is then Q's
-    sample and S is G's, with the same log-sum and the same states.
+    When the field comes as `AtomSums`, constant on every atom, each class's
+    minimum is its maximum and its lowest state represents both, so one
+    pass for the lowest states serves all four values; on a partition P is
+    then Q's sample and S is G's, with the same log-sum and the same states.
 
     `exact_limit`, when given, caps all four searches; otherwise Q and P use
     `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.
@@ -257,13 +235,13 @@ def quadruple_from_joined(
         # Every class holds states no other member covers, so the subcover
         # is the whole family and no search is needed.
         q = PressureSample(n, lam, log_sum_exp(lo), STATUS_EXACT)
-        g = replace(q, chosen=lo_reps)
+        g = replace(q, states=lo_reps)
         if hi is lo:
             # Class maxima are the class minima and their states, so P is
             # Q's log-sum, and S is G's with the same states.
             return {"Q": q, "P": q, "G": g, "S": g}
         p = PressureSample(n, lam, log_sum_exp(hi), STATUS_EXACT)
-        return {"Q": q, "P": p, "G": g, "S": replace(p, chosen=hi_reps)}
+        return {"Q": q, "P": p, "G": g, "S": replace(p, states=hi_reps)}
     graph = ClosenessGraph(joined, first)
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
     q_weights, p_weights = _member_extrema(graph.holds, lo, hi)

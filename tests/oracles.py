@@ -4,17 +4,29 @@ Each builds a value the program never needs, so that a test can check a
 theorem or an identity of the code under test against it: powered systems,
 random invariant measures, conditional entropy, the states of one member
 of a family, and the two-symbol full shift on a small torus with its
-overlapping cover.
+overlapping cover.  It also keeps two shorthands the program does not
+call: the plain box join of a family and the unit-mass test of a measure.
 """
 
 import math
 
 import numpy as np
 
-from covpress.coveralg import SetFamily, join
+from covpress.coveralg import DEFAULT_MEMBER_BUDGET, SetFamily, box_join, join
 from covpress.dynsys import FiniteSystem, Potential, cycle_structure, power_map
 from covpress.lattice import Coords, as_point
 from covpress.measpressure import FiniteMeasure
+
+PROBABILITY_TOL = 1e-9
+
+
+def orbit_join(sys: FiniteSystem, family: SetFamily, n: Coords, member_budget: int = DEFAULT_MEMBER_BUDGET) -> SetFamily:
+    """Join of the preimages of the family over the whole box below n."""
+    return box_join(sys, family, None, n, member_budget)[0]
+
+
+def is_probability(mu: FiniteMeasure, tol: float = PROBABILITY_TOL) -> bool:
+    return abs(mu.mass - 1.0) <= tol
 
 
 def power_system(sys: FiniteSystem, m: Coords) -> FiniteSystem:
@@ -41,7 +53,7 @@ def invariant_cycle_mixture(sys: FiniteSystem, rng: np.random.Generator, mass: f
 
 def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
     """Expected entropy of C under the conditional measures given D's classes."""
-    if not mu.is_probability():
+    if not is_probability(mu):
         raise ValueError("conditional entropy is defined for probability measures")
     if not (c.is_partition and d.is_partition):
         raise ValueError("conditional entropy needs partitions")

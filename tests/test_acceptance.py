@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from covpress.config import load_config
-from covpress.coveralg import SetFamily, join, orbit_join
+from covpress.coveralg import SetFamily, join
 from covpress.dynsys import FiniteSystem, Potential, make_circle_doubling
 from covpress.experiments import run_experiment
 from covpress.fullshift import (
@@ -41,7 +41,13 @@ from covpress.solvers import (
     min_subcover_value,
 )
 from covpress.toppressure import pressure_quadruple
-from oracles import conditional_entropy, invariant_cycle_mixture, member_states
+from oracles import (
+    conditional_entropy,
+    invariant_cycle_mixture,
+    is_probability,
+    member_states,
+    orbit_join,
+)
 
 LOG2 = math.log(2.0)
 
@@ -279,7 +285,7 @@ def test_criterion_8_entropy_lemma_suite():
     for _ in range(100):
         sys, m = random_functional_system(rng)
         mu = invariant_cycle_mixture(rng=rng, sys=sys)
-        if not mu.is_probability():
+        if not is_probability(mu):
             mu = FiniteMeasure(mu.weights / mu.mass)
         c = SetFamily.from_labels(rng.integers(0, 3, m))
         k = SetFamily.from_labels(rng.integers(0, 3, m))
@@ -293,7 +299,7 @@ def test_criterion_8_entropy_lemma_suite():
     for _ in range(100):
         sys, m = random_functional_system(rng, lo=5, hi=11)
         mu = invariant_cycle_mixture(rng=rng, sys=sys)
-        if not mu.is_probability():
+        if not is_probability(mu):
             mu = FiniteMeasure(mu.weights / mu.mass)
         labels = rng.integers(0, 3, m)
         c = SetFamily.from_labels(labels)

@@ -64,6 +64,7 @@ def test_parse_config_text():
 def test_load_config_defaults_and_overrides(tmp_path):
     cfg = load_config("doubling")
     assert cfg.n_max == 14 and cfg.member_budget == 65536
+    assert ExperimentConfig("doubling").member_budget == 65536
     p = tmp_path / "c.conf"
     p.write_text("n_max = 6\nseed = 3\n", encoding="utf-8")
     cfg2 = load_config("doubling", config_path=p, overrides={"seed": 9, "n_max": None})
@@ -600,6 +601,17 @@ def test_finite_vp_two_seeds():
         assert abs(d.rate - o.rate) <= 1e-6
 
 
+def test_finite_vp_refuses_a_cycle_measure_off_its_mean(monkeypatch):
+    # The check raises, so it also runs under `python -O`.
+    measure_pressure = experiments.measure_pressure
+    monkeypatch.setattr(
+        experiments, "measure_pressure", lambda mu, sys, f: measure_pressure(mu, sys, f) + 1e-6
+    )
+    cfg = load_config("finite-vp", overrides={"seeds": 1})
+    with pytest.raises(RuntimeError, match=r"seed0: cycle measure pressure .* cycle mean"):
+        experiments.run_finite_vp(cfg)
+
+
 def test_finite_vp_sweeps_to_n_max():
     cfg = load_config("finite-vp", overrides={"seeds": 1, "seed": 11, "n_max": 10})
     rows, verdicts = run_experiment(cfg)
@@ -709,7 +721,8 @@ def test_readme_library_sketch_runs(capsys):
 
 
 # Run in a fresh interpreter: whatever numpy submodule a CLI run imports
-# lazily is paid for on every run, and no warm process would see it.
+# lazily is paid for on every run, and no warm process would see it.  No run
+# starts a thread pool, so neither the CLI nor a run imports one.
 FRESH_IMPORT_SCRIPT = """
 import json, sys
 from covpress.cli import build_parser, main
@@ -717,11 +730,15 @@ from covpress.cli import build_parser, main
 def numpy_modules():
     return {name for name in sys.modules if name.split(".")[0] == "numpy"}
 
+def pool_modules():
+    return [name for name in ("concurrent.futures", "logging", "queue") if name in sys.modules]
+
 before = numpy_modules()
-loaded = {}
+loaded = {"pool at import": pool_modules()}
 for experiment in ("doubling", "leakage"):
     assert main([experiment, "--out", sys.argv[1] + "/" + experiment]) == 0
     loaded[experiment] = sorted(numpy_modules() - before)
+loaded["pool after runs"] = pool_modules()
 print(json.dumps(loaded))
 """
 
@@ -733,7 +750,9 @@ def test_cli_runs_import_no_numpy_module_after_start(tmp_path):
         [sys.executable, "-c", FRESH_IMPORT_SCRIPT, str(tmp_path)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(done.stdout.splitlines()[-1]) == {"doubling": [], "leakage": []}
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "pool at import": [], "doubling": [], "leakage": [], "pool after runs": []
+    }
 
 
 # Run in a fresh interpreter with `np.unique` wrapped, so that every call the

@@ -20,7 +20,6 @@ from covpress.coveralg import (
     classify_admissible_partition,
     cover_from_partition,
     join,
-    orbit_join,
     potential_cover,
     preimage_family,
     refines,
@@ -36,7 +35,7 @@ from covpress.dynsys import (
 )
 from covpress.experiments import annulus_cell_partition
 from covpress.lattice import box_cardinality, diagonal
-from oracles import member_states, overlap_cover, power_system, torus_shift
+from oracles import member_states, orbit_join, overlap_cover, power_system, torus_shift
 
 
 def arc_partition(m, split=None):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpress import coveralg, dynsys, lattice, measpressure
-from covpress.coveralg import SetFamily, is_join_stable, join, orbit_join
+from covpress.coveralg import SetFamily, is_join_stable, join
 from covpress.dynsys import (
     FiniteSystem,
     Potential,
@@ -32,7 +32,14 @@ from covpress.measpressure import (
 )
 from covpress.solvers import STATUS_EXACT
 from covpress.toppressure import PressureSample, pressure_quadruple
-from oracles import conditional_entropy, invariant_cycle_mixture, member_states, power_system
+from oracles import (
+    conditional_entropy,
+    invariant_cycle_mixture,
+    is_probability,
+    member_states,
+    orbit_join,
+    power_system,
+)
 
 
 def three_cycle_system():
@@ -77,7 +84,7 @@ def test_measure_mass_is_the_state_by_state_fsum(seed, m, pool, distinct):
 def test_partition_entropy_values():
     one_cell = SetFamily.trivial(4)
     one_cell = SetFamily.from_state_sets(4, [range(4)], kind="partition")
-    mu = FiniteMeasure.uniform(4)
+    mu = FiniteMeasure.uniform_on(range(4), 4)
     assert partition_entropy(mu, one_cell) == pytest.approx(0.0)
     quarters = SetFamily.singletons(4)
     assert partition_entropy(mu, quarters) == pytest.approx(2 * math.log(2))
@@ -174,7 +181,7 @@ def test_conditional_entropy_matches_the_dense_matrix():
         w = rng.random(m) * (rng.random(m) < 0.8)
         w[0] += 1.0
         mu = FiniteMeasure(w / math.fsum(w.tolist()))
-        if not mu.is_probability():
+        if not is_probability(mu):
             continue
         c = SetFamily.from_labels(rng.integers(0, int(rng.integers(1, 8)), m))
         d = SetFamily.from_labels(rng.integers(0, int(rng.integers(1, 8)), m))
@@ -198,7 +205,7 @@ def test_conditional_entropy_of_65536_classes_runs_in_linear_memory():
     x = np.arange(sys.state_count)
     joined = orbit_join(sys, SetFamily.from_labels(x & 1), (4, 4), member_budget=x.size)
     assert joined.count == x.size
-    mu = FiniteMeasure.uniform(x.size)
+    mu = FiniteMeasure.uniform_on(range(x.size), x.size)
     tracemalloc.start()
     try:
         assert conditional_entropy(mu, joined, SetFamily.singletons(x.size)) == 0.0
@@ -236,7 +243,7 @@ def test_entropy_subadditivity_random():
 def test_joined_entropy_log_bound():
     rng = np.random.default_rng(4)
     sys = make_circle_doubling(31)
-    mu = FiniteMeasure.uniform(31)
+    mu = FiniteMeasure.uniform_on(range(31), 31)
     c = SetFamily.from_labels(rng.integers(0, 3, 31))
     for t in range(1, 5):
         joined = orbit_join(sys, c, (t,))
@@ -250,7 +257,7 @@ def test_entropy_rate_dirac_and_trivial():
     est = entropy_rate(mu, sys, c, 4)
     assert all(s.rate == pytest.approx(0.0) for s in est.samples)
     trivial = SetFamily.from_state_sets(3, [range(3)], kind="partition")
-    est2 = entropy_rate(FiniteMeasure.uniform(3), sys, trivial, 4, check_invariance=False)
+    est2 = entropy_rate(FiniteMeasure.uniform_on(range(3), 3), sys, trivial, 4, check_invariance=False)
     assert est2.extrapolated == pytest.approx(0.0)
 
 
@@ -309,7 +316,7 @@ def test_entropy_rate_requires_invariance():
 
 def test_entropy_rate_fekete_bound_is_running_min():
     sys = make_circle_doubling(101)
-    mu = FiniteMeasure.uniform(101)
+    mu = FiniteMeasure.uniform_on(range(101), 101)
     arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)], kind="partition")
     est = entropy_rate(mu, sys, arc, 6)
     assert est.fekete_bound == pytest.approx(min(s.rate for s in est.samples))
@@ -326,12 +333,12 @@ def test_entropy_rate_fekete_bound_is_running_min():
 
 def test_ks_entropy_identity_map_zero():
     sys = FiniteSystem(generators=(np.arange(4),))
-    assert ks_entropy(FiniteMeasure.uniform(4), sys) == 0.0
+    assert ks_entropy(FiniteMeasure.uniform_on(range(4), 4), sys) == 0.0
 
 
 def test_ks_entropy_deterministic_zero_fixed():
     sys = make_circle_doubling(11)
-    assert ks_entropy(FiniteMeasure.uniform(11), sys) == 0.0
+    assert ks_entropy(FiniteMeasure.uniform_on(range(11), 11), sys) == 0.0
 
 
 def test_measure_pressure_cases():
@@ -359,7 +366,7 @@ def test_scaling_identity_at_fixed_depth():
     # Entropy of a scaled measure expands exactly into the mass term plus the
     # scaled entropy, and the mass term dies off with the box size.
     sys = make_circle_doubling(31)
-    mu = FiniteMeasure.uniform(31)
+    mu = FiniteMeasure.uniform_on(range(31), 31)
     c = SetFamily.from_state_sets(31, [range(16), range(16, 31)], kind="partition")
     for alpha in (0.5, 2.0):
         for t in (1, 3, 5):
@@ -444,7 +451,7 @@ def test_upper_bound_lemma_fixed_depth():
         gen = rng.integers(0, m, m).astype(np.int64)
         sys = FiniteSystem(generators=(gen,))
         mu = invariant_cycle_mixture(sys, rng)
-        if not mu.is_probability():
+        if not is_probability(mu):
             mu = FiniteMeasure(mu.weights / mu.mass)
         f = Potential(rng.uniform(-1, 1, m))
         c = SetFamily.from_labels(rng.integers(0, 3, m))
@@ -475,7 +482,7 @@ def test_empirical_measures_two_cycle():
     f = Potential.constant(0.0, 3)
     emp = empirical_measures(sys, f, (2,), [0])
     assert np.allclose(emp.averaged.weights, [0.5, 0.5, 0.0])
-    assert emp.sigma.is_probability() and emp.averaged.is_probability()
+    assert is_probability(emp.sigma) and is_probability(emp.averaged)
 
 
 def test_empirical_sigma_weights_proportional():
@@ -607,7 +614,7 @@ def test_separated_link_inapplicable_cases():
 
 def test_doubling_entropy_rate_near_log2():
     sys = make_circle_doubling(100003)
-    mu = FiniteMeasure.uniform(100003)
+    mu = FiniteMeasure.uniform_on(range(100003), 100003)
     arc = SetFamily.from_labels((np.arange(100003) >= 50002).astype(np.int64))
     est = entropy_rate(mu, sys, arc, 10)
     assert abs(est.samples[-1].rate - math.log(2)) < 0.05

@@ -1,5 +1,6 @@
 """Cover pressure values, separated/spanning values, rates and their laws."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -17,7 +18,6 @@ from covpress.coveralg import (
     box_join,
     box_sweep,
     cover_from_partition,
-    orbit_join,
     state_field,
 )
 from covpress.dynsys import (
@@ -38,7 +38,7 @@ from covpress.toppressure import (
     stabilized_partition,
     topological_pressure,
 )
-from oracles import member_states, overlap_cover, torus_shift
+from oracles import member_states, orbit_join, overlap_cover, torus_shift
 
 
 def arc_cover(m, split=None, kind="cover"):
@@ -116,6 +116,16 @@ def test_singleton_partition_counts_states():
     assert math.exp(s.log_value) == pytest.approx(11.0)
     assert math.exp(g.log_value) == pytest.approx(11.0)
     assert s.chosen == tuple(range(11)) and g.chosen == tuple(range(11))
+
+
+def test_sample_sorts_its_states_once_on_read():
+    sample = PressureSample((2,), 2, 0.5, STATUS_EXACT, np.array([7, 2, 5]))
+    chosen = sample.chosen
+    assert chosen == (2, 5, 7) and all(type(x) is int for x in chosen)
+    assert sample.chosen is chosen
+    moved = dataclasses.replace(sample, states=np.array([4, 1]))
+    assert moved.chosen == (1, 4) and sample.chosen is chosen
+    assert PressureSample((2,), 2, 0.5, STATUS_EXACT).chosen == ()
 
 
 def test_path_instance_separated_and_spanning():
@@ -658,12 +668,13 @@ def _two_pass_extrema(joined, f_field):
 def test_one_pass_extrema_give_the_two_pass_samples(case):
     # Partitions and overlapping covers, with fields flat on the join's
     # atoms and not: the evaluator's samples equal those it gives when the
-    # min and the max are taken in separate passes, byte for byte.
+    # min and the max are taken in separate passes, byte for byte.  Only
+    # `AtomSums` skips the passes; a per-state field takes them even when flat.
     sys, family, f, n = case
     joined, field = box_join(sys, family, f, n)
     extrema = toppressure._atom_extrema(joined, field)
     lo, lo_reps, hi, hi_reps, first = extrema
-    flat = bool((state_field(joined, field) == lo[joined.atoms]).all())
+    flat = isinstance(field, coveralg.AtomSums)
     assert (hi is lo) == flat
     assert (hi_reps is lo_reps) == flat
     two_pass = _two_pass_extrema(joined, field)
