@@ -3,14 +3,15 @@
 The config file format is one `key = value` pair per line, `#` starts a
 comment.  Unknown keys are rejected so typos cannot silently fall back to
 defaults, and so are keys the chosen experiment does not read.  Every
-randomized choice is pinned by `seed`; budgets must be positive, the
-leakage geometry (rings, sectors, bands, slices) must fit the disk grid,
-`slices` must be at least 2 so the pizza cover stays non-admissible,
-leakage needs two depths, the deep box 2**deep_exponent must fit in 64
-bits and finite-vp needs `max_states` >= 2.  The doubling size and
-potential (with the level grid its run builds for a potential that is not
-constant on each arc), and the full shift, go through the checks their runs
-make, so a bad value fails at load time rather than mid-run.
+randomized choice is pinned by `seed`, which must be non-negative; budgets
+must be positive, the leakage geometry (rings, sectors, bands, slices) must
+fit the disk grid, `slices` must be at least 2 so the pizza cover stays
+non-admissible, leakage needs two depths, the deep box 2**deep_exponent
+must fit in 64 bits and finite-vp needs `max_states` >= 2.  The doubling
+size and potential (with the level grid its run builds for a potential that
+is not constant on each arc), and the full shift, go through the checks
+their runs make, so a bad value fails at load time rather than mid-run; a
+full shift whose one-site box exceeds the cylinder budget is refused too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from covpress.coveralg import SetFamily, atom_values, check_level_grid
 from covpress.dynsys import Potential, check_doubling_size, potential_from_spec
-from covpress.fullshift import FullShiftSpec
+from covpress.fullshift import CYLINDER_BUDGET, FullShiftSpec
 
 EXPERIMENTS = ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift")
 
@@ -94,6 +95,9 @@ class ExperimentConfig:
         for name in ("n_max", "member_budget", "cases", "seeds", "deep_exponent"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            # numpy refuses a negative seed only once the run draws from it.
+            raise ValueError("seed must be non-negative")
         if self.experiment == "leakage" and self.n_max < 2:
             # The admissible verdict reads a tail slope over the last two depths.
             raise ValueError("leakage needs n_max >= 2")
@@ -128,6 +132,11 @@ class ExperimentConfig:
                 potential_from_spec(self.potential, self.m, arc_states=())
         if self.experiment == "fullshift":
             self.fullshift_spec()
+            if self.symbols > CYLINDER_BUDGET:
+                # Not even the one-site box fits: no cylinder row would be checked.
+                raise ValueError(
+                    f"symbols = {self.symbols} exceeds the cylinder budget {CYLINDER_BUDGET}"
+                )
 
     def doubling_inputs(self) -> tuple[SetFamily, Potential, float | None]:
         """The `doubling` run's half-circle arcs, its potential, and the eps

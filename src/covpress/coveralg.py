@@ -17,16 +17,17 @@ below the product of the atom counts, and the distinct codes, in sorted
 order, become the new atoms.  When that bound is at most a few times the
 state count the codes are ranked through a flag array in time linear in
 both, and when every code occurs they are their own ranks and become the
-atoms as they are; past that bound the kernel sorts them, with the same result.  Only covers
-with overlapping members also lift their member bitmasks onto the finer
-atoms and intersect them.  `join`, `preimage_family`, `refines`, partition
-equality and every box sweep step are that kernel.  Within a sweep's
-shell a partition's codes stay unranked, as mixed-radix itinerary codes,
-and are ranked once per yielded box (`box_join`: once, at the box's last
-point), or sooner when their code space passes the member budget or the
-flag bound; the atoms, counts and budget errors are those of ranking at
-every point.  On top of families sit admissibility classification against
-the system's marked states, the strongly-admissible cover built from an
+atoms as they are; past that bound the kernel sorts them, with the same
+result.  Only covers with overlapping members also lift their member
+bitmasks onto the finer atoms and intersect them.  `join`, `refines`,
+partition equality and every box sweep step are that kernel.  Within a
+sweep's shell a partition's codes stay unranked, as mixed-radix itinerary
+codes, and are ranked once per yielded box (`box_join`: once, at the box's
+last point), or sooner when their code space passes the member budget or
+the flag bound; the atoms, counts and budget errors are those of ranking
+at every point.  On top of families sit admissibility classification
+against the system's marked states (on a partition, whether one class
+holds every marked state), the strongly-admissible cover built from an
 admissible partition, the potential-level cover, and the closeness graph
 of states sharing a member.
 
@@ -47,7 +48,8 @@ field at a box are the same bytes whichever way they are asked for.  A
 atom: there J_(t+1) = alpha v T^-1 J_t, so the join repeats at every
 later point, and the walk only extends the field.  `is_join_stable`
 certifies the same in any dimension: joined with its pullback through
-every generator, the join gains no member.
+every generator, a `box_join` over the origin and that unit step, the join
+gains no member.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from covpress.dynsys import FiniteSystem, Potential, iter_box_pullbacks, power_map
+from covpress.dynsys import FiniteSystem, Potential, iter_box_pullbacks
 from covpress.lattice import Coords, as_point, box_cardinality
 
 DEFAULT_MEMBER_BUDGET = 4096
@@ -350,26 +352,7 @@ class AdmissibilityReport:
     witness: int | None
 
 
-@dataclass(frozen=True)
-class PartitionAdmissibilityReport:
-    is_admissible_partition: bool
-    noncompact_index: int | None
-
-
 # -- operations ----------------------------------------------------------
-
-
-def preimage_family(sys: FiniteSystem, family: SetFamily, k: Coords) -> SetFamily:
-    """Pull the family back through the power-k map: the trivial partition
-    joined with the pulled-back labels.
-
-    Partitions stay partitions.  Members whose preimage is empty are dropped.
-    """
-    if family.state_count != sys.state_count:
-        raise ValueError("family does not live on this system")
-    trivial = _side(SetFamily.trivial(sys.state_count))
-    atoms, _, incidence, _ = _join_atoms(trivial, _side(family, family.atoms[power_map(sys, k)]))
-    return SetFamily(atoms, incidence)
 
 
 def join(a: SetFamily, b: SetFamily) -> SetFamily:
@@ -565,13 +548,15 @@ def is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
     """True when pulling back through every generator refines nothing more.
 
     A stable orbit join equals the join over every larger box, so along a
-    sweep the certificate is read once, at the last box.
+    sweep the certificate is read once, at the last box.  The join with the
+    pullback through a generator is the `box_join` over the origin and that
+    unit step; it has at most count**2 members, so no budget stops it.
     """
-    if family.count == sys.state_count:
-        return True  # one class per state: nothing left to refine
+    if family.is_partition and family.count == sys.state_count:
+        return True  # a partition with one class per state: nothing left to refine
     for axis in range(sys.dim):
-        k = tuple(1 if a == axis else 0 for a in range(sys.dim))
-        if join(family, preimage_family(sys, family, k)).count != family.count:
+        unit = tuple(2 if a == axis else 1 for a in range(sys.dim))
+        if box_join(sys, family, None, unit, family.count**2)[0].count != family.count:
             return False
     return True
 
@@ -619,7 +604,9 @@ def _marked_atoms(sys: FiniteSystem, family: SetFamily) -> np.ndarray:
 def classify_admissible(sys: FiniteSystem, family: SetFamily) -> AdmissibilityReport:
     """Admissible: some member contains every marked state, so its complement
     avoids the boundary cells and is compact.  Strongly admissible: every
-    member does."""
+    member does.  On a partition, whose member i is atom i, admissible means
+    exactly one class touches the marked states, and the witness is that
+    class; with no marked state the witness is member 0."""
     if family.state_count != sys.state_count:
         raise ValueError("family does not live on this system")
     if not sys.marked:
@@ -635,29 +622,17 @@ def classify_admissible(sys: FiniteSystem, family: SetFamily) -> AdmissibilityRe
     return AdmissibilityReport(bool(len(holders)), len(holders) == family.count, witness)
 
 
-def classify_admissible_partition(
-    sys: FiniteSystem, family: SetFamily
-) -> PartitionAdmissibilityReport:
-    """Admissible partition: at most one class touches the marked states."""
-    if not family.is_partition:
-        raise ValueError("admissible-partition classification needs a partition")
-    if not sys.marked:
-        return PartitionAdmissibilityReport(True, None)
-    touched = _marked_atoms(sys, family)
-    if len(touched) > 1:
-        return PartitionAdmissibilityReport(False, None)
-    return PartitionAdmissibilityReport(True, int(touched[0]))
-
-
 def cover_from_partition(sys: FiniteSystem, partition: SetFamily) -> SetFamily:
-    """Strongly admissible cover built by gluing the non-compact class onto
+    """Strongly admissible cover built by gluing the non-compact class, the
+    witness of `classify_admissible` (class 0 when no state is marked), onto
     every other class."""
-    report = classify_admissible_partition(sys, partition)
-    if not report.is_admissible_partition:
+    if not partition.is_partition:
+        raise ValueError("a strongly admissible cover is built from a partition")
+    k0 = classify_admissible(sys, partition).witness
+    if k0 is None:
         raise ValueError("partition is not admissible: several classes touch marked states")
     if partition.count < 2:
         raise ValueError("need at least two classes to build a cover")
-    k0 = report.noncompact_index if report.noncompact_index is not None else 0
     others = [j for j in range(partition.count) if j != k0]
     flags = np.zeros((len(others), partition.count), dtype=bool)
     flags[:, k0] = True

@@ -43,9 +43,9 @@ from covpress.dynsys import (
     make_disk_system,
 )
 from covpress.fullshift import (
-    CYLINDER_BUDGET,
     bernoulli_pressure,
     cylinder_sum,
+    cylinders_fit,
     exact_pressure,
     gibbs_optimizer,
 )
@@ -124,23 +124,19 @@ def _sample_row(
     )
 
 
-def _count_row(experiment, cover, mode, t, count, status=STATUS_EXACT, bound=None):
+def _count_row(experiment, cover, mode, n, count, status=STATUS_EXACT, bound=None):
+    lam = box_cardinality(n)
     return ResultRow(
         experiment=experiment,
         cover=cover,
         mode=mode,
-        n=(t,),
-        lam=t,
+        n=n,
+        lam=lam,
         raw_value=float(count),
-        rate=math.log(count) / t,
+        rate=math.log(count) / lam,
         bound=bound,
         solver_status=status,
     )
-
-
-def system_from_config(cfg: ExperimentConfig) -> FiniteSystem:
-    """Build the configured system: angle doubling on `m` circle points."""
-    return make_circle_doubling(cfg.m)
 
 
 # -- doubling --------------------------------------------------------------
@@ -160,7 +156,7 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
     arc sweep, quadruples and budget stop alike.  Any other potential's
     level cover is joined onto the arcs and swept on its own.
     """
-    sys = system_from_config(cfg)
+    sys = make_circle_doubling(cfg.m)
     arcs, f, eps = cfg.doubling_inputs()
     arcs_bfe = arcs if eps is None else join(arcs, potential_cover(sys, f, eps))
     covers = [("arcs", arcs), ("arcs_bfe", arcs_bfe)]
@@ -405,18 +401,10 @@ def run_leakage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIte
     }
 
     for t, count in zip(ts, pizza_counts):
-        rows.append(_count_row(experiment, "pizza", "count", t, count))
+        rows.append(_count_row(experiment, "pizza", "count", (t,), count))
+    euclid = f"euclid_eps{cfg.euclid_eps:g}"
     for t, count in zip(ts, euclid_counts):
-        rows.append(
-            _count_row(
-                experiment,
-                f"euclid_eps{cfg.euclid_eps:g}",
-                "S",
-                t,
-                count,
-                status=STATUS_GREEDY_LOWER,
-            )
-        )
+        rows.append(_count_row(experiment, euclid, "S", (t,), count, STATUS_GREEDY_LOWER))
     for name, samples in q_samples.items():
         rows.extend(_sample_row(experiment, name, "Q", sample) for sample in samples)
 
@@ -483,7 +471,7 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
                 for mode in ("Q", "S", "G"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))
 
-        deep = deep_partition_sample(sys, f, cells, cfg.deep_exponent, mode="Q")
+        deep = deep_partition_sample(sys, f, cells, cfg.deep_exponent)["Q"]
         rows.append(_sample_row(experiment, f"{tag}/cells", "Q", deep))
 
         cycles = cycle_structure(sys, f)
@@ -496,19 +484,8 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
                     f"{tag}: cycle measure pressure {value!r} is not the cycle mean {mean!r}"
                 )
             best = max(best, value)
-        rows.append(
-            ResultRow(
-                experiment=experiment,
-                cover=f"{tag}/cycles",
-                mode="Hrate",
-                n=(1,),
-                lam=1,
-                raw_value=math.exp(best),
-                rate=best,
-                bound=None,
-                solver_status=STATUS_EXACT,
-            )
-        )
+        cycle_sample = PressureSample((1,), 1, best, STATUS_EXACT)
+        rows.append(_sample_row(experiment, f"{tag}/cycles", "Hrate", cycle_sample))
         gap = abs(deep.rate - best)
         worst_gap = max(worst_gap, gap)
         if gap > 1e-6:
@@ -554,18 +531,10 @@ def run_lattice_check(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Verd
             violations += 1
         if unit_case and dec.residue:
             unit_residues += 1
+        status = STATUS_EXACT if ok else "violated"
+        bound = 2.0 * dim * max(q) * lam / min(n)
         rows.append(
-            ResultRow(
-                experiment=experiment,
-                cover=f"case{case}-N{dim}",
-                mode="count",
-                n=n,
-                lam=lam,
-                raw_value=float(1 + len(dec.residue)),
-                rate=math.log(1 + len(dec.residue)) / lam,
-                bound=2.0 * dim * max(q) * lam / min(n),
-                solver_status=STATUS_EXACT if ok else "violated",
-            )
+            _count_row(experiment, f"case{case}-N{dim}", "count", n, 1 + len(dec.residue), status, bound)
         )
     verdicts = [
         VerdictItem(
@@ -589,40 +558,14 @@ def run_fullshift(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
     rows: list[ResultRow] = []
     worst = 0.0
     for t in range(1, cfg.n_max + 1):
-        n = tuple(t for _ in range(cfg.dim))
-        lam = box_cardinality(n)
-        if cfg.symbols**lam > CYLINDER_BUDGET:
+        n = (t,) * cfg.dim
+        if not cylinders_fit(cfg.symbols, box_cardinality(n)):
             break
-        value = cylinder_sum(spec, n)
-        rate = math.log(value) / lam
-        worst = max(worst, abs(rate - top))
-        rows.append(
-            ResultRow(
-                experiment=experiment,
-                cover="cylinders",
-                mode="P",
-                n=n,
-                lam=lam,
-                raw_value=value,
-                rate=rate,
-                bound=top,
-                solver_status=STATUS_EXACT,
-            )
-        )
+        rows.append(_count_row(experiment, "cylinders", "P", n, cylinder_sum(spec, n), bound=top))
+        worst = max(worst, abs(rows[-1].rate - top))
     p_star, value = gibbs_optimizer(spec)
-    rows.append(
-        ResultRow(
-            experiment=experiment,
-            cover="gibbs",
-            mode="Hrate",
-            n=(1,) * cfg.dim,
-            lam=1,
-            raw_value=math.exp(value),
-            rate=value,
-            bound=top,
-            solver_status=STATUS_EXACT,
-        )
-    )
+    gibbs = PressureSample((1,) * cfg.dim, 1, value, STATUS_EXACT)
+    rows.append(_sample_row(experiment, "gibbs", "Hrate", gibbs, bound=top))
     rng = np.random.default_rng(cfg.seed)
     excess = 0.0
     for _ in range(200):

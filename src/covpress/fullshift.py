@@ -53,6 +53,14 @@ def exact_pressure(spec: FullShiftSpec) -> float:
     )
 
 
+def cylinders_fit(symbols: int, lam: int, budget: int = CYLINDER_BUDGET) -> bool:
+    """True when the symbols**lam configurations of a box of lam sites fit
+    the budget.  A lam over the budget is refused before the power is taken:
+    with two or more symbols it cannot fit, and with one symbol the cap
+    bounds the lam factors its single configuration multiplies."""
+    return lam <= budget and symbols**lam <= budget
+
+
 def cylinder_sum(spec: FullShiftSpec, n: Coords, budget: int = CYLINDER_BUDGET) -> float:
     """Partition function over all symbol configurations on the box below n.
 
@@ -62,8 +70,7 @@ def cylinder_sum(spec: FullShiftSpec, n: Coords, budget: int = CYLINDER_BUDGET) 
     """
     n = as_point(n, dim=spec.dim)
     lam = box_cardinality(n)
-    total_configs = spec.symbols**lam
-    if total_configs > budget:
+    if not cylinders_fit(spec.symbols, lam, budget):
         raise ValueError(
             f"{spec.symbols}**{lam} configurations exceed the budget {budget}"
         )

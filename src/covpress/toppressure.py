@@ -11,9 +11,9 @@ Q <= G when the joined family is a partition.
 `quadruple_from_joined` is the one evaluator: every value, at every box,
 is read off its result.  `pressure_quadruple` walks one box for the join and
 the ergodic field and hands both to it; rate sweeps call it at every depth;
-`deep_partition_sample` calls it on a stable partition with the ergodic
-field of a box too deep to walk.  S and G samples carry their chosen states,
-read sorted in `.chosen`.  One optional `exact_limit`, taken only by
+`deep_partition_sample` returns its quadruple for a stable partition with
+the ergodic field of a box too deep to walk.  S and G samples carry their
+chosen states, read sorted in `.chosen`.  One optional `exact_limit`, taken only by
 `quadruple_from_joined`, caps all four searches; without it Q and P search
 up to `EXACT_LIMIT_FAMILIES` members and G and S up to `EXACT_LIMIT_NODES`
 classes.
@@ -278,26 +278,21 @@ def stabilized_partition(sys: FiniteSystem, family: SetFamily) -> tuple[SetFamil
 
 
 def deep_partition_sample(
-    sys: FiniteSystem,
-    f: Potential,
-    family: SetFamily,
-    exponent: int,
-    mode: str = "Q",
-) -> PressureSample:
-    """Exact Q, P, S or G value of a partition at box depth 2**exponent.
+    sys: FiniteSystem, f: Potential, family: SetFamily, exponent: int
+) -> dict[str, PressureSample]:
+    """Exact Q, P, G and S of a partition at box depth 2**exponent, as
+    `quadruple_from_joined` returns them.
 
     The join has stabilized long before such depths, so it is the stable
     partition, and the evaluator only needs the ergodic sums, which the
     doubling scheme provides without iterating the box.  This reads the
     limit rate off a finite system to float precision.
     """
-    if mode not in ("Q", "P", "S", "G"):
-        raise ValueError(f"mode must be Q, P, S or G, got {mode!r}")
     stable, depth = stabilized_partition(sys, family)
     if 2**exponent < depth:
         raise ValueError(f"depth 2**{exponent} is below the stabilization depth {depth}")
     _, f_deep = birkhoff_doubling(sys, f, exponent)
-    return quadruple_from_joined(stable, f_deep, (2**exponent,))[mode]
+    return quadruple_from_joined(stable, f_deep, (2**exponent,))
 
 
 def topological_pressure(

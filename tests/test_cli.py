@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import covpress
 from covpress import experiments
 from covpress.cli import build_parser, main
-from covpress.config import ExperimentConfig, load_config, parse_config_text
+from covpress.config import EXPERIMENTS, ExperimentConfig, load_config, parse_config_text
 from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
-from covpress.dynsys import make_disk_system, potential_from_spec
+from covpress.dynsys import make_circle_doubling, make_disk_system, potential_from_spec
 from covpress.experiments import (
     ResultRow,
     VerdictItem,
@@ -30,7 +30,6 @@ from covpress.experiments import (
     run_experiment,
     run_fullshift,
     run_lattice_check,
-    system_from_config,
 )
 from covpress.solvers import STATUS_EXACT
 from covpress.svg import rate_plot_svg
@@ -92,6 +91,16 @@ def test_load_config_rejects_keys_the_experiment_does_not_read(tmp_path):
         assert (cfg.n_max, cfg.seed) == (3, 2)
     with pytest.raises(ValueError, match="unknown experiment"):
         load_config("nope")
+    # Only the doubling system is configurable; the old system-kind and
+    # inline-map keys are unknown keys.
+    for line in ("kind = disk", "custom_maps = 1,2,0;0,1,2", "custom_marked = 2"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_text(line)
+        p.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config("doubling", config_path=p)
+    with pytest.raises(ValueError, match="unknown config keys"):
+        load_config("doubling", overrides={"kind": "disk"})
 
 
 def test_config_file_cannot_set_the_experiment(tmp_path, capsys):
@@ -118,21 +127,6 @@ def test_potential_from_spec():
         potential_from_spec("values:1,2", 4)
     with pytest.raises(ValueError):
         potential_from_spec("wavelet:1", 4)
-
-
-def test_system_from_config_custom(tmp_path):
-    # Only the doubling system is configurable; the old system-kind and
-    # inline-map keys are unknown keys now.
-    assert system_from_config(ExperimentConfig(experiment="doubling", m=7)).state_count == 7
-    for line in ("kind = disk", "custom_maps = 1,2,0;0,1,2", "custom_marked = 2"):
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_text(line)
-        p = tmp_path / "c.conf"
-        p.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown config key"):
-            load_config("doubling", config_path=p)
-    with pytest.raises(ValueError, match="unknown config keys"):
-        load_config("doubling", overrides={"kind": "disk"})
 
 
 def test_rows_roundtrip_and_rate_invariant():
@@ -191,7 +185,7 @@ def test_doubling_budget_stops_the_sweep():
 def sweep_every_cover(cfg):
     """Reference: `run_doubling`'s rows and verdict detail with every cover
     swept on its own, equal or not."""
-    sys = system_from_config(cfg)
+    sys = make_circle_doubling(cfg.m)
     m = sys.state_count
     split = (m + 1) // 2
     f = potential_from_spec(cfg.potential, m, arc_states=range(split, m))
@@ -547,6 +541,12 @@ BAD_RUN_VALUES = [
         {"m": 11, "potential": "values:1e308,-1e308," + ",".join(["0"] * 9)},
         "eps must be positive and finite, got inf",
     ),
+    # Past the cylinder budget not even the one-site box fits, so no cylinder would be checked.
+    (
+        "fullshift",
+        {"symbols": 30000, "phi": ",".join(["0"] * 30000)},
+        "symbols = 30000 exceeds the cylinder budget 19683",
+    ),
 ]
 
 
@@ -588,6 +588,49 @@ def test_deep_exponent_must_fit_in_64_bits(tmp_path, capsys):
     rows, verdicts = run_experiment(cfg)
     assert verdicts[0].passed
     assert [r.lam for r in rows if r.lam > 2] == [2**62, 2**62]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_a_negative_seed_is_refused_at_load_time(tmp_path, capsys, experiment):
+    # numpy would refuse it mid-run, naming no key; doubling and leakage would ignore it.
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        load_config(experiment, overrides={"seed": -1})
+    out = tmp_path / "res"
+    assert main([experiment, "--seed", "-1", "--out", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (out / f"{experiment}.csv").exists()
+
+
+# Run the CLI under a 2 GiB address-space cap, so that a run asking for far
+# more memory fails fast instead of exhausting the machine.
+CAPPED_CLI_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from covpress.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_fullshift_stops_at_a_box_too_large_to_enumerate(tmp_path):
+    # The 2**40-site box would take symbols**lam, an integer of 2**40 bits,
+    # to compare with the budget; its site count alone rules it out.
+    conf = tmp_path / "deep.conf"
+    conf.write_text("dim = 40\nn_max = 2\n", encoding="utf-8")
+    src = str(Path(covpress.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "res"
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI_SCRIPT, "fullshift", "--config", str(conf), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "wrote 2 rows" in done.stdout and "VERDICT fullshift: PASS" in done.stdout
+    lines = (out / "fullshift.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[:5] for line in lines[1:]] == [
+        ["fullshift", "cylinders", "P", "-".join(["1"] * 40), "1"],
+        ["fullshift", "gibbs", "Hrate", "-".join(["1"] * 40), "1"],
+    ]
 
 
 def test_finite_vp_two_seeds():
@@ -773,7 +816,7 @@ def counted(values, *args, **kwargs):
 np.unique = counted
 cfg = load_config("doubling")
 experiments.run_doubling(cfg)
-print(json.dumps({"sizes": sizes, "states": experiments.system_from_config(cfg).state_count}))
+print(json.dumps({"sizes": sizes, "states": cfg.m}))
 """
 
 

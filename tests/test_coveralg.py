@@ -17,11 +17,10 @@ from covpress.coveralg import (
     box_join,
     box_sweep,
     classify_admissible,
-    classify_admissible_partition,
     cover_from_partition,
+    is_join_stable,
     join,
     potential_cover,
-    preimage_family,
     refines,
     state_field,
 )
@@ -197,25 +196,6 @@ def test_label_and_mask_forms_agree():
     assert fam == masks_form
     assert member_states(fam, 2) == [3]
     assert [len(member_states(fam, i)) for i in range(fam.count)] == [2, 2, 1]
-
-
-def test_preimage_identity_and_doubling():
-    sys = make_circle_doubling(7)
-    part = SetFamily.from_state_sets(7, [{0, 2, 4, 6}, {1, 3, 5}], kind="partition")
-    same = preimage_family(sys, part, (0,))
-    assert same == part
-    pre = preimage_family(sys, part, (1,))
-    assert family_as_sets(pre) == {frozenset({0, 1, 2, 3}), frozenset({4, 5, 6})}
-    assert pre.is_partition
-
-
-def test_preimage_of_partition_is_partition():
-    gen = np.array([0, 0, 1, 1, 2])
-    sys = FiniteSystem(generators=(gen,))
-    part = SetFamily.from_state_sets(5, [{0, 3}, {1, 2}, {4}], kind="partition")
-    pre = preimage_family(sys, part, (1,))
-    assert pre.is_partition
-    assert pre.count == 2  # the class {4} has empty preimage
 
 
 def test_join_idempotent_and_trivial():
@@ -905,6 +885,32 @@ def test_refinement_is_preserved_by_orbit_join(seed, depth):
     assert refines(orbit_join(sys, fine, (depth,)), orbit_join(sys, coarse, (depth,)))
 
 
+@given(covered_systems(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_join_stability_matches_the_set_definition(case, as_partition, data):
+    sys, sets, _ = case
+    m = sys.state_count
+    if as_partition:
+        labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        family = SetFamily.from_labels(np.array(labels))
+    else:
+        family = SetFamily.from_state_sets(m, sets)
+    members = family_as_sets(family)
+
+    def gains_no_member(gen):
+        pulled = [frozenset(x for x in range(m) if gen[x] in member) for member in members]
+        return len({a & b for a in members for b in pulled if a & b}) == len(members)
+
+    assert is_join_stable(sys, family) == all(gains_no_member(gen) for gen in sys.generators)
+
+
+def test_a_cover_with_one_member_per_state_can_gain_members():
+    # {0, 1} and {0} pulled back through the swap are {0, 1} and {1}: the
+    # join gains {1}, though the cover has as many members as states.
+    sys = FiniteSystem(generators=(np.array([1, 0]),))
+    assert not is_join_stable(sys, SetFamily.from_state_sets(2, [{0, 1}, {0}]))
+
+
 def test_power_system_join_identity():
     # Joining the n-join under the n-power system over m equals the nm-join.
     sys = make_circle_doubling(31)
@@ -954,13 +960,13 @@ def test_classify_admissible_partition_reports_noncompact():
     outer = set(range(1 + 2 * 4, m))
     rest = set(range(0, 1 + 2 * 4))
     part = SetFamily.from_state_sets(m, [rest, outer], kind="partition")
-    rep = classify_admissible_partition(sys, part)
-    assert rep.is_admissible_partition and rep.noncompact_index == 1
+    rep = classify_admissible(sys, part)
+    assert rep.is_admissible and rep.witness == 1
 
     split_outer = SetFamily.from_state_sets(
         m, [rest, set(list(outer)[:2]), set(list(outer)[2:])], kind="partition"
     )
-    assert not classify_admissible_partition(sys, split_outer).is_admissible_partition
+    assert not classify_admissible(sys, split_outer).is_admissible
 
 
 @st.composite
@@ -991,21 +997,29 @@ def unique_marked_atoms(sys, family):
     return np.unique(family.atoms[sorted(sys.marked)])
 
 
-def classify_reports(sys, family):
-    reports = [classify_admissible(sys, family)]
-    if family.is_partition:
-        reports.append(classify_admissible_partition(sys, family))
-    return reports
-
-
 @given(disk_families())
 @settings(max_examples=200, deadline=None)
 def test_marked_atoms_match_np_unique(case):
     sys, family = case
     assert coveralg._marked_atoms(sys, family).tolist() == unique_marked_atoms(sys, family).tolist()
-    reports = classify_reports(sys, family)
+    report = classify_admissible(sys, family)
     with mock.patch.object(coveralg, "_marked_atoms", unique_marked_atoms):
-        assert reports == classify_reports(sys, family)
+        assert report == classify_admissible(sys, family)
+
+
+@given(disk_families())
+@settings(max_examples=200, deadline=None)
+def test_a_partition_is_admissible_iff_one_class_holds_the_marked_states(case):
+    sys, family = case
+    if not family.is_partition:
+        with pytest.raises(ValueError, match="from a partition"):
+            cover_from_partition(sys, family)
+        return
+    # Member i of a partition is the class labelled i.
+    labels = set(family.as_labels()[sorted(sys.marked)].tolist())
+    report = classify_admissible(sys, family)
+    assert report.is_admissible == (len(labels) == 1)
+    assert report.witness == (labels.pop() if len(labels) == 1 else None)
 
 
 def test_cover_from_partition():
@@ -1235,7 +1249,7 @@ def test_intersection_counting_bound():
         part = SetFamily.from_labels(labels)
         if part.count < 2:
             continue
-        if not classify_admissible_partition(sys, part).is_admissible_partition:
+        if not classify_admissible(sys, part).is_admissible:
             continue
         cover = cover_from_partition(sys, part)
         refining = join(cover, SetFamily.from_labels(rng.integers(0, 2, size=m)))

@@ -222,7 +222,7 @@ def test_singleton_join_is_stable_without_joining(monkeypatch):
     def refuse(*args):
         raise AssertionError("a join with one class per state was refined")
 
-    monkeypatch.setattr(coveralg, "join", refuse)
+    monkeypatch.setattr(coveralg, "box_join", refuse)
     assert is_join_stable(sys, SetFamily.singletons(101))
     monkeypatch.undo()
     assert not is_join_stable(sys, SetFamily.from_labels(np.arange(101) < 50))

@@ -317,18 +317,10 @@ def test_deep_partition_sample_matches_direct():
     f = Potential(rng.uniform(-0.5, 0.5, 31))
     part = arc_cover(31, kind="partition")
     for mode in ("Q", "P", "S", "G"):
-        deep = deep_partition_sample(sys, f, part, 5, mode=mode)
+        deep = deep_partition_sample(sys, f, part, 5)[mode]
         direct = pressure_quadruple(sys, f, part, (32,), member_budget=10**6)[mode]
         assert deep.log_value == pytest.approx(direct.log_value, abs=1e-9)
         assert deep.lam == 32
-
-
-def test_deep_partition_sample_rejects_unknown_mode():
-    sys = make_circle_doubling(31)
-    f = Potential.constant(0.0, 31)
-    for mode in ("X", "", "QP", "H"):
-        with pytest.raises(ValueError, match="mode must be Q, P, S or G"):
-            deep_partition_sample(sys, f, arc_cover(31, kind="partition"), 5, mode=mode)
 
 
 def stabilized_by_counts(sys, family):
@@ -371,9 +363,7 @@ def test_deep_sample_identity_map_reads_max():
     rng = np.random.default_rng(41)
     f_vals = rng.uniform(-1, 1, 9)
     sys = FiniteSystem(generators=(np.arange(9),))
-    deep = deep_partition_sample(
-        sys, Potential(f_vals), SetFamily.singletons(9), 30, mode="Q"
-    )
+    deep = deep_partition_sample(sys, Potential(f_vals), SetFamily.singletons(9), 30)["Q"]
     assert deep.rate == pytest.approx(float(f_vals.max()), abs=1e-8)
 
 
