@@ -690,11 +690,15 @@ def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
 # -- closeness ------------------------------------------------------------
 
 
-def lowest_states(family: SetFamily, hits: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """Per atom, the lowest state flagged in `hits` (any state by default);
-    the int64 maximum for an atom with none."""
+def lowest_states(family: SetFamily, hits: np.ndarray | None = None) -> np.ndarray:
+    """Per atom, the lowest state flagged in the bool mask `hits` (any state
+    by default); the int64 maximum for an atom with none."""
     reps = np.full(family.atom_count, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(reps, family.atoms[hits], np.arange(family.state_count)[hits])
+    if hits is None:
+        np.minimum.at(reps, family.atoms, np.arange(family.state_count))
+    else:
+        states = np.flatnonzero(hits)
+        np.minimum.at(reps, family.atoms[states], states)
     return reps
 
 

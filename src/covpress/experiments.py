@@ -19,7 +19,7 @@ partition are built from arrays, not per-cell loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,9 +152,9 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
 
     A potential constant on each arc, as the `constant` and `arc` ones are,
     has a level cover whose members are unions of arcs, so `arcs_bfe` is
-    `arcs` itself: no level cover is built, and its rows come from the one
-    arc sweep, quadruples and budget stop alike.  Any other potential's
-    level cover is joined onto the arcs and swept on its own.
+    `arcs` itself: no level cover is built, and its rows are copies of the
+    arc rows, with the arcs' budget stop.  Any other potential's level
+    cover is joined onto the arcs and swept on its own.
     """
     sys = make_circle_doubling(cfg.m)
     arcs, f, eps = cfg.doubling_inputs()
@@ -167,29 +167,31 @@ def run_doubling(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictIt
     stopped = []
     arc_q = []
     for name, family in covers:
-        # `arcs_bfe` is `arcs` itself exactly when `doubling_inputs` builds no
-        # level cover; its rows then reuse the arc sweep.
-        if family is not arcs or name == "arcs":
-            quads, error = [], None
+        if family is arcs and name == "arcs_bfe":
+            # `arcs_bfe` is `arcs` itself exactly when `doubling_inputs` builds
+            # no level cover; its rows and budget stop are then the arc sweep's.
+            rows += [replace(row, cover=name) for row in rows]
+        else:
+            # Each depth's rows are built as soon as it is evaluated, so no
+            # sample, nor the join a flat partition's sample holds, outlives it.
+            reached, p_best, error = 0, math.inf, None
             sweep = box_sweep(sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget)
             try:
                 for n, joined, f_field in sweep:
-                    quads.append((n, quadruple_from_joined(joined, f_field, n, cfg.exact_limit)))
+                    quad = quadruple_from_joined(joined, f_field, n, cfg.exact_limit)
+                    for mode in ("Q", "P", "S", "G"):
+                        bound = None
+                        if mode == "P" and quad["P"].status == STATUS_EXACT:
+                            p_best = bound = min(p_best, quad["P"].rate)
+                        rows.append(_sample_row(experiment, name, mode, quad[mode], bound=bound))
+                    if name == "arcs":
+                        arc_q.append(quad["Q"])
+                    (reached,) = n
             except CoverBudgetError as exc:
                 error = exc
-        p_best = math.inf
-        for n, quad in quads:
-            for mode in ("Q", "P", "S", "G"):
-                bound = None
-                if mode == "P" and quad["P"].status == STATUS_EXACT:
-                    p_best = bound = min(p_best, quad["P"].rate)
-                rows.append(_sample_row(experiment, name, mode, quad[mode], bound=bound))
-        if name == "arcs":
-            arc_q = [quad["Q"] for _, quad in quads]
         if error is not None:
             if not arc_q:  # no arc depth fits: nothing to judge, say which budget
                 raise error
-            reached = quads[-1][0][0] if quads else 0
             stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {error}")
 
     estimate = rate_sequence(arc_q, "Q")

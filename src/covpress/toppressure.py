@@ -29,9 +29,12 @@ any size stay exact.
 
 When the ergodic field is constant on every atom of the join (a flat field;
 the paper's doubling potentials and the torus site potential give one),
-the sweep hands it over per atom, and a box is evaluated from one pass over
-its states for the atoms' lowest states plus per-atom work: the atom sums
-serve as minima and maxima, and on a partition P is Q's sample and S G's.
+the sweep hands it over per atom, and the atom sums serve as minima and
+maxima.  A cover's box is then evaluated from one pass over its states for
+the atoms' lowest states plus per-atom work.  A partition's needs no pass
+over its states: every value is a log-sum of the atom sums, P is Q's
+sample and S is G's, and that sample holds its join until `.chosen` is
+read, which is when the lowest state of each class is found.
 """
 
 from __future__ import annotations
@@ -73,18 +76,22 @@ class PressureSample:
 
     An S or G sample also carries the states whose weights make up its value
     (separated for S, spanning for G) as any int array in `states`; `.chosen`
-    reads them as a tuple in increasing order, sorted on its first read.
+    reads them as a tuple in increasing order, sorted on its first read.  A
+    flat partition's sample holds its join in `states` instead, and finds
+    each class's lowest state, its one chosen state, only when `.chosen` is
+    read.
     """
 
     n: Coords
     lam: int
     log_value: float
     status: str
-    states: np.ndarray | tuple = field(default=(), repr=False, compare=False)
+    states: np.ndarray | tuple | SetFamily = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
     def chosen(self) -> tuple[int, ...]:
-        return tuple(np.sort(self.states).tolist())
+        states = lowest_states(self.states) if isinstance(self.states, SetFamily) else self.states
+        return tuple(np.sort(states).tolist())
 
     @property
     def rate(self) -> float:
@@ -156,7 +163,9 @@ def _atom_extrema(
 
     On `AtomSums`, a field the sweep found constant on each atom, every
     state attains its atom's min and max: the same two arrays are returned
-    for both, and no extremum pass is made.
+    for both, and no extremum pass is made.  The lowest states are still
+    found, as a cover's closeness graph orders its classes by them; a flat
+    partition needs none of this and is evaluated without it.
     """
     first = lowest_states(joined)
     if isinstance(f_field, AtomSums):
@@ -221,8 +230,10 @@ def quadruple_from_joined(
 
     When the field comes as `AtomSums`, constant on every atom, each class's
     minimum is its maximum and its lowest state represents both, so one
-    pass for the lowest states serves all four values; on a partition P is
-    then Q's sample and S is G's, with the same log-sum and the same states.
+    pass for the lowest states serves all four values.  On a partition P is
+    then Q's sample and S is G's, with the same log-sum and the same states,
+    and no pass over the states is made: the sample holds its join until
+    `.chosen` is read, which finds the lowest states then.
 
     `exact_limit`, when given, caps all four searches; otherwise Q and P use
     `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.
@@ -230,18 +241,20 @@ def quadruple_from_joined(
     member_limit = EXACT_LIMIT_FAMILIES if exact_limit is None else exact_limit
     class_limit = EXACT_LIMIT_NODES if exact_limit is None else exact_limit
     lam = box_cardinality(n)
+    if joined.is_partition and isinstance(f_field, AtomSums):
+        # Class maxima are the class minima, and each class's lowest state
+        # represents both: P is Q's log-sum, S is G's with the same states,
+        # and the join stands for them until `.chosen` is read.
+        q = PressureSample(n, lam, log_sum_exp(f_field.values), STATUS_EXACT)
+        g = replace(q, states=joined)
+        return {"Q": q, "P": q, "G": g, "S": g}
     lo, lo_reps, hi, hi_reps, first = _atom_extrema(joined, f_field)
     if joined.is_partition:
         # Every class holds states no other member covers, so the subcover
         # is the whole family and no search is needed.
         q = PressureSample(n, lam, log_sum_exp(lo), STATUS_EXACT)
-        g = replace(q, states=lo_reps)
-        if hi is lo:
-            # Class maxima are the class minima and their states, so P is
-            # Q's log-sum, and S is G's with the same states.
-            return {"Q": q, "P": q, "G": g, "S": g}
         p = PressureSample(n, lam, log_sum_exp(hi), STATUS_EXACT)
-        return {"Q": q, "P": p, "G": g, "S": replace(p, states=hi_reps)}
+        return {"Q": q, "P": p, "G": replace(q, states=lo_reps), "S": replace(p, states=hi_reps)}
     graph = ClosenessGraph(joined, first)
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
     q_weights, p_weights = _member_extrema(graph.holds, lo, hi)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covpress
-from covpress import experiments
+from covpress import coveralg, experiments, toppressure
 from covpress.cli import build_parser, main
 from covpress.config import EXPERIMENTS, ExperimentConfig, load_config, parse_config_text
 from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
@@ -278,6 +278,48 @@ def test_doubling_builds_no_level_cover_for_arc_constant_potentials(monkeypatch,
     rows, verdicts = run_experiment(cfg)
     assert rows == expected_rows
     assert [v.detail for v in verdicts] == [expected_detail]
+
+
+def count_lowest_states(monkeypatch):
+    """The state count of each `lowest_states` call that the evaluator and the
+    closeness graph make from here on."""
+    calls, original = [], coveralg.lowest_states
+
+    def counted(family, *args):
+        calls.append(family.state_count)
+        return original(family, *args)
+
+    monkeypatch.setattr(toppressure, "lowest_states", counted)
+    monkeypatch.setattr(coveralg, "lowest_states", counted)
+    return calls
+
+
+@pytest.mark.parametrize("experiment", ["doubling", "leakage"])
+def test_default_runs_find_no_class_representatives(monkeypatch, experiment):
+    # Every box of both default runs joins a partition under a flat field,
+    # and no driver reads `.chosen`, so no class's lowest state is looked for.
+    calls = count_lowest_states(monkeypatch)
+    rows, verdicts = run_experiment(load_config(experiment))
+    assert rows and all(v.passed for v in verdicts)
+    assert calls == []
+
+
+def test_default_doubling_keeps_no_join_past_its_depth():
+    # A flat partition's G and S sample holds its join, 100,003 int64 atom
+    # labels (0.8 MB), so a driver that kept every depth's quadruple would
+    # hold all 14 of them: 15,140,374 bytes at the traced peak (Python 3.11,
+    # numpy 2.4.6).  Built depth by depth, the rows keep none.  Before the
+    # samples held their joins, quadruples kept and per-atom states found
+    # eagerly, the peak was 5,197,558 bytes.
+    cfg = load_config("doubling")
+    experiments.run_doubling(cfg)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        experiments.run_doubling(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_197_558 + (1 << 20)
 
 
 @pytest.mark.parametrize(

@@ -519,15 +519,10 @@ def test_box_join_ranks_a_partition_once(monkeypatch):
 
 
 @st.composite
-def wide_spread_instances(draw):
-    """A system of at most 7 states (one map, or two commuting maps acting on
-    the coordinates of a product), an overlapping cover or a partition, a
-    potential scaled by up to 2000, and a box of at most 2 per axis.
-
-    Half the potentials are constant on the family's membership classes, so
-    the box's ergodic sums are constant on every atom of the join."""
+def product_systems(draw):
+    """A system of at most 7 states: one map, or two commuting maps acting on
+    the coordinates of a product."""
     sizes = draw(st.sampled_from([(2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (3, 2)]))
-    m = int(np.prod(sizes))
     coords = np.array(list(itertools.product(*(range(c) for c in sizes))))
     gens = []
     for axis, size in enumerate(sizes):
@@ -535,6 +530,18 @@ def wide_spread_instances(draw):
         moved = coords.copy()
         moved[:, axis] = local[coords[:, axis]]
         gens.append(np.ravel_multi_index(moved.T, sizes))
+    return FiniteSystem(generators=tuple(gens))
+
+
+@st.composite
+def wide_spread_instances(draw):
+    """A `product_systems` system, an overlapping cover or a partition, a
+    potential scaled by up to 2000, and a box of at most 2 per axis.
+
+    Half the potentials are constant on the family's membership classes, so
+    the box's ergodic sums are constant on every atom of the join."""
+    sys = draw(product_systems())
+    m = sys.state_count
     if draw(st.booleans()):
         labels = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
         family = SetFamily.from_labels(np.array(labels))
@@ -550,8 +557,8 @@ def wide_spread_instances(draw):
     values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
     if flat:
         values = values[family.atoms]
-    n = tuple(draw(st.integers(1, 2)) for _ in sizes)
-    return FiniteSystem(generators=tuple(gens)), family, Potential(scale * values), n
+    n = tuple(draw(st.integers(1, 2)) for _ in range(sys.dim))
+    return sys, family, Potential(scale * values), n
 
 
 def _log_sum(values):
@@ -682,6 +689,53 @@ def test_one_pass_extrema_give_the_two_pass_samples(case):
             want.n, want.lam, want.status, want.chosen
         ), mode
         assert repr(sample.log_value) == repr(want.log_value), mode
+
+
+@st.composite
+def flat_partitions(draw):
+    """A `product_systems` system, a partition of it, a potential constant on
+    each class and a box of at most 3 per axis."""
+    sys = draw(product_systems())
+    m = sys.state_count
+    family = SetFamily.from_labels(np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))))
+    heights = draw(st.lists(st.floats(-5.0, 5.0), min_size=family.atom_count, max_size=family.atom_count))
+    n = tuple(draw(st.integers(1, 3)) for _ in range(sys.dim))
+    return sys, family, Potential(np.array(heights)[family.atoms]), n
+
+
+@given(flat_partitions())
+@settings(max_examples=200, deadline=None)
+def test_flat_partition_samples_find_their_states_when_read(case):
+    # The G and S sample of a flat partition holds its join; read after the
+    # whole sweep, its states are the lowest states of the join's classes,
+    # as found when the join was yielded.
+    sys, family, f, n = case
+    samples = []
+    for box, joined, field in box_sweep(sys, family, f, n):
+        assert joined.is_partition and isinstance(field, coveralg.AtomSums)
+        quad = toppressure.quadruple_from_joined(joined, field, box)
+        assert quad["S"] is quad["G"]
+        samples.append((quad["G"], tuple(np.sort(coveralg.lowest_states(joined)))))
+    for sample, eager in samples:
+        assert sample.chosen == eager and all(type(x) is int for x in sample.chosen)
+
+
+def test_flat_partition_finds_its_states_once_on_read(monkeypatch):
+    # Evaluating a flat partition looks for no class's lowest state; the
+    # first read of `.chosen` does, once, and a second read reuses it.
+    calls, original = [], coveralg.lowest_states
+
+    def counted(family, *args):
+        calls.append(args)
+        return original(family, *args)
+
+    monkeypatch.setattr(toppressure, "lowest_states", counted)
+    monkeypatch.setattr(coveralg, "lowest_states", counted)
+    sys = make_circle_doubling(11)
+    quad = pressure_quadruple(sys, Potential.constant(0.5, 11), arc_cover(11), (3,))
+    assert calls == []
+    chosen = quad["S"].chosen
+    assert quad["G"].chosen is chosen and len(chosen) == 8 and calls == [()]
 
 
 @st.composite
