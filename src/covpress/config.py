@@ -7,11 +7,12 @@ randomized choice is pinned by `seed`, which must be non-negative; budgets
 must be positive, the leakage geometry (rings, sectors, bands, slices) must
 fit the disk grid, `slices` must be at least 2 so the pizza cover stays
 non-admissible, leakage needs two depths, the deep box 2**deep_exponent
-must fit in 64 bits and finite-vp needs `max_states` >= 2.  The doubling
-size and potential (with the level grid its run builds for a potential that
-is not constant on each arc), and the full shift, go through the checks
-their runs make, so a bad value fails at load time rather than mid-run; a
-full shift whose one-site box exceeds the cylinder budget is refused too.
+and lattice-check's largest box, n_max on three axes, must fit in 64 bits,
+and finite-vp needs `max_states` >= 2.  The doubling size and potential
+(with the level grid its run builds for a potential that is not constant
+on each arc), and the full shift, go through the checks their runs make, so
+a bad value fails at load time rather than mid-run; a full shift whose
+one-site box exceeds the cylinder budget is refused too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from covpress.coveralg import SetFamily, atom_values, check_level_grid
 from covpress.dynsys import Potential, check_doubling_size, potential_from_spec
 from covpress.fullshift import CYLINDER_BUDGET, FullShiftSpec
+from covpress.lattice import MAX_CARDINALITY
 
 EXPERIMENTS = ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift")
 
@@ -101,6 +103,9 @@ class ExperimentConfig:
         if self.experiment == "leakage" and self.n_max < 2:
             # The admissible verdict reads a tail slope over the last two depths.
             raise ValueError("leakage needs n_max >= 2")
+        if self.experiment == "lattice-check" and self.n_max**3 > MAX_CARDINALITY:
+            # The largest box drawn has three sides of n_max.
+            raise ValueError(f"lattice-check needs n_max**3 < 2**63, got n_max = {self.n_max}")
         if self.deep_exponent > 62:
             # A box of 2**63 points leaves the 64-bit cardinality range.
             raise ValueError("deep_exponent must be at most 62")

@@ -2,10 +2,10 @@
 
 Points of the semigroup index the group of commuting maps acting on a state
 space.  This module provides the rectangular boxes below a point, their
-cardinality, the tiling of a box by translates of a smaller box (with the
-leftover residue), and symmetric differences of shifted boxes.  Everything
-here is exact integer arithmetic; these quantities control every limit taken
-elsewhere in the package.
+cardinality, the counts of the tiling of a box by translates of a smaller
+box (tiles and leftover residue), and symmetric differences of shifted
+boxes.  Everything here is exact integer arithmetic; these quantities
+control every limit taken elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -68,35 +68,33 @@ def iter_box(n: Coords) -> Iterator[Coords]:
 
 @dataclass(frozen=True)
 class TileDecomposition:
-    """Tiling of the box below n by translates of the box below q.
+    """Tiling of the box below n by translates of the box below q, as counts.
 
-    Tiles are anchored at `corners`, the points congruent to k modulo q whose
-    q-tile fits inside the n-box.  `residue` is the part of the n-box the
-    tiles leave uncovered; its share of the box vanishes as n grows, which is
-    what makes box limits subadditive.
+    Tiles are anchored at the points congruent to k modulo q whose q-tile
+    fits inside the n-box; `corners` counts them.  `residue` counts the
+    points of the n-box the tiles leave uncovered; its share of the box
+    vanishes as n grows, which is what makes box limits subadditive.
     """
 
     n: Coords
     q: Coords
     k: Coords
-    corners: frozenset[Coords]
-    residue: frozenset[Coords]
-
-    @property
-    def tile_cardinality(self) -> int:
-        return box_cardinality(self.q)
-
-    def covered_count(self) -> int:
-        return len(self.corners) * self.tile_cardinality + len(self.residue)
+    corners: int
+    residue: int
 
     def residue_bound_holds(self) -> bool:
         """|residue| * min(n) <= 2 * N * max(q) * lambda(n), all integers."""
         lam = box_cardinality(self.n)
-        return len(self.residue) * min(self.n) <= 2 * len(self.n) * max(self.q) * lam
+        return self.residue * min(self.n) <= 2 * len(self.n) * max(self.q) * lam
 
 
 def decompose(n: Coords, q: Coords, k: Coords) -> TileDecomposition:
-    """Tile the n-box by q-tiles anchored on the shifted sublattice through k."""
+    """Tile the n-box by q-tiles anchored on the shifted sublattice through k.
+
+    Axis j holds c_j = max(0, (n_j - k_j) // q_j) corners, k_j + q_j * t for
+    t < c_j, so there are prod c_j tiles, and they cover prod c_j * lambda(q)
+    distinct points: the rest of the box is the residue.
+    """
     n = as_point(n)
     q = as_point(q, dim=len(n))
     k = as_point(k, dim=len(n))
@@ -104,18 +102,10 @@ def decompose(n: Coords, q: Coords, k: Coords) -> TileDecomposition:
         raise EmptyBoxError(f"degenerate decomposition n={n} q={q}")
     if any(kc >= qc for kc, qc in zip(k, q)):
         raise ValueError(f"anchor {k} must lie in the box below {q}")
-
-    # Corner coordinates per axis: k_j + q_j * t with the whole tile inside.
-    axis_corners = []
+    corners = 1
     for nj, qj, kj in zip(n, q, k):
-        stops = range(kj, nj - qj + 1, qj) if nj - qj >= kj else range(0)
-        axis_corners.append(list(stops))
-    corners = frozenset(itertools.product(*axis_corners))
-
-    # The tiles fill the product of the per-axis ranges [k_j, k_j + q_j * c_j),
-    # c_j the number of corners on axis j; the residue is everything else.
-    tiled = [range(kj, kj + qj * len(c)) for kj, qj, c in zip(k, q, axis_corners)]
-    residue = frozenset(iter_box(n)).difference(itertools.product(*tiled))
+        corners *= max(0, (nj - kj) // qj)
+    residue = box_cardinality(n) - corners * box_cardinality(q)
     return TileDecomposition(n=n, q=q, k=k, corners=corners, residue=residue)
 
 

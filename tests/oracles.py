@@ -3,11 +3,14 @@
 Each builds a value the program never needs, so that a test can check a
 theorem or an identity of the code under test against it: powered systems,
 random invariant measures, conditional entropy, the states of one member
-of a family, and the two-symbol full shift on a small torus with its
-overlapping cover.  It also keeps two shorthands the program does not
-call: the plain box join of a family and the unit-mass test of a measure.
+of a family, the two-symbol full shift on a small torus with its
+overlapping cover, and the tile corners and residue of a box tiling as
+point sets, which the program only counts.  It also keeps two shorthands
+the program does not call: the plain box join of a family and the
+unit-mass test of a measure.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -98,3 +101,25 @@ def overlap_cover(x):
     return SetFamily.from_state_sets(
         x.size, [np.flatnonzero(x00 == 0), np.flatnonzero(x00 == 1), np.flatnonzero(x00 == x01)]
     )
+
+
+def brute_decompose(n, q, k):
+    """Corners and residue of `lattice.decompose(n, q, k)` as point sets, by
+    exhaustive enumeration straight from the definitions."""
+    box_n = set(itertools.product(*(range(c) for c in n)))
+    # Points congruent to k mod q, scanning everything below n.
+    corners = set()
+    for p in box_n:
+        if any((pc - kc) % qc != 0 or pc < kc for pc, kc, qc in zip(p, k, q)):
+            continue
+        tile = {
+            tuple(pc + tc for pc, tc in zip(p, t))
+            for t in itertools.product(*(range(c) for c in q))
+        }
+        if tile <= box_n:
+            corners.add(p)
+    covered = set()
+    for p in corners:
+        for t in itertools.product(*(range(c) for c in q)):
+            covered.add(tuple(pc + tc for pc, tc in zip(p, t)))
+    return corners, box_n - covered

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covpress
-from covpress import coveralg, experiments, toppressure
+from covpress import coveralg, experiments, lattice, toppressure
 from covpress.cli import build_parser, main
 from covpress.config import EXPERIMENTS, ExperimentConfig, load_config, parse_config_text
 from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
@@ -155,6 +155,38 @@ def test_lattice_check_box_sides_follow_n_max():
         rows, verdicts = run_lattice_check(cfg)
         assert verdicts[0].passed
         assert max(max(r.n) for r in rows) == n_max
+
+
+def test_lattice_check_n_max_must_fit_in_64_bits(tmp_path, capsys):
+    # The largest box drawn has three sides of n_max: 2**21 cubed is 2**63.
+    with pytest.raises(ValueError, match="n_max = 2097152"):
+        load_config("lattice-check", overrides={"n_max": 2**21})
+    out = tmp_path / "res"
+    assert main(["lattice-check", "--n-max", str(2**21), "--out", str(out)]) == 1
+    assert "n_max" in capsys.readouterr().err
+    assert not (out / "lattice-check.csv").exists()
+    # The largest accepted n_max runs on boxes near 2**63 points.
+    cfg = load_config("lattice-check", overrides={"n_max": 2**21 - 1, "cases": 60})
+    rows, verdicts = run_lattice_check(cfg)
+    assert verdicts[0].passed
+    assert all(r.solver_status == "exact" for r in rows)
+    assert max(r.lam for r in rows) > 2**60
+
+
+def test_lattice_check_reports_a_violated_case(monkeypatch):
+    holds = lattice.TileDecomposition.residue_bound_holds
+    calls = []
+
+    def fails_on_case_3(dec):
+        calls.append(dec)
+        return holds(dec) and len(calls) != 4
+
+    monkeypatch.setattr(lattice.TileDecomposition, "residue_bound_holds", fails_on_case_3)
+    cfg = load_config("lattice-check", overrides={"cases": 10, "seed": 5})
+    rows, verdicts = run_lattice_check(cfg)
+    assert [r.solver_status for r in rows] == ["exact"] * 3 + ["violated"] + ["exact"] * 6
+    assert (verdicts[0].name, verdicts[0].passed) == ("lattice-bounds", False)
+    assert "10 random tilings, 1 violations" in verdicts[0].detail
 
 
 def test_doubling_small_modulus():

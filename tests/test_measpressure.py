@@ -327,7 +327,7 @@ def test_entropy_rate_fekete_bound_is_running_min():
             if p.lam >= s.lam:
                 continue
             dec = lattice.decompose(s.n, p.n, tuple(0 for _ in s.n))
-            corr = len(dec.residue) / s.lam * partition_entropy(mu, arc)
+            corr = dec.residue / s.lam * partition_entropy(mu, arc)
             assert s.rate <= p.rate + corr + 1e-9
 
 

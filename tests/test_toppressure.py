@@ -256,9 +256,7 @@ def test_p_mode_submultiplicative_with_boundary_correction():
         pp = pressure_quadruple(sys, f, fam, (p,))["P"]
         assert pn.status == STATUS_EXACT and pp.status == STATUS_EXACT
         dec = lattice.decompose((n,), (p,), (0,))
-        corners = len(dec.corners)
-        residue = len(dec.residue)
-        bound = residue * f.sup_norm + corners * pp.log_value
+        bound = dec.residue * f.sup_norm + dec.corners * pp.log_value
         assert pn.log_value <= bound + 1e-9
 
 
@@ -293,7 +291,7 @@ def test_fekete_bound_dominates_limit_with_correction():
     for n_t in range(2, 7):
         for p_t in range(1, n_t):
             dec = lattice.decompose((n_t,), (p_t,), (0,))
-            corr = len(dec.residue) * f.sup_norm / n_t
+            corr = dec.residue * f.sup_norm / n_t
             assert (
                 samples[n_t].rate
                 <= samples[p_t].rate + corr + 1e-9
