@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from covpress.coveralg import SetFamily, atom_values, check_level_grid
+from covpress.coveralg import DEFAULT_MEMBER_BUDGET, SetFamily, atom_values, check_level_grid
 from covpress.dynsys import Potential, check_doubling_size, potential_from_spec
 from covpress.fullshift import CYLINDER_BUDGET, FullShiftSpec
 from covpress.lattice import MAX_CARDINALITY
@@ -68,9 +68,8 @@ class ExperimentConfig:
     # budgets and seeding
     n_max: int = 8
     exact_limit: int | None = None
-    # the join budget, read by `doubling` and `leakage`: sized to the
-    # itinerary counts the two experiments actually produce
-    member_budget: int = 65536
+    # the join budget, read by `doubling` and `leakage`
+    member_budget: int = DEFAULT_MEMBER_BUDGET
     seed: int = 0
     # lattice-check / finite-vp sweep sizes
     cases: int = 1000

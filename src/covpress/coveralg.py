@@ -65,7 +65,9 @@ import numpy as np
 from covpress.dynsys import FiniteSystem, Potential, iter_box_pullbacks
 from covpress.lattice import Coords, as_point, box_cardinality
 
-DEFAULT_MEMBER_BUDGET = 4096
+# Every cover sweep's join budget: 2**16 holds doubling's 2**14 itineraries, the 4 x 4
+# torus's 2**16 window patterns and leakage's 12,289-member strongly admissible cover.
+DEFAULT_MEMBER_BUDGET = 65536
 DEFAULT_LAMBDA_BUDGET = 1_000_000
 
 

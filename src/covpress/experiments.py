@@ -468,7 +468,7 @@ def run_finite_vp(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[VerdictI
         coarse = SetFamily.from_labels(rng.integers(0, 2, size=m))
         covers = [("cells", cells), ("coarse", coarse), ("trivial", SetFamily.trivial(m))]
         for name, family in covers:
-            for n, joined, f_field in box_sweep(sys, family, f, (cfg.n_max,)):
+            for n, joined, f_field in box_sweep(sys, family, f, (cfg.n_max,), member_budget=m):
                 quad = quadruple_from_joined(joined, f_field, n)
                 for mode in ("Q", "S", "G"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))

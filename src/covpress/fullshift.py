@@ -53,27 +53,25 @@ def exact_pressure(spec: FullShiftSpec) -> float:
     )
 
 
-def cylinders_fit(symbols: int, lam: int, budget: int = CYLINDER_BUDGET) -> bool:
+def cylinders_fit(symbols: int, lam: int) -> bool:
     """True when the symbols**lam configurations of a box of lam sites fit
-    the budget.  A lam over the budget is refused before the power is taken:
-    with two or more symbols it cannot fit, and with one symbol the cap
-    bounds the lam factors its single configuration multiplies."""
-    return lam <= budget and symbols**lam <= budget
+    CYLINDER_BUDGET.  A lam over the budget is refused before the power is
+    taken: with two or more symbols it cannot fit, and with one symbol the
+    cap bounds the lam factors its single configuration multiplies."""
+    return lam <= CYLINDER_BUDGET and symbols**lam <= CYLINDER_BUDGET
 
 
-def cylinder_sum(spec: FullShiftSpec, n: Coords, budget: int = CYLINDER_BUDGET) -> float:
+def cylinder_sum(spec: FullShiftSpec, n: Coords) -> float:
     """Partition function over all symbol configurations on the box below n.
 
-    Enumerates k**lambda(n) configurations, so the box is budget-capped;
+    Enumerates k**lambda(n) configurations, so the box is capped by CYLINDER_BUDGET;
     the result must agree with the closed form (sum of site factors raised
     to the box size), which the tests pin down.
     """
     n = as_point(n, dim=spec.dim)
     lam = box_cardinality(n)
-    if not cylinders_fit(spec.symbols, lam, budget):
-        raise ValueError(
-            f"{spec.symbols}**{lam} configurations exceed the budget {budget}"
-        )
+    if not cylinders_fit(spec.symbols, lam):
+        raise ValueError(f"{spec.symbols}**{lam} configurations exceed budget {CYLINDER_BUDGET}")
     site_factors = [math.exp(v) for v in spec.site_potential]
     total = math.fsum(
         math.prod(site_factors[s] for s in config)

@@ -78,10 +78,10 @@ def variation_distance(a: FiniteMeasure, b: FiniteMeasure) -> float:
     return float(math.fsum(np.abs(a.weights - b.weights).tolist()))
 
 
-def is_invariant(mu: FiniteMeasure, sys: FiniteSystem, tol: float = INVARIANCE_TOL) -> bool:
-    """Invariance under every generator, up to tol in total variation.
+def is_invariant(mu: FiniteMeasure, sys: FiniteSystem) -> bool:
+    """Invariance under every generator, up to INVARIANCE_TOL in total variation.
 
-    The same test as `variation_distance(pushforward(mu, sys, k), mu) > tol`
+    The same test as `variation_distance(pushforward(mu, sys, k), mu) > INVARIANCE_TOL`
     per generator k, without building the image measures.
     """
     if len(mu.weights) != sys.state_count:
@@ -89,7 +89,8 @@ def is_invariant(mu: FiniteMeasure, sys: FiniteSystem, tol: float = INVARIANCE_T
     for g in sys.generators:  # each generator is its unit step's power map
         image = np.bincount(g, weights=mu.weights, minlength=sys.state_count)
         # Mostly zeros for an invariant measure: each distinct one is added once.
-        if counted_fsum(*np.unique(np.abs(image - mu.weights), return_counts=True)) > tol:
+        defect = counted_fsum(*np.unique(np.abs(image - mu.weights), return_counts=True))
+        if defect > INVARIANCE_TOL:
             return False
     return True
 
@@ -120,7 +121,6 @@ def entropy_rate(
     family: SetFamily,
     n_max: int,
     check_invariance: bool = True,
-    member_budget: int = 10**6,
 ) -> PressureEstimate:
     """Entropy of the orbit join per box point, sampled along the diagonal.
 
@@ -129,14 +129,15 @@ def entropy_rate(
     once the join is stable under every generator preimage the limit itself
     is zero: the joined entropy is stuck at a constant while the box grows.
     A join stable at some depth equals the join at every deeper one, so the
-    last join is stable exactly when any was, and only it is tested.
+    last join is stable exactly when any was, and only it is tested.  The
+    sweep's budget is the state count, which no partition's join exceeds.
     """
     if not family.is_partition:
         raise ValueError("entropy rates are defined for partitions")
     if check_invariance and not is_invariant(mu, sys):
         raise ValueError("measure is not invariant within tolerance")
     samples = []
-    sweep = box_sweep(sys, family, None, diagonal(n_max, sys.dim), member_budget)
+    sweep = box_sweep(sys, family, None, diagonal(n_max, sys.dim), sys.state_count)
     for n, joined, _ in sweep:
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
@@ -245,23 +246,22 @@ def separated_entropy_link_check(
     n: Coords,
     separated: Sequence[int],
     refining: SetFamily,
-    tol: float = 1e-9,
-    member_budget: int = 10**6,
 ) -> SeparatedLinkReport:
     """Verify log-normalizer = joined-partition entropy + ergodic integral.
 
     Applicable only when `refining` is a partition refining the cover whose
     box join isolates the separated states (at most one per class); then the
     sigma masses are exactly the normalized weights and the identity is an
-    algebraic fact that must hold to float precision.  Also checks that
-    integrating the box sum against sigma equals integrating the potential
-    against the averaged measure, scaled by the box size.
+    algebraic fact that must hold to float precision, 1e-9 relative to the
+    log-normalizer past 1.  Also checks that integrating the box sum against
+    sigma equals integrating the potential against the averaged measure,
+    scaled by the box size, within 1e-9.  The join is budgeted at the state count.
     """
     if not refining.is_partition or not refines(refining, cover):
         return SeparatedLinkReport(False, None, None, math.nan, math.nan, math.nan)
     n = as_point(n, dim=sys.dim)
     lam = box_cardinality(n)
-    joined, f_field = box_join(sys, refining, f, n, member_budget)
+    joined, f_field = box_join(sys, refining, f, n, sys.state_count)
     f_field = state_field(joined, f_field)
     labels = joined.as_labels()
     chosen = sorted(int(x) for x in separated)
@@ -271,10 +271,9 @@ def separated_entropy_link_check(
     emp = _empirical_measures(sys, n, f_field, chosen)
     entropy_term = partition_entropy(emp.sigma, joined)
     integral_term = float(math.fsum((emp.sigma.weights * f_field).tolist()))
-    identity = abs(emp.log_normalizer - (entropy_term + integral_term)) <= tol * max(
-        1.0, abs(emp.log_normalizer)
-    )
-    transport = abs(integral_term / lam - emp.averaged.integrate(f)) <= tol
+    gap = abs(emp.log_normalizer - (entropy_term + integral_term))
+    identity = gap <= 1e-9 * max(1.0, abs(emp.log_normalizer))
+    transport = abs(integral_term / lam - emp.averaged.integrate(f)) <= 1e-9
     return SeparatedLinkReport(
         applicable=True,
         identity_holds=bool(identity),

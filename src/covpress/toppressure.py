@@ -33,8 +33,8 @@ the sweep hands it over per atom, and the atom sums serve as minima and
 maxima.  A cover's box is then evaluated from one pass over its states for
 the atoms' lowest states plus per-atom work.  A partition's needs no pass
 over its states: every value is a log-sum of the atom sums, P is Q's
-sample and S is G's, and that sample holds its join until `.chosen` is
-read, which is when the lowest state of each class is found.
+sample and S is G's, and that sample holds its join, whose lowest state
+per class is found when `.chosen` is first read.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class PressureSample:
     reads them as a tuple in increasing order, sorted on its first read.  A
     flat partition's sample holds its join in `states` instead, and finds
     each class's lowest state, its one chosen state, only when `.chosen` is
-    read.
+    read; it keeps the join after that read, so the join's state-sized int64
+    atoms array lives for as long as the sample does.
     """
 
     n: Coords
@@ -114,10 +115,11 @@ class PressureEstimate:
     fekete_bound: float | None = None
     extrapolated: float = math.nan
 
-    def is_monotone(self, tol: float = 1e-9) -> bool:
+    def is_monotone(self) -> bool:
+        """True when the sample rates never fall, or never rise, by more than 1e-9 a step."""
         rates = [s.rate for s in self.samples]
-        up = all(b >= a - tol for a, b in zip(rates, rates[1:]))
-        down = all(b <= a + tol for a, b in zip(rates, rates[1:]))
+        up = all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
+        down = all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
         return up or down
 
 
@@ -232,8 +234,9 @@ def quadruple_from_joined(
     minimum is its maximum and its lowest state represents both, so one
     pass for the lowest states serves all four values.  On a partition P is
     then Q's sample and S is G's, with the same log-sum and the same states,
-    and no pass over the states is made: the sample holds its join until
-    `.chosen` is read, which finds the lowest states then.
+    and no pass over the states is made: the sample holds its join, whose
+    lowest states `.chosen` finds on its first read; a caller that keeps the
+    sample keeps the join's state-sized atoms array, `.chosen` read or not.
 
     `exact_limit`, when given, caps all four searches; otherwise Q and P use
     `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.
@@ -313,7 +316,6 @@ def topological_pressure(
     f: Potential,
     covers: Sequence[tuple[str, SetFamily]],
     n_max: int,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
     allow_nonadmissible: bool = False,
 ) -> tuple[float, dict[str, dict[str, PressureEstimate]]]:
     """Best Q rate over the given admissible covers along the diagonal.
@@ -322,7 +324,7 @@ def topological_pressure(
     override is set (used only to demonstrate how non-admissible covers leak
     boundary complexity).  The report carries the P, S and G rate sequences
     next to Q for cross-validation; each sample equals `pressure_quadruple`'s
-    at the same box.
+    at the same box, and each sweep runs under DEFAULT_MEMBER_BUDGET.
     """
     report: dict[str, dict[str, PressureEstimate]] = {}
     estimate = -math.inf
@@ -332,7 +334,7 @@ def topological_pressure(
             if not verdict.is_admissible:
                 raise ValueError(f"cover {name!r} is not admissible")
         samples: dict[str, list[PressureSample]] = {mode: [] for mode in "QPSG"}
-        sweep = box_sweep(sys, family, f, diagonal(n_max, sys.dim), member_budget)
+        sweep = box_sweep(sys, family, f, diagonal(n_max, sys.dim))
         for n, joined, f_field in sweep:
             quad = quadruple_from_joined(joined, f_field, n)
             for mode, sample in quad.items():

@@ -63,7 +63,7 @@ def test_parse_config_text():
 def test_load_config_defaults_and_overrides(tmp_path):
     cfg = load_config("doubling")
     assert cfg.n_max == 14 and cfg.member_budget == 65536
-    assert ExperimentConfig("doubling").member_budget == 65536
+    assert ExperimentConfig("doubling").member_budget == coveralg.DEFAULT_MEMBER_BUDGET
     p = tmp_path / "c.conf"
     p.write_text("n_max = 6\nseed = 3\n", encoding="utf-8")
     cfg2 = load_config("doubling", config_path=p, overrides={"seed": 9, "n_max": None})
@@ -716,6 +716,19 @@ def test_finite_vp_two_seeds():
     assert len(deep) == 2 and len(oracle) == 2
     for d, o in zip(deep, oracle):
         assert abs(d.rate - o.rate) <= 1e-6
+
+
+def test_finite_vp_runs_systems_over_the_member_budget(tmp_path, capsys):
+    # Its partition sweeps are budgeted at the state count, so systems of up
+    # to 20,000 states, whose singleton joins have as many classes, run to a
+    # verdict.
+    conf = tmp_path / "c.conf"
+    conf.write_text("max_states = 20000\nseeds = 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["finite-vp", "--config", str(conf), "--out", str(out)]) == 0
+    assert "VERDICT finite-vp: PASS" in capsys.readouterr().out
+    lines = (out / "finite-vp.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 3 * (3 * 8 * 3 + 2)  # header, then per seed: swept Q/S/G, deep, cycles
 
 
 def test_finite_vp_refuses_a_cycle_measure_off_its_mean(monkeypatch):

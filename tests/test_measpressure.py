@@ -341,6 +341,17 @@ def test_ks_entropy_deterministic_zero_fixed():
     assert ks_entropy(FiniteMeasure.uniform_on(range(11), 11), sys) == 0.0
 
 
+def test_ks_entropy_takes_a_system_over_a_million_states():
+    # The singleton join has one class per state; its sweep is budgeted at
+    # the state count, so no fixed member budget refuses a large system.
+    m = 2**20 + 1
+    sys = make_circle_doubling(m)
+    mu = FiniteMeasure(np.full(m, 1.0 / m))
+    assert ks_entropy(mu, sys) == 0.0
+    value = measure_pressure(mu, sys, Potential.constant(0.7, m))
+    assert value == pytest.approx(0.7, rel=1e-12)
+
+
 def test_measure_pressure_cases():
     fixed = FiniteSystem(generators=(np.array([0, 0, 2]),))
     f = Potential(np.array([0.7, -1.0, 2.0]))

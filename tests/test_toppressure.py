@@ -481,7 +481,7 @@ def test_n2_quadruple_bytes_are_pinned():
     big, xa = torus_shift(4, 4)
     origin = SetFamily.from_labels(xa & 1)
     for n in itertools.product(range(1, 5), repeat=2):
-        quad = pressure_quadruple(big, Potential(0.37 * (xa & 1)), origin, n, member_budget=65536)
+        quad = pressure_quadruple(big, Potential(0.37 * (xa & 1)), origin, n)
         records += [(n, m, repr(s.log_value), s.status, s.chosen) for m, s in quad.items()]
     small, xb = torus_shift(3, 3)
     for n in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)):
