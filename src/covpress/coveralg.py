@@ -62,7 +62,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from covpress.dynsys import FiniteSystem, Potential, iter_box_pullbacks
+from covpress.dynsys import FiniteSystem, Potential, checked_states, iter_box_pullbacks
 from covpress.lattice import Coords, as_point, box_cardinality
 
 # Every cover sweep's join budget: 2**16 holds doubling's 2**14 itineraries, the 4 x 4
@@ -201,18 +201,10 @@ class SetFamily:
         that they are pairwise disjoint."""
         if kind not in ("cover", "partition"):
             raise ValueError(f"unknown family kind {kind!r}")
-        rows = []
-        for states in sets:
-            if isinstance(states, np.ndarray):
-                idx = np.asarray(states, dtype=np.int64)
-            else:
-                idx = np.fromiter(states, dtype=np.int64)
-            if len(idx) and (idx.min() < 0 or idx.max() >= state_count):
-                raise ValueError("member mentions states outside the system")
-            row = np.zeros(state_count, dtype=bool)
-            row[idx] = True
-            rows.append(row)
-        flags = np.array(rows, dtype=bool).reshape(len(rows), state_count)
+        members = [checked_states(states, state_count) for states in sets]
+        flags = np.zeros((len(members), state_count), dtype=bool)
+        for row, states in zip(flags, members):
+            row[states] = True
         family = cls._from_flags(np.arange(state_count), flags)
         if kind == "partition" and not family.is_partition:
             raise ValueError("partition members must be pairwise disjoint")
@@ -718,9 +710,9 @@ class ClosenessGraph:
     graph is a disjoint union of cliques, one per cell, and stores neither.
     """
 
-    def __init__(self, family: SetFamily, lowest: np.ndarray | None = None):
-        """`lowest`, each atom's lowest state, is found here unless the caller has it."""
-        self.class_atoms = np.argsort(lowest_states(family) if lowest is None else lowest)
+    def __init__(self, family: SetFamily, lowest: np.ndarray):
+        """`lowest` is each atom's lowest state, as `lowest_states(family)` gives it."""
+        self.class_atoms = np.argsort(lowest)
         self.class_sizes = np.bincount(family.atoms)[self.class_atoms]
         rows = family.incidence()
         self.holds = None if rows is None else rows[:, self.class_atoms]

@@ -27,6 +27,15 @@ class DimensionMismatchError(ValueError):
     """A lattice point's dimension does not match the system's."""
 
 
+def checked_states(states: Iterable[int], m: int) -> np.ndarray:
+    """`states` as an int64 array; a ValueError names a state outside 0..m-1."""
+    idx = np.asarray(states if isinstance(states, np.ndarray) else list(states), dtype=np.int64)
+    outside = idx[(idx < 0) | (idx >= m)]
+    if len(outside):
+        raise ValueError(f"state {outside[0]} is outside 0..{m - 1}")
+    return idx
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """States 0..M-1 with one generator map per lattice axis.
@@ -56,8 +65,7 @@ class FiniteSystem:
             for j in range(i + 1, len(gens)):
                 if not np.array_equal(gens[i][gens[j]], gens[j][gens[i]]):
                     raise ValueError(f"generators {i} and {j} do not commute")
-        if any(not 0 <= s < m for s in self.marked):
-            raise ValueError("marked state out of range")
+        checked_states(self.marked, m)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "marked", frozenset(self.marked))
 
@@ -96,7 +104,7 @@ class Potential:
         if not math.isfinite(height):  # checked even when no state takes it
             raise ValueError("potential values must be finite")
         vals = np.zeros(m)
-        vals[list(states)] = float(height)
+        vals[checked_states(states, m)] = float(height)
         return cls(vals)
 
     def shifted(self, c: float) -> "Potential":

@@ -23,7 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from covpress.coveralg import SetFamily, box_join, box_sweep, is_join_stable, refines, state_field
-from covpress.dynsys import FiniteSystem, Potential, birkhoff_field, iter_box_pullbacks, power_map
+from covpress.dynsys import (
+    FiniteSystem, Potential, birkhoff_field, checked_states, iter_box_pullbacks, power_map
+)
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal, sym_diff_cardinality
 from covpress.solvers import STATUS_EXACT, counted_fsum
 from covpress.toppressure import PressureEstimate, PressureSample, rate_sequence
@@ -50,7 +52,8 @@ class FiniteMeasure:
 
     @classmethod
     def uniform_on(cls, states: Iterable[int], m: int) -> "FiniteMeasure":
-        states = list(states)
+        """The probability with equal weights on distinct states of 0..m-1."""
+        states = _distinct_states(states, m)
         w = np.zeros(m)
         w[states] = 1.0 / len(states)
         return cls(w)
@@ -62,6 +65,17 @@ class FiniteMeasure:
 
     def integrate(self, f: Potential) -> float:
         return float(math.fsum((self.weights * f.values).tolist()))
+
+
+def _distinct_states(states: Iterable[int], m: int) -> list[int]:
+    """The sorted states; a ValueError if none, or naming one repeated or outside 0..m-1."""
+    chosen = np.sort(checked_states(states, m))
+    if not len(chosen):
+        raise ValueError("need a nonempty state set")
+    repeated = chosen[1:][chosen[1:] == chosen[:-1]]
+    if len(repeated):
+        raise ValueError(f"state {repeated[0]} is repeated")
+    return chosen.tolist()
 
 
 def pushforward(mu: FiniteMeasure, sys: FiniteSystem, k: Coords) -> FiniteMeasure:
@@ -116,13 +130,9 @@ def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
 
 
 def entropy_rate(
-    mu: FiniteMeasure,
-    sys: FiniteSystem,
-    family: SetFamily,
-    n_max: int,
-    check_invariance: bool = True,
+    mu: FiniteMeasure, sys: FiniteSystem, family: SetFamily, n_max: int
 ) -> PressureEstimate:
-    """Entropy of the orbit join per box point, sampled along the diagonal.
+    """Entropy of the orbit join per box point along the diagonal, for a mu that `is_invariant`.
 
     The running minimum of the sampled rates is a valid upper bound for the
     limit (the subdivision argument behind the existence of the limit), and
@@ -134,7 +144,7 @@ def entropy_rate(
     """
     if not family.is_partition:
         raise ValueError("entropy rates are defined for partitions")
-    if check_invariance and not is_invariant(mu, sys):
+    if not is_invariant(mu, sys):
         raise ValueError("measure is not invariant within tolerance")
     samples = []
     sweep = box_sweep(sys, family, None, diagonal(n_max, sys.dim), sys.state_count)
@@ -178,21 +188,19 @@ def empirical_measures(
     sigma weighs each chosen state by the exponentiated ergodic sum
     (normalized); the averaged measure pushes sigma through every box power
     and averages, which is what converges to an invariant measure as the box
-    grows.  Both are probabilities.
+    grows.  Both are probabilities; `separated` holds distinct states.
     """
     n = as_point(n, dim=sys.dim)
-    return _empirical_measures(sys, n, birkhoff_field(sys, f, n), separated)
+    chosen = _distinct_states(separated, sys.state_count)
+    return _empirical_measures(sys, n, birkhoff_field(sys, f, n), chosen)
 
 
 def _empirical_measures(
-    sys: FiniteSystem, n: Coords, f_field: np.ndarray, separated: Sequence[int]
+    sys: FiniteSystem, n: Coords, f_field: np.ndarray, chosen: list[int]
 ) -> EmpiricalMeasures:
-    """`empirical_measures` given the ergodic field at box n, so a caller
-    that already walked the box does not walk it again for the field."""
-    if not separated:
-        raise ValueError("need a nonempty state set")
+    """`empirical_measures` of sorted distinct states given the ergodic field
+    at box n, so a caller that already walked the box does not walk it again."""
     lam = box_cardinality(n)
-    chosen = sorted(int(x) for x in separated)
     vals = [float(f_field[x]) for x in chosen]
     shift = max(vals)
     scaled = [math.exp(v - shift) for v in vals]
@@ -250,13 +258,15 @@ def separated_entropy_link_check(
     """Verify log-normalizer = joined-partition entropy + ergodic integral.
 
     Applicable only when `refining` is a partition refining the cover whose
-    box join isolates the separated states (at most one per class); then the
-    sigma masses are exactly the normalized weights and the identity is an
-    algebraic fact that must hold to float precision, 1e-9 relative to the
-    log-normalizer past 1.  Also checks that integrating the box sum against
-    sigma equals integrating the potential against the averaged measure,
-    scaled by the box size, within 1e-9.  The join is budgeted at the state count.
+    box join isolates the separated states (at most one per class; a state
+    repeated or out of range raises); then the sigma masses are exactly the
+    normalized weights and the identity is an algebraic fact that must hold
+    to float precision, 1e-9 relative to the log-normalizer past 1.  Also
+    checks that integrating the box sum against sigma equals integrating the
+    potential against the averaged measure, scaled by the box size, within
+    1e-9.  The join is budgeted at the state count.
     """
+    chosen = _distinct_states(separated, sys.state_count)
     if not refining.is_partition or not refines(refining, cover):
         return SeparatedLinkReport(False, None, None, math.nan, math.nan, math.nan)
     n = as_point(n, dim=sys.dim)
@@ -264,7 +274,6 @@ def separated_entropy_link_check(
     joined, f_field = box_join(sys, refining, f, n, sys.state_count)
     f_field = state_field(joined, f_field)
     labels = joined.as_labels()
-    chosen = sorted(int(x) for x in separated)
     cell_of = [int(labels[x]) for x in chosen]
     if len(set(cell_of)) != len(cell_of):
         return SeparatedLinkReport(False, None, None, math.nan, math.nan, math.nan)

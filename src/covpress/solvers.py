@@ -16,7 +16,8 @@ element per copy give the same result, nodes included.
 
 Exactness is never silently degraded: every result carries a status, and the
 branch-and-bound falls back to the greedy answer (with the greedy status)
-when an instance is over the size threshold or the node budget runs out;
+when an instance is over the size threshold or `NODE_BUDGET`, read at
+call time, runs out;
 the result names which (`fallback`) and counts the nodes searched.
 Tie-breaking is by lowest index everywhere, so certificates are
 deterministic.
@@ -79,7 +80,7 @@ class SolveResult:
 
     `nodes` counts branch-and-bound nodes visited (0 when nothing was
     searched; 1 when the root bound certified the greedy answer;
-    `node_budget + 1` when the budget ran out), and `fallback` says why a
+    `NODE_BUDGET + 1` when the budget ran out), and `fallback` says why a
     greedy status was reported, or is None.  An exact value is optimal up
     to the tie tolerance `_TIE_SLACK` of a few ulps.
     """
@@ -184,17 +185,15 @@ def _greedy_cover(
 
 
 def min_subcover_value(
-    inst: WeightedCoverInstance,
-    exact_limit: int = EXACT_LIMIT_FAMILIES,
-    node_budget: int = NODE_BUDGET,
+    inst: WeightedCoverInstance, exact_limit: int = EXACT_LIMIT_FAMILIES
 ) -> SolveResult:
     """Minimal total weight of a covering subfamily.
 
     Members forced by uniquely covered elements are peeled off first; this
     solves partition-shaped instances of any size exactly.  What remains is
     exact when the dual-ascent bound certifies the greedy cover, else solved
-    by branch and bound when small enough, else greedily (the status says
-    which).
+    by a branch and bound of up to `NODE_BUDGET` nodes when small enough,
+    else greedily (the status says which).
     """
     incidence, sizes = inst.incidence, inst.sizes
     chosen: list[int] = []
@@ -237,7 +236,7 @@ def min_subcover_value(
         elif len(active) > exact_limit:
             fallback = FALLBACK_OVER_EXACT_LIMIT
         else:
-            picked, nodes = _branch_and_bound_cover(held, sizes, weights, greedy, node_budget)
+            picked, nodes = _branch_and_bound_cover(held, sizes, weights, greedy, NODE_BUDGET)
             if picked is None:
                 fallback = FALLBACK_NODE_BUDGET
             else:
@@ -369,17 +368,15 @@ def _branch_and_bound_cover(
 
 
 def max_weight_independent_set(
-    adjacency: Sequence[int],
-    log_weights: Sequence[float],
-    exact_limit: int = EXACT_LIMIT_NODES,
-    node_budget: int = NODE_BUDGET,
+    adjacency: Sequence[int], log_weights: Sequence[float], exact_limit: int = EXACT_LIMIT_NODES
 ) -> SolveResult:
     """Maximum total weight over vertex sets with no adjacency-mask edge inside.
 
     The adjacency masks must be symmetric and loop-free; vertices of an
     edgeless graph are all taken without any search.  Otherwise the greedy
-    set is exact when the clique-cover bound certifies it, else the search
-    runs when the graph is small enough (the status says which).
+    set is exact when the clique-cover bound certifies it, else a search of
+    up to `NODE_BUDGET` nodes runs when the graph is small enough (the
+    status says which).
     """
     count = len(adjacency)
     if count != len(log_weights):
@@ -402,7 +399,7 @@ def max_weight_independent_set(
     elif count > exact_limit:
         fallback = FALLBACK_OVER_EXACT_LIMIT
     else:
-        picked, nodes = _branch_and_bound_mwis(adjacency, weights, greedy, node_budget)
+        picked, nodes = _branch_and_bound_mwis(adjacency, weights, greedy, NODE_BUDGET)
         if picked is None:
             fallback = FALLBACK_NODE_BUDGET
     if picked is None:

@@ -312,27 +312,20 @@ def deep_partition_sample(
 
 
 def topological_pressure(
-    sys: FiniteSystem,
-    f: Potential,
-    covers: Sequence[tuple[str, SetFamily]],
-    n_max: int,
-    allow_nonadmissible: bool = False,
+    sys: FiniteSystem, f: Potential, covers: Sequence[tuple[str, SetFamily]], n_max: int
 ) -> tuple[float, dict[str, dict[str, PressureEstimate]]]:
     """Best Q rate over the given admissible covers along the diagonal.
 
-    Every cover must pass the admissibility check unless the diagnostic
-    override is set (used only to demonstrate how non-admissible covers leak
-    boundary complexity).  The report carries the P, S and G rate sequences
-    next to Q for cross-validation; each sample equals `pressure_quadruple`'s
-    at the same box, and each sweep runs under DEFAULT_MEMBER_BUDGET.
+    A cover that fails `classify_admissible` raises a ValueError naming it.
+    The report carries the P, S and G rate sequences next to Q for
+    cross-validation; each sample equals `pressure_quadruple`'s at the same
+    box, and each sweep runs under DEFAULT_MEMBER_BUDGET.
     """
     report: dict[str, dict[str, PressureEstimate]] = {}
     estimate = -math.inf
     for name, family in covers:
-        if not allow_nonadmissible:
-            verdict = classify_admissible(sys, family)
-            if not verdict.is_admissible:
-                raise ValueError(f"cover {name!r} is not admissible")
+        if not classify_admissible(sys, family).is_admissible:
+            raise ValueError(f"cover {name!r} is not admissible")
         samples: dict[str, list[PressureSample]] = {mode: [] for mode in "QPSG"}
         sweep = box_sweep(sys, family, f, diagonal(n_max, sys.dim))
         for n, joined, f_field in sweep:

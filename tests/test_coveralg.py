@@ -1184,7 +1184,7 @@ def test_level_grid_the_check_accepts_covers_every_state(values, eps):
 @settings(max_examples=100, deadline=None)
 def test_closeness_graph_orders_classes_as_np_unique(case, partition):
     # Classes are ordered by their lowest state: the argsort of each atom's
-    # lowest state, given or found, is the order `np.unique`'s first indices give.
+    # lowest state is the order `np.unique`'s first indices give.
     sys, sets, n = case
     m = sys.state_count
     family = SetFamily.from_state_sets(m, sets)
@@ -1194,17 +1194,19 @@ def test_closeness_graph_orders_classes_as_np_unique(case, partition):
     _, first = np.unique(joined.atoms, return_index=True)
     want_atoms = np.argsort(first)
     want_sizes = np.bincount(joined.atoms)[want_atoms]
-    for graph in (ClosenessGraph(joined), ClosenessGraph(joined, coveralg.lowest_states(joined))):
-        assert graph.class_atoms.tobytes() == want_atoms.tobytes()
-        assert graph.class_sizes.tobytes() == want_sizes.tobytes()
+    graph = ClosenessGraph(joined, coveralg.lowest_states(joined))
+    assert graph.class_atoms.tobytes() == want_atoms.tobytes()
+    assert graph.class_sizes.tobytes() == want_sizes.tobytes()
 
 
 def test_closeness_graph_extremes():
     sys = make_circle_doubling(5)
-    g = ClosenessGraph(orbit_join(sys, SetFamily.singletons(5), (1,)))
+    joined = orbit_join(sys, SetFamily.singletons(5), (1,))
+    g = ClosenessGraph(joined, coveralg.lowest_states(joined))
     assert g.class_adjacency() == [0] * 5
     # One class holding every state: all states are close, with no edge to draw.
-    g2 = ClosenessGraph(orbit_join(sys, SetFamily.trivial(5), (2,)))
+    joined = orbit_join(sys, SetFamily.trivial(5), (2,))
+    g2 = ClosenessGraph(joined, coveralg.lowest_states(joined))
     assert g2.class_adjacency() == [0]
     assert g2.class_sizes.tolist() == [5] and g2.holds is None
 
@@ -1213,7 +1215,7 @@ def test_closeness_components_match_itineraries():
     sys = make_circle_doubling(5)
     part = SetFamily.from_state_sets(5, [{0, 1, 2}, {3, 4}], kind="partition")
     joined = orbit_join(sys, part, (2,))
-    g = ClosenessGraph(joined)
+    g = ClosenessGraph(joined, coveralg.lowest_states(joined))
     # A partition's graph is a disjoint union of cliques, one per itinerary cell.
     assert g.class_adjacency() == [0] * joined.count
     classes = {frozenset(np.flatnonzero(joined.atoms == a).tolist()) for a in g.class_atoms}
@@ -1222,7 +1224,7 @@ def test_closeness_components_match_itineraries():
 
 def test_closeness_graph_cover_classes():
     fam = SetFamily.from_state_sets(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
-    g = ClosenessGraph(fam)
+    g = ClosenessGraph(fam, coveralg.lowest_states(fam))
     # Memberships {0}, {0,1}, {1,2}, {2,3}, {3}: one class per state, a path.
     assert [tuple(np.flatnonzero(held)) for held in g.holds.T] == [
         (0,), (0, 1), (1, 2), (2, 3), (3,)

@@ -120,6 +120,21 @@ def test_birkhoff_even_indicator_orbit():
     assert birkhoff_field(sys, f, (3,))[1] == pytest.approx(2.0)
 
 
+def test_indicator_refuses_states_outside_the_range():
+    # Unchecked, numpy would wrap -1 around to the last state and raise a
+    # bare IndexError for 3.  A repeated state is marked once.
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"state {bad} is outside 0..2"):
+            Potential.indicator([0, bad], 3)
+    assert Potential.indicator([2, 2], 3, height=0.5).values.tolist() == [0.0, 0.0, 0.5]
+    assert Potential.indicator([], 3).values.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_marked_states_outside_the_range_are_named():
+    with pytest.raises(ValueError, match="state 4 is outside 0..3"):
+        FiniteSystem(generators=(np.arange(4),), marked=frozenset({1, 4}))
+
+
 def test_birkhoff_additivity_over_tiling():
     # Splitting a box into tiles plus residue splits the ergodic sum.
     sys = doubling_tripling(53)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covpress import solvers
 from covpress.solvers import (
     _PRUNE_SLACK,
     _TIE_SLACK,
@@ -243,7 +244,7 @@ def test_mwis_search_depth_is_not_bounded_by_the_call_stack():
     assert res.chosen == (0,) + tuple(range(2, n))
 
 
-def test_cover_search_depth_is_not_bounded_by_the_call_stack():
+def test_cover_search_depth_is_not_bounded_by_the_call_stack(monkeypatch):
     # The edge cover of an odd 2,001-cycle at equal weights: the greedy cover
     # of 1,001 edges is optimal, the root bound does not certify it, and the
     # search dives about 1,000 picks deep, beyond Python's default recursion
@@ -253,7 +254,8 @@ def test_cover_search_depth_is_not_bounded_by_the_call_stack():
     incidence[np.arange(n), np.arange(n)] = True
     incidence[np.arange(n), (np.arange(n) + 1) % n] = True
     inst = WeightedCoverInstance(incidence, np.ones(n, dtype=np.int64), (0.0,) * n)
-    res = min_subcover_value(inst, exact_limit=5000, node_budget=3000)
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 3000)
+    res = min_subcover_value(inst, exact_limit=5000)
     assert (res.status, res.fallback, res.nodes) == (
         STATUS_GREEDY_UPPER, FALLBACK_NODE_BUDGET, 3001
     )
@@ -395,7 +397,7 @@ def test_root_certificates_bound_the_enumerated_optima(cover_case, graph_case):
         assert abs(res.log_value - opt) <= _TIE_SLACK + LOG_RESOLUTION
 
 
-def test_solve_results_count_nodes_and_name_the_fallback():
+def test_solve_results_count_nodes_and_name_the_fallback(monkeypatch):
     # Member 0 is forced; members 1 and 2 both cover {2, 3} at equal weight,
     # so the dual-ascent bound meets the greedy cover at the root.
     inst = cover_instance(0b1111, (0b0011, 0b1100, 0b1110), (0.0, 0.0, 0.0))
@@ -407,7 +409,9 @@ def test_solve_results_count_nodes_and_name_the_fallback():
     triangle = cover_instance(0b111, (0b011, 0b110, 0b101), (0.0, 0.0, 0.0))
     res = min_subcover_value(triangle)
     assert (res.status, res.fallback, res.nodes) == (STATUS_EXACT, None, 7)
-    res = min_subcover_value(triangle, node_budget=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "NODE_BUDGET", 1)
+        res = min_subcover_value(triangle)
     assert (res.status, res.fallback, res.nodes) == (STATUS_GREEDY_UPPER, FALLBACK_NODE_BUDGET, 2)
     res = min_subcover_value(triangle, exact_limit=1)
     assert (res.status, res.fallback, res.nodes) == (
@@ -424,7 +428,9 @@ def test_solve_results_count_nodes_and_name_the_fallback():
     cycle = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
     res = max_weight_independent_set(cycle, [0.0] * 5)
     assert (res.status, res.fallback) == (STATUS_EXACT, None) and res.nodes > 1
-    res = max_weight_independent_set(cycle, [0.0] * 5, node_budget=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "NODE_BUDGET", 1)
+        res = max_weight_independent_set(cycle, [0.0] * 5)
     assert (res.status, res.fallback, res.nodes) == (STATUS_GREEDY_LOWER, FALLBACK_NODE_BUDGET, 2)
     assert res.chosen == (0, 2)
     res = max_weight_independent_set(cycle, [0.0] * 5, exact_limit=1)
@@ -622,14 +628,12 @@ def test_sized_elements_solve_as_their_copies(case):
     incidence, sizes, weights, log_weights, (exact_limit, node_budget) = case
     copies = np.repeat(np.arange(len(sizes)), sizes)
     expanded = (incidence[:, copies], np.ones(len(copies), dtype=np.int64))
-    got, want = (
-        min_subcover_value(
-            WeightedCoverInstance(*inst, log_weights),
-            exact_limit=exact_limit,
-            node_budget=node_budget,
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "NODE_BUDGET", node_budget)
+        got, want = (
+            min_subcover_value(WeightedCoverInstance(*inst, log_weights), exact_limit=exact_limit)
+            for inst in ((incidence, sizes), expanded)
         )
-        for inst in ((incidence, sizes), expanded)
-    )
     assert repr(got.log_value) == repr(want.log_value)
     assert (got.chosen, got.status, got.nodes, got.fallback) == (
         want.chosen, want.status, want.nodes, want.fallback
