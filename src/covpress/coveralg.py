@@ -2,15 +2,15 @@
 
 Every family has one representation.  Its *atoms* are its membership
 classes: two states share an atom exactly when they lie in the same
-members.  `atoms` holds one int64 label per state, and each member is a
-bitmask over atoms.  The bitmasks are private storage, read only by the
-constructor and the join kernel; every other reader takes the bool members
-x atoms matrix `SetFamily.incidence()`, and `bool_rows` and `row_masks` are
-the one conversion between the two forms.  A family whose members are
-pairwise disjoint is a partition: each member is then a single atom, the
-incidence is the identity, and it is never stored, so a partition is just
-its label array however many classes it has.  Partition-ness is read off
-the data, never declared.
+members.  `atoms` holds one int64 label per state, and `incidence` is the
+read-only bool members x atoms matrix, set once at construction, with
+distinct nonempty rows.  A family whose members are pairwise disjoint is a
+partition: each member is then a single atom, the incidence is the
+identity, and it is never stored, so a partition is just its label array
+however many classes it has.  Partition-ness is read off the data, never
+declared.  Bitmasks over atoms appear only inside the join kernel's AND
+loop and in the closeness graph's adjacency for the searches; `row_masks`
+and `bool_rows` convert to them and back.
 
 One kernel, `_join_atoms`, joins two families: each state gets a pair code
 below the product of the atom counts, and the distinct codes, in sorted
@@ -19,7 +19,7 @@ state count the codes are ranked through a flag array in time linear in
 both, and when every code occurs they are their own ranks and become the
 atoms as they are; past that bound the kernel sorts them, with the same
 result.  Only covers with overlapping members also lift their member
-bitmasks onto the finer atoms and intersect them.  `join`, `refines`,
+rows onto the finer atoms and intersect them.  `join`, `refines`,
 partition equality and every box sweep step are that kernel.  Within a
 sweep's shell a partition's codes stay unranked, as mixed-radix itinerary
 codes, and are ranked once per yielded box (`box_join`: once, at the box's
@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from covpress.dynsys import FiniteSystem, Potential, checked_states, iter_box_pullbacks
-from covpress.lattice import Coords, as_point, box_cardinality
+from covpress.lattice import Coords, EmptyBoxError, as_point, box_cardinality
 
 # Every cover sweep's join budget: 2**16 holds doubling's 2**14 itineraries, the 4 x 4
 # torus's 2**16 window patterns and leakage's 12,289-member strongly admissible cover.
@@ -110,12 +110,14 @@ def unique_columns(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Up to 64 rows a column is a uint64 code, row 0 its top bit as in its
     packed bytes, so codes order as the bytes do and `_dense_unique` ranks
-    them; taller columns are sorted as packed byte records.
+    them; taller columns are sorted as packed byte records, each one opaque
+    void value compared as bytes, not one field per byte.
     """
     if len(flags) > 64:
-        columns = np.packbits(flags, axis=0).T
-        _, first, rank = np.unique(columns, axis=0, return_index=True, return_inverse=True)
-        return first, rank.reshape(-1)
+        columns = np.ascontiguousarray(np.packbits(flags, axis=0).T)
+        records = columns.view(f"V{columns.shape[1]}").ravel()
+        _, first, rank = np.unique(records, return_index=True, return_inverse=True)
+        return first, rank
     codes = np.zeros(flags.shape[1], dtype=np.uint64)
     for row in flags:
         codes <<= 1
@@ -145,39 +147,39 @@ class SetFamily:
     """An immutable cover or partition of states 0..M-1: atoms plus incidence.
 
     `atoms[s]` is the membership class of state s, numbered 0..atom_count-1.
-    A cover keeps each member as a private bitmask over atoms, which
-    readers see through `incidence()`; a partition (pairwise disjoint
-    members) stores no incidence, and its atom i is its member i.
-    Members are deduplicated and empty ones dropped at construction.
+    A cover stores `incidence`, the read-only bool members x atoms matrix
+    whose row i holds the atoms of member i; a partition (pairwise disjoint
+    members) stores None there, and its atom i is its member i.
     """
 
-    __slots__ = ("atoms", "atom_count", "_incidence")
+    __slots__ = ("atoms", "atom_count", "incidence")
 
     def __init__(
         self,
         atoms: np.ndarray,
-        incidence: Sequence[int] | None = None,
+        incidence: np.ndarray | None = None,
         atom_count: int | None = None,
     ):
         """`atoms` must already be the membership classes, labelled densely;
-        `incidence` lists the members as atom bitmasks, or is None when
-        atom i is member i.  `atom_count`, when the caller knows it, is
-        taken as given; otherwise it is read off the labels."""
+        `incidence` holds the members as distinct nonempty bool rows over
+        the atoms, or is None when atom i is member i.  `atom_count`, when
+        the caller knows it, is taken as given; otherwise it is read off
+        the labels."""
         atoms = np.asarray(atoms, dtype=np.int64)
         if atom_count is None:
             atom_count = int(atoms.max()) + 1 if len(atoms) else 0
-        if incidence is not None:
-            incidence = tuple(dict.fromkeys(m for m in incidence if m))
-            if sum(m.bit_count() for m in incidence) == atom_count:
-                # Pairwise disjoint: every member is one atom; number atoms by member.
-                order = np.empty(atom_count, dtype=np.int64)
-                order[[m.bit_length() - 1 for m in incidence]] = np.arange(len(incidence))
-                atoms = order[atoms]
-                incidence = None
+        if incidence is not None and np.count_nonzero(incidence) == atom_count:
+            # Pairwise disjoint: every member is one atom; number atoms by member.
+            order = np.empty(atom_count, dtype=np.int64)
+            order[incidence.nonzero()[1]] = np.arange(len(incidence))
+            atoms = order[atoms]
+            incidence = None
         atoms.setflags(write=False)
+        if incidence is not None:
+            incidence.setflags(write=False)
         self.atoms = atoms
         self.atom_count = atom_count
-        self._incidence = incidence
+        self.incidence = incidence
 
     # -- constructors -------------------------------------------------
 
@@ -185,30 +187,25 @@ class SetFamily:
     def _from_flags(cls, atoms: np.ndarray, flags: np.ndarray) -> "SetFamily":
         """The family whose member i holds the atoms flagged in row i of `flags`.
 
-        Empty and repeated rows are dropped, and atoms lying in the same
-        members are merged, so the result's atoms are its membership classes.
+        Empty and repeated rows are dropped, first occurrences kept in
+        order, and atoms lying in the same members are merged, so the
+        result's atoms are its membership classes.
         """
         if not flags.any(axis=0).all():
             raise ValueError("family members do not cover the state space")
         first, merged = unique_columns(flags)
-        return cls(merged[atoms], row_masks(flags[:, first]))
+        rows = np.sort(unique_columns(flags.T)[0])  # each distinct row's first occurrence
+        return cls(merged[atoms], flags[np.ix_(rows[flags.any(axis=1)[rows]], first)])
 
     @classmethod
-    def from_state_sets(
-        cls, state_count: int, sets: Iterable[Iterable[int]], kind: str = "cover"
-    ) -> "SetFamily":
-        """Family of the given state sets; `kind="partition"` also checks
-        that they are pairwise disjoint."""
-        if kind not in ("cover", "partition"):
-            raise ValueError(f"unknown family kind {kind!r}")
+    def from_state_sets(cls, state_count: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
+        """Family of the given state sets; it is a partition when they are
+        pairwise disjoint."""
         members = [checked_states(states, state_count) for states in sets]
         flags = np.zeros((len(members), state_count), dtype=bool)
         for row, states in zip(flags, members):
             row[states] = True
-        family = cls._from_flags(np.arange(state_count), flags)
-        if kind == "partition" and not family.is_partition:
-            raise ValueError("partition members must be pairwise disjoint")
-        return family
+        return cls._from_flags(np.arange(state_count), flags)
 
     @classmethod
     def from_labels(cls, labels: np.ndarray) -> "SetFamily":
@@ -236,12 +233,12 @@ class SetFamily:
 
     @property
     def count(self) -> int:
-        return self.atom_count if self._incidence is None else len(self._incidence)
+        return self.atom_count if self.incidence is None else len(self.incidence)
 
     @property
     def is_partition(self) -> bool:
         """Pairwise disjoint members, i.e. the incidence is the identity."""
-        return self._incidence is None
+        return self.incidence is None
 
     @property
     def labels(self) -> np.ndarray | None:
@@ -254,12 +251,6 @@ class SetFamily:
             raise ValueError("only partitions have a label form")
         return self.atoms
 
-    def incidence(self) -> np.ndarray | None:
-        """The bool members x atoms matrix, row i the atoms member i holds;
-        None for a partition, whose member i is atom i.  Built from the
-        private masks on each call."""
-        return None if self._incidence is None else bool_rows(self._incidence, self.atom_count)
-
     def __eq__(self, other) -> bool:
         """Equality as unordered families of sets."""
         if not isinstance(other, SetFamily):
@@ -270,8 +261,8 @@ class SetFamily:
             # Same partition iff labels agree up to renaming; no cover is a partition.
             same = self.is_partition == other.is_partition
             return same and _join_atoms(_side(self), _side(other))[1] == self.count
-        mine, theirs = (row_masks(f.incidence()[:, f.atoms]) for f in (self, other))
-        return set(mine) == set(theirs)
+        mine, theirs = ({row.tobytes() for row in f.incidence[:, f.atoms]} for f in (self, other))
+        return mine == theirs
 
     def __repr__(self) -> str:
         kind = "partition" if self.is_partition else "cover"
@@ -288,19 +279,19 @@ def membership_partition(family: SetFamily) -> SetFamily:
     return SetFamily(family.atoms)
 
 
-def _lift(incidence: Sequence[int] | None, count: int, parent: np.ndarray) -> list[int]:
+def _lift(incidence: np.ndarray | None, count: int, parent: np.ndarray) -> np.ndarray:
     """Members over `count` atoms (atom i is member i when `incidence` is
-    None) as bitmasks over finer atoms, where finer atom j lies inside atom
+    None) as bool rows over finer atoms, where finer atom j lies inside atom
     parent[j]."""
     if incidence is None:
-        return row_masks(np.arange(count)[:, None] == parent)
-    return row_masks(bool_rows(incidence, count)[:, parent])
+        return np.arange(count)[:, None] == parent
+    return incidence[:, parent]
 
 
 def _side(family: SetFamily, atoms: np.ndarray | None = None) -> tuple:
     """The family as one side of `_join_atoms`, or, given `atoms`, its atom
     labels pulled back through a state map, the family pulled back."""
-    return family.atoms if atoms is None else atoms, family.atom_count, family._incidence
+    return family.atoms if atoms is None else atoms, family.atom_count, family.incidence
 
 
 def _join_atoms(left: tuple, right: tuple, defer: int = 0, out: np.ndarray | None = None) -> tuple:
@@ -317,7 +308,8 @@ def _join_atoms(left: tuple, right: tuple, defer: int = 0, out: np.ndarray | Non
     ranking them later gives the same atoms, since ranks keep their order.
     Unless both sides are partitions, the members are the nonempty
     intersections of the lifted members, first occurrences kept in (left
-    member, right member) order.
+    member, right member) order: each side's rows are ANDed as bitmasks,
+    and the distinct intersections come back as bool rows.
     """
     left_atoms, left_count, left_incidence = left
     right_atoms, right_count, right_incidence = right
@@ -330,10 +322,11 @@ def _join_atoms(left: tuple, right: tuple, defer: int = 0, out: np.ndarray | Non
     pairs, atoms = _dense_unique(codes, bound)
     if partition:
         return atoms, len(pairs), None, pairs
-    mine = _lift(left_incidence, left_count, pairs // right_count)
-    theirs = _lift(right_incidence, right_count, pairs % right_count)
+    mine = row_masks(_lift(left_incidence, left_count, pairs // right_count))
+    theirs = row_masks(_lift(right_incidence, right_count, pairs % right_count))
     members = list(dict.fromkeys(m & t for m in mine for t in theirs if m & t))
-    return atoms, len(pairs), members, pairs
+    del mine, theirs  # freed before the bool rows are built
+    return atoms, len(pairs), bool_rows(members, len(pairs)), pairs
 
 
 # -- reports ------------------------------------------------------------
@@ -420,6 +413,8 @@ def _join_shells(
         raise ValueError("family does not live on this system")
     if f is not None and len(f.values) != sys.state_count:
         raise ValueError("potential does not live on this system")
+    if 0 in n:
+        raise EmptyBoxError(f"box {n} is empty")
     # Partition codes stay unranked while their code space is at most both
     # the member budget and the flag bound: the class count is then within
     # budget, and the later ranking takes the flag array.
@@ -586,7 +581,8 @@ def refines(finer: SetFamily, coarser: SetFamily) -> bool:
         return count == finer.count
     parent = np.empty(count, dtype=np.int64)
     parent[atoms] = finer.atoms
-    return set(_lift(finer._incidence, finer.atom_count, parent)) <= set(incidence)
+    lifted = _lift(finer.incidence, finer.atom_count, parent)
+    return {row.tobytes() for row in lifted} <= {row.tobytes() for row in incidence}
 
 
 def _marked_atoms(sys: FiniteSystem, family: SetFamily) -> np.ndarray:
@@ -606,12 +602,11 @@ def classify_admissible(sys: FiniteSystem, family: SetFamily) -> AdmissibilityRe
     if not sys.marked:
         return AdmissibilityReport(True, True, 0 if family.count else None)
     marked = _marked_atoms(sys, family)
-    rows = family.incidence()
-    if rows is None:
+    if family.is_partition:
         # A partition's member i is atom i, so it holds every marked atom only if there is one.
         holders = marked if len(marked) == 1 else marked[:0]
     else:
-        holders = np.flatnonzero(rows[:, marked].all(axis=1))
+        holders = np.flatnonzero(family.incidence[:, marked].all(axis=1))
     witness = int(holders[0]) if len(holders) else None
     return AdmissibilityReport(bool(len(holders)), len(holders) == family.count, witness)
 
@@ -714,8 +709,7 @@ class ClosenessGraph:
         """`lowest` is each atom's lowest state, as `lowest_states(family)` gives it."""
         self.class_atoms = np.argsort(lowest)
         self.class_sizes = np.bincount(family.atoms)[self.class_atoms]
-        rows = family.incidence()
-        self.holds = None if rows is None else rows[:, self.class_atoms]
+        self.holds = None if family.is_partition else family.incidence[:, self.class_atoms]
 
     @functools.cached_property
     def shares(self) -> np.ndarray | None:

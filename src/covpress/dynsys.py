@@ -15,7 +15,7 @@ systems, and cycle enumeration for functional graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -80,10 +80,9 @@ class FiniteSystem:
 
 @dataclass(frozen=True)
 class Potential:
-    """A real value per state, with the sup norm cached."""
+    """A real value per state."""
 
     values: np.ndarray
-    sup_norm: float = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -93,7 +92,6 @@ class Potential:
             raise ValueError("potential values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "sup_norm", float(np.abs(vals).max()) if len(vals) else 0.0)
 
     @classmethod
     def constant(cls, c: float, m: int) -> "Potential":

@@ -243,7 +243,7 @@ def pizza_cover(sys: FiniteSystem, rings: int, sectors: int, slices: int) -> Set
     cells = _disk_index(sectors, np.arange(rings)[:, None], np.arange(sectors))
     inner_disk = np.arange(_disk_index(sectors, rings // 2, 0))  # the center and inner rings
     members = [inner_disk, *(piece.ravel() for piece in np.hsplit(cells, slices))]
-    return SetFamily.from_state_sets(sys.state_count, members, kind="cover")
+    return SetFamily.from_state_sets(sys.state_count, members)
 
 
 def annulus_cell_partition(sys: FiniteSystem, rings: int, sectors: int, annulus_rings: int) -> SetFamily:

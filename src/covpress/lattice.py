@@ -11,6 +11,7 @@ control every limit taken elsewhere in the package.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,8 +31,9 @@ class BoxOverflowError(OverflowError):
 
 
 def as_point(p: Iterable[int], dim: int | None = None) -> Coords:
-    """Validate and normalize a lattice point to a tuple of non-negative ints."""
-    pt = tuple(int(c) for c in p)
+    """Validate and normalize a lattice point to a tuple of non-negative ints;
+    coordinates are read by `operator.index`, so a float is refused, not truncated."""
+    pt = tuple(map(operator.index, p))
     if not pt:
         raise ValueError("lattice points need at least one coordinate")
     if any(c < 0 for c in pt):

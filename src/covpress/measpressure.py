@@ -26,7 +26,7 @@ from covpress.coveralg import SetFamily, box_join, box_sweep, is_join_stable, re
 from covpress.dynsys import (
     FiniteSystem, Potential, birkhoff_field, checked_states, iter_box_pullbacks, power_map
 )
-from covpress.lattice import Coords, as_point, box_cardinality, diagonal, sym_diff_cardinality
+from covpress.lattice import Coords, EmptyBoxError, as_point, box_cardinality, diagonal, sym_diff_cardinality
 from covpress.solvers import STATUS_EXACT, counted_fsum
 from covpress.toppressure import PressureEstimate, PressureSample, rate_sequence
 
@@ -146,12 +146,14 @@ def entropy_rate(
         raise ValueError("entropy rates are defined for partitions")
     if not is_invariant(mu, sys):
         raise ValueError("measure is not invariant within tolerance")
+    if n_max < 1:
+        raise ValueError("need at least one sample")
     samples = []
     sweep = box_sweep(sys, family, None, diagonal(n_max, sys.dim), sys.state_count)
     for n, joined, _ in sweep:
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
-    est = rate_sequence(samples, "H")  # raises unless the sweep yielded a join
+    est = rate_sequence(samples, "H")
     if is_join_stable(sys, joined):
         # Joined entropy is constant from here on, so the rate limit is zero.
         est.extrapolated = 0.0
@@ -232,6 +234,8 @@ def invariance_defect(
     """
     n = as_point(n, dim=sys.dim)
     m = as_point(m, dim=sys.dim)
+    if 0 in n:
+        raise EmptyBoxError(f"box {n} is empty")
     defect = variation_distance(pushforward(averaged, sys, m), averaged)
     bound = sym_diff_cardinality(n, m) / box_cardinality(n) * averaged.mass
     return defect, bound

@@ -75,7 +75,7 @@ def conditional_entropy(mu: FiniteMeasure, c: SetFamily, d: SetFamily) -> float:
 
 def member_states(fam: SetFamily, i: int) -> list[int]:
     """The states of member i, in increasing order."""
-    rows = fam.incidence()
+    rows = fam.incidence
     held = fam.atoms == i if rows is None else rows[i][fam.atoms]
     return np.flatnonzero(held).tolist()
 

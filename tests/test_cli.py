@@ -524,7 +524,7 @@ def pizza_cover_by_sets(sys, rings, sectors, slices):
         {1 + i * sectors + j for i in range(rings) for j in range(s * width, (s + 1) * width)}
         for s in range(slices)
     ]
-    return SetFamily.from_state_sets(sys.state_count, members, kind="cover")
+    return SetFamily.from_state_sets(sys.state_count, members)
 
 
 def annulus_partition_by_loop(sys, rings, sectors, annulus_rings):
@@ -539,7 +539,7 @@ def annulus_partition_by_loop(sys, rings, sectors, annulus_rings):
 
 
 def family_bytes(family):
-    rows = family.incidence()
+    rows = family.incidence
     return family.atoms.tobytes(), None if rows is None else (rows.shape, rows.tobytes())
 
 

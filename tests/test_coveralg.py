@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -33,15 +34,16 @@ from covpress.dynsys import (
     make_disk_system,
 )
 from covpress.experiments import annulus_cell_partition
-from covpress.lattice import box_cardinality, diagonal
+from covpress.lattice import EmptyBoxError, box_cardinality, diagonal
+from covpress.toppressure import pressure_quadruple
 from oracles import member_states, orbit_join, overlap_cover, power_system, torus_shift
 
 
 def arc_partition(m, split=None):
     split = (m + 1) // 2 if split is None else split
-    return SetFamily.from_state_sets(
-        m, [range(split), range(split, m)], kind="partition"
-    )
+    family = SetFamily.from_state_sets(m, [range(split), range(split, m)])
+    assert family.is_partition
+    return family
 
 
 def brute_itineraries(sys, family, n):
@@ -69,23 +71,56 @@ def test_construction_dedups_and_validates():
     assert fam.count == 2
     with pytest.raises(ValueError, match="cover"):
         SetFamily.from_state_sets(4, [{0, 1}])
-    with pytest.raises(ValueError, match="disjoint"):
-        SetFamily.from_state_sets(4, [{0, 1}, {1, 2, 3}], kind="partition")
+    assert not SetFamily.from_state_sets(4, [{0, 1}, {1, 2, 3}]).is_partition
     with pytest.raises(ValueError, match="outside"):
         SetFamily.from_state_sets(4, [{0, 1, 2, 3, 4}])
-    with pytest.raises(ValueError, match="unknown family kind"):
-        SetFamily.from_state_sets(4, [range(4)], kind="bag")
-    # Disjointness is read off the members, whatever kind was asked for.
+    # Disjointness is read off the members.
     assert SetFamily.from_state_sets(4, [{0, 1}, {2, 3}]).is_partition
     assert SetFamily.trivial(4).is_partition
     # Array members are taken as they are, under the same range check.
     arrays = SetFamily.from_state_sets(4, [np.array([1, 0]), np.arange(1, 4)])
     sets = SetFamily.from_state_sets(4, [{0, 1}, {1, 2, 3}])
     assert arrays.atoms.tolist() == sets.atoms.tolist()
-    assert arrays.incidence().tolist() == sets.incidence().tolist()
+    assert arrays.incidence.tolist() == sets.incidence.tolist()
     for bad in (np.array([0, 4]), np.array([-1, 1, 2, 3])):
         with pytest.raises(ValueError, match="outside"):
             SetFamily.from_state_sets(4, [bad, np.arange(4)])
+
+
+def test_a_cover_stores_its_incidence_once_as_read_only_bool():
+    # Every cover, however built, holds one bool members x atoms array from
+    # construction on: the same object on every read, and not writable.
+    sys = make_circle_doubling(11)
+    cover = SetFamily.from_state_sets(11, [range(7), range(5, 11)])
+    joined, _ = box_join(sys, cover, None, (3,))
+    disk = make_disk_system(4, 8)
+    strong = cover_from_partition(disk, annulus_cell_partition(disk, 4, 8, 1))
+    for family in (cover, joined, join(cover, cover), strong):
+        rows = family.incidence
+        assert family.incidence is rows
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.dtype(bool)
+        assert rows.shape == (family.count, family.atom_count)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = not rows[0, 0]
+    assert arc_partition(11).incidence is None
+
+
+@pytest.mark.parametrize("n", [(0,), (0, 3), (3, 0)])
+def test_an_empty_box_is_refused_before_any_walk(n):
+    if len(n) == 1:
+        sys, family = make_circle_doubling(7), SetFamily.from_state_sets(7, [range(4), range(3, 7)])
+    else:
+        sys, x = torus_shift(2, 2)
+        family = SetFamily.from_labels(x & 1)
+    zero = Potential.constant(0.0, sys.state_count)
+    for walk in (
+        lambda: box_join(sys, family, None, n),
+        lambda: list(box_sweep(sys, family, None, n)),
+        lambda: pressure_quadruple(sys, zero, family, n),
+    ):
+        with pytest.raises(EmptyBoxError, match=re.escape(f"box {n} is empty")):
+            walk()
 
 
 @st.composite
@@ -178,7 +213,7 @@ def test_incidence_rows_are_the_member_states(case):
     covered = set().union(*sets)
     sets = [*sets, *({x} for x in range(m) if x not in covered)]
     fam = SetFamily.from_state_sets(m, sets)
-    rows = fam.incidence()
+    rows = fam.incidence
     if fam.is_partition:
         assert rows is None
         rows = np.arange(fam.atom_count)[:, None] == np.arange(fam.atom_count)
@@ -192,14 +227,14 @@ def test_incidence_rows_are_the_member_states(case):
 def test_label_and_mask_forms_agree():
     labels = np.array([0, 1, 0, 2, 1])
     fam = SetFamily.from_labels(labels)
-    masks_form = SetFamily.from_state_sets(5, [{0, 2}, {1, 4}, {3}], kind="partition")
-    assert fam == masks_form
+    sets_form = SetFamily.from_state_sets(5, [{0, 2}, {1, 4}, {3}])
+    assert sets_form.is_partition and fam == sets_form
     assert member_states(fam, 2) == [3]
     assert [len(member_states(fam, i)) for i in range(fam.count)] == [2, 2, 1]
 
 
 def test_join_idempotent_and_trivial():
-    part = SetFamily.from_state_sets(7, [{0, 2, 4, 6}, {1, 3, 5}], kind="partition")
+    part = SetFamily.from_state_sets(7, [{0, 2, 4, 6}, {1, 3, 5}])
     assert join(part, part) == part
     overlapping = SetFamily.from_state_sets(7, [{0, 1, 2, 3}, {3, 4, 5, 6}])
     assert join(overlapping, SetFamily.trivial(7)) == overlapping
@@ -212,8 +247,8 @@ def test_join_idempotent_and_trivial():
 
 
 def test_join_pinned_example():
-    evens_odds = SetFamily.from_state_sets(7, [{0, 2, 4, 6}, {1, 3, 5}], kind="partition")
-    halves = SetFamily.from_state_sets(7, [{0, 1, 2, 3}, {4, 5, 6}], kind="partition")
+    evens_odds = SetFamily.from_state_sets(7, [{0, 2, 4, 6}, {1, 3, 5}])
+    halves = SetFamily.from_state_sets(7, [{0, 1, 2, 3}, {4, 5, 6}])
     joined = join(evens_odds, halves)
     assert family_as_sets(joined) == {
         frozenset({0, 2}),
@@ -400,7 +435,7 @@ def _sorting_unique(codes, bound):
 
 
 def incidence_bytes(family):
-    rows = family.incidence()
+    rows = family.incidence
     return None if rows is None else (rows.shape, rows.tobytes())
 
 
@@ -840,7 +875,7 @@ def test_orbit_join_member_budget():
 
 
 def test_refines_basics():
-    fam = SetFamily.from_state_sets(7, [{0, 2, 4, 6}, {1, 3, 5}], kind="partition")
+    fam = SetFamily.from_state_sets(7, [{0, 2, 4, 6}, {1, 3, 5}])
     other = SetFamily.from_state_sets(7, [{0, 1}, set(range(1, 7))])
     assert refines(fam, fam)
     assert refines(join(fam, other), fam)
@@ -959,13 +994,13 @@ def test_classify_admissible_partition_reports_noncompact():
     m = sys.state_count
     outer = set(range(1 + 2 * 4, m))
     rest = set(range(0, 1 + 2 * 4))
-    part = SetFamily.from_state_sets(m, [rest, outer], kind="partition")
+    part = SetFamily.from_state_sets(m, [rest, outer])
+    assert part.is_partition
     rep = classify_admissible(sys, part)
     assert rep.is_admissible and rep.witness == 1
 
-    split_outer = SetFamily.from_state_sets(
-        m, [rest, set(list(outer)[:2]), set(list(outer)[2:])], kind="partition"
-    )
+    split_outer = SetFamily.from_state_sets(m, [rest, set(list(outer)[:2]), set(list(outer)[2:])])
+    assert split_outer.is_partition
     assert not classify_admissible(sys, split_outer).is_admissible
 
 
@@ -1024,9 +1059,7 @@ def test_a_partition_is_admissible_iff_one_class_holds_the_marked_states(case):
 
 def test_cover_from_partition():
     sys = FiniteSystem(generators=(np.arange(6),), marked=frozenset({5}))
-    part = SetFamily.from_state_sets(
-        6, [{0, 5}, {1, 2}, {3}, {4}], kind="partition"
-    )
+    part = SetFamily.from_state_sets(6, [{0, 5}, {1, 2}, {3}, {4}])
     cov = cover_from_partition(sys, part)
     assert cov.count == 3
     k0 = frozenset({0, 5})
@@ -1034,7 +1067,7 @@ def test_cover_from_partition():
     rep = classify_admissible(sys, cov)
     assert rep.is_strongly_admissible
 
-    two = SetFamily.from_state_sets(6, [{0, 5}, {1, 2, 3, 4}], kind="partition")
+    two = SetFamily.from_state_sets(6, [{0, 5}, {1, 2, 3, 4}])
     cov2 = cover_from_partition(sys, two)
     assert cov2.count == 1
     assert family_as_sets(cov2) == {frozenset(range(6))}
@@ -1042,7 +1075,7 @@ def test_cover_from_partition():
 
 def test_cover_from_partition_rejects_bad_input():
     sys = FiniteSystem(generators=(np.arange(4),), marked=frozenset({0, 3}))
-    part = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}], kind="partition")
+    part = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}])
     with pytest.raises(ValueError, match="admissible"):
         cover_from_partition(sys, part)
 
@@ -1213,7 +1246,7 @@ def test_closeness_graph_extremes():
 
 def test_closeness_components_match_itineraries():
     sys = make_circle_doubling(5)
-    part = SetFamily.from_state_sets(5, [{0, 1, 2}, {3, 4}], kind="partition")
+    part = SetFamily.from_state_sets(5, [{0, 1, 2}, {3, 4}])
     joined = orbit_join(sys, part, (2,))
     g = ClosenessGraph(joined, coveralg.lowest_states(joined))
     # A partition's graph is a disjoint union of cliques, one per itinerary cell.

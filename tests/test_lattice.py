@@ -7,6 +7,7 @@ the set definitions and never share code with the implementation under test.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from covpress.lattice import (
     BoxOverflowError,
     EmptyBoxError,
+    as_point,
     box_cardinality,
     decompose,
     diagonal,
@@ -47,6 +49,18 @@ def test_box_cardinality_product():
 def test_empty_box_rejected():
     with pytest.raises(EmptyBoxError):
         list(iter_box((3, 0)))
+
+
+def test_as_point_takes_integers_only():
+    # Coordinates are read as `operator.index` reads them: numpy ints pass,
+    # and a float is refused rather than truncated, even an integral one.
+    assert as_point([np.int64(2), 3, np.uint8(0)]) == (2, 3, 0)
+    assert all(type(c) is int for c in as_point([np.int32(4)]))
+    for bad in ([2.7], [2.0], [1, np.float64(3.0)], ["2"]):
+        with pytest.raises(TypeError, match="integer"):
+            as_point(bad)
+    with pytest.raises(TypeError, match="integer"):
+        diagonal(2.5, 2)
 
 
 def test_cardinality_overflow_checked():

@@ -98,12 +98,12 @@ def test_measure_mass_is_the_state_by_state_fsum(seed, m, pool, distinct):
 
 def test_partition_entropy_values():
     one_cell = SetFamily.trivial(4)
-    one_cell = SetFamily.from_state_sets(4, [range(4)], kind="partition")
+    one_cell = SetFamily.from_state_sets(4, [range(4)])
     mu = FiniteMeasure.uniform_on(range(4), 4)
     assert partition_entropy(mu, one_cell) == pytest.approx(0.0)
     quarters = SetFamily.singletons(4)
     assert partition_entropy(mu, quarters) == pytest.approx(2 * math.log(2))
-    thirds = SetFamily.from_state_sets(3, [{0}, {1, 2}], kind="partition")
+    thirds = SetFamily.from_state_sets(3, [{0}, {1, 2}])
     mu3 = FiniteMeasure(np.array([1 / 3, 1 / 3, 1 / 3]))
     expected = (1 / 3) * math.log(3) + (2 / 3) * math.log(3 / 2)
     assert partition_entropy(mu3, thirds) == pytest.approx(expected, abs=1e-12)
@@ -147,10 +147,10 @@ def test_partition_entropy_is_the_class_by_class_fsum(seed, m, pool):
 
 def test_conditional_entropy_cases():
     mu = FiniteMeasure(np.array([0.25, 0.25, 0.25, 0.25]))
-    rows = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}], kind="partition")
-    cols = SetFamily.from_state_sets(4, [{0, 2}, {1, 3}], kind="partition")
+    rows = SetFamily.from_state_sets(4, [{0, 1}, {2, 3}])
+    cols = SetFamily.from_state_sets(4, [{0, 2}, {1, 3}])
     assert conditional_entropy(mu, rows, rows) == pytest.approx(0.0)
-    trivial = SetFamily.from_state_sets(4, [range(4)], kind="partition")
+    trivial = SetFamily.from_state_sets(4, [range(4)])
     assert conditional_entropy(mu, rows, trivial) == pytest.approx(
         partition_entropy(mu, rows)
     )
@@ -271,7 +271,7 @@ def test_entropy_rate_dirac_and_trivial():
     c = SetFamily.singletons(3)
     est = entropy_rate(mu, sys, c, 4)
     assert all(s.rate == pytest.approx(0.0) for s in est.samples)
-    trivial = SetFamily.from_state_sets(3, [range(3)], kind="partition")
+    trivial = SetFamily.from_state_sets(3, [range(3)])
     # States 0 and 2 are fixed points, so the uniform measure on them is invariant.
     est2 = entropy_rate(FiniteMeasure.uniform_on([0, 2], 3), sys, trivial, 4)
     assert est2.extrapolated == pytest.approx(0.0)
@@ -337,7 +337,7 @@ def test_entropy_rate_requires_invariance():
 def test_entropy_rate_fekete_bound_is_running_min():
     sys = make_circle_doubling(101)
     mu = FiniteMeasure.uniform_on(range(101), 101)
-    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)], kind="partition")
+    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)])
     est = entropy_rate(mu, sys, arc, 6)
     assert est.fekete_bound == pytest.approx(min(s.rate for s in est.samples))
     for s in est.samples:
@@ -398,7 +398,7 @@ def test_scaling_identity_at_fixed_depth():
     # scaled entropy, and the mass term dies off with the box size.
     sys = make_circle_doubling(31)
     mu = FiniteMeasure.uniform_on(range(31), 31)
-    c = SetFamily.from_state_sets(31, [range(16), range(16, 31)], kind="partition")
+    c = SetFamily.from_state_sets(31, [range(16), range(16, 31)])
     for alpha in (0.5, 2.0):
         for t in (1, 3, 5):
             joined = orbit_join(sys, c, (t,))
@@ -565,6 +565,12 @@ def test_invariance_defect_zero_shift():
     assert bound == 0.0
 
 
+def test_invariance_defect_refuses_an_empty_box():
+    sys = make_circle_doubling(11)
+    with pytest.raises(lattice.EmptyBoxError, match=r"box \(0,\) is empty"):
+        invariance_defect(FiniteMeasure.uniform_on(range(11), 11), sys, (0,), (1,))
+
+
 def test_invariance_defect_bound_and_decay():
     sys = make_circle_doubling(101)
     rng = np.random.default_rng(6)
@@ -581,7 +587,7 @@ def test_invariance_defect_bound_and_decay():
 
 def test_separated_link_singleton_and_uniform():
     sys = make_circle_doubling(11)
-    arc = SetFamily.from_state_sets(11, [range(6), range(6, 11)], kind="partition")
+    arc = SetFamily.from_state_sets(11, [range(6), range(6, 11)])
     rng = np.random.default_rng(8)
     f = Potential(rng.normal(size=11))
     report = separated_entropy_link_check(sys, f, arc, (2,), [4], arc)
@@ -597,7 +603,7 @@ def test_separated_link_singleton_and_uniform():
 
 def test_separated_link_doubling_101():
     sys = make_circle_doubling(101)
-    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)], kind="partition")
+    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)])
     rng = np.random.default_rng(10)
     f = Potential(rng.normal(size=101))
     sample = pressure_quadruple(sys, f, arc, (3,))["S"]
@@ -611,7 +617,7 @@ def test_separated_link_walks_its_box_twice(monkeypatch):
     # measure; the field is not walked for again, and the report is the one
     # the public empirical measures give.
     sys = make_circle_doubling(101)
-    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)], kind="partition")
+    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)])
     f = Potential(np.random.default_rng(10).normal(size=101))
     chosen = pressure_quadruple(sys, f, arc, (3,))["S"].chosen
     walk = dynsys.iter_box_pullbacks
@@ -634,7 +640,7 @@ def test_separated_link_walks_its_box_twice(monkeypatch):
 
 def test_separated_link_inapplicable_cases():
     sys = make_circle_doubling(11)
-    arc = SetFamily.from_state_sets(11, [range(6), range(6, 11)], kind="partition")
+    arc = SetFamily.from_state_sets(11, [range(6), range(6, 11)])
     f = Potential.constant(0.0, 11)
     # Two states in one itinerary cell: the at-most-one condition fails.
     joined = orbit_join(sys, arc, (2,))

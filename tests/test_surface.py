@@ -19,7 +19,6 @@ ALLOWED = {
     "coveralg.box_sweep(member_budget)": "experiments.run_leakage, cfg.member_budget",
     "coveralg.box_join(member_budget)": "toppressure.pressure_quadruple",
     "coveralg.lowest_states(hits)": "toppressure._atom_extrema",
-    "coveralg.from_state_sets(kind)": "experiments.pizza_cover, kind='cover'",
     "dynsys.potential_from_spec(arc_states)": "config.ExperimentConfig.doubling_inputs",
     "dynsys.indicator(height)": "dynsys.potential_from_spec, for arc:a",
     "experiments.sweep(f)": "experiments.run_leakage, its admissible and trivial Q sweeps",
@@ -48,5 +47,5 @@ def public_parameters_with_a_default() -> list[str]:
 
 def test_public_parameters_with_a_default_are_the_allowed_ones():
     pairs = public_parameters_with_a_default()
-    assert len(pairs) == len(set(pairs)) == 15
+    assert len(pairs) == len(set(pairs)) == 14
     assert sorted(pairs) == sorted(ALLOWED)
