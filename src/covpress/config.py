@@ -11,8 +11,8 @@ and lattice-check's largest box, n_max on three axes, must fit in 64 bits,
 and finite-vp needs `max_states` >= 2.  The doubling size and potential
 (with the level grid its run builds for a potential that is not constant
 on each arc), and the full shift, go through the checks their runs make, so
-a bad value fails at load time rather than mid-run; a full shift whose
-one-site box exceeds the cylinder budget is refused too.
+a bad value fails at load time rather than mid-run, as does a full shift
+with more symbols than the member budget, which no torus fits.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from covpress.coveralg import DEFAULT_MEMBER_BUDGET, SetFamily, atom_values, check_level_grid
 from covpress.dynsys import Potential, check_doubling_size, potential_from_spec
-from covpress.fullshift import CYLINDER_BUDGET, FullShiftSpec
+from covpress.fullshift import FullShiftSpec
 from covpress.lattice import MAX_CARDINALITY
 
 EXPERIMENTS = ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift")
@@ -36,7 +36,7 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "doubling": {"n_max": 14},
     "leakage": {"n_max": 12},
     "finite-vp": {"n_max": 8},
-    "fullshift": {"n_max": 9},
+    "fullshift": {"n_max": 4},
     "lattice-check": {"n_max": 24},
 }
 
@@ -77,8 +77,8 @@ class ExperimentConfig:
     max_states: int = 12
     # full shift
     symbols: int = 2
-    dim: int = 1
-    phi: str = "0,0"
+    dim: int = 2
+    phi: str = "0,0.37"
     # leakage geometry
     slices: int = 2
     euclid_eps: float = 0.04
@@ -136,11 +136,7 @@ class ExperimentConfig:
                 potential_from_spec(self.potential, self.m, arc_states=())
         if self.experiment == "fullshift":
             self.fullshift_spec()
-            if self.symbols > CYLINDER_BUDGET:
-                # Not even the one-site box fits: no cylinder row would be checked.
-                raise ValueError(
-                    f"symbols = {self.symbols} exceeds the cylinder budget {CYLINDER_BUDGET}"
-                )
+            self.fullshift_period()
 
     def doubling_inputs(self) -> tuple[SetFamily, Potential, float | None]:
         """The `doubling` run's half-circle arcs, its potential, and the eps
@@ -164,6 +160,23 @@ class ExperimentConfig:
         """The full shift of the `fullshift` experiment: `symbols`, `dim` and `phi`."""
         phi = tuple(float(v) for v in self.phi.split(",") if v.strip())
         return FullShiftSpec(self.symbols, self.dim, phi)
+
+    def fullshift_period(self) -> int:
+        """The side t of the `fullshift` torus: the largest t <= n_max whose
+        symbols**(t**dim) states fit DEFAULT_MEMBER_BUDGET.  The t**dim sites
+        must fit it too, which only binds for one symbol.  Any base of 2 or
+        more raised to the budget's bit length passes the budget, so neither
+        power is taken with a larger exponent than that."""
+        budget, cap = DEFAULT_MEMBER_BUDGET, DEFAULT_MEMBER_BUDGET.bit_length()
+        period = 0
+        while period < self.n_max:
+            sites = (period + 1) ** min(self.dim, cap)
+            if sites > budget or self.symbols ** min(sites, cap) > budget:
+                break
+            period += 1
+        if not period:
+            raise ValueError(f"symbols = {self.symbols} exceeds the member budget {budget}")
+        return period
 
 
 def _read_bool(value: str) -> bool:

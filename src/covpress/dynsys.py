@@ -8,8 +8,8 @@ boundary.  Cover admissibility and everything downstream reads compactness
 off this marking.
 
 Also here: ergodic sums of a potential over boxes (with a doubling scheme for
-astronomically deep sums), the circle-doubling and contracting-disk model
-systems, and cycle enumeration for functional graphs.
+astronomically deep sums), the circle-doubling, contracting-disk and
+full-shift torus model systems, and cycle enumeration for functional graphs.
 """
 
 from __future__ import annotations
@@ -273,6 +273,30 @@ def make_disk_system(rings: int, sectors: int) -> FiniteSystem:
     geometry[1:, 1] = np.outer(r_c, [math.sin(t) for t in theta_c.tolist()]).ravel()
     marked = frozenset(range(1 + (rings - 1) * sectors, m))
     return FiniteSystem(generators=(gen,), marked=marked, geometry=geometry)
+
+
+def make_full_shift_torus(symbols: int, period: Coords) -> FiniteSystem:
+    """The full shift on `symbols` symbols over the torus of sides `period`,
+    under the unit shifts.
+
+    State x is the configuration whose symbol at site s is digit s of x in
+    base `symbols`, the sites numbered in row-major order, so x is the sum
+    of digit_s * symbols**s.  Generator a maps x to the configuration
+    s -> x_(s + e_a), each coordinate of s + e_a taken mod its side.
+    """
+    period = as_point(period)
+    if symbols < 1 or 0 in period:
+        raise ValueError("a full-shift torus needs a symbol and positive sides")
+    states = np.arange(symbols ** math.prod(period), dtype=np.int64)
+    gens = [np.zeros_like(states) for _ in period]
+    for r in range(math.prod(period) if symbols > 1 else 0):  # with one symbol every digit is 0
+        digit = states // symbols**r % symbols
+        for a, side in enumerate(period):
+            # The digit at site r moves to site r - e_a, wrapping round side a.
+            stride = math.prod(period[a + 1 :])
+            dst = r - stride if r // stride % side else r + (side - 1) * stride
+            gens[a] += digit * symbols**dst
+    return FiniteSystem(generators=tuple(gens))
 
 
 def cycle_structure(sys: FiniteSystem, f: Potential) -> list[tuple[tuple[int, ...], float]]:

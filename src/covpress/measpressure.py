@@ -134,10 +134,10 @@ def entropy_rate(
 ) -> PressureEstimate:
     """Entropy of the orbit join per box point along the diagonal, for a mu that `is_invariant`.
 
-    The running minimum of the sampled rates is a valid upper bound for the
-    limit (the subdivision argument behind the existence of the limit), and
-    once the join is stable under every generator preimage the limit itself
-    is zero: the joined entropy is stuck at a constant while the box grows.
+    Every sampled rate is an upper bound for the limit (the subdivision
+    argument behind the existence of the limit), and once the join is stable
+    under every generator preimage the limit itself is zero: the joined
+    entropy is stuck at a constant while the box grows.
     A join stable at some depth equals the join at every deeper one, so the
     last join is stable exactly when any was, and only it is tested.  The
     sweep's budget is the state count, which no partition's join exceeds.
@@ -153,7 +153,7 @@ def entropy_rate(
     for n, joined, _ in sweep:
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
-    est = rate_sequence(samples, "H")
+    est = rate_sequence(samples)
     if is_join_stable(sys, joined):
         # Joined entropy is constant from here on, so the rate limit is zero.
         est.extrapolated = 0.0

@@ -110,10 +110,8 @@ class PressureSample:
 class PressureEstimate:
     """Rate sequence for one cover and mode, with its extrapolation."""
 
-    mode: str
-    samples: list[PressureSample] = field(default_factory=list)
-    fekete_bound: float | None = None
-    extrapolated: float = math.nan
+    samples: list[PressureSample]
+    extrapolated: float
 
     def is_monotone(self) -> bool:
         """True when the sample rates never fall, or never rise, by more than 1e-9 a step."""
@@ -123,27 +121,13 @@ class PressureEstimate:
         return up or down
 
 
-def rate_sequence(samples: Sequence[PressureSample], mode: str) -> PressureEstimate:
-    """Bundle samples into an estimate.
-
-    In P and H (entropy) mode every exactly solved sample rate is a valid
-    upper bound for the limit (the value sequence is submultiplicative up to
-    a vanishing boundary correction), so the running minimum is reported as
-    the bound.
-    """
+def rate_sequence(samples: Sequence[PressureSample]) -> PressureEstimate:
+    """Bundle samples, in order of box size, into an estimate extrapolated
+    by the last rate."""
     samples = sorted(samples, key=lambda s: s.lam)
     if not samples:
         raise ValueError("need at least one sample")
-    fekete = None
-    if mode in ("P", "H"):
-        exact_rates = [s.rate for s in samples if s.status == STATUS_EXACT]
-        fekete = min(exact_rates) if exact_rates else None
-    return PressureEstimate(
-        mode=mode,
-        samples=list(samples),
-        fekete_bound=fekete,
-        extrapolated=samples[-1].rate,
-    )
+    return PressureEstimate(samples, samples[-1].rate)
 
 
 def _subcover_sample(
@@ -241,6 +225,8 @@ def quadruple_from_joined(
     `exact_limit`, when given, caps all four searches; otherwise Q and P use
     `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.
     """
+    if f_field is None:  # what a sweep without a potential yields
+        raise ValueError("no ergodic field: sweep with Potential.constant(0.0, m) for the zero potential")
     member_limit = EXACT_LIMIT_FAMILIES if exact_limit is None else exact_limit
     class_limit = EXACT_LIMIT_NODES if exact_limit is None else exact_limit
     lam = box_cardinality(n)
@@ -332,6 +318,6 @@ def topological_pressure(
             quad = quadruple_from_joined(joined, f_field, n)
             for mode, sample in quad.items():
                 samples[mode].append(sample)
-        report[name] = {mode: rate_sequence(s, mode) for mode, s in samples.items()}
+        report[name] = {mode: rate_sequence(s) for mode, s in samples.items()}
         estimate = max(estimate, report[name]["Q"].extrapolated)
     return estimate, report

@@ -3,10 +3,11 @@
 Each builds a value the program never needs, so that a test can check a
 theorem or an identity of the code under test against it: powered systems,
 random invariant measures, conditional entropy, the states of one member
-of a family, the two-symbol full shift on a small torus with its
-overlapping cover, and the tile corners and residue of a box tiling as
-point sets, which the program only counts.  It also keeps two shorthands
-the program does not call: the plain box join of a family and the
+of a family, an overlapping cover of the two-symbol full shift on a small
+torus, product measures on any full-shift torus, and the tile corners and
+residue of a box tiling as point sets, which the program only counts.  It
+also keeps three shorthands the program does not call: the two-symbol
+torus with its state numbers, the plain box join of a family and the
 unit-mass test of a measure.
 """
 
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from covpress.coveralg import DEFAULT_MEMBER_BUDGET, SetFamily, box_join, join
-from covpress.dynsys import FiniteSystem, Potential, cycle_structure, power_map
+from covpress.dynsys import FiniteSystem, Potential, cycle_structure, make_full_shift_torus, power_map
 from covpress.lattice import Coords, as_point
 from covpress.measpressure import FiniteMeasure
 
@@ -81,18 +82,20 @@ def member_states(fam: SetFamily, i: int) -> list[int]:
 
 
 def torus_shift(p, q):
-    """Two-symbol configurations on the p x q torus under the two unit shifts
-    (bit q*i + j holds the symbol at (i, j)), and the state numbers."""
-    x = np.arange(1 << (p * q), dtype=np.int64)
+    """The two-symbol full shift on the p x q torus (bit q*i + j holds the
+    symbol at (i, j)), and the state numbers."""
+    sys = make_full_shift_torus(2, (p, q))
+    return sys, np.arange(sys.state_count, dtype=np.int64)
 
-    def shifted(di, dj):
-        out = np.zeros_like(x)
-        for i in range(p):
-            for j in range(q):
-                out |= ((x >> (((i + di) % p) * q + (j + dj) % q)) & 1) << (i * q + j)
-        return out
 
-    return FiniteSystem(generators=(shifted(1, 0), shifted(0, 1))), x
+def product_measure(symbols, period, p):
+    """The product measure of symbol law p on `make_full_shift_torus(symbols,
+    period)`, each site's symbol read off the state number as its digit."""
+    x = np.arange(symbols ** math.prod(period))
+    weights = np.ones(x.size)
+    for site in range(math.prod(period)):
+        weights *= np.asarray(p, dtype=float)[x // symbols**site % symbols]
+    return FiniteMeasure(weights)
 
 
 def overlap_cover(x):

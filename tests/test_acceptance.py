@@ -4,7 +4,8 @@ Each test prints a PASS line with the measured numbers (visible under
 `pytest -s` / on failure), and the test outcome itself is the verdict.
 Reference values come from independent oracles built inside the tests:
 exhaustive enumeration for the solvers, binomial sums for the doubling
-pressure, cycle enumeration for the variational checks.
+pressure, cycle enumeration for the variational checks, and the full
+shift's closed forms for its torus runs.
 """
 
 import itertools
@@ -16,19 +17,14 @@ import pytest
 
 from covpress.config import load_config
 from covpress.coveralg import SetFamily, join
-from covpress.dynsys import FiniteSystem, Potential, make_circle_doubling
+from covpress.dynsys import FiniteSystem, Potential, make_circle_doubling, make_full_shift_torus
 from covpress.experiments import run_experiment
-from covpress.fullshift import (
-    FullShiftSpec,
-    bernoulli_pressure,
-    cylinder_sum,
-    exact_pressure,
-    gibbs_optimizer,
-)
+from covpress.fullshift import FullShiftSpec, exact_pressure
 from covpress.lattice import box_cardinality, decompose, sym_diff_cardinality
 from covpress.measpressure import (
     FiniteMeasure,
     empirical_measures,
+    entropy_rate,
     invariance_defect,
     measure_pressure,
     partition_entropy,
@@ -48,6 +44,7 @@ from oracles import (
     is_probability,
     member_states,
     orbit_join,
+    product_measure,
 )
 
 LOG2 = math.log(2.0)
@@ -152,6 +149,8 @@ def test_criterion_4_finite_variational_principle():
 
 
 def test_criterion_5_fullshift_optimum():
+    # Random full shifts run through `fullshift` on their torus, and random
+    # product measures on a torus of each, against the closed-form pressure.
     rng = np.random.default_rng(505)
     worst_gap = 0.0
     worst_excess = -math.inf
@@ -160,34 +159,35 @@ def test_criterion_5_fullshift_optimum():
         k = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 4))
         phi = tuple(float(v) for v in rng.uniform(-2, 2, k))
-        spec = FullShiftSpec(k, dim, phi)
-        top = exact_pressure(spec)
-        _, value = gibbs_optimizer(spec)
-        worst_gap = max(worst_gap, abs(value - top))
+        top = exact_pressure(FullShiftSpec(k, dim, phi))
+        cfg = load_config(
+            "fullshift",
+            overrides={"symbols": k, "dim": dim, "phi": ",".join(map(repr, phi)), "n_max": 4},
+        )
+        rows, verdicts = run_experiment(cfg)
+        assert verdicts[0].passed
+        assert all(r.solver_status == STATUS_EXACT for r in rows)
+        worst_gap = max(worst_gap, *(abs(r.rate - top) for r in rows))
+        closed_site = math.fsum(math.exp(v) for v in phi)
+        for r in rows:
+            if r.mode == "P":
+                worst_cyl = max(worst_cyl, abs(r.raw_value - closed_site**r.lam) / closed_site**r.lam)
+        # 10 random product measures on a torus of at most 4,096 states.
+        side = max(t for t in range(1, 5) if k ** (t**dim) <= 4096)
+        torus = make_full_shift_torus(k, (side,) * dim)
+        symbol = np.arange(torus.state_count) % k
+        origin = SetFamily.from_labels(symbol)
+        f = Potential(np.asarray(phi)[symbol])
         for _ in range(10):
             w = rng.uniform(0, 1, k) + 1e-12
-            worst_excess = max(
-                worst_excess, bernoulli_pressure(spec, tuple(w / w.sum())) - top
-            )
-        closed_site = math.fsum(math.exp(v) for v in phi)
-        for t in range(1, 10):
-            n = tuple(t for _ in range(dim))
-            lam = box_cardinality(n)
-            if k**lam > 3**9:
-                break
-            val = cylinder_sum(spec, n)
-            worst_cyl = max(worst_cyl, abs(val - closed_site**lam) / closed_site**lam)
-    # 200 random product measures against one fixed spec.
-    spec = FullShiftSpec(3, 2, (0.3, -0.7, 1.1))
-    top = exact_pressure(spec)
-    for _ in range(200):
-        w = rng.uniform(0, 1, 3) + 1e-12
-        worst_excess = max(worst_excess, bernoulli_pressure(spec, tuple(w / w.sum())) - top)
+            mu = product_measure(k, (side,) * dim, w / w.sum())
+            h = entropy_rate(mu, torus, origin, side).samples[-1]
+            worst_excess = max(worst_excess, h.rate + mu.integrate(f) - top)
     assert worst_gap <= 1e-9
     assert worst_excess <= 1e-9
     assert worst_cyl <= 1e-9
     print(
-        f"CRITERION 5 PASS: optimizer gap {worst_gap:.2e}, bernoulli excess "
+        f"CRITERION 5 PASS: worst rate gap {worst_gap:.2e}, product-measure excess "
         f"{worst_excess:.2e}, cylinder relative error {worst_cyl:.2e}"
     )
 

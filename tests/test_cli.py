@@ -247,7 +247,7 @@ def sweep_every_cover(cfg):
                 (reached,) = n
         except CoverBudgetError as exc:
             stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {exc}")
-    estimate = rate_sequence(arc_q, "Q")
+    estimate = rate_sequence(arc_q)
     note = "" if estimate.is_monotone() else "; note: rate sequence is not monotone"
     note += "".join(f"; {text}" for text in stopped)
     kind, _, arg = cfg.potential.partition(":")
@@ -615,11 +615,11 @@ BAD_RUN_VALUES = [
         {"m": 11, "potential": "values:1e308,-1e308," + ",".join(["0"] * 9)},
         "eps must be positive and finite, got inf",
     ),
-    # Past the cylinder budget not even the one-site box fits, so no cylinder would be checked.
+    # Past the member budget not even the torus of one site fits.
     (
         "fullshift",
-        {"symbols": 30000, "phi": ",".join(["0"] * 30000)},
-        "symbols = 30000 exceeds the cylinder budget 19683",
+        {"symbols": 65537, "phi": ",".join(["0"] * 65537)},
+        "symbols = 65537 exceeds the member budget 65536",
     ),
 ]
 
@@ -686,8 +686,9 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_fullshift_stops_at_a_box_too_large_to_enumerate(tmp_path):
-    # The 2**40-site box would take symbols**lam, an integer of 2**40 bits,
-    # to compare with the budget; its site count alone rules it out.
+    # The torus of side 2 would have 2**40 sites and 2**(2**40) states, an
+    # integer of 2**40 bits to compare with the budget; the period search
+    # rules it out without forming either power, and the run keeps side 1.
     conf = tmp_path / "deep.conf"
     conf.write_text("dim = 40\nn_max = 2\n", encoding="utf-8")
     src = str(Path(covpress.__file__).resolve().parents[1])
@@ -699,10 +700,10 @@ def test_fullshift_stops_at_a_box_too_large_to_enumerate(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "wrote 2 rows" in done.stdout and "VERDICT fullshift: PASS" in done.stdout
+    assert "wrote 5 rows" in done.stdout and "VERDICT fullshift: PASS" in done.stdout
     lines = (out / "fullshift.csv").read_text(encoding="utf-8").splitlines()
     assert [line.split(",")[:5] for line in lines[1:]] == [
-        ["fullshift", "cylinders", "P", "-".join(["1"] * 40), "1"],
+        *(["fullshift", "origin", mode, "-".join(["1"] * 40), "1"] for mode in "QPSG"),
         ["fullshift", "gibbs", "Hrate", "-".join(["1"] * 40), "1"],
     ]
 
@@ -965,7 +966,7 @@ GOLDEN_CSV_SHA256 = {
     "doubling": "a992f28a2822a58a0c86e62b27b4e523b105669d4aba6e118311911d52072230",
     "leakage": "c9a1f274ab06939bd42fdebda8f1adbe64b7bb2659417845b042436ab0ccd509",
     "finite-vp": "1f343fac510e2988ae1cc8e67432c8f46a6f25fb6c55b65f4deda581c117f064",
-    "fullshift": "01e7473fafa1c3fde039725e80e901b914653b7dba404b0c8fd6bb8cf582c6ba",
+    "fullshift": "0b090f302a1e35accd309161cbc484cc98b8540ad1da079460a077e3045adb1c",
     "lattice-check": "502bba233ef48760e44283969dbc9d0aa8e743a4d56e58379a9cd5ab1512f43d",
 }
 

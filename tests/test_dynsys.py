@@ -1,5 +1,6 @@
 """Finite systems, lattice powers, ergodic sums and the model constructors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from covpress.dynsys import (
     iter_box_pullbacks,
     make_circle_doubling,
     make_disk_system,
+    make_full_shift_torus,
     power_map,
 )
 from oracles import brute_decompose, power_system
@@ -316,3 +318,71 @@ def test_cycle_structure_covers_all_eventual_states(seed):
 def test_potential_rejects_nonfinite():
     with pytest.raises(ValueError):
         Potential(np.array([1.0, np.inf]))
+
+
+def bit_layout_torus(p, q):
+    """The two generators of the two-symbol p x q torus in the bit layout the
+    tests first built it in: bit q*i + j holds the symbol at (i, j)."""
+    x = np.arange(1 << (p * q), dtype=np.int64)
+
+    def shifted(di, dj):
+        out = np.zeros_like(x)
+        for i in range(p):
+            for j in range(q):
+                out |= ((x >> (((i + di) % p) * q + (j + dj) % q)) & 1) << (i * q + j)
+        return out
+
+    return shifted(1, 0), shifted(0, 1)
+
+
+def test_full_shift_torus_keeps_the_two_symbol_layouts():
+    for p, q in [(1, 1), (1, 3), (2, 3), (3, 2), (3, 3), (4, 4)]:
+        torus = make_full_shift_torus(2, (p, q))
+        assert all(np.array_equal(g, h) for g, h in zip(torus.generators, bit_layout_torus(p, q)))
+    # On 4 x 4 the row shift rotates the 16-bit word by one nibble, and the
+    # column shift rotates each nibble by one bit.
+    x = np.arange(1 << 16, dtype=np.int64)
+    rows, cols = make_full_shift_torus(2, (4, 4)).generators
+    assert np.array_equal(rows, (x >> 4) | ((x & 0xF) << 12))
+    assert np.array_equal(cols, ((x >> 1) & 0x7777) | ((x & 0x1111) << 3))
+
+
+def shifted_configuration(symbols, period, axis, x):
+    """x moved by the unit step along `axis`, digit by digit: the symbol at
+    site s of the image is the symbol of x at s + e_axis."""
+    sites = list(itertools.product(*(range(c) for c in period)))  # row-major
+    index = {s: i for i, s in enumerate(sites)}
+    digit = [x // symbols**i % symbols for i in range(len(sites))]
+    step = [tuple((c + (b == axis)) % period[b] for b, c in enumerate(s)) for s in sites]
+    return sum(digit[index[t]] * symbols ** index[s] for s, t in zip(sites, step))
+
+
+@pytest.mark.parametrize(
+    "symbols, period",
+    [
+        *[(3, (5,)), (2, (7,)), (2, (2, 2, 3)), (3, (1, 2, 2)), (1, (3,)), (1, (2, 3, 2))],
+        # More sides than an ndarray has axes.
+        *[(2, (1,) * 70), (2, (2,) + (1,) * 69)],
+    ],
+)
+def test_full_shift_torus_moves_every_digit(symbols, period):
+    torus = make_full_shift_torus(symbols, period)
+    m = symbols ** math.prod(period)
+    assert (torus.state_count, torus.dim) == (m, len(period))
+    for axis, g in enumerate(torus.generators):
+        assert g.tolist() == [shifted_configuration(symbols, period, axis, x) for x in range(m)]
+        side = tuple(c if b == axis else 0 for b, c in enumerate(period))
+        assert np.array_equal(power_map(torus, side), np.arange(m))
+    if period == (5,):
+        # 1-d: the shift drops the lowest digit and puts it on top.
+        x = np.arange(m)
+        assert np.array_equal(torus.generators[0], x // 3 + x % 3 * 3**4)
+    if symbols == 1:
+        assert all(g.tolist() == [0] for g in torus.generators)
+
+
+def test_full_shift_torus_refuses_no_symbol_and_an_empty_side():
+    for symbols, period in [(0, (2, 2)), (2, (2, 0))]:
+        with pytest.raises(ValueError, match="positive sides"):
+            make_full_shift_torus(symbols, period)
+

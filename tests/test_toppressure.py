@@ -160,6 +160,26 @@ def test_exact_limit_caps_all_four_searches(monkeypatch, exact_limit, want):
     assert limits == want
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        SetFamily.from_labels(np.array([0, 0, 1, 2, 2])),
+        SetFamily.from_state_sets(5, [{0, 1, 2}, {2, 3, 4}]),
+    ],
+    ids=["partition", "cover"],
+)
+def test_a_join_swept_without_a_potential_is_refused_by_the_evaluator(family):
+    # box_sweep and box_join give the field None when f is None; the
+    # evaluator names the zero potential instead of failing inside numpy.
+    sys = make_circle_doubling(5)
+    (_, joined, field), = box_sweep(sys, family, None, (1,))
+    assert field is None
+    with pytest.raises(ValueError, match=r"Potential\.constant\(0\.0, m\)"):
+        toppressure.quadruple_from_joined(joined, field, (1,))
+    zero = box_join(sys, family, Potential.constant(0.0, 5), (1,))[1]
+    assert toppressure.quadruple_from_joined(joined, zero, (1,))["Q"].status == STATUS_EXACT
+
+
 def test_chain_on_random_cover_instances():
     # For covers with proper overlap the provable pointwise chain is
     # Q <= P together with G <= S <= P; Q <= G needs disjoint members
@@ -267,7 +287,7 @@ def test_rate_sequence_constant_values():
     samples = [
         PressureSample((t,), t, math.log(5.0), STATUS_EXACT) for t in range(1, 6)
     ]
-    est = rate_sequence(samples, "Q")
+    est = rate_sequence(samples)
     assert est.extrapolated == pytest.approx(math.log(5.0) / 5)
     assert est.is_monotone()
 
@@ -276,9 +296,8 @@ def test_rate_sequence_exponential_values():
     samples = [
         PressureSample((t,), t, t * math.log(2.0), STATUS_EXACT) for t in range(1, 6)
     ]
-    est = rate_sequence(samples, "P")
+    est = rate_sequence(samples)
     assert est.extrapolated == pytest.approx(math.log(2.0))
-    assert est.fekete_bound == pytest.approx(math.log(2.0))
 
 
 def test_fekete_bound_dominates_limit_with_correction():
