@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from covpress.config import load_config  # noqa: E402
-from covpress.experiments import run_leakage  # noqa: E402
+from covpress.experiments import run_experiment  # noqa: E402
 
 GRIDS = [(32, 128), (64, 256), (64, 512)]
 
@@ -25,7 +25,7 @@ def run():
             "leakage",
             overrides={"rings": rings, "sectors": sectors, "member_budget": 1 << 17},
         )
-        rows, verdicts = run_leakage(cfg)
+        rows, verdicts = run_experiment(cfg)
         by_name = {v.name: v for v in verdicts}
         pizza = max(
             (r for r in rows if r.cover == "pizza"), key=lambda r: r.lam

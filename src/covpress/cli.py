@@ -60,12 +60,9 @@ def main(argv: list[str] | None = None) -> int:
                 rate_plot_svg(rows, title=cfg.experiment), encoding="utf-8", newline=""
             )
             print(f"wrote {svg_path}")
-        all_pass = True
         for v in verdicts:
-            status = "PASS" if v.passed else "FAIL"
-            print(f"VERDICT {v.name}: {status} - {v.detail}")
-            all_pass = all_pass and v.passed
-        return 0 if all_pass else 2
+            print(v.line())
+        return 0 if all(v.passed for v in verdicts) else 2
     except Exception as exc:  # pragma: no cover - exercised via CLI tests
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -672,8 +672,24 @@ def potential_cover(sys: FiniteSystem, f: Potential, eps: float) -> SetFamily:
     lo = int(np.floor((vals.min() - half) / step)) - 1
     hi = int(np.ceil((vals.max() + half) / step)) + 1
     centers = np.arange(lo, hi + 1) * step
-    flags = (vals > centers[:, None] - half) & (vals < centers[:, None] + half)
-    return SetFamily._from_flags(np.arange(sys.state_count), flags[flags.any(axis=1)])
+    levels = len(centers)
+    # A state lies in the intervals whose centers are within half of its value:
+    # one or two consecutive levels next to floor(v / step), which a window of
+    # five candidates holds with room for rounding.  Each state keeps its first
+    # and last level; a state in none keeps first > last, an empty column.
+    near = np.floor(vals / step).astype(np.int64) - lo
+    first = np.full(len(vals), levels)
+    last = np.full(len(vals), levels - 1)
+    for offset in range(-2, 3):  # ascending, so the last hit is the highest level
+        k = np.clip(near + offset, 0, levels - 1)
+        inside = (vals > centers[k] - half) & (vals < centers[k] + half)
+        first = np.where(inside, np.minimum(first, k), first)
+        last = np.where(inside, k, last)
+    # States with the same (first, last) lie in the same intervals: one label each.
+    spans, labels = _dense_unique(first * levels + last, (levels + 1) * levels)
+    grid = np.arange(levels)[:, None]
+    flags = (grid >= spans // levels) & (grid <= spans % levels)
+    return SetFamily._from_flags(labels, flags[flags.any(axis=1)])
 
 
 # -- closeness ------------------------------------------------------------

@@ -113,13 +113,6 @@ class PressureEstimate:
     samples: list[PressureSample]
     extrapolated: float
 
-    def is_monotone(self) -> bool:
-        """True when the sample rates never fall, or never rise, by more than 1e-9 a step."""
-        rates = [s.rate for s in self.samples]
-        up = all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
-        down = all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
-        return up or down
-
 
 def rate_sequence(samples: Sequence[PressureSample]) -> PressureEstimate:
     """Bundle samples, in order of box size, into an estimate extrapolated

@@ -5,7 +5,9 @@ theorem or an identity of the code under test against it: powered systems,
 random invariant measures, conditional entropy, the states of one member
 of a family, an overlapping cover of the two-symbol full shift on a small
 torus, product measures on any full-shift torus, and the tile corners and
-residue of a box tiling as point sets, which the program only counts.  It
+residue of a box tiling as point sets, which the program only counts, and
+the level cover of a potential flagged interval by interval over every
+state, which the program builds from each state's own intervals.  It
 also keeps three shorthands the program does not call: the two-symbol
 torus with its state numbers, the plain box join of a family and the
 unit-mass test of a measure.
@@ -22,6 +24,17 @@ from covpress.lattice import Coords, as_point
 from covpress.measpressure import FiniteMeasure
 
 PROBABILITY_TOL = 1e-9
+
+
+def dense_potential_cover(vals: np.ndarray, eps: float) -> SetFamily:
+    """`coveralg.potential_cover`'s family, without its checks, from a
+    levels x states flag matrix: every grid interval tested against every state."""
+    half = step = eps / 2.0
+    lo = int(np.floor((vals.min() - half) / step)) - 1
+    hi = int(np.ceil((vals.max() + half) / step)) + 1
+    centers = np.arange(lo, hi + 1) * step
+    flags = (vals > centers[:, None] - half) & (vals < centers[:, None] + half)
+    return SetFamily._from_flags(np.arange(len(vals)), flags[flags.any(axis=1)])
 
 
 def orbit_join(sys: FiniteSystem, family: SetFamily, n: Coords, member_budget: int = DEFAULT_MEMBER_BUDGET) -> SetFamily:

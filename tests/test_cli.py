@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from covpress.config import EXPERIMENTS, ExperimentConfig, load_config, parse_co
 from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
 from covpress.dynsys import make_circle_doubling, make_disk_system, potential_from_spec
 from covpress.experiments import (
+    CSV_HEADER,
+    JUDGES,
     ResultRow,
     VerdictItem,
     annulus_cell_partition,
@@ -28,12 +31,10 @@ from covpress.experiments import (
     pizza_cover,
     rows_to_csv,
     run_experiment,
-    run_fullshift,
-    run_lattice_check,
 )
-from covpress.solvers import STATUS_EXACT
+from covpress.solvers import STATUS_EXACT, STATUS_GREEDY_LOWER, STATUS_GREEDY_UPPER
 from covpress.svg import rate_plot_svg
-from covpress.toppressure import quadruple_from_joined, rate_sequence
+from covpress.toppressure import quadruple_from_joined
 
 
 def test_parse_config_text():
@@ -131,7 +132,7 @@ def test_potential_from_spec():
 
 def test_rows_roundtrip_and_rate_invariant():
     cfg = load_config("fullshift", overrides={"phi": "0,1", "seed": 4})
-    rows, verdicts = run_fullshift(cfg)
+    rows, verdicts = run_experiment(cfg)
     assert verdicts[0].passed
     text = rows_to_csv(rows)
     lines = text.strip().splitlines()
@@ -143,7 +144,7 @@ def test_rows_roundtrip_and_rate_invariant():
 
 def test_lattice_check_runs_clean():
     cfg = load_config("lattice-check", overrides={"cases": 120, "seed": 5})
-    rows, verdicts = run_lattice_check(cfg)
+    rows, verdicts = run_experiment(cfg)
     assert len(rows) == 120
     assert verdicts[0].passed
     assert all(r.solver_status == "exact" for r in rows)
@@ -152,7 +153,7 @@ def test_lattice_check_runs_clean():
 def test_lattice_check_box_sides_follow_n_max():
     for n_max in (1, 2, 5):
         cfg = load_config("lattice-check", overrides={"cases": 120, "seed": 5, "n_max": n_max})
-        rows, verdicts = run_lattice_check(cfg)
+        rows, verdicts = run_experiment(cfg)
         assert verdicts[0].passed
         assert max(max(r.n) for r in rows) == n_max
 
@@ -167,7 +168,7 @@ def test_lattice_check_n_max_must_fit_in_64_bits(tmp_path, capsys):
     assert not (out / "lattice-check.csv").exists()
     # The largest accepted n_max runs on boxes near 2**63 points.
     cfg = load_config("lattice-check", overrides={"n_max": 2**21 - 1, "cases": 60})
-    rows, verdicts = run_lattice_check(cfg)
+    rows, verdicts = run_experiment(cfg)
     assert verdicts[0].passed
     assert all(r.solver_status == "exact" for r in rows)
     assert max(r.lam for r in rows) > 2**60
@@ -183,7 +184,7 @@ def test_lattice_check_reports_a_violated_case(monkeypatch):
 
     monkeypatch.setattr(lattice.TileDecomposition, "residue_bound_holds", fails_on_case_3)
     cfg = load_config("lattice-check", overrides={"cases": 10, "seed": 5})
-    rows, verdicts = run_lattice_check(cfg)
+    rows, verdicts = run_experiment(cfg)
     assert [r.solver_status for r in rows] == ["exact"] * 3 + ["violated"] + ["exact"] * 6
     assert (verdicts[0].name, verdicts[0].passed) == ("lattice-bounds", False)
     assert "10 random tilings, 1 violations" in verdicts[0].detail
@@ -206,7 +207,7 @@ def test_doubling_budget_stops_the_sweep():
     rows, verdicts = run_experiment(cfg)
     # 2**t itinerary cells: depth 5 is the last one within 40 members.
     assert max(r.lam for r in rows if r.cover == "arcs") == 5
-    stop = "join over box (6,) (cardinality 6) has 64 members, budget 40"
+    stop = "the join over box (6,) passes the member budget 40"
     assert verdicts[0].detail == (
         "final Q rate 0.693147 vs target 0.693147 (|gap| = 0.000000); "
         f"arcs swept to depth 5 of 8: {stop}; arcs_bfe swept to depth 5 of 8: {stop}"
@@ -245,16 +246,21 @@ def sweep_every_cover(cfg):
                 if name == "arcs":
                     arc_q.append(quad["Q"])
                 (reached,) = n
-        except CoverBudgetError as exc:
-            stopped.append(f"{name} swept to depth {reached} of {cfg.n_max}: {exc}")
-    estimate = rate_sequence(arc_q)
-    note = "" if estimate.is_monotone() else "; note: rate sequence is not monotone"
+        except CoverBudgetError:
+            stopped.append(
+                f"{name} swept to depth {reached} of {cfg.n_max}: the join over box "
+                f"({reached + 1},) passes the member budget {cfg.member_budget}"
+            )
+    rates = [sample.rate for sample in arc_q]
+    steps = list(zip(rates, rates[1:]))
+    monotone = all(b >= a - 1e-9 for a, b in steps) or all(b <= a + 1e-9 for a, b in steps)
+    note = "" if monotone else "; note: rate sequence is not monotone"
     note += "".join(f"; {text}" for text in stopped)
     kind, _, arg = cfg.potential.partition(":")
     if kind == "values":
         return rows, "no closed-form target for a values potential" + note
     target = math.log(1.0 + math.exp(float(arg))) if kind == "arc" else math.log(2.0)
-    rate = estimate.samples[-1].rate
+    rate = rates[-1]
     gap = abs(rate - target)
     return rows, f"final Q rate {rate:.6f} vs target {target:.6f} (|gap| = {gap:.6f}){note}"
 
@@ -774,6 +780,122 @@ def test_leakage_tiny_grid_runs():
     assert all(r.rate == pytest.approx(0.0) for r in trivial_rows)
 
 
+# -- judging written CSVs ---------------------------------------------------------
+
+
+REJUDGE_CONFIGS = [
+    *(pytest.param(name, None, id=name) for name in EXPERIMENTS),
+    pytest.param("doubling", "m = 101\nn_max = 8\nmember_budget = 40\n", id="doubling-budget-stop"),
+    pytest.param("fullshift", "dim = 1\nsymbols = 3\nphi = 0,0.37,-1.2\nn_max = 9\n", id="fullshift-1d"),
+]
+
+
+@pytest.mark.parametrize("experiment, conf", REJUDGE_CONFIGS)
+def test_a_written_csv_is_judged_again_to_the_printed_verdicts(tmp_path, capsys, experiment, conf):
+    # The judge reads only the config and the rows, so the CSV that a run
+    # wrote, parsed back, gives the VERDICT lines that the run printed.
+    path = None
+    if conf is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(conf, encoding="utf-8")
+    out = tmp_path / "res"
+    main([experiment, "--out", str(out)] + (["--config", str(path)] if path else []))
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VERDICT ")]
+    text = (out / f"{experiment}.csv").read_text(encoding="utf-8")
+    header, *lines = text.splitlines()
+    assert header == CSV_HEADER
+    rows = [ResultRow.from_csv(line) for line in lines]
+    assert rows_to_csv(rows) == text
+    judged = JUDGES[experiment](load_config(experiment, config_path=path), rows)
+    assert printed and [v.line() for v in judged] == printed
+
+
+def test_a_sweep_past_the_box_budget_is_named_with_it():
+    # Depth 10**6 fills the box budget, so the join over the next box is refused
+    # for its points, before any member is counted.
+    cfg = load_config("doubling", overrides={"n_max": coveralg.DEFAULT_LAMBDA_BUDGET + 5})
+    rows = [
+        ResultRow("doubling", cover, "Q", (t,), t, math.inf, math.log(2.0), None, STATUS_EXACT)
+        for cover in ("arcs", "arcs_bfe")
+        for t in (coveralg.DEFAULT_LAMBDA_BUDGET - 1, coveralg.DEFAULT_LAMBDA_BUDGET)
+    ]
+    stop = (
+        f"swept to depth 1000000 of {cfg.n_max}: the join over box (1000001,) "
+        "passes the box budget 1000000"
+    )
+    (verdict,) = experiments.judge_doubling(cfg, rows)
+    assert verdict.passed
+    assert verdict.detail.endswith(f"; arcs {stop}; arcs_bfe {stop}")
+
+
+def edit_last(rows, cover, mode, change):
+    """The rows with the last row of this cover and mode replaced by `change` of it."""
+    i = max(i for i, r in enumerate(rows) if r.cover == cover and r.mode == mode)
+    return [*rows[:i], change(rows[i]), *rows[i + 1:]]
+
+
+def steeper_admissible_tail(rows):
+    """The last admissible Q raised to a tail slope of 0.06."""
+    prev = [r for r in rows if r.cover == "admissible"][-2]
+
+    def raised(row):
+        log_value = math.log(prev.raw_value) + 0.06 * (row.lam - prev.lam)
+        return replace(row, raw_value=math.exp(log_value), rate=log_value / row.lam)
+
+    return edit_last(rows, "admissible", "Q", raised)
+
+
+def deep_q_off_its_cycles(rows):
+    """Seed 0's deep Q, its last `cells` Q row, 1e-5 above its `cycles` row."""
+    (cycles,) = [r for r in rows if r.cover == "seed0/cycles"]
+    return edit_last(rows, "seed0/cells", "Q", lambda r: replace(r, rate=cycles.rate + 1e-5))
+
+
+# Per experiment: one edit of a default run's parsed rows, and the verdicts it passes.
+ROW_EDITS = {
+    "doubling": (lambda rows: edit_last(rows, "arcs", "Q", lambda r: replace(r, rate=r.rate + 0.06)), [False]),
+    "leakage": (steeper_admissible_tail, [True, True, False]),
+    "finite-vp": (deep_q_off_its_cycles, [False]),
+    "lattice-check": (lambda rows: [*rows[:7], replace(rows[7], solver_status="violated"), *rows[8:]], [False]),
+    "fullshift": (lambda rows: edit_last(rows, "origin", "G", lambda r: replace(r, rate=r.rate + 1e-8)), [False]),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_one_edited_row_fails_its_verdict(experiment):
+    cfg = load_config(experiment)
+    rows, _ = run_experiment(cfg)
+    parsed = [ResultRow.from_csv(line) for line in rows_to_csv(rows).splitlines()[1:]]
+    assert all(v.passed for v in JUDGES[experiment](cfg, parsed))
+    edit, passes = ROW_EDITS[experiment]
+    assert [v.passed for v in JUDGES[experiment](cfg, edit(parsed))] == passes
+
+
+CSV_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+)
+
+
+@given(
+    st.sampled_from(EXPERIMENTS),
+    st.sampled_from(["arcs", "arcs_bfe", "euclid_eps0.08", "seed3/cells", "case7-N2", "gibbs"]),
+    st.sampled_from(["Q", "P", "S", "G", "Hrate", "count"]),
+    st.lists(st.integers(1, 2**62), min_size=1, max_size=3).map(tuple),
+    st.integers(1, 2**63),
+    CSV_FLOATS,
+    CSV_FLOATS,
+    st.none() | CSV_FLOATS,
+    st.sampled_from([STATUS_EXACT, STATUS_GREEDY_LOWER, STATUS_GREEDY_UPPER, "violated"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_csv_inverts_to_csv(experiment, cover, mode, n, lam, raw_value, rate, bound, status):
+    row = ResultRow(experiment, cover, mode, n, lam, raw_value, rate, bound, status)
+    line = row.to_csv()
+    parsed = ResultRow.from_csv(line)
+    assert parsed == row
+    assert parsed.to_csv() == line  # the sign of a zero survives too
+
+
 def test_svg_writer_smoke():
     rows = [
         ResultRow("x", "c", "Q", (t,), t, math.exp(0.5 * t), 0.5, None, "exact")
@@ -798,10 +920,10 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_verdict_failure_exit_code(tmp_path, monkeypatch):
     import covpress.experiments as exps
 
-    def failing(cfg):
-        return [], [VerdictItem("stub", False, "forced failure")]
+    def failing(cfg, rows):
+        return [VerdictItem("stub", False, "forced failure")]
 
-    monkeypatch.setitem(exps.RUNNERS, "fullshift", failing)
+    monkeypatch.setitem(exps.JUDGES, "fullshift", failing)
     assert main(["fullshift", "--out", str(tmp_path)]) == 2
 
 
@@ -849,6 +971,16 @@ def test_readme_library_sketch_runs(capsys):
     assert {mode: s.rate for mode, s in scope["quad"].items()} == dict.fromkeys("QPGS", math.log(8) / 3)
     assert len(scope["quad"]["S"].chosen) == 8
     assert sorted(covpress.__all__) == ["Potential", "SetFamily", "make_circle_doubling", "pressure_quadruple"]
+
+
+def test_readme_rejudge_snippet_prints_the_run_verdicts(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("**Re-judging a CSV.**", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["leakage", "--out", "out"]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VERDICT ")]
+    exec(snippet, {})
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 # Run in a fresh interpreter: whatever numpy submodule a CLI run imports

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,14 @@ from covpress.dynsys import (
 from covpress.experiments import annulus_cell_partition
 from covpress.lattice import EmptyBoxError, box_cardinality, diagonal
 from covpress.toppressure import pressure_quadruple
-from oracles import member_states, orbit_join, overlap_cover, power_system, torus_shift
+from oracles import (
+    dense_potential_cover,
+    member_states,
+    orbit_join,
+    overlap_cover,
+    power_system,
+    torus_shift,
+)
 
 
 def arc_partition(m, split=None):
@@ -1174,6 +1182,58 @@ def test_level_cover_of_an_arc_constant_potential_is_coarser_than_the_arcs(m, lo
         assert "float spacing" in str(exc) or "positive and finite" in str(exc)
         return
     assert join(arcs, levels) == arcs
+
+
+# A level value: a multiple k of the grid step eps / 2, nudged one ulp down
+# (-1), not at all (0) or one ulp up (+1), or any value in a modest range.
+GRID_VALUES = st.one_of(
+    st.tuples(st.integers(-40, 40), st.sampled_from([-1, 0, 1])),
+    st.floats(-20.0, 20.0),
+)
+
+
+def level_value(value, eps):
+    if isinstance(value, float):
+        return value
+    k, nudge = value
+    return float(np.nextafter(k * (eps / 2.0), nudge * np.inf)) if nudge else k * (eps / 2.0)
+
+
+@given(
+    st.lists(GRID_VALUES, min_size=1, max_size=60),
+    st.floats(0.05, 1.0) | st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
+)
+@example([(0, 0)] * 4, 0.3)
+@example([(k, d) for k in range(-3, 4) for d in (-1, 0, 1)], 0.1)
+@settings(max_examples=300, deadline=None)
+def test_potential_cover_matches_the_dense_level_flags(values, eps):
+    # Each state's own intervals give the bytes of flagging every interval
+    # against every state, on grid points and one ulp to either side too.
+    vals = np.array([level_value(v, eps) for v in values])
+    sys = FiniteSystem(generators=(np.zeros(len(vals), dtype=np.int64),))
+    fast, dense = potential_cover(sys, Potential(vals), eps), dense_potential_cover(vals, eps)
+    assert fast.atoms.dtype == dense.atoms.dtype and fast.atoms.tobytes() == dense.atoms.tobytes()
+    if dense.incidence is None:
+        assert fast.incidence is None
+    else:
+        assert fast.incidence.shape == dense.incidence.shape
+        assert fast.incidence.tobytes() == dense.incidence.tobytes()
+
+
+def test_potential_cover_flags_only_each_states_own_levels():
+    # 100,003 normal values times 10 at eps 0.3: 511 members.  Flagging every
+    # level against every state peaked at about 130 MiB under tracemalloc.
+    vals = np.random.default_rng(0).normal(size=100_003) * 10
+    sys, f = make_circle_doubling(len(vals)), Potential(vals)
+    potential_cover(sys, f, 0.3)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        fam = potential_cover(sys, f, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.count == 511
+    assert peak < 16 << 20
 
 
 def test_potential_cover_refuses_a_grid_floats_cannot_resolve():

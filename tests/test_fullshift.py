@@ -9,7 +9,7 @@ import pytest
 from covpress.config import load_config
 from covpress.coveralg import SetFamily
 from covpress.dynsys import Potential, make_full_shift_torus
-from covpress.experiments import run_fullshift
+from covpress.experiments import run_experiment
 from covpress.fullshift import FullShiftSpec, exact_pressure, gibbs_optimizer
 from covpress.measpressure import entropy_rate
 from oracles import orbit_join, product_measure
@@ -21,7 +21,7 @@ def fullshift_rows(spec, n_max):
     cfg = load_config(
         "fullshift", overrides={"symbols": spec.symbols, "dim": spec.dim, "phi": phi, "n_max": n_max}
     )
-    rows, (verdict,) = run_fullshift(cfg)
+    rows, (verdict,) = run_experiment(cfg)
     return rows, verdict
 
 
