@@ -1,7 +1,7 @@
 """Command line entry point: run an experiment, write CSV (and SVG), judge it.
 
 Exit codes: 0 when every verdict passes, 2 when a verdict fails, 1 on any
-error (bad config, budget blowups, unreadable paths).
+error (usage errors, bad config, budget blowups, unreadable paths).
 """
 
 from __future__ import annotations
@@ -28,14 +28,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="key = value config file")
     parser.add_argument("--out", type=str, default=None, help="output directory (default: out)")
     parser.add_argument("--n-max", type=int, default=None, dest="n_max")
-    parser.add_argument("--exact-limit", type=int, default=None, dest="exact_limit")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--svg", action="store_true", default=None, help="also write a rate plot")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error 2, the failed-verdict code
+        return 1 if exc.code else 0
     try:
         cfg = load_config(
             args.experiment,
@@ -43,7 +45,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides={
                 "out": args.out,
                 "n_max": args.n_max,
-                "exact_limit": args.exact_limit,
                 "seed": args.seed,
                 "svg": args.svg,
             },

@@ -45,7 +45,7 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
 # so one command line can drive every experiment.
 _COMMON_KEYS = {"n_max", "seed", "out", "svg"}
 _EXPERIMENT_KEYS: dict[str, set[str]] = {
-    "doubling": {"m", "potential", "exact_limit", "member_budget"},
+    "doubling": {"m", "potential", "member_budget"},
     "leakage": {
         "rings", "sectors", "member_budget", "slices", "euclid_eps", "euclid_band", "annulus_rings"
     },
@@ -67,7 +67,6 @@ class ExperimentConfig:
     potential: str = "constant:0"
     # budgets and seeding
     n_max: int = 8
-    exact_limit: int | None = None
     # the join budget, read by `doubling` and `leakage`
     member_budget: int = DEFAULT_MEMBER_BUDGET
     seed: int = 0
@@ -108,8 +107,6 @@ class ExperimentConfig:
         if self.deep_exponent > 62:
             # A box of 2**63 points leaves the 64-bit cardinality range.
             raise ValueError("deep_exponent must be at most 62")
-        if self.exact_limit is not None and self.exact_limit <= 0:
-            raise ValueError("exact_limit must be positive")
         if not (self.euclid_eps > 0 and math.isfinite(self.euclid_eps)):
             raise ValueError("euclid_eps must be positive and finite")
         for name in ("rings", "sectors"):
@@ -193,7 +190,6 @@ def _read_bool(value: str) -> bool:
 _READERS = {
     "bool": _read_bool,
     "int": int,
-    "int | None": int,
     "float": float,
     "str": str,
 }

@@ -174,7 +174,7 @@ def run_doubling(cfg: ExperimentConfig) -> list[ResultRow]:
             for n, joined, f_field in box_sweep(
                 sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget
             ):
-                quad = quadruple_from_joined(joined, f_field, n, cfg.exact_limit)
+                quad = quadruple_from_joined(joined, f_field, n)
                 for mode in "QPSG":
                     bound = None
                     if mode == "P" and quad["P"].status == STATUS_EXACT:

@@ -14,22 +14,21 @@ gains, the H(d) shift and the search bound.  Since every member holds all
 or none of an element's copies, an instance and its expansion to one
 element per copy give the same result, nodes included.
 
-Exactness is never silently degraded: every result carries a status, and the
-branch-and-bound falls back to the greedy answer (with the greedy status)
-when an instance is over the size threshold or `NODE_BUDGET`, read at
-call time, runs out;
-the result names which (`fallback`) and counts the nodes searched.
-Tie-breaking is by lowest index everywhere, so certificates are
-deterministic.
-
-Before any search, a root bound may certify the greedy answer: an LP
-dual-ascent lower bound for the subcover (Balas & Ho 1980) and a greedy
-clique-cover upper bound for the independent set (Ostergard 2001).  When the
-bound and the greedy value agree to within `_TIE_SLACK` (a few ulps,
-relative), the greedy answer is returned as exact after one node, whatever
-the instance size.  So `exact` means optimal up to that tie tolerance.  The
-dual ascent runs over the distinct holder columns of the incidence: an
-element held by the same members as an earlier one would add 0 to the bound.
+Exactness is never silently degraded: every result carries a status.
+Both solvers end in one step, `_certify_or_search`.  A root bound may
+certify the greedy answer first: an LP dual-ascent lower bound for the
+subcover (Balas & Ho 1980), a greedy clique-cover upper bound for the
+independent set (Ostergard 2001).  When bound and greedy value agree to
+within `_TIE_SLACK` (a few ulps, relative), the greedy answer is exact
+after one node, whatever the instance size, so `exact` means optimal up
+to that tolerance.  Otherwise the greedy answer stands, with the greedy
+status, when the instance is over its size limit or the branch and bound
+runs out of `NODE_BUDGET` nodes, which is read at call time, as is the
+independent set's limit `EXACT_LIMIT_NODES`; the result names which
+(`fallback`) and counts the nodes searched.  Tie-breaking is by lowest
+index everywhere, so certificates are deterministic.  The dual ascent
+runs over the distinct holder columns of the incidence: an element held
+by the same members as an earlier one would add 0 to the bound.
 
 Both searches fix their branching order once, before the search, and run
 on an explicit stack, so Python's recursion limit does not bound their
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -192,8 +191,8 @@ def min_subcover_value(
     Members forced by uniquely covered elements are peeled off first; this
     solves partition-shaped instances of any size exactly.  What remains is
     exact when the dual-ascent bound certifies the greedy cover, else solved
-    by a branch and bound of up to `NODE_BUDGET` nodes when small enough,
-    else greedily (the status says which).
+    by a branch and bound of up to `NODE_BUDGET` nodes when at most
+    `exact_limit` members remain, else greedily (the status says which).
     """
     incidence, sizes = inst.incidence, inst.sizes
     chosen: list[int] = []
@@ -213,9 +212,7 @@ def min_subcover_value(
         remaining &= ~incidence[forced].any(axis=0)
         active = active[incidence[np.ix_(active, remaining)].any(axis=1)]
 
-    status = STATUS_EXACT
-    nodes = 0
-    fallback = None
+    nodes, fallback = 0, None
     if remaining.any():
         held, sizes = incidence[np.ix_(active, remaining)], sizes[remaining]
         log_weights = np.array(inst.log_weights)[active]
@@ -230,31 +227,40 @@ def min_subcover_value(
         held, active = held[keep], active[keep]
         weights = [math.exp(w - shift) for w in log_weights[keep].tolist()]
         greedy = np.searchsorted(keep, greedy).tolist()
-        cover = greedy
-        if _ties(math.fsum(weights[k] for k in greedy), _dual_ascent_bound(held, weights)):
-            nodes = 1
-        elif len(active) > exact_limit:
-            fallback = FALLBACK_OVER_EXACT_LIMIT
-        else:
-            picked, nodes = _branch_and_bound_cover(held, sizes, weights, greedy, NODE_BUDGET)
-            if picked is None:
-                fallback = FALLBACK_NODE_BUDGET
-            else:
-                cover = picked
+        cover, nodes, fallback = _certify_or_search(
+            greedy, weights, _dual_ascent_bound(held, weights), len(active), exact_limit,
+            lambda: _branch_and_bound_cover(held, sizes, weights, greedy, NODE_BUDGET),
+        )
         chosen.extend(active[cover].tolist())
-        if fallback is not None:
-            status = STATUS_GREEDY_UPPER
 
     chosen = sorted(set(chosen))
+    status = STATUS_EXACT if fallback is None else STATUS_GREEDY_UPPER
     return SolveResult(
         log_sum_exp([inst.log_weights[i] for i in chosen]), tuple(chosen), status, nodes, fallback
     )
 
 
-def _ties(value: float, bound: float) -> bool:
-    """True when a greedy value and a bound on the optimum agree to within
-    the relative tie tolerance, which certifies the greedy value."""
-    return abs(value - bound) <= _TIE_SLACK * max(value, bound)
+def _certify_or_search(
+    greedy: list[int],
+    weights: Sequence[float],
+    bound: float,
+    size: int,
+    limit: int,
+    search: Callable[[], tuple[list[int] | None, int]],
+) -> tuple[list[int], int, str | None]:
+    """The answer, the nodes visited and the fallback reason: the greedy
+    answer after one node when it ties the root bound, else the greedy
+    answer unsearched when `size` passes `limit`, else what the `search`
+    thunk finds, or the greedy answer if its node budget runs out."""
+    value = math.fsum(weights[i] for i in greedy)
+    if abs(value - bound) <= _TIE_SLACK * max(value, bound):
+        return greedy, 1, None
+    if size > limit:
+        return greedy, 0, FALLBACK_OVER_EXACT_LIMIT
+    picked, nodes = search()
+    if picked is None:
+        return greedy, nodes, FALLBACK_NODE_BUDGET
+    return picked, nodes, None
 
 
 def _dual_ascent_bound(incidence: np.ndarray, weights: Sequence[float]) -> float:
@@ -367,16 +373,14 @@ def _branch_and_bound_cover(
     return sorted(best_set), nodes
 
 
-def max_weight_independent_set(
-    adjacency: Sequence[int], log_weights: Sequence[float], exact_limit: int = EXACT_LIMIT_NODES
-) -> SolveResult:
+def max_weight_independent_set(adjacency: Sequence[int], log_weights: Sequence[float]) -> SolveResult:
     """Maximum total weight over vertex sets with no adjacency-mask edge inside.
 
     The adjacency masks must be symmetric and loop-free; vertices of an
     edgeless graph are all taken without any search.  Otherwise the greedy
     set is exact when the clique-cover bound certifies it, else a search of
-    up to `NODE_BUDGET` nodes runs when the graph is small enough (the
-    status says which).
+    up to `NODE_BUDGET` nodes runs when the graph has at most
+    `EXACT_LIMIT_NODES` vertices (the status says which).
     """
     count = len(adjacency)
     if count != len(log_weights):
@@ -391,19 +395,10 @@ def max_weight_independent_set(
         return SolveResult(log_sum_exp(log_weights), chosen, STATUS_EXACT)
 
     greedy = _greedy_mwis(adjacency, weights)
-    picked: list[int] | None = None
-    nodes = 0
-    fallback = None
-    if _ties(math.fsum(weights[i] for i in greedy), _clique_cover_bound(adjacency, weights)):
-        picked, nodes = greedy, 1
-    elif count > exact_limit:
-        fallback = FALLBACK_OVER_EXACT_LIMIT
-    else:
-        picked, nodes = _branch_and_bound_mwis(adjacency, weights, greedy, NODE_BUDGET)
-        if picked is None:
-            fallback = FALLBACK_NODE_BUDGET
-    if picked is None:
-        picked = greedy
+    picked, nodes, fallback = _certify_or_search(
+        greedy, weights, _clique_cover_bound(adjacency, weights), count, EXACT_LIMIT_NODES,
+        lambda: _branch_and_bound_mwis(adjacency, weights, greedy, NODE_BUDGET),
+    )
     status = STATUS_EXACT if fallback is None else STATUS_GREEDY_LOWER
     picked = sorted(picked)
     return SolveResult(

@@ -13,10 +13,9 @@ is read off its result.  `pressure_quadruple` walks one box for the join and
 the ergodic field and hands both to it; rate sweeps call it at every depth;
 `deep_partition_sample` returns its quadruple for a stable partition with
 the ergodic field of a box too deep to walk.  S and G samples carry their
-chosen states, read sorted in `.chosen`.  One optional `exact_limit`, taken only by
-`quadruple_from_joined`, caps all four searches; without it Q and P search
-up to `EXACT_LIMIT_FAMILIES` members and G and S up to `EXACT_LIMIT_NODES`
-classes.
+chosen states, read sorted in `.chosen`.  Q and P search up to
+`EXACT_LIMIT_FAMILIES` members and G and S up to `EXACT_LIMIT_NODES`
+classes; nothing overrides either limit.
 
 States lying in exactly the same members (one atom of the join) are
 interchangeable for all four values, so every search runs over these
@@ -47,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from covpress import solvers
 from covpress.coveralg import (
     DEFAULT_MEMBER_BUDGET,
     AtomSums,
@@ -60,8 +60,6 @@ from covpress.coveralg import (
 from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal
 from covpress.solvers import (
-    EXACT_LIMIT_FAMILIES,
-    EXACT_LIMIT_NODES,
     STATUS_EXACT,
     WeightedCoverInstance,
     log_sum_exp,
@@ -123,13 +121,11 @@ def rate_sequence(samples: Sequence[PressureSample]) -> PressureEstimate:
     return PressureEstimate(samples, samples[-1].rate)
 
 
-def _subcover_sample(
-    graph: ClosenessGraph, weights: np.ndarray, n: Coords, exact_limit: int
-) -> PressureSample:
+def _subcover_sample(graph: ClosenessGraph, weights: np.ndarray, n: Coords) -> PressureSample:
     """Cheapest subcover of the joined cover under per-member log-weights,
     solved over the classes of its closeness graph."""
     inst = WeightedCoverInstance(graph.holds, graph.class_sizes, tuple(weights.tolist()))
-    res = min_subcover_value(inst, exact_limit=exact_limit)
+    res = min_subcover_value(inst)
     return PressureSample(n, box_cardinality(n), res.log_value, res.status)
 
 
@@ -189,7 +185,7 @@ def pressure_quadruple(
 
 
 def quadruple_from_joined(
-    joined: SetFamily, f_field: AtomSums | np.ndarray, n: Coords, exact_limit: int | None = None
+    joined: SetFamily, f_field: AtomSums | np.ndarray, n: Coords
 ) -> dict[str, PressureSample]:
     """Q, P, G and S of a joined family, given the box-n ergodic field per state or as `AtomSums`.
 
@@ -214,14 +210,9 @@ def quadruple_from_joined(
     and no pass over the states is made: the sample holds its join, whose
     lowest states `.chosen` finds on its first read; a caller that keeps the
     sample keeps the join's state-sized atoms array, `.chosen` read or not.
-
-    `exact_limit`, when given, caps all four searches; otherwise Q and P use
-    `EXACT_LIMIT_FAMILIES` and G and S `EXACT_LIMIT_NODES`.
     """
     if f_field is None:  # what a sweep without a potential yields
         raise ValueError("no ergodic field: sweep with Potential.constant(0.0, m) for the zero potential")
-    member_limit = EXACT_LIMIT_FAMILIES if exact_limit is None else exact_limit
-    class_limit = EXACT_LIMIT_NODES if exact_limit is None else exact_limit
     lam = box_cardinality(n)
     if joined.is_partition and isinstance(f_field, AtomSums):
         # Class maxima are the class minima, and each class's lowest state
@@ -240,13 +231,10 @@ def quadruple_from_joined(
     graph = ClosenessGraph(joined, first)
     lo, lo_reps, hi, hi_reps = (a[graph.class_atoms] for a in (lo, lo_reps, hi, hi_reps))
     q_weights, p_weights = _member_extrema(graph.holds, lo, hi)
-    out = {
-        "Q": _subcover_sample(graph, q_weights, n, member_limit),
-        "P": _subcover_sample(graph, p_weights, n, member_limit),
-    }
+    out = {"Q": _subcover_sample(graph, q_weights, n), "P": _subcover_sample(graph, p_weights, n)}
     inst = WeightedCoverInstance(graph.shares, graph.class_sizes, tuple(lo.tolist()))
-    g = min_subcover_value(inst, exact_limit=class_limit)
-    s = max_weight_independent_set(graph.class_adjacency(), hi.tolist(), exact_limit=class_limit)
+    g = min_subcover_value(inst, exact_limit=solvers.EXACT_LIMIT_NODES)
+    s = max_weight_independent_set(graph.class_adjacency(), hi.tolist())
     out["G"] = PressureSample(n, lam, g.log_value, g.status, lo_reps[list(g.chosen)])
     out["S"] = PressureSample(n, lam, s.log_value, s.status, hi_reps[list(s.chosen)])
     return out

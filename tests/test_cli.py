@@ -77,15 +77,16 @@ def test_load_config_defaults_and_overrides(tmp_path):
 
 def test_load_config_rejects_keys_the_experiment_does_not_read(tmp_path):
     # Each of these keys belongs to another experiment and would do nothing.
-    with pytest.raises(ValueError, match=r"leakage does not read config keys: \['exact_limit'\]"):
-        load_config("leakage", overrides={"exact_limit": 5})
+    with pytest.raises(ValueError, match=r"leakage does not read config keys: \['potential'\]"):
+        load_config("leakage", overrides={"potential": "arc:1"})
     p = tmp_path / "c.conf"
     p.write_text("rings = 8\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"doubling does not read config keys: \['rings'\]"):
         load_config("doubling", config_path=p)
     with pytest.raises(ValueError, match="does not read"):
         load_config("finite-vp", overrides={"member_budget": 10})
-    assert main(["leakage", "--exact-limit", "5", "--out", str(tmp_path)]) == 1
+    p.write_text("potential = arc:1\n", encoding="utf-8")
+    assert main(["leakage", "--config", str(p), "--out", str(tmp_path)]) == 1
     # Every experiment accepts the common keys, `seed` included.
     for experiment in ("doubling", "leakage", "finite-vp", "lattice-check", "fullshift"):
         cfg = load_config(experiment, overrides={"n_max": 3, "seed": 2, "out": "x", "svg": True})
@@ -233,7 +234,7 @@ def sweep_every_cover(cfg):
             for n, joined, f_field in box_sweep(
                 sys, family, f, (cfg.n_max,), member_budget=cfg.member_budget
             ):
-                quad = quadruple_from_joined(joined, f_field, n, cfg.exact_limit)
+                quad = quadruple_from_joined(joined, f_field, n)
                 for mode in ("Q", "P", "S", "G"):
                     bound = None
                     if mode == "P" and quad["P"].status == STATUS_EXACT:
@@ -935,20 +936,32 @@ def test_cli_rerun_identical_bytes(tmp_path):
 
 
 def test_cli_help_lists_every_experiment(capsys):
-    with pytest.raises(SystemExit) as done:
-        main(["--help"])
-    assert done.value.code == 0
+    assert main(["--help"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("usage: covpress")
     for name in ("lattice-check", "doubling", "leakage", "finite-vp", "fullshift"):
         assert name in text
 
 
-def test_cli_unknown_experiment_exits_2(capsys):
-    with pytest.raises(SystemExit) as done:
-        main(["torus", "--out", "unused"])
-    assert done.value.code == 2
-    assert "invalid choice: 'torus'" in capsys.readouterr().err
+def test_cli_usage_errors_exit_1(capsys):
+    # Exit code 2 is a failed verdict; a command line argparse refuses is an error.
+    for argv, message in [
+        (["torus", "--out", "unused"], "invalid choice: 'torus'"),
+        (["doubling", "--n-max", "x"], "invalid int value: 'x'"),
+        (["doubling", "--exact-limit", "5"], "unrecognized arguments: --exact-limit 5"),
+    ]:
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_exact_limit_is_neither_an_option_nor_a_key(tmp_path, capsys):
+    assert "--exact-limit" not in build_parser().format_help()
+    assert main(["doubling", "--exact-limit", "5", "--out", str(tmp_path)]) == 1
+    p = tmp_path / "c.conf"
+    p.write_text("exact_limit = 5\n", encoding="utf-8")
+    assert main(["doubling", "--config", str(p), "--out", str(tmp_path)]) == 1
+    assert "unknown config key 'exact_limit'" in capsys.readouterr().err
+    assert not (tmp_path / "doubling.csv").exists()
 
 
 def test_cli_options_parse_on_either_side_of_the_experiment():
@@ -956,8 +969,7 @@ def test_cli_options_parse_on_either_side_of_the_experiment():
     after = parser.parse_args(["doubling", "--n-max", "3", "--seed", "4", "--svg", "--out", "o"])
     before = parser.parse_args(["--n-max", "3", "--seed", "4", "--svg", "--out", "o", "doubling"])
     assert vars(after) == vars(before) == {
-        "experiment": "doubling", "config": None, "out": "o", "n_max": 3,
-        "exact_limit": None, "seed": 4, "svg": True,
+        "experiment": "doubling", "config": None, "out": "o", "n_max": 3, "seed": 4, "svg": True,
     }
 
 

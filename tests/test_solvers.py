@@ -213,7 +213,9 @@ def test_mwis_greedy_status_when_budget_exhausted():
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     lw = [float(w) for w in rng.uniform(0, 1, size=n)]
-    res = max_weight_independent_set(adjacency, lw, exact_limit=10)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "EXACT_LIMIT_NODES", 10)
+        res = max_weight_independent_set(adjacency, lw)
     assert res.status == STATUS_GREEDY_LOWER
     assert res.fallback == FALLBACK_OVER_EXACT_LIMIT
     assert res.nodes == 0
@@ -433,7 +435,9 @@ def test_solve_results_count_nodes_and_name_the_fallback(monkeypatch):
         res = max_weight_independent_set(cycle, [0.0] * 5)
     assert (res.status, res.fallback, res.nodes) == (STATUS_GREEDY_LOWER, FALLBACK_NODE_BUDGET, 2)
     assert res.chosen == (0, 2)
-    res = max_weight_independent_set(cycle, [0.0] * 5, exact_limit=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "EXACT_LIMIT_NODES", 1)
+        res = max_weight_independent_set(cycle, [0.0] * 5)
     assert (res.status, res.fallback, res.nodes) == (
         STATUS_GREEDY_LOWER, FALLBACK_OVER_EXACT_LIMIT, 0
     )

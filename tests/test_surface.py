@@ -23,10 +23,8 @@ ALLOWED = {
     "dynsys.indicator(height)": "dynsys.potential_from_spec, for arc:a",
     "experiments.sweep(f)": "experiments.run_leakage, its admissible and trivial Q sweeps",
     "lattice.as_point(dim)": "dynsys.power_map",
-    "solvers.min_subcover_value(exact_limit)": "toppressure.quadruple_from_joined",
-    "solvers.max_weight_independent_set(exact_limit)": "toppressure.quadruple_from_joined",
+    "solvers.min_subcover_value(exact_limit)": "toppressure.quadruple_from_joined: G passes EXACT_LIMIT_NODES",
     "toppressure.pressure_quadruple(member_budget)": "perfbench/workloads.py, torus2d",
-    "toppressure.quadruple_from_joined(exact_limit)": "experiments.run_doubling, cfg.exact_limit",
 }
 
 
@@ -47,5 +45,5 @@ def public_parameters_with_a_default() -> list[str]:
 
 def test_public_parameters_with_a_default_are_the_allowed_ones():
     pairs = public_parameters_with_a_default()
-    assert len(pairs) == len(set(pairs)) == 14
+    assert len(pairs) == len(set(pairs)) == 12
     assert sorted(pairs) == sorted(ALLOWED)

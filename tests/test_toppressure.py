@@ -28,7 +28,13 @@ from covpress.dynsys import (
     make_disk_system,
 )
 from covpress.experiments import annulus_cell_partition
-from covpress.solvers import NODE_BUDGET, STATUS_EXACT, WeightedCoverInstance, min_subcover_value
+from covpress.solvers import (
+    EXACT_LIMIT_FAMILIES,
+    NODE_BUDGET,
+    STATUS_EXACT,
+    WeightedCoverInstance,
+    min_subcover_value,
+)
 from covpress.toppressure import (
     PressureSample,
     deep_partition_sample,
@@ -142,22 +148,50 @@ def test_path_instance_separated_and_spanning():
     assert s.status == STATUS_EXACT and g.status == STATUS_EXACT
 
 
-@pytest.mark.parametrize("exact_limit, want", [(None, [24, 24, 2000, 2000]), (5, [5] * 4)])
+@pytest.mark.parametrize("exact_limit, want", [(None, [24, 24, 2000, 2000]), (5, [24, 24, 5, 5])])
 def test_exact_limit_caps_all_four_searches(monkeypatch, exact_limit, want):
+    # On the path cover all four instances reach the certify-or-search step:
+    # Q and P under the member limit, G and S under the class limit, which
+    # both class searches read when called (patched to 5 in the second case).
     limits = []
+    step = solvers._certify_or_search
 
-    def recording(solver):
-        def call(*args, exact_limit):
-            limits.append(exact_limit)
-            return solver(*args, exact_limit=exact_limit)
+    def recording(greedy, weights, bound, size, limit, search):
+        limits.append(limit)
+        return step(greedy, weights, bound, size, limit, search)
 
-        return call
-
-    for name in ("min_subcover_value", "max_weight_independent_set"):
-        monkeypatch.setattr(toppressure, name, recording(getattr(toppressure, name)))
+    monkeypatch.setattr(solvers, "_certify_or_search", recording)
+    if exact_limit is not None:
+        monkeypatch.setattr(solvers, "EXACT_LIMIT_NODES", exact_limit)
     path_cover = SetFamily.from_state_sets(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
-    toppressure.quadruple_from_joined(path_cover, np.zeros(5), (1,), exact_limit)
-    assert limits == want
+    toppressure.quadruple_from_joined(path_cover, np.zeros(5), (1,))
+    assert limits == [solvers.EXACT_LIMIT_FAMILIES] * 2 + [solvers.EXACT_LIMIT_NODES] * 2 == want
+
+
+def test_class_searches_read_the_class_limit_when_called(monkeypatch):
+    # The closeness graph of the 5-cycle cover is a 5-cycle, whose clique
+    # cover bound (3) does not certify its greedy set (2), so S searches; with
+    # the limit patched below 5 classes S and G keep their greedy sets.
+    results = []
+
+    def recording(*args):
+        results.append(solvers.max_weight_independent_set(*args))
+        return results[-1]
+
+    monkeypatch.setattr(toppressure, "max_weight_independent_set", recording)
+    cycle_cover = SetFamily.from_state_sets(5, [{i, (i + 1) % 5} for i in range(5)])
+    quad = toppressure.quadruple_from_joined(cycle_cover, np.zeros(5), (1,))
+    assert (quad["S"].status, results[-1].fallback) == (STATUS_EXACT, None)
+    assert results[-1].nodes > 1
+    monkeypatch.setattr(solvers, "EXACT_LIMIT_NODES", 4)
+    limited = toppressure.quadruple_from_joined(cycle_cover, np.zeros(5), (1,))
+    assert (limited["S"].status, results[-1].fallback, results[-1].nodes) == (
+        solvers.STATUS_GREEDY_LOWER, solvers.FALLBACK_OVER_EXACT_LIMIT, 0
+    )
+    assert repr(limited["S"].log_value) == repr(quad["S"].log_value)
+    assert (quad["G"].status, limited["G"].status) == (STATUS_EXACT, solvers.STATUS_GREEDY_UPPER)
+    assert repr(limited["G"].log_value) == repr(quad["G"].log_value)
+    assert {mode: limited[mode] for mode in "QP"} == {mode: quad[mode] for mode in "QP"}
 
 
 @pytest.mark.parametrize(
@@ -851,8 +885,8 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
     # element weighing its class size.  Expanded to one element per state
     # (sizes 1), the same instances give the same results: value bytes,
     # chosen members, status, node count and fallback.  Q and P weigh each
-    # member by a per-member loop, and at the default node budget the
-    # evaluator's Q and P equal the results of those weights.
+    # member by a per-member loop, and at the default limits and node budget
+    # the evaluator's Q, P and G equal the results of those weights.
     joined, field = case
     graph = ClosenessGraph(joined, coveralg.lowest_states(joined))
     rank = np.empty(joined.atom_count, dtype=np.int64)
@@ -867,7 +901,7 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
         ("P", graph.holds, per_member_loop(joined, hi, np.maximum)),
         ("G", graph.shares, lo[graph.class_atoms]),
     )
-    quad = toppressure.quadruple_from_joined(joined, field, (1,), exact_limit=exact_limit)
+    quad = toppressure.quadruple_from_joined(joined, field, (1,))
     for mode, incidence, log_weights in instances:
         log_weights = tuple(log_weights.tolist())
         by_class = WeightedCoverInstance(incidence, graph.class_sizes, log_weights)
@@ -883,9 +917,11 @@ def test_class_instances_solve_as_their_states(case, exact_limit, node_budget):
         assert (got.chosen, got.status, got.nodes, got.fallback) == (
             want.chosen, want.status, want.nodes, want.fallback
         )
-        if mode != "G" and node_budget == NODE_BUDGET:
-            assert repr(quad[mode].log_value) == repr(got.log_value), mode
-            assert quad[mode].status == got.status, mode
+        default = min_subcover_value(
+            by_class, exact_limit=solvers.EXACT_LIMIT_NODES if mode == "G" else EXACT_LIMIT_FAMILIES
+        )
+        assert repr(quad[mode].log_value) == repr(default.log_value), mode
+        assert quad[mode].status == default.status, mode
 
 
 @given(overlapping_joins())
