@@ -46,10 +46,7 @@ reads every item of the sweep over (n_max, .., n_max).  So the join and
 field at a box are the same bytes whichever way they are asked for.  A
 1-d partition sweep stops joining after its first point that adds no
 atom: there J_(t+1) = alpha v T^-1 J_t, so the join repeats at every
-later point, and the walk only extends the field.  `is_join_stable`
-certifies the same in any dimension: joined with its pullback through
-every generator, a `box_join` over the origin and that unit step, the join
-gains no member.
+later point, and the walk only extends the field.
 """
 
 from __future__ import annotations
@@ -531,23 +528,6 @@ def box_sweep(
     n = as_point(n, dim=sys.dim)
     for box, state, field in _join_shells(sys, family, f, n, member_budget, True):
         yield box, *_family(state, field)
-
-
-def is_join_stable(sys: FiniteSystem, family: SetFamily) -> bool:
-    """True when pulling back through every generator refines nothing more.
-
-    A stable orbit join equals the join over every larger box, so along a
-    sweep the certificate is read once, at the last box.  The join with the
-    pullback through a generator is the `box_join` over the origin and that
-    unit step; it has at most count**2 members, so no budget stops it.
-    """
-    if family.is_partition and family.count == sys.state_count:
-        return True  # a partition with one class per state: nothing left to refine
-    for axis in range(sys.dim):
-        unit = tuple(2 if a == axis else 1 for a in range(sys.dim))
-        if box_join(sys, family, None, unit, family.count**2)[0].count != family.count:
-            return False
-    return True
 
 
 def box_join(

@@ -41,6 +41,7 @@ from covpress.coveralg import (
 from covpress.dynsys import (
     FiniteSystem,
     Potential,
+    birkhoff_doubling,
     birkhoff_field,
     cycle_structure,
     make_circle_doubling,
@@ -51,7 +52,7 @@ from covpress.fullshift import exact_pressure, gibbs_optimizer
 from covpress.lattice import box_cardinality, decompose
 from covpress.measpressure import FiniteMeasure, measure_pressure, partition_entropy
 from covpress.solvers import STATUS_EXACT, STATUS_GREEDY_LOWER
-from covpress.toppressure import PressureSample, deep_partition_sample, quadruple_from_joined
+from covpress.toppressure import PressureSample, quadruple_from_joined
 
 CSV_HEADER = "experiment,cover,mode,n,lambda_n,raw_value,rate,bound,solver_status"
 
@@ -472,7 +473,9 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
                 for mode in ("Q", "S", "G"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))
 
-        deep = deep_partition_sample(sys, f, cells, cfg.deep_exponent)["Q"]
+        # The singleton partition is its own join at every box: only the field deepens.
+        f_deep = birkhoff_doubling(sys, f, cfg.deep_exponent)[1]
+        deep = quadruple_from_joined(cells, f_deep, (2**cfg.deep_exponent,))["Q"]
         rows.append(_sample_row(experiment, f"{tag}/cells", "Q", deep))
 
         cycles = cycle_structure(sys, f)

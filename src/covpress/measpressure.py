@@ -2,11 +2,12 @@
 
 Measures are non-negative weight vectors with arbitrary finite total mass;
 partition entropy uses the 0 * log(1/0) = 0 convention and stays meaningful
-for non-probability masses.  Entropy rates are sampled along the diagonal
-and certified at their limit where possible: on a finite deterministic
-system every orbit join stops refining, the entropy of the join is then
-constant, and the normalized rate provably tends to zero.  That certificate
-is what makes measure pressure exact here instead of an extrapolation.
+for non-probability masses.  Entropy rates are sampled along the diagonal,
+and their limit is stated, not extrapolated: a join of M states has at most
+M classes, so its entropy is bounded by a constant of the measure and M,
+and the rate per box point tends to zero on every finite system.  So the
+entropy of a system is 0, and measure pressure is the integral of the
+potential, exactly.
 
 The module also houses the empirical measures of the variational lower-bound
 construction (the weighted sum of orbit Diracs over a separated set and its
@@ -22,13 +23,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from covpress.coveralg import SetFamily, box_join, box_sweep, is_join_stable, refines, state_field
+from covpress.coveralg import SetFamily, box_join, box_sweep, refines, state_field
 from covpress.dynsys import (
     FiniteSystem, Potential, birkhoff_field, checked_states, iter_box_pullbacks, power_map
 )
 from covpress.lattice import Coords, EmptyBoxError, as_point, box_cardinality, diagonal, sym_diff_cardinality
 from covpress.solvers import STATUS_EXACT, counted_fsum
-from covpress.toppressure import PressureEstimate, PressureSample, rate_sequence
+from covpress.toppressure import PressureEstimate, PressureSample
 
 INVARIANCE_TOL = 1e-9
 
@@ -64,6 +65,8 @@ class FiniteMeasure:
         return FiniteMeasure(self.weights * alpha)
 
     def integrate(self, f: Potential) -> float:
+        if len(f.values) != len(self.weights):
+            raise ValueError(f"the potential has {len(f.values)} values, the measure {len(self.weights)} states")
         return float(math.fsum((self.weights * f.values).tolist()))
 
 
@@ -135,12 +138,11 @@ def entropy_rate(
     """Entropy of the orbit join per box point along the diagonal, for a mu that `is_invariant`.
 
     Every sampled rate is an upper bound for the limit (the subdivision
-    argument behind the existence of the limit), and once the join is stable
-    under every generator preimage the limit itself is zero: the joined
-    entropy is stuck at a constant while the box grows.
-    A join stable at some depth equals the join at every deeper one, so the
-    last join is stable exactly when any was, and only it is tested.  The
-    sweep's budget is the state count, which no partition's join exceeds.
+    argument behind the existence of the limit), and the limit is 0: the
+    join of M = `sys.state_count` states has at most M classes, so for mu of
+    mass c its entropy lies between -c log c and c log(M / c) at every box,
+    and divided by the box size it tends to 0.  The sweep's budget is the
+    state count, which no partition's join exceeds.
     """
     if not family.is_partition:
         raise ValueError("entropy rates are defined for partitions")
@@ -153,22 +155,24 @@ def entropy_rate(
     for n, joined, _ in sweep:
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
-    est = rate_sequence(samples)
-    if is_join_stable(sys, joined):
-        # Joined entropy is constant from here on, so the rate limit is zero.
-        est.extrapolated = 0.0
-    return est
+    return PressureEstimate(samples, 0.0)
 
 
 def ks_entropy(mu: FiniteMeasure, sys: FiniteSystem) -> float:
-    """Entropy of the system: the entropy rate of the singleton partition,
-    which refines every other partition.  Its join is stable from the
-    first box on, so one depth certifies the zero limit."""
-    return entropy_rate(mu, sys, SetFamily.singletons(sys.state_count), 1).extrapolated
+    """Entropy of the system, for a mu that `is_invariant`: the entropy rate
+    of the singleton partition, which refines every other partition.
+
+    The singleton partition is its own orbit join at every box, so its
+    joined entropy is the constant H(mu) and the rate H(mu) / |n| tends to
+    0; no join is built.
+    """
+    if not is_invariant(mu, sys):
+        raise ValueError("measure is not invariant within tolerance")
+    return 0.0
 
 
 def measure_pressure(mu: FiniteMeasure, sys: FiniteSystem, f: Potential) -> float:
-    """Entropy plus the integral of the potential (`entropy_rate` checks invariance)."""
+    """Entropy plus the integral of the potential (`ks_entropy` checks invariance)."""
     return ks_entropy(mu, sys) + mu.integrate(f)
 
 

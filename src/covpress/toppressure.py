@@ -10,10 +10,10 @@ Q <= G when the joined family is a partition.
 
 `quadruple_from_joined` is the one evaluator: every value, at every box,
 is read off its result.  `pressure_quadruple` walks one box for the join and
-the ergodic field and hands both to it; rate sweeps call it at every depth;
-`deep_partition_sample` returns its quadruple for a stable partition with
-the ergodic field of a box too deep to walk.  S and G samples carry their
-chosen states, read sorted in `.chosen`.  Q and P search up to
+the ergodic field and hands both to it; rate sweeps call it at every depth,
+and `finite-vp` calls it on the singleton partition, its own join at every
+box, with the doubling field of a box too deep to walk.  S and G samples
+carry their chosen states, read sorted in `.chosen`.  Q and P search up to
 `EXACT_LIMIT_FAMILIES` members and G and S up to `EXACT_LIMIT_NODES`
 classes; nothing overrides either limit.
 
@@ -39,7 +39,6 @@ per class is found when `.chosen` is first read.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -57,7 +56,7 @@ from covpress.coveralg import (
     classify_admissible,
     lowest_states,
 )
-from covpress.dynsys import FiniteSystem, Potential, birkhoff_doubling
+from covpress.dynsys import FiniteSystem, Potential
 from covpress.lattice import Coords, as_point, box_cardinality, diagonal
 from covpress.solvers import (
     STATUS_EXACT,
@@ -210,9 +209,18 @@ def quadruple_from_joined(
     and no pass over the states is made: the sample holds its join, whose
     lowest states `.chosen` finds on its first read; a caller that keeps the
     sample keeps the join's state-sized atoms array, `.chosen` read or not.
+
+    A missing field, or one without a value per state (per atom, for
+    `AtomSums`), raises a ValueError.
     """
     if f_field is None:  # what a sweep without a potential yields
         raise ValueError("no ergodic field: sweep with Potential.constant(0.0, m) for the zero potential")
+    if isinstance(f_field, AtomSums):
+        held, needed, unit = len(f_field.values), joined.atom_count, "atom"
+    else:
+        held, needed, unit = len(f_field), joined.state_count, "state"
+    if held != needed:
+        raise ValueError(f"the field has {held} values, not one per {unit} of the join ({needed})")
     lam = box_cardinality(n)
     if joined.is_partition and isinstance(f_field, AtomSums):
         # Class maxima are the class minima, and each class's lowest state
@@ -238,44 +246,6 @@ def quadruple_from_joined(
     out["G"] = PressureSample(n, lam, g.log_value, g.status, lo_reps[list(g.chosen)])
     out["S"] = PressureSample(n, lam, s.log_value, s.status, hi_reps[list(s.chosen)])
     return out
-
-
-def stabilized_partition(sys: FiniteSystem, family: SetFamily) -> tuple[SetFamily, int]:
-    """The orbit join at every depth beyond the point where it stops refining.
-
-    Only for 1-d actions, where J_(t+1) = alpha v T^-1 J_t: the first swept
-    join whose count the next depth repeats equals the join at every larger
-    box.  It is returned with its depth, the depth at which the fixed
-    partition is first attained.
-    """
-    if sys.dim != 1:
-        raise ValueError("stabilization is implemented for 1-d actions")
-    if not family.is_partition:
-        raise ValueError("stabilization needs a partition")
-    # A join of M states refines at most M - 1 times, so depth M + 1 repeats depth M.
-    sweep = box_sweep(sys, family, None, (sys.state_count + 1,), member_budget=sys.state_count)
-    for ((t,), joined, _), (_, deeper, _) in itertools.pairwise(sweep):
-        if deeper.count == joined.count:
-            return joined, t
-    raise RuntimeError("partition failed to stabilize within the step limit")
-
-
-def deep_partition_sample(
-    sys: FiniteSystem, f: Potential, family: SetFamily, exponent: int
-) -> dict[str, PressureSample]:
-    """Exact Q, P, G and S of a partition at box depth 2**exponent, as
-    `quadruple_from_joined` returns them.
-
-    The join has stabilized long before such depths, so it is the stable
-    partition, and the evaluator only needs the ergodic sums, which the
-    doubling scheme provides without iterating the box.  This reads the
-    limit rate off a finite system to float precision.
-    """
-    stable, depth = stabilized_partition(sys, family)
-    if 2**exponent < depth:
-        raise ValueError(f"depth 2**{exponent} is below the stabilization depth {depth}")
-    _, f_deep = birkhoff_doubling(sys, f, exponent)
-    return quadruple_from_joined(stable, f_deep, (2**exponent,))
 
 
 def topological_pressure(

@@ -20,7 +20,6 @@ from covpress.coveralg import (
     box_sweep,
     classify_admissible,
     cover_from_partition,
-    is_join_stable,
     join,
     potential_cover,
     refines,
@@ -926,32 +925,6 @@ def test_refinement_is_preserved_by_orbit_join(seed, depth):
     fine = join(coarse, SetFamily.from_labels(rng.integers(0, 3, size=m)))
     assert refines(fine, coarse)
     assert refines(orbit_join(sys, fine, (depth,)), orbit_join(sys, coarse, (depth,)))
-
-
-@given(covered_systems(), st.booleans(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_join_stability_matches_the_set_definition(case, as_partition, data):
-    sys, sets, _ = case
-    m = sys.state_count
-    if as_partition:
-        labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
-        family = SetFamily.from_labels(np.array(labels))
-    else:
-        family = SetFamily.from_state_sets(m, sets)
-    members = family_as_sets(family)
-
-    def gains_no_member(gen):
-        pulled = [frozenset(x for x in range(m) if gen[x] in member) for member in members]
-        return len({a & b for a in members for b in pulled if a & b}) == len(members)
-
-    assert is_join_stable(sys, family) == all(gains_no_member(gen) for gen in sys.generators)
-
-
-def test_a_cover_with_one_member_per_state_can_gain_members():
-    # {0, 1} and {0} pulled back through the swap are {0, 1} and {1}: the
-    # join gains {1}, though the cover has as many members as states.
-    sys = FiniteSystem(generators=(np.array([1, 0]),))
-    assert not is_join_stable(sys, SetFamily.from_state_sets(2, [{0, 1}, {0}]))
 
 
 def test_power_system_join_identity():

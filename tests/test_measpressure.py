@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpress import coveralg, dynsys, lattice, measpressure
-from covpress.coveralg import SetFamily, is_join_stable, join
+from covpress.coveralg import SetFamily, join
 from covpress.dynsys import (
     FiniteSystem,
     Potential,
@@ -227,18 +227,6 @@ def test_conditional_entropy_of_65536_classes_runs_in_linear_memory():
     assert peak < 32 * 2**20
 
 
-def test_singleton_join_is_stable_without_joining(monkeypatch):
-    sys = make_circle_doubling(101)
-
-    def refuse(*args):
-        raise AssertionError("a join with one class per state was refined")
-
-    monkeypatch.setattr(coveralg, "box_join", refuse)
-    assert is_join_stable(sys, SetFamily.singletons(101))
-    monkeypatch.undo()
-    assert not is_join_stable(sys, SetFamily.from_labels(np.arange(101) < 50))
-
-
 def test_entropy_subadditivity_random():
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -303,23 +291,35 @@ def lattice_partitions(draw):
 @given(lattice_partitions())
 @settings(max_examples=300, deadline=None)
 def test_entropy_rate_reads_stability_at_the_last_depth(case):
-    # Testing stability at every depth and taking the OR gives the same
-    # estimate as testing the last join alone, with the same bound.  The
-    # drawn measure is seldom invariant, and the sweep does not read it
-    # for that, so the invariance check is patched out.
+    # Each sample is the entropy of the join built depth by depth, and the
+    # limit is 0 whether or not the last join still refines.  The drawn
+    # measure is seldom invariant, and the sweep does not read it for
+    # that, so the invariance check is patched out.
     sys, family, mu, n_max = case
-    samples, stable = [], False
+    samples = []
     for t in range(1, n_max + 1):
         n = lattice.diagonal(t, sys.dim)
         joined = orbit_join(sys, family, n, member_budget=10**6)
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, lattice.box_cardinality(n), h, STATUS_EXACT))
-        stable = stable or is_join_stable(sys, joined)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measpressure, "is_invariant", lambda mu, sys: True)
         est = entropy_rate(mu, sys, family, n_max)
     assert [s.log_value for s in est.samples] == [s.log_value for s in samples]
-    assert est.extrapolated == (0.0 if stable else samples[-1].rate)
+    assert est.extrapolated == 0.0
+
+
+def test_entropy_rate_limit_is_zero_while_the_join_still_refines():
+    # The arcs of circle doubling on 101 states refine at every depth up to
+    # about log2(101), so the depth-2 join is not the limit join; the limit
+    # is still 0, not the last rate.
+    sys = make_circle_doubling(101)
+    mu = FiniteMeasure.uniform_on(range(101), 101)
+    arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)])
+    est = entropy_rate(mu, sys, arc, 2)
+    assert orbit_join(sys, arc, (3,)).count > orbit_join(sys, arc, (2,)).count
+    assert est.samples[-1].rate > 0.5
+    assert est.extrapolated == 0.0
 
 
 def test_entropy_rate_requires_invariance():
@@ -343,6 +343,20 @@ def test_entropy_rate_fekete_bound_is_running_min():
             dec = lattice.decompose(s.n, p.n, tuple(0 for _ in s.n))
             corr = dec.residue / s.lam * partition_entropy(mu, arc)
             assert s.rate <= p.rate + corr + 1e-9
+
+
+def test_ks_entropy_builds_no_join_and_checks_invariance(monkeypatch):
+    # The singleton partition is its own join at every box: its rate limit
+    # is stated, and no sweep or join is made to find it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ks_entropy swept or joined")
+
+    monkeypatch.setattr(measpressure, "box_sweep", refuse)
+    monkeypatch.setattr(measpressure, "box_join", refuse)
+    sys = make_circle_doubling(101)
+    assert ks_entropy(FiniteMeasure.uniform_on(range(101), 101), sys) == 0.0
+    with pytest.raises(ValueError, match="measure is not invariant within tolerance"):
+        ks_entropy(FiniteMeasure.uniform_on([1], 101), sys)
 
 
 def test_ks_entropy_identity_map_zero():
@@ -375,6 +389,16 @@ def test_measure_pressure_cases():
     g = Potential(np.array([0.0, 3.0, 5.0]))
     assert measure_pressure(mu, two_cycle, g) == pytest.approx(1.5)
     assert measure_pressure(mu, two_cycle, Potential.constant(0.0, 3)) == pytest.approx(0.0)
+
+
+def test_measure_pressure_refuses_a_potential_of_another_length():
+    # numpy would broadcast one value over the three states and read 5.0.
+    sys = FiniteSystem(generators=(np.array([1, 2, 0]),))
+    mu = FiniteMeasure.uniform_on([0, 1, 2], 3)
+    for values in ([5.0], [5.0, 1.0], [5.0, 1.0, 0.0, 2.0]):
+        with pytest.raises(ValueError, match=rf"potential has {len(values)} values, the measure 3 states"):
+            measure_pressure(mu, sys, Potential(np.array(values)))
+    assert measure_pressure(mu, sys, Potential(np.array([5.0, 1.0, 0.0]))) == pytest.approx(2.0)
 
 
 def test_measure_pressure_scaling():

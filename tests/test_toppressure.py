@@ -23,6 +23,7 @@ from covpress.coveralg import (
 from covpress.dynsys import (
     FiniteSystem,
     Potential,
+    birkhoff_doubling,
     birkhoff_field,
     make_circle_doubling,
     make_disk_system,
@@ -37,14 +38,13 @@ from covpress.solvers import (
 )
 from covpress.toppressure import (
     PressureSample,
-    deep_partition_sample,
     log_sum_exp,
     pressure_quadruple,
+    quadruple_from_joined,
     rate_sequence,
-    stabilized_partition,
     topological_pressure,
 )
-from oracles import member_states, orbit_join, overlap_cover, torus_shift
+from oracles import member_states, overlap_cover, torus_shift
 
 
 def arc_cover(m, split=None):
@@ -214,6 +214,20 @@ def test_a_join_swept_without_a_potential_is_refused_by_the_evaluator(family):
     assert toppressure.quadruple_from_joined(joined, zero, (1,))["Q"].status == STATUS_EXACT
 
 
+def test_a_field_of_the_wrong_length_is_refused_by_the_evaluator():
+    # A per-state field needs one value per state and `AtomSums` one per
+    # atom; numpy would broadcast a single value into every class.
+    part = SetFamily.from_labels(np.array([0, 1, 2]))
+    for field in (coveralg.AtomSums(np.array([1.0])), np.array([1.0]), np.zeros(4)):
+        with pytest.raises(ValueError, match="the field has"):
+            toppressure.quadruple_from_joined(part, field, (1,))
+    cover = SetFamily.from_state_sets(3, [{0, 1}, {1, 2}])
+    with pytest.raises(ValueError, match=r"one per atom of the join \(3\)"):
+        toppressure.quadruple_from_joined(cover, coveralg.AtomSums(np.zeros(2)), (1,))
+    quad = toppressure.quadruple_from_joined(cover, coveralg.AtomSums(np.zeros(3)), (1,))
+    assert quad["Q"].log_value == pytest.approx(math.log(2))  # both members are needed
+
+
 def test_chain_on_random_cover_instances():
     # For covers with proper overlap the provable pointwise chain is
     # Q <= P together with G <= S <= P; Q <= G needs disjoint members
@@ -356,61 +370,19 @@ def test_fekete_bound_dominates_limit_with_correction():
             )
 
 
-def test_stabilized_partition_fixpoint():
-    sys = make_circle_doubling(31)
-    part = arc_cover(31)
-    stable, depth = stabilized_partition(sys, part)
-    deeper = orbit_join(sys, part, (depth + 3,), member_budget=10**6)
-    assert stable == deeper
-    # `depth` is where the fixed partition is first attained.
-    assert orbit_join(sys, part, (depth,)) == stable
-    assert orbit_join(sys, part, (depth - 1,)).count < stable.count
-
-
 def test_deep_partition_sample_matches_direct():
+    # The singleton partition is its own join at every box, so the evaluator
+    # on it and the doubling field gives the quadruple of the walked box.
     sys = make_circle_doubling(31)
     rng = np.random.default_rng(9)
     f = Potential(rng.uniform(-0.5, 0.5, 31))
-    part = arc_cover(31)
+    cells = SetFamily.singletons(31)
+    assert box_join(sys, cells, None, (32,))[0] == cells
+    deep = quadruple_from_joined(cells, birkhoff_doubling(sys, f, 5)[1], (32,))
+    direct = pressure_quadruple(sys, f, cells, (32,), member_budget=10**6)
     for mode in ("Q", "P", "S", "G"):
-        deep = deep_partition_sample(sys, f, part, 5)[mode]
-        direct = pressure_quadruple(sys, f, part, (32,), member_budget=10**6)[mode]
-        assert deep.log_value == pytest.approx(direct.log_value, abs=1e-9)
-        assert deep.lam == 32
-
-
-def stabilized_by_counts(sys, family):
-    """The stable partition and its depth, found as the first depth whose
-    count the next depth repeats."""
-    previous = None
-    for (t,), joined, _ in box_sweep(
-        sys, family, None, (sys.state_count + 1,), member_budget=sys.state_count
-    ):
-        if previous is not None and joined.count == previous.count:
-            return previous, t - 1
-        previous = joined
-    raise AssertionError("no depth repeated its predecessor's count")
-
-
-@given(
-    st.integers(1, 9).flatmap(
-        lambda m: st.tuples(
-            st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
-            st.lists(st.integers(0, 3), min_size=m, max_size=m),
-        )
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_stabilized_partition_matches_the_count_comparison(case):
-    # The first join the stability certificate accepts is the join whose
-    # count the next depth repeats: same depth, same atom bytes.
-    gen, labels = (np.array(v) for v in case)
-    sys = FiniteSystem(generators=(gen,))
-    family = SetFamily.from_labels(labels)
-    stable, depth = stabilized_partition(sys, family)
-    want, want_depth = stabilized_by_counts(sys, family)
-    assert depth == want_depth
-    assert stable.atoms.tobytes() == want.atoms.tobytes()
+        assert deep[mode].log_value == pytest.approx(direct[mode].log_value, abs=1e-9)
+        assert deep[mode].lam == 32
 
 
 def test_deep_sample_identity_map_reads_max():
@@ -419,7 +391,8 @@ def test_deep_sample_identity_map_reads_max():
     rng = np.random.default_rng(41)
     f_vals = rng.uniform(-1, 1, 9)
     sys = FiniteSystem(generators=(np.arange(9),))
-    deep = deep_partition_sample(sys, Potential(f_vals), SetFamily.singletons(9), 30)["Q"]
+    f_deep = birkhoff_doubling(sys, Potential(f_vals), 30)[1]
+    deep = quadruple_from_joined(SetFamily.singletons(9), f_deep, (2**30,))["Q"]
     assert deep.rate == pytest.approx(float(f_vals.max()), abs=1e-8)
 
 
