@@ -354,7 +354,10 @@ def _check_box(n: Coords) -> None:
 
 
 def atom_values(family: SetFamily, f: Potential) -> np.ndarray | None:
-    """f's value per atom when f is constant on the family's atoms, else None."""
+    """f's value per atom when f is constant on the family's atoms, else None;
+    an f without a value per state of the family raises a ValueError."""
+    if len(f.values) != family.state_count:
+        raise ValueError(f"the potential has {len(f.values)} values, the family {family.state_count} states")
     phi = np.empty(family.atom_count)
     phi[family.atoms] = f.values
     return phi if (phi[family.atoms] == f.values).all() else None

@@ -209,10 +209,15 @@ def birkhoff_doubling(sys: FiniteSystem, f: Potential, exponent: int) -> tuple[n
 
     Uses sum(f, 2n) = sum(f, n) + sum(f, n) o T^n, so depth grows
     geometrically while work stays linear in the exponent.  This is how the
-    pressure of small systems is read off essentially at the limit.
+    pressure of small systems is read off essentially at the limit.  A
+    negative exponent, or an f without a value per state, raises a ValueError.
     """
     if sys.dim != 1:
         raise DimensionMismatchError("doubling scheme is defined for 1-d actions")
+    if exponent < 0:
+        raise ValueError(f"the doubling exponent must be non-negative, got {exponent}")
+    if len(f.values) != sys.state_count:
+        raise ValueError(f"the potential has {len(f.values)} values, the system {sys.state_count} states")
     tk = sys.generators[0].copy()
     fk = f.values.copy()
     for _ in range(exponent):
@@ -305,10 +310,13 @@ def cycle_structure(sys: FiniteSystem, f: Potential) -> list[tuple[tuple[int, ..
     Every invariant probability measure of a finite deterministic map lives
     on these cycles, so the best cycle mean is the exact variational optimum
     for the potential.  Cycles are rotated to start at their smallest state
-    and listed in order of that state.
+    and listed in order of that state.  An f without a value per state
+    raises a ValueError.
     """
     if sys.dim != 1:
         raise DimensionMismatchError("cycle enumeration is defined for 1-d actions")
+    if len(f.values) != sys.state_count:
+        raise ValueError(f"the potential has {len(f.values)} values, the system {sys.state_count} states")
     g = sys.generators[0]
     m = sys.state_count
     color = np.zeros(m, dtype=np.int8)  # 0 unvisited, 1 in progress, 2 done

@@ -2,12 +2,12 @@
 
 Measures are non-negative weight vectors with arbitrary finite total mass;
 partition entropy uses the 0 * log(1/0) = 0 convention and stays meaningful
-for non-probability masses.  Entropy rates are sampled along the diagonal,
-and their limit is stated, not extrapolated: a join of M states has at most
-M classes, so its entropy is bounded by a constant of the measure and M,
-and the rate per box point tends to zero on every finite system.  So the
-entropy of a system is 0, and measure pressure is the integral of the
-potential, exactly.
+for non-probability masses.  Entropy rates are sampled along the diagonal
+into a `PressureEstimate`, and their limit is stated, not extrapolated: a
+join of M states has at most M classes, so its entropy is bounded by a
+constant of the measure and M, and the rate per box point tends to zero on
+every finite system.  So the entropy of a system is 0, and measure
+pressure is the integral of the potential, exactly.
 
 The module also houses the empirical measures of the variational lower-bound
 construction (the weighted sum of orbit Diracs over a separated set and its
@@ -29,7 +29,7 @@ from covpress.dynsys import (
 )
 from covpress.lattice import Coords, EmptyBoxError, as_point, box_cardinality, diagonal, sym_diff_cardinality
 from covpress.solvers import STATUS_EXACT, counted_fsum
-from covpress.toppressure import PressureEstimate, PressureSample
+from covpress.toppressure import PressureSample
 
 INVARIANCE_TOL = 1e-9
 
@@ -117,10 +117,13 @@ def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
 
     One libm log per distinct class mass, its term added once with the
     number of classes of that mass by `counted_fsum`: the float of the
-    class-by-class `fsum`.
+    class-by-class `fsum`.  A measure without one weight per state of the
+    partition raises a ValueError.
     """
     if not family.is_partition:
         raise ValueError("partition entropy needs a partition")
+    if len(mu.weights) != family.state_count:
+        raise ValueError(f"the measure has {len(mu.weights)} states, the partition {family.state_count}")
     masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
     # The runs of equal masses are found in place, without the copy that
     # np.unique makes.
@@ -130,6 +133,14 @@ def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
     distinct = masses[starts]
     held = distinct > 0.0
     return counted_fsum([-v * math.log(v) for v in distinct[held].tolist()], counts[held])
+
+
+@dataclass
+class PressureEstimate:
+    """The entropy rates of one partition along the diagonal, with their limit in `extrapolated`."""
+
+    samples: list[PressureSample]
+    extrapolated: float
 
 
 def entropy_rate(

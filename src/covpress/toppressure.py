@@ -1,4 +1,4 @@
-"""The four cover-based pressure quantities and their rate sequences.
+"""The four cover-based pressure quantities.
 
 For a cover joined over a box, these are: the cheapest subcover weighted by
 per-member infima (Q) or suprema (P) of the exponentiated ergodic sum, the
@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -52,12 +51,10 @@ from covpress.coveralg import (
     ClosenessGraph,
     SetFamily,
     box_join,
-    box_sweep,
-    classify_admissible,
     lowest_states,
 )
 from covpress.dynsys import FiniteSystem, Potential
-from covpress.lattice import Coords, as_point, box_cardinality, diagonal
+from covpress.lattice import Coords, EmptyBoxError, as_point, box_cardinality
 from covpress.solvers import (
     STATUS_EXACT,
     WeightedCoverInstance,
@@ -101,23 +98,6 @@ class PressureSample:
             return math.exp(self.log_value)
         except OverflowError:
             return math.inf
-
-
-@dataclass
-class PressureEstimate:
-    """Rate sequence for one cover and mode, with its extrapolation."""
-
-    samples: list[PressureSample]
-    extrapolated: float
-
-
-def rate_sequence(samples: Sequence[PressureSample]) -> PressureEstimate:
-    """Bundle samples, in order of box size, into an estimate extrapolated
-    by the last rate."""
-    samples = sorted(samples, key=lambda s: s.lam)
-    if not samples:
-        raise ValueError("need at least one sample")
-    return PressureEstimate(samples, samples[-1].rate)
 
 
 def _subcover_sample(graph: ClosenessGraph, weights: np.ndarray, n: Coords) -> PressureSample:
@@ -178,7 +158,6 @@ def pressure_quadruple(
 
     The join and the ergodic field come from one walk of the box.
     """
-    n = as_point(n, dim=sys.dim)
     joined, f_field = box_join(sys, family, f, n, member_budget)
     return quadruple_from_joined(joined, f_field, n)
 
@@ -211,8 +190,12 @@ def quadruple_from_joined(
     sample keeps the join's state-sized atoms array, `.chosen` read or not.
 
     A missing field, or one without a value per state (per atom, for
-    `AtomSums`), raises a ValueError.
+    `AtomSums`), raises a ValueError.  `n` is read by `as_point`, and a box
+    with a zero side raises `EmptyBoxError`.
     """
+    n = as_point(n)
+    if 0 in n:
+        raise EmptyBoxError(f"box {n} is empty")
     if f_field is None:  # what a sweep without a potential yields
         raise ValueError("no ergodic field: sweep with Potential.constant(0.0, m) for the zero potential")
     if isinstance(f_field, AtomSums):
@@ -247,28 +230,3 @@ def quadruple_from_joined(
     out["S"] = PressureSample(n, lam, s.log_value, s.status, hi_reps[list(s.chosen)])
     return out
 
-
-def topological_pressure(
-    sys: FiniteSystem, f: Potential, covers: Sequence[tuple[str, SetFamily]], n_max: int
-) -> tuple[float, dict[str, dict[str, PressureEstimate]]]:
-    """Best Q rate over the given admissible covers along the diagonal.
-
-    A cover that fails `classify_admissible` raises a ValueError naming it.
-    The report carries the P, S and G rate sequences next to Q for
-    cross-validation; each sample equals `pressure_quadruple`'s at the same
-    box, and each sweep runs under DEFAULT_MEMBER_BUDGET.
-    """
-    report: dict[str, dict[str, PressureEstimate]] = {}
-    estimate = -math.inf
-    for name, family in covers:
-        if not classify_admissible(sys, family).is_admissible:
-            raise ValueError(f"cover {name!r} is not admissible")
-        samples: dict[str, list[PressureSample]] = {mode: [] for mode in "QPSG"}
-        sweep = box_sweep(sys, family, f, diagonal(n_max, sys.dim))
-        for n, joined, f_field in sweep:
-            quad = quadruple_from_joined(joined, f_field, n)
-            for mode, sample in quad.items():
-                samples[mode].append(sample)
-        report[name] = {mode: rate_sequence(s) for mode, s in samples.items()}
-        estimate = max(estimate, report[name]["Q"].extrapolated)
-    return estimate, report

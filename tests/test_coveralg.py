@@ -1157,6 +1157,15 @@ def test_level_cover_of_an_arc_constant_potential_is_coarser_than_the_arcs(m, lo
     assert join(arcs, levels) == arcs
 
 
+def test_atom_values_refuses_a_potential_of_another_length():
+    # numpy would broadcast a single value onto every atom.
+    halves = SetFamily.from_labels(np.array([0, 0, 1]))
+    for values in ([1.0], np.zeros(4)):
+        with pytest.raises(ValueError, match=f"the potential has {len(values)} values, the family 3 states"):
+            coveralg.atom_values(halves, Potential(values))
+    assert coveralg.atom_values(halves, Potential([2.0, 2.0, -1.0])).tolist() == [2.0, -1.0]
+
+
 # A level value: a multiple k of the grid step eps / 2, nudged one ulp down
 # (-1), not at all (0) or one ulp up (+1), or any value in a modest range.
 GRID_VALUES = st.one_of(

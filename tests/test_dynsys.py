@@ -175,6 +175,17 @@ def test_birkhoff_doubling_matches_direct():
     assert np.allclose(fk, birkhoff_field(sys, f, (16,)), atol=1e-9)
 
 
+def test_birkhoff_doubling_refuses_a_potential_of_another_length_or_a_negative_exponent():
+    sys = make_circle_doubling(5)
+    for values in ([1.0], np.zeros(7)):
+        with pytest.raises(ValueError, match=f"the potential has {len(values)} values, the system 5 states"):
+            birkhoff_doubling(sys, Potential(values), 3)
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        birkhoff_doubling(sys, Potential.constant(1.0, 5), -1)
+    tk, fk = birkhoff_doubling(sys, Potential.constant(1.0, 5), 0)  # depth 2**0
+    assert np.array_equal(tk, sys.generators[0]) and fk.tolist() == [1.0] * 5
+
+
 def test_make_circle_doubling_small():
     sys = make_circle_doubling(3)
     assert sys.generators[0].tolist() == [0, 2, 1]
@@ -276,6 +287,13 @@ def test_cycle_structure_identity_map():
         ((1,), pytest.approx(2.0)),
         ((2,), pytest.approx(3.0)),
     ]
+
+
+def test_cycle_structure_refuses_a_potential_of_another_length():
+    sys = make_circle_doubling(5)
+    for values in (np.zeros(7), [1.0, 2.0]):
+        with pytest.raises(ValueError, match=f"the potential has {len(values)} values, the system 5 states"):
+            cycle_structure(sys, Potential(values))
 
 
 def test_cycle_structure_zero_potential():

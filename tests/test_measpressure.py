@@ -111,6 +111,13 @@ def test_partition_entropy_values():
     assert partition_entropy(FiniteMeasure(np.zeros(3)), thirds) == 0.0
 
 
+def test_partition_entropy_refuses_a_measure_of_another_length():
+    thirds = SetFamily.singletons(3)
+    for m in (2, 4):
+        with pytest.raises(ValueError, match=f"the measure has {m} states, the partition 3"):
+            partition_entropy(FiniteMeasure.uniform_on(range(m), m), thirds)
+
+
 def test_partition_entropy_matches_the_per_class_sum():
     # Few state weights and small classes, so class masses repeat and some
     # classes are massless: one log per distinct mass still gives the bytes
@@ -329,7 +336,7 @@ def test_entropy_rate_requires_invariance():
         entropy_rate(mu, sys, SetFamily.singletons(4), 3)
 
 
-def test_entropy_rate_fekete_bound_is_running_min():
+def test_entropy_rate_obeys_the_subadditive_bound():
     sys = make_circle_doubling(101)
     mu = FiniteMeasure.uniform_on(range(101), 101)
     arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)])

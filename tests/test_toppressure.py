@@ -41,8 +41,6 @@ from covpress.toppressure import (
     log_sum_exp,
     pressure_quadruple,
     quadruple_from_joined,
-    rate_sequence,
-    topological_pressure,
 )
 from oracles import member_states, overlap_cover, torus_shift
 
@@ -228,6 +226,25 @@ def test_a_field_of_the_wrong_length_is_refused_by_the_evaluator():
     assert quad["Q"].log_value == pytest.approx(math.log(2))  # both members are needed
 
 
+def test_a_box_that_cannot_exist_is_refused_by_the_evaluator():
+    # The box is read as a lattice point: a zero side is an empty box, and a
+    # float, a negative or no coordinate is no point at all.
+    part = SetFamily.singletons(3)
+    for field in (np.zeros(3), coveralg.AtomSums(np.zeros(3))):
+        with pytest.raises(lattice.EmptyBoxError, match=r"box \(0,\) is empty"):
+            toppressure.quadruple_from_joined(part, field, (0,))
+        with pytest.raises(TypeError):
+            toppressure.quadruple_from_joined(part, field, (2.7,))
+        with pytest.raises(ValueError, match="negative coordinate"):
+            toppressure.quadruple_from_joined(part, field, (-2,))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            toppressure.quadruple_from_joined(part, field, ())
+        # The deepest box that finite-vp reads is a point.
+        deep = toppressure.quadruple_from_joined(part, field, (2**62,))["Q"]
+        assert deep.n == (2**62,) and deep.lam == 2**62
+        assert deep.rate == pytest.approx(math.log(3) / 2**62)
+
+
 def test_chain_on_random_cover_instances():
     # For covers with proper overlap the provable pointwise chain is
     # Q <= P together with G <= S <= P; Q <= G needs disjoint members
@@ -331,25 +348,6 @@ def test_p_mode_submultiplicative_with_boundary_correction():
         assert pn.log_value <= bound + 1e-9
 
 
-def test_rate_sequence_constant_values():
-    samples = [
-        PressureSample((t,), t, math.log(5.0), STATUS_EXACT) for t in range(1, 6)
-    ]
-    est = rate_sequence(samples)
-    assert est.extrapolated == pytest.approx(math.log(5.0) / 5)
-    # A fixed value over growing boxes: the rates, in box order, fall.
-    rates = [sample.rate for sample in est.samples]
-    assert all(b < a for a, b in zip(rates, rates[1:]))
-
-
-def test_rate_sequence_exponential_values():
-    samples = [
-        PressureSample((t,), t, t * math.log(2.0), STATUS_EXACT) for t in range(1, 6)
-    ]
-    est = rate_sequence(samples)
-    assert est.extrapolated == pytest.approx(math.log(2.0))
-
-
 def test_fekete_bound_dominates_limit_with_correction():
     # P rates obey rate(n) <= rate(p) + residue * supnorm / lambda(n).
     sys = make_circle_doubling(31)
@@ -396,28 +394,7 @@ def test_deep_sample_identity_map_reads_max():
     assert deep.rate == pytest.approx(float(f_vals.max()), abs=1e-8)
 
 
-def test_topological_pressure_trivial_cover_is_zero():
-    sys = make_circle_doubling(11)
-    f = Potential.constant(0.0, 11)
-    est, report = topological_pressure(sys, f, [("trivial", SetFamily.trivial(11))], 4)
-    assert est == pytest.approx(0.0)
-    assert report["trivial"]["Q"].extrapolated == pytest.approx(0.0)
-
-
-def test_topological_pressure_rejects_nonadmissible():
-    from covpress.dynsys import make_disk_system
-
-    sys = make_disk_system(3, 4)
-    m = sys.state_count
-    half = [0] + [1 + i * 4 + j for i in range(3) for j in (0, 1)]
-    other = [1 + i * 4 + j for i in range(3) for j in (2, 3)]
-    slices = SetFamily.from_state_sets(m, [set(half), set(other)])
-    f = Potential.constant(0.0, m)
-    with pytest.raises(ValueError, match="not admissible"):
-        topological_pressure(sys, f, [("slices", slices)], 2)
-
-
-def test_topological_pressure_2d_matches_per_box_values():
+def test_2d_sweep_matches_per_box_values():
     # Two commuting maps acting on the coordinates of a 4 x 3 product.  The
     # sweep and the per-box functions walk each box in the same order, so
     # every row, greedy ones included, must be the same sample.
@@ -432,13 +409,16 @@ def test_topological_pressure_2d_matches_per_box_values():
     sys = FiniteSystem(generators=tuple(gens))
     m = sys.state_count
     f = Potential(rng.uniform(-1, 1, m))
-    covers = [("cover", random_cover(rng, m)), ("cells", SetFamily.from_labels(rng.integers(0, 3, m)))]
-    _, report = topological_pressure(sys, f, covers, 3)
-    for name, family in covers:
-        for t in (1, 2, 3):
-            per_box = pressure_quadruple(sys, f, family, (t, t))
+    for family in (random_cover(rng, m), SetFamily.from_labels(rng.integers(0, 3, m))):
+        sweep = box_sweep(sys, family, f, (3, 3))
+        boxes = []
+        for n, joined, f_field in sweep:
+            boxes.append(n)
+            swept = quadruple_from_joined(joined, f_field, n)
+            per_box = pressure_quadruple(sys, f, family, n)
             for mode in "QPSG":
-                assert report[name][mode].samples[t - 1] == per_box[mode]
+                assert swept[mode] == per_box[mode]
+        assert boxes == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_overlap_cover_on_3x3_torus_is_certified_at_the_root(monkeypatch):
