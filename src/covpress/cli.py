@@ -1,5 +1,8 @@
 """Command line entry point: run an experiment, write CSV (and SVG), judge it.
 
+The config file and `--n-max`/`--seed` set the experiment's parameters;
+where the output goes is set by the flags `--out` and `--svg` alone.
+
 Exit codes: 0 when every verdict passes, 2 when a verdict fails, 1 on any
 error (usage errors, bad config, budget blowups, unreadable paths).
 """
@@ -26,10 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
     parser.add_argument("--config", type=Path, default=None, help="key = value config file")
-    parser.add_argument("--out", type=str, default=None, help="output directory (default: out)")
+    parser.add_argument("--out", type=str, default="out", help="output directory (default: out)")
     parser.add_argument("--n-max", type=int, default=None, dest="n_max")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--svg", action="store_true", default=None, help="also write a rate plot")
+    parser.add_argument("--svg", action="store_true", help="also write a rate plot")
     return parser
 
 
@@ -42,20 +45,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(
             args.experiment,
             config_path=args.config,
-            overrides={
-                "out": args.out,
-                "n_max": args.n_max,
-                "seed": args.seed,
-                "svg": args.svg,
-            },
+            overrides={"n_max": args.n_max, "seed": args.seed},
         )
         rows, verdicts = run_experiment(cfg)
-        out_dir = Path(cfg.out)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"{cfg.experiment}.csv"
         csv_path.write_text(rows_to_csv(rows), encoding="utf-8", newline="")
         print(f"wrote {len(rows)} rows to {csv_path}")
-        if cfg.svg:
+        if args.svg:
             svg_path = out_dir / f"{cfg.experiment}.svg"
             svg_path.write_text(
                 rate_plot_svg(rows, title=cfg.experiment), encoding="utf-8", newline=""

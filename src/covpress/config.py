@@ -1,8 +1,10 @@
 """Experiment configuration: defaults, key=value files, CLI overrides.
 
 The config file format is one `key = value` pair per line, `#` starts a
-comment.  Unknown keys are rejected so typos cannot silently fall back to
-defaults, and so are keys the chosen experiment does not read.  Every
+comment.  A file holds the experiment's parameters only: where the output
+goes is set by the command's `--out` and `--svg` flags, so `out` and `svg`
+are unknown keys.  Unknown keys are rejected so typos cannot silently fall
+back to defaults, and so are keys the chosen experiment does not read.  Every
 randomized choice is pinned by `seed`, which must be non-negative; budgets
 must be positive, the leakage geometry (rings, sectors, bands, slices) must
 fit the disk grid, `slices` must be at least 2 so the pizza cover stays
@@ -43,7 +45,7 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
 # The keys each experiment reads, besides the ones every experiment accepts.
 # `doubling` and `leakage` draw nothing at random, but they accept `seed`
 # so one command line can drive every experiment.
-_COMMON_KEYS = {"n_max", "seed", "out", "svg"}
+_COMMON_KEYS = {"n_max", "seed"}
 _EXPERIMENT_KEYS: dict[str, set[str]] = {
     "doubling": {"m", "potential", "member_budget"},
     "leakage": {
@@ -85,9 +87,6 @@ class ExperimentConfig:
     annulus_rings: int = 16
     # finite-vp deep evaluation depth (box size 2**deep_exponent)
     deep_exponent: int = 30
-    # output
-    out: str = "out"
-    svg: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -176,19 +175,9 @@ class ExperimentConfig:
         return period
 
 
-def _read_bool(value: str) -> bool:
-    word = value.lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
-
-
 # How a config file value of each key is read: by the type of its field.
 # The experiment is the command's positional argument; a file cannot set it.
 _READERS = {
-    "bool": _read_bool,
     "int": int,
     "float": float,
     "str": str,

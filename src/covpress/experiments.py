@@ -452,7 +452,10 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
     enumeration provides independently.  On a finite deterministic system
     both sides equal the best cycle mean of the potential.  A cycle measure
     whose pressure is off its cycle mean raises a RuntimeError: that checks
-    an identity of the library, not the experiment's claim.
+    an identity of the library, not the experiment's claim.  The swept
+    `cells`, `coarse` and `trivial` partitions write Q and S: on a partition
+    each class is covered only from inside, so G is Q's sample, and S is
+    the one upper value.
     """
     experiment = "finite-vp"
     rows: list[ResultRow] = []
@@ -470,7 +473,7 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
         for name, family in covers:
             for n, joined, f_field in box_sweep(sys, family, f, (cfg.n_max,), member_budget=m):
                 quad = quadruple_from_joined(joined, f_field, n)
-                for mode in ("Q", "S", "G"):
+                for mode in ("Q", "S"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))
 
         # The singleton partition is its own join at every box: only the field deepens.

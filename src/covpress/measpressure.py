@@ -3,11 +3,11 @@
 Measures are non-negative weight vectors with arbitrary finite total mass;
 partition entropy uses the 0 * log(1/0) = 0 convention and stays meaningful
 for non-probability masses.  Entropy rates are sampled along the diagonal
-into a `PressureEstimate`, and their limit is stated, not extrapolated: a
-join of M states has at most M classes, so its entropy is bounded by a
-constant of the measure and M, and the rate per box point tends to zero on
-every finite system.  So the entropy of a system is 0, and measure
-pressure is the integral of the potential, exactly.
+into a `PressureEstimate`, which holds the samples alone: their limit is
+stated, not extrapolated.  A join of M states has at most M classes, so
+its entropy is bounded by a constant of the measure and M, and the rate per
+box point tends to zero on every finite system.  So the entropy of a system
+is 0, and measure pressure is the integral of the potential, exactly.
 
 The module also houses the empirical measures of the variational lower-bound
 construction (the weighted sum of orbit Diracs over a separated set and its
@@ -137,10 +137,9 @@ def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
 
 @dataclass
 class PressureEstimate:
-    """The entropy rates of one partition along the diagonal, with their limit in `extrapolated`."""
+    """The entropy rates of one partition along the diagonal; their limit is 0 (`entropy_rate`)."""
 
     samples: list[PressureSample]
-    extrapolated: float
 
 
 def entropy_rate(
@@ -166,7 +165,7 @@ def entropy_rate(
     for n, joined, _ in sweep:
         h = partition_entropy(mu, joined)
         samples.append(PressureSample(n, box_cardinality(n), h, STATUS_EXACT))
-    return PressureEstimate(samples, 0.0)
+    return PressureEstimate(samples)
 
 
 def ks_entropy(mu: FiniteMeasure, sys: FiniteSystem) -> float:

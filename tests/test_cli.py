@@ -42,23 +42,14 @@ def test_parse_config_text():
     # comment
     m = 101
     potential = arc:1.5
-    svg = true
     euclid_eps = 0.05
     """
     parsed = parse_config_text(text)
-    assert parsed == {"m": 101, "potential": "arc:1.5", "svg": True, "euclid_eps": 0.05}
+    assert parsed == {"m": 101, "potential": "arc:1.5", "euclid_eps": 0.05}
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_text("nope = 3")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just words")
-    # Booleans take 1/true/yes/on and 0/false/no/off in any case; any other
-    # spelling is refused with its line, not read as False.
-    for word in ("ON", "Yes", "1", "true", "off", "FALSE", "0", "No"):
-        want = word.lower() in ("on", "yes", "1", "true")
-        assert parse_config_text(f"svg = {word}") == {"svg": want}
-    for word in ("nope", "ture", "", "2"):
-        with pytest.raises(ValueError, match=rf"line 2: svg: .*got '{word}'"):
-            parse_config_text(f"m = 101\nsvg = {word}")
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -89,8 +80,12 @@ def test_load_config_rejects_keys_the_experiment_does_not_read(tmp_path):
     assert main(["leakage", "--config", str(p), "--out", str(tmp_path)]) == 1
     # Every experiment accepts the common keys, `seed` included.
     for experiment in ("doubling", "leakage", "finite-vp", "lattice-check", "fullshift"):
-        cfg = load_config(experiment, overrides={"n_max": 3, "seed": 2, "out": "x", "svg": True})
+        cfg = load_config(experiment, overrides={"n_max": 3, "seed": 2})
         assert (cfg.n_max, cfg.seed) == (3, 2)
+    # Where the output goes is a flag, not a config key.
+    for key, value in (("out", "x"), ("svg", True)):
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+            load_config("doubling", overrides={key: value})
     with pytest.raises(ValueError, match="unknown experiment"):
         load_config("nope")
     # Only the doubling system is configurable; the old system-kind and
@@ -736,7 +731,7 @@ def test_finite_vp_runs_systems_over_the_member_budget(tmp_path, capsys):
     assert main(["finite-vp", "--config", str(conf), "--out", str(out)]) == 0
     assert "VERDICT finite-vp: PASS" in capsys.readouterr().out
     lines = (out / "finite-vp.csv").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1 + 3 * (3 * 8 * 3 + 2)  # header, then per seed: swept Q/S/G, deep, cycles
+    assert len(lines) == 1 + 3 * (3 * 8 * 2 + 2)  # header, then per seed: swept Q/S, deep, cycles
 
 
 def test_finite_vp_refuses_a_cycle_measure_off_its_mean(monkeypatch):
@@ -756,7 +751,14 @@ def test_finite_vp_sweeps_to_n_max():
     assert verdicts[0].passed
     swept = [r for r in rows if r.lam <= 10**6 and not r.cover.endswith("/cycles")]
     assert max(r.lam for r in swept) == 10
-    assert len([r for r in swept if r.lam == 10]) == 9  # 3 covers x (Q, S, G)
+    assert len([r for r in swept if r.lam == 10]) == 6  # 3 covers x (Q, S)
+
+
+def test_finite_vp_writes_no_g_row():
+    # Its families are partitions, on which G is Q's sample; S is its only upper value.
+    cfg = load_config("finite-vp", overrides={"seeds": 2, "n_max": 3})
+    rows, _ = run_experiment(cfg)
+    assert {r.mode for r in rows} == {"Q", "S", "Hrate"}
 
 
 def test_leakage_tiny_grid_runs():
@@ -964,6 +966,15 @@ def test_exact_limit_is_neither_an_option_nor_a_key(tmp_path, capsys):
     assert not (tmp_path / "doubling.csv").exists()
 
 
+@pytest.mark.parametrize("line, key", [("out = d", "out"), ("svg = 1", "svg")])
+def test_output_settings_are_flags_not_config_keys(tmp_path, capsys, line, key):
+    p = tmp_path / "c.conf"
+    p.write_text(line + "\n", encoding="utf-8")
+    assert main(["leakage", "--config", str(p), "--out", str(tmp_path)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_cli_options_parse_on_either_side_of_the_experiment():
     parser = build_parser()
     after = parser.parse_args(["doubling", "--n-max", "3", "--seed", "4", "--svg", "--out", "o"])
@@ -1109,7 +1120,7 @@ def test_perfbench_instruments_the_names_it_patches():
 GOLDEN_CSV_SHA256 = {
     "doubling": "a992f28a2822a58a0c86e62b27b4e523b105669d4aba6e118311911d52072230",
     "leakage": "c9a1f274ab06939bd42fdebda8f1adbe64b7bb2659417845b042436ab0ccd509",
-    "finite-vp": "1f343fac510e2988ae1cc8e67432c8f46a6f25fb6c55b65f4deda581c117f064",
+    "finite-vp": "605603536bde95a9673d24f9aa0d5dda1ebb8ec9f622a9645a3a4a777e8fade8",
     "fullshift": "0b090f302a1e35accd309161cbc484cc98b8540ad1da079460a077e3045adb1c",
     "lattice-check": "502bba233ef48760e44283969dbc9d0aa8e743a4d56e58379a9cd5ab1512f43d",
 }

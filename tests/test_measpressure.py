@@ -1,5 +1,6 @@
 """Measures, entropy, measure pressure, and the lower-bound construction."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from covpress.dynsys import (
 )
 from covpress.measpressure import (
     FiniteMeasure,
+    PressureEstimate,
     empirical_measures,
     entropy_rate,
     invariance_defect,
@@ -265,7 +267,7 @@ def test_entropy_rate_dirac_and_trivial():
     trivial = SetFamily.from_state_sets(3, [range(3)])
     # States 0 and 2 are fixed points, so the uniform measure on them is invariant.
     est2 = entropy_rate(FiniteMeasure.uniform_on([0, 2], 3), sys, trivial, 4)
-    assert est2.extrapolated == pytest.approx(0.0)
+    assert [s.rate for s in est2.samples] == pytest.approx([0.0] * 4)
 
 
 def test_entropy_rate_needs_a_sample():
@@ -298,10 +300,10 @@ def lattice_partitions(draw):
 @given(lattice_partitions())
 @settings(max_examples=300, deadline=None)
 def test_entropy_rate_reads_stability_at_the_last_depth(case):
-    # Each sample is the entropy of the join built depth by depth, and the
-    # limit is 0 whether or not the last join still refines.  The drawn
-    # measure is seldom invariant, and the sweep does not read it for
-    # that, so the invariance check is patched out.
+    # Each sample is the entropy of the join built depth by depth, whether
+    # or not the last join still refines.  The drawn measure is seldom
+    # invariant, and the sweep does not read it for that, so the invariance
+    # check is patched out.
     sys, family, mu, n_max = case
     samples = []
     for t in range(1, n_max + 1):
@@ -313,20 +315,22 @@ def test_entropy_rate_reads_stability_at_the_last_depth(case):
         patch.setattr(measpressure, "is_invariant", lambda mu, sys: True)
         est = entropy_rate(mu, sys, family, n_max)
     assert [s.log_value for s in est.samples] == [s.log_value for s in samples]
-    assert est.extrapolated == 0.0
 
 
-def test_entropy_rate_limit_is_zero_while_the_join_still_refines():
+def test_entropy_rate_samples_a_join_that_still_refines():
     # The arcs of circle doubling on 101 states refine at every depth up to
-    # about log2(101), so the depth-2 join is not the limit join; the limit
-    # is still 0, not the last rate.
+    # about log2(101), so the depth-2 join is not the limit join, and its
+    # rate is far above the limit 0.
     sys = make_circle_doubling(101)
     mu = FiniteMeasure.uniform_on(range(101), 101)
     arc = SetFamily.from_state_sets(101, [range(51), range(51, 101)])
     est = entropy_rate(mu, sys, arc, 2)
     assert orbit_join(sys, arc, (3,)).count > orbit_join(sys, arc, (2,)).count
     assert est.samples[-1].rate > 0.5
-    assert est.extrapolated == 0.0
+
+
+def test_a_pressure_estimate_holds_its_samples_alone():
+    assert [f.name for f in dataclasses.fields(PressureEstimate)] == ["samples"]
 
 
 def test_entropy_rate_requires_invariance():

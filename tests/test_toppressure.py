@@ -348,7 +348,7 @@ def test_p_mode_submultiplicative_with_boundary_correction():
         assert pn.log_value <= bound + 1e-9
 
 
-def test_fekete_bound_dominates_limit_with_correction():
+def test_p_rates_obey_the_subadditive_bound():
     # P rates obey rate(n) <= rate(p) + residue * supnorm / lambda(n).
     sys = make_circle_doubling(31)
     rng = np.random.default_rng(3)
