@@ -138,14 +138,15 @@ class ExperimentConfig:
         """The `doubling` run's half-circle arcs, its potential, and the eps
         of the potential-level cover joined onto the arcs: half the spread,
         at least 5e-10, or None when the potential is constant on each arc,
-        as `constant` and `arc` potentials are, for then every level member
-        is a union of arcs and the join is the arcs.  An eps whose level
-        grid floats cannot resolve is refused here, by the cover's own check.
+        for then every level member is a union of arcs and the join is the
+        arcs.  `constant` and `arc` potentials are so by construction; only a
+        values list is checked.  An eps whose level grid floats cannot
+        resolve is refused here, by the cover's own check.
         """
         split = (self.m + 1) // 2
         f = potential_from_spec(self.potential, self.m, arc_states=range(split, self.m))
         arcs = SetFamily.from_labels(np.arange(self.m) >= split)
-        if atom_values(arcs, f) is not None:
+        if not self.potential.startswith("values:") or atom_values(arcs, f) is not None:
             return arcs, f, None
         # Python floats: a spread past the float range is inf, with no numpy overflow warning.
         eps = max(float(f.values.max()) - float(f.values.min()), 1e-9) / 2.0

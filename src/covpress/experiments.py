@@ -455,7 +455,8 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
     an identity of the library, not the experiment's claim.  The swept
     `cells`, `coarse` and `trivial` partitions write Q and S: on a partition
     each class is covered only from inside, so G is Q's sample, and S is
-    the one upper value.
+    the one upper value.  On `cells` the field is flat on every class, so
+    S is Q's sample there too.
     """
     experiment = "finite-vp"
     rows: list[ResultRow] = []
@@ -497,7 +498,11 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def judge_finite_vp(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> list[VerdictItem]:
-    """Each seed's deep Q rate against its `cycles` row, within 1e-6."""
+    """Each seed's deep Q rate against its `cycles` row, within 1e-6; and
+    at each swept depth, Q(trivial) <= Q(coarse) <= Q(cells) and Q <= S for
+    each partition, within a relative 1e-12.  A finer partition splits a
+    class into classes whose minima are at least its minimum, and on a
+    partition S sums the class maxima where Q sums the class minima."""
     last = {(r.cover, r.mode): r.rate for r in rows}  # a seed's deep Q is its last cells Q
     tags = [f"seed{cfg.seed + s}" for s in range(cfg.seeds)]
     gaps = [(tag, abs(last[f"{tag}/cells", "Q"] - last[f"{tag}/cycles", "Hrate"])) for tag in tags]
@@ -507,7 +512,28 @@ def judge_finite_vp(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> list[Ve
         f"{max(gap for _, gap in gaps):.3e} (tolerance 1e-06)"
         + (f"; failures: {failures}" if failures else "")
     )
-    return [VerdictItem("finite-vp", not failures, detail)]
+    # A deep box at a swept depth is written after its seed's sweep.
+    swept: dict = {}
+    for r in rows:
+        swept.setdefault((r.cover, r.mode, r.n[0]), r.rate)
+    checks = [("trivial", "Q", "coarse", "Q"), ("coarse", "Q", "cells", "Q")]
+    checks += [(name, "Q", name, "S") for name in ("trivial", "coarse", "cells")]
+    broken = []
+    for tag in tags:
+        for d in range(1, cfg.n_max + 1):
+            for lo, lo_mode, hi, hi_mode in checks:
+                a, b = swept[f"{tag}/{lo}", lo_mode, d], swept[f"{tag}/{hi}", hi_mode, d]
+                if a - b > 1e-12 * max(abs(a), abs(b)):
+                    broken.append(f"{tag} depth {d}: {lo} {lo_mode} {a!r} > {hi} {hi_mode} {b!r}")
+    sweep_detail = (
+        f"{cfg.seeds} seeds x {cfg.n_max} depths: Q(trivial) <= Q(coarse) <= Q(cells) and Q <= S "
+        "per partition, relative slack 1e-12"
+        + (f"; {len(broken)} broken, first: {broken[0]}" if broken else "")
+    )
+    return [
+        VerdictItem("finite-vp", not failures, detail),
+        VerdictItem("finite-vp-sweep", not broken, sweep_detail),
+    ]
 
 
 # -- lattice check -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite measures, entropy, measure pressure and the lower-bound construction.
 
-Measures are non-negative weight vectors with arbitrary finite total mass;
+Measures are non-negative weight vectors with arbitrary finite total mass,
+the correctly rounded sum of the weights, computed when it is read;
 partition entropy uses the 0 * log(1/0) = 0 convention and stays meaningful
 for non-probability masses.  Entropy rates are sampled along the diagonal
 into a `PressureEstimate`, which holds the samples alone: their limit is
@@ -18,7 +19,7 @@ identity that links separated sums to partition entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from covpress.dynsys import (
     FiniteSystem, Potential, birkhoff_field, checked_states, iter_box_pullbacks, power_map
 )
 from covpress.lattice import Coords, EmptyBoxError, as_point, box_cardinality, diagonal, sym_diff_cardinality
-from covpress.solvers import STATUS_EXACT, counted_fsum
+from covpress.solvers import STATUS_EXACT, fsum_terms
 from covpress.toppressure import PressureSample
 
 INVARIANCE_TOL = 1e-9
@@ -36,10 +37,9 @@ INVARIANCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FiniteMeasure:
-    """Non-negative weight per state; mass is the cached total."""
+    """Non-negative weight per state; `mass`, their total, is summed when read."""
 
     weights: np.ndarray
-    mass: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -49,7 +49,10 @@ class FiniteMeasure:
             raise ValueError("measure weights must be finite and non-negative")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "mass", counted_fsum(*np.unique(w, return_counts=True)))
+
+    @property
+    def mass(self) -> float:
+        return fsum_terms(self.weights, float)
 
     @classmethod
     def uniform_on(cls, states: Iterable[int], m: int) -> "FiniteMeasure":
@@ -105,9 +108,7 @@ def is_invariant(mu: FiniteMeasure, sys: FiniteSystem) -> bool:
         raise ValueError("measure does not live on this system")
     for g in sys.generators:  # each generator is its unit step's power map
         image = np.bincount(g, weights=mu.weights, minlength=sys.state_count)
-        # Mostly zeros for an invariant measure: each distinct one is added once.
-        defect = counted_fsum(*np.unique(np.abs(image - mu.weights), return_counts=True))
-        if defect > INVARIANCE_TOL:
+        if fsum_terms(np.abs(image - mu.weights), float) > INVARIANCE_TOL:
             return False
     return True
 
@@ -115,24 +116,16 @@ def is_invariant(mu: FiniteMeasure, sys: FiniteSystem) -> bool:
 def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
     """Entropy of a partition for a finite (not necessarily unit-mass) measure.
 
-    One libm log per distinct class mass, its term added once with the
-    number of classes of that mass by `counted_fsum`: the float of the
-    class-by-class `fsum`.  A measure without one weight per state of the
-    partition raises a ValueError.
+    The terms -m log m of the classes of mass m > 0 are added by
+    `fsum_terms`: the float of the class-by-class `fsum`.  A measure without
+    one weight per state of the partition raises a ValueError.
     """
     if not family.is_partition:
         raise ValueError("partition entropy needs a partition")
     if len(mu.weights) != family.state_count:
         raise ValueError(f"the measure has {len(mu.weights)} states, the partition {family.state_count}")
     masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
-    # The runs of equal masses are found in place, without the copy that
-    # np.unique makes.
-    masses.sort()
-    starts = np.flatnonzero(np.r_[True, masses[1:] != masses[:-1]][: len(masses)])
-    counts = np.diff(starts, append=len(masses))
-    distinct = masses[starts]
-    held = distinct > 0.0
-    return counted_fsum([-v * math.log(v) for v in distinct[held].tolist()], counts[held])
+    return fsum_terms(masses[masses > 0.0], lambda v: -v * math.log(v))
 
 
 @dataclass

@@ -7,6 +7,10 @@ that its optimum is at least 1 (subcover: log-domain greedy value over the
 greedy ratio H(d); independent set: the largest log-weight), so whatever
 underflows is below float resolution; values go back to log scale.
 
+Every sum of repeated terms, here and in `measpressure`, is `fsum_terms`:
+the correctly rounded `math.fsum` of the terms, which a long input reaches
+with one call of its term per distinct value.
+
 A subcover instance is a bool members x elements incidence with a size
 per element: an element may stand for several interchangeable ones (the
 states of one membership class), and counts that many times in the greedy
@@ -64,6 +68,10 @@ _PRUNE_SLACK = 1e-9
 # ulps, far below `_PRUNE_SLACK`, to absorb the rounding of the bound's sums.
 _TIE_SLACK = 8 * 2.0**-52
 
+# Longest input that `fsum_terms` sums element by element; a longer one is
+# summed once per distinct value.
+_SHORT_SUM = 256
+
 STATUS_EXACT = "exact"
 STATUS_GREEDY_UPPER = "greedy_upper"
 STATUS_GREEDY_LOWER = "greedy_lower"
@@ -118,44 +126,46 @@ class WeightedCoverInstance:
             raise ValueError("members do not cover every element")
 
 
-def counted_fsum(values: Sequence[float] | np.ndarray, counts: Sequence[int] | np.ndarray) -> float:
-    """`math.fsum` of each `values[i]` taken `counts[i]` times, at a cost
-    set by the number of values, not by the total count.
+def fsum_terms(values: Sequence[float] | np.ndarray, term: Callable[[float], float]) -> float:
+    """`math.fsum` of `term(v)` over every element v of `values`.
 
-    k copies of x add up to the sum of x * 2**j over the set bits j of k.
-    Scaling by a power of two up loses no bits, subnormals included, so
-    each scaled copy is exact unless it overflows; `fsum` is correctly
-    rounded, so the scaled copies give the float of the expanded sum.  A
-    finite value whose scaled copy overflows raises OverflowError, as the
-    expanded `fsum` does for terms of one sign.
+    Up to `_SHORT_SUM` elements are summed one by one.  A longer input
+    calls `term` once per distinct value and adds each result k times as
+    the x * 2**j over the set bits j of k: scaling by a power of two loses
+    no bits, subnormals included, and `fsum` is correctly rounded, so both
+    routes give the float of the element-by-element sum.  A scaled copy
+    that overflows raises OverflowError, as the element-by-element `fsum`
+    does for terms of one sign.
     """
     values = np.asarray(values, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.int64)
+    if len(values) <= _SHORT_SUM:
+        return math.fsum(map(term, values.tolist()))
+    distinct, counts = np.unique(values, return_counts=True)
+    terms = np.array([term(v) for v in distinct.tolist()], dtype=np.float64)
     try:
         with np.errstate(over="raise"):
             copies = [
-                values[counts >> j & 1 == 1] * 2.0**j
-                for j in range(int(counts.max(initial=0)).bit_length())
+                terms[counts >> j & 1 == 1] * 2.0**j
+                for j in range(int(counts.max()).bit_length())
             ]
     except FloatingPointError:
-        raise OverflowError("a scaled copy overflows in counted_fsum") from None
-    return math.fsum(np.concatenate(copies).tolist()) if copies else 0.0
+        raise OverflowError("a scaled copy overflows in fsum_terms") from None
+    return math.fsum(np.concatenate(copies).tolist())
 
 
 def log_sum_exp(values: Sequence[float] | np.ndarray) -> float:
     """log(sum(exp(v))), shifted by the largest value.
 
-    Each distinct shifted value gets one libm `math.exp`, whose bytes the
-    CSVs pin, and `counted_fsum` adds it once per occurrence, exactly: the
-    result is the float of the element-by-element `fsum`, whatever the
-    order of `values`.  A +inf value gives +inf.
+    Each shifted value gets a libm `math.exp`, whose bytes the CSVs pin, and
+    `fsum_terms` adds them exactly: the result is the float of the
+    element-by-element `fsum`, whatever the order of `values`.  A +inf
+    value gives +inf.
     """
     vals = np.asarray(values, dtype=np.float64)
     shift = float(vals.max()) if len(vals) else -math.inf
     if math.isinf(shift):
         return shift
-    distinct, counts = np.unique(vals - shift, return_counts=True)
-    return shift + math.log(counted_fsum([math.exp(v) for v in distinct.tolist()], counts))
+    return shift + math.log(fsum_terms(vals - shift, math.exp))
 
 
 def _greedy_cover(

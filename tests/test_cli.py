@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covpress
-from covpress import coveralg, experiments, lattice, toppressure
+from covpress import config, coveralg, experiments, lattice, toppressure
 from covpress.cli import build_parser, main
 from covpress.config import EXPERIMENTS, ExperimentConfig, load_config, parse_config_text
 from covpress.coveralg import CoverBudgetError, SetFamily, box_sweep, join, potential_cover
@@ -312,6 +312,18 @@ def test_doubling_builds_no_level_cover_for_arc_constant_potentials(monkeypatch,
     rows, verdicts = run_experiment(cfg)
     assert rows == expected_rows
     assert [v.detail for v in verdicts] == [expected_detail]
+
+
+@pytest.mark.parametrize(
+    "potential, checks", [("constant:0", 0), ("arc:1", 0), (ARC_VALUES_101, 1), (RAMP_101, 1)]
+)
+def test_doubling_inputs_check_only_a_values_potential_on_the_arcs(monkeypatch, potential, checks):
+    # `constant` and `arc` potentials are constant on each arc by construction.
+    cfg = load_config("doubling", overrides={"m": 101, "potential": potential})
+    calls, atom_values = [], config.atom_values
+    monkeypatch.setattr(config, "atom_values", lambda *args: calls.append(args) or atom_values(*args))
+    assert (cfg.doubling_inputs()[2] is None) == (potential != RAMP_101)
+    assert len(calls) == checks
 
 
 def count_lowest_states(monkeypatch):
@@ -713,7 +725,7 @@ def test_fullshift_stops_at_a_box_too_large_to_enumerate(tmp_path):
 def test_finite_vp_two_seeds():
     cfg = load_config("finite-vp", overrides={"seeds": 2, "seed": 11, "n_max": 4})
     rows, verdicts = run_experiment(cfg)
-    assert verdicts[0].passed
+    assert [(v.name, v.passed) for v in verdicts] == [("finite-vp", True), ("finite-vp-sweep", True)]
     deep = [r for r in rows if r.cover.endswith("/cells") and r.lam > 10**6]
     oracle = [r for r in rows if r.cover.endswith("/cycles")]
     assert len(deep) == 2 and len(oracle) == 2
@@ -748,7 +760,7 @@ def test_finite_vp_refuses_a_cycle_measure_off_its_mean(monkeypatch):
 def test_finite_vp_sweeps_to_n_max():
     cfg = load_config("finite-vp", overrides={"seeds": 1, "seed": 11, "n_max": 10})
     rows, verdicts = run_experiment(cfg)
-    assert verdicts[0].passed
+    assert all(v.passed for v in verdicts)
     swept = [r for r in rows if r.lam <= 10**6 and not r.cover.endswith("/cycles")]
     assert max(r.lam for r in swept) == 10
     assert len([r for r in swept if r.lam == 10]) == 6  # 3 covers x (Q, S)
@@ -854,11 +866,17 @@ def deep_q_off_its_cycles(rows):
     return edit_last(rows, "seed0/cells", "Q", lambda r: replace(r, rate=cycles.rate + 1e-5))
 
 
+def edit_swept(rows, cover, mode, depth, change):
+    """The rows with the swept row of this cover, mode and depth replaced by `change` of it."""
+    i = next(i for i, r in enumerate(rows) if (r.cover, r.mode, r.n) == (cover, mode, (depth,)))
+    return [*rows[:i], change(rows[i]), *rows[i + 1:]]
+
+
 # Per experiment: one edit of a default run's parsed rows, and the verdicts it passes.
 ROW_EDITS = {
     "doubling": (lambda rows: edit_last(rows, "arcs", "Q", lambda r: replace(r, rate=r.rate + 0.06)), [False]),
     "leakage": (steeper_admissible_tail, [True, True, False]),
-    "finite-vp": (deep_q_off_its_cycles, [False]),
+    "finite-vp": (deep_q_off_its_cycles, [False, True]),
     "lattice-check": (lambda rows: [*rows[:7], replace(rows[7], solver_status="violated"), *rows[8:]], [False]),
     "fullshift": (lambda rows: edit_last(rows, "origin", "G", lambda r: replace(r, rate=r.rate + 1e-8)), [False]),
 }
@@ -872,6 +890,38 @@ def test_one_edited_row_fails_its_verdict(experiment):
     assert all(v.passed for v in JUDGES[experiment](cfg, parsed))
     edit, passes = ROW_EDITS[experiment]
     assert [v.passed for v in JUDGES[experiment](cfg, edit(parsed))] == passes
+
+
+def test_finite_vp_sweep_verdict_reads_every_swept_row():
+    cfg = load_config("finite-vp")
+    rows, _ = run_experiment(cfg)
+    parsed = [ResultRow.from_csv(line) for line in rows_to_csv(rows).splitlines()[1:]]
+    cells, trivial = (
+        next(r for r in parsed if (r.cover, r.mode, r.n) == (cover, "Q", (depth,)))
+        for cover, depth in (("seed3/cells", 5), ("seed3/trivial", 2))
+    )
+    edits = {
+        # A coarse Q above its cells Q, and a Q above its S, each by 1e-9.
+        "seed3 depth 5: coarse Q": edit_swept(
+            parsed, "seed3/coarse", "Q", 5, lambda r: replace(r, rate=cells.rate + 1e-9)
+        ),
+        "seed3 depth 2: trivial Q": edit_swept(
+            parsed, "seed3/trivial", "S", 2, lambda r: replace(r, rate=trivial.rate - 1e-9)
+        ),
+    }
+    for first, edited in edits.items():
+        verdicts = JUDGES["finite-vp"](cfg, edited)
+        assert [v.passed for v in verdicts] == [True, False]
+        assert f"broken, first: {first}" in verdicts[1].detail
+
+
+def test_finite_vp_sweep_verdict_skips_a_deep_box_at_a_swept_depth():
+    # Box (4,) is both swept and the deep box; the sweep verdict reads the swept row.
+    cfg = load_config("finite-vp", overrides={"seeds": 3, "n_max": 6, "deep_exponent": 2})
+    rows, verdicts = run_experiment(cfg)
+    assert verdicts[1].passed
+    deep = edit_last(rows, "seed0/cells", "Q", lambda r: replace(r, rate=-1e300))
+    assert JUDGES["finite-vp"](cfg, deep)[1].passed
 
 
 CSV_FLOATS = st.floats(allow_nan=False) | st.sampled_from(

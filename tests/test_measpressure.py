@@ -99,6 +99,17 @@ def test_measure_mass_is_the_state_by_state_fsum(seed, m, pool, distinct):
     assert repr(FiniteMeasure(w).mass) == repr(math.fsum(w.tolist()))
 
 
+def test_a_measure_sums_its_weights_only_when_its_mass_is_read(monkeypatch):
+    assert "mass" not in {f.name for f in dataclasses.fields(FiniteMeasure)}
+    sums = []
+    fsum_terms, fsum = measpressure.fsum_terms, math.fsum
+    monkeypatch.setattr(measpressure, "fsum_terms", lambda *args: sums.append("fsum_terms") or fsum_terms(*args))
+    monkeypatch.setattr(math, "fsum", lambda terms: sums.append("fsum") or fsum(terms))
+    mu = FiniteMeasure(np.full(65536, 1.0 / 65536))
+    assert sums == []
+    assert mu.mass == 1.0 and sums == ["fsum_terms", "fsum"]
+
+
 def test_partition_entropy_values():
     one_cell = SetFamily.trivial(4)
     one_cell = SetFamily.from_state_sets(4, [range(4)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covpress import solvers
 from covpress.solvers import (
@@ -25,7 +26,7 @@ from covpress.solvers import (
     _dual_ascent_bound,
     _greedy_cover,
     _greedy_mwis,
-    counted_fsum,
+    fsum_terms,
     max_weight_independent_set,
     min_subcover_value,
 )
@@ -774,25 +775,76 @@ _huge_terms = st.floats(0.0, 1.7976931348623157e308)
     )
 )
 @settings(max_examples=300, deadline=None)
-def test_counted_fsum_is_the_expanded_fsum(pairs):
+def test_fsum_terms_is_the_expanded_fsum(pairs):
     # Subnormals included: scaled copies are exact, so the sum is the float
     # of the fsum over every copy, and it overflows where that one does.
-    values, counts = [v for v, _ in pairs], [c for _, c in pairs]
+    # Compared with ==: a sum of zeros of both signs may differ in its sign.
     expanded = [v for v, c in pairs for _ in range(c)]
     try:
         want = math.fsum(expanded)
     except OverflowError:
         with pytest.raises(OverflowError):
-            counted_fsum(values, counts)
+            fsum_terms(expanded, float)
     else:
-        assert repr(counted_fsum(values, counts)) == repr(want)
-        assert repr(counted_fsum(np.array(values), np.array(counts))) == repr(want)
+        assert fsum_terms(expanded, float) == want
+        assert fsum_terms(np.array(expanded), float) == want
 
 
-def test_counted_fsum_edge_cases():
-    assert counted_fsum([], []) == 0.0
-    assert counted_fsum([2.5], [0]) == 0.0
-    assert counted_fsum([5e-324, 1.0], [3, 2]) == math.fsum([5e-324] * 3 + [1.0] * 2)
-    assert counted_fsum([math.inf, 1.0], [4, 1]) == math.inf
+def test_fsum_terms_edge_cases():
+    assert fsum_terms([], float) == 0.0  # no value, or one taken 0 times
+    assert fsum_terms([5e-324] * 3 + [1.0] * 2, float) == math.fsum([5e-324] * 3 + [1.0] * 2)
+    assert fsum_terms([math.inf] * 4 + [1.0], float) == math.inf
     with pytest.raises(OverflowError):
-        counted_fsum([1e308], [2])
+        fsum_terms([1e308] * 2, float)
+
+
+# Each term with values on which it is finite.
+_TERMS = [
+    (float, st.floats(-1e300, 1e300)),
+    (math.exp, st.floats(max_value=0.0)),
+    (lambda v: -v * math.log(v), st.floats(0.0, 1e300, exclude_min=True)),
+]
+
+
+@st.composite
+def terms_and_values(draw):
+    """A term and up to 4 * _SHORT_SUM values for it, drawn freely or from at most 5."""
+    term, elements = draw(st.sampled_from(_TERMS))
+    if draw(st.booleans()):
+        elements = st.sampled_from(draw(st.lists(elements, min_size=1, max_size=5)))
+    size = draw(st.integers(0, 4 * solvers._SHORT_SUM))
+    return term, draw(hnp.arrays(np.float64, size, elements=elements))
+
+
+@given(terms_and_values())
+@settings(max_examples=200, deadline=None)
+def test_fsum_terms_is_the_fsum_of_the_terms(drawn):
+    term, values = drawn
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return term(v)
+
+    # Compared with ==: a sum of zeros of both signs may differ in its sign.
+    assert fsum_terms(values, counted) == math.fsum(map(term, values.tolist()))
+    short = len(values) <= solvers._SHORT_SUM
+    assert len(calls) == (len(values) if short else len(np.unique(values)))
+    assert fsum_terms(values.tolist(), term) == math.fsum(map(term, values.tolist()))
+
+
+@pytest.mark.parametrize("k", [2, 2 * solvers._SHORT_SUM])
+def test_fsum_terms_overflows_on_both_routes(k):
+    with pytest.raises(OverflowError):
+        fsum_terms([1e308] * k, float)
+
+
+def test_log_sum_exp_on_a_short_input_counts_no_distinct_values(monkeypatch):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+    values = np.linspace(-3.0, 2.0, solvers._SHORT_SUM)
+    assert solvers.log_sum_exp(values) == 2.0 + math.log(math.fsum(math.exp(v - 2.0) for v in values.tolist()))
+    assert not calls
+    solvers.log_sum_exp(np.append(values, 0.0))
+    assert len(calls) == 1
