@@ -375,6 +375,16 @@ def state_field(joined: SetFamily, field: AtomSums | np.ndarray | None) -> np.nd
     return field.values[joined.atoms] if isinstance(field, AtomSums) else field
 
 
+def _outer_sum(vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """vals[i] + phi[k] at index i * len(phi) + k, written one column at a
+    time: a join's left side refines the family, so phi is never the longer
+    side, and the loop runs once per atom of the family."""
+    out = np.empty((len(vals), len(phi)))
+    for k, p in enumerate(phi):
+        np.add(vals, p, out=out[:, k])
+    return out.ravel()
+
+
 def _join_shells(
     sys: FiniteSystem,
     family: SetFamily,
@@ -390,10 +400,15 @@ def _join_shells(
     When f is flat on the family's atoms, f o T^k is phi[atoms o T^k] for
     phi, f's value per atom, so the field is a function of the joined atom:
     the walk carries the atom labels alone, `vals[j]` adds up phi along
-    atom j's itinerary, extended by the join's pairs at every point, and
-    the field is `AtomSums(vals)`.  Each term is added in the walk's order
-    from +0.0, as a per-state sum adds it, so the bytes are the same.  A
-    potential that is not flat is pulled back and added per state.  The
+    atom j's itinerary, extended at every point, and the field is
+    `AtomSums(vals)`.  When the join's codes are its whole code space, as
+    unranked codes are and ranked ones are when every code occurs, code
+    i * K + k pairs atom i with atom k of the family's K, and vals extends
+    as an outer sum with phi, one column per atom; otherwise each ranked
+    pair is split into its two atoms by a divmod and two gathers.  Each
+    term is added in the walk's order from +0.0, as a per-state sum adds
+    it, so the bytes are the same.  A potential that is not flat is pulled
+    back and added per state.  The
     labels are walked in the narrowest unsigned dtype that holds them, so
     each pullback gathers 1 or 2 bytes per state for up to 65,536 atoms;
     `_join_atoms` widens their codes to int64.
@@ -456,8 +471,8 @@ def _join_shells(
                 stable = watch and ranked and pairs is not None and bound == state[1]
                 ranked = pairs is not None
                 state = atoms, bound, incidence
-                if phi is not None and pairs is None:  # unranked: vals spans the code space
-                    vals = (vals[:, None] + phi).ravel()
+                if phi is not None and (pairs is None or len(pairs) == len(vals) * len(phi)):
+                    vals = _outer_sum(vals, phi)  # the pairs are the whole code space
                 elif phi is not None:
                     left, right = np.divmod(pairs, family.atom_count)
                     vals = vals[left] + phi[right]

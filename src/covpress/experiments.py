@@ -196,6 +196,8 @@ def judge_doubling(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> list[Ver
     named with the budget that its next box passes.
     """
     arc_q = [r for r in rows if r.cover == "arcs" and r.mode == "Q"]
+    if not arc_q:
+        return [VerdictItem("doubling-rate", False, "missing: every arcs Q row")]
     steps = [(a.rate, b.rate) for a, b in zip(arc_q, arc_q[1:])]
     monotone = all(b >= a - 1e-9 for a, b in steps) or all(b <= a + 1e-9 for a, b in steps)
     note = "" if monotone else "; note: rate sequence is not monotone"
@@ -408,35 +410,40 @@ def run_leakage(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def judge_leakage(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> list[VerdictItem]:
-    """The pizza and euclidean rates at the last depth, and the admissible tail slope."""
+    """The pizza and euclidean rates at the last depth, and the admissible
+    tail slope; a track without the rows its verdict reads fails it."""
     last = {r.cover: r for r in rows}  # each track's deepest row
-    pizza_rate = last["pizza"].rate
-    euclid_rate = last[f"euclid_eps{cfg.euclid_eps:g}"].rate
+    verdicts = []
+    for name, cover, what in (
+        ("leakage-pizza", "pizza", "pizza itinerary rate {:.4f} (>= 0.6 expected, toward log 2; "
+         "diagnostic non-admissible cover)"),
+        ("leakage-euclid", f"euclid_eps{cfg.euclid_eps:g}",
+         "euclidean separated rate {:.4f} (>= 0.6 expected, toward log 2)"),
+    ):
+        if cover in last:
+            verdicts.append(VerdictItem(name, last[cover].rate >= 0.6, what.format(last[cover].rate)))
+        else:
+            verdicts.append(VerdictItem(name, False, f"missing: every {cover} row"))
     # The admissible value saturates; the tail slope of its log estimates the
     # limit without the O(count)/depth offset a secant would carry.
-    prev, final = [r for r in rows if r.cover == "admissible"][-2:]
+    tail = [r for r in rows if r.cover == "admissible"][-2:]
+    if len(tail) < 2:
+        detail = f"missing: the last two admissible rows, {len(tail)} written"
+        verdicts.append(VerdictItem("leakage-admissible", False, detail))
+        return verdicts
+    prev, final = tail
     log_final, log_prev = math.log(final.raw_value), math.log(prev.raw_value)
     admissible_slope = (log_final - log_prev) / (final.lam - prev.lam)
-    return [
-        VerdictItem(
-            "leakage-pizza",
-            pizza_rate >= 0.6,
-            f"pizza itinerary rate {pizza_rate:.4f} (>= 0.6 expected, toward log 2; "
-            "diagnostic non-admissible cover)",
-        ),
-        VerdictItem(
-            "leakage-euclid",
-            euclid_rate >= 0.6,
-            f"euclidean separated rate {euclid_rate:.4f} (>= 0.6 expected, toward log 2)",
-        ),
+    verdicts.append(
         VerdictItem(
             "leakage-admissible",
             admissible_slope <= 0.05,
             f"admissible Q tail slope {admissible_slope:.4f} (<= 0.05 expected, target 0; "
             f"secant at depth {final.n[0]} is {final.rate:.4f} and still carries the "
             "saturated-count offset)",
-        ),
-    ]
+        )
+    )
+    return verdicts
 
 
 # -- finite-system variational principle ------------------------------------
@@ -453,10 +460,10 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
     both sides equal the best cycle mean of the potential.  A cycle measure
     whose pressure is off its cycle mean raises a RuntimeError: that checks
     an identity of the library, not the experiment's claim.  The swept
-    `cells`, `coarse` and `trivial` partitions write Q and S: on a partition
-    each class is covered only from inside, so G is Q's sample, and S is
-    the one upper value.  On `cells` the field is flat on every class, so
-    S is Q's sample there too.
+    `cells`, `coarse` and `trivial` partitions write Q, and `coarse` and
+    `trivial` S as well: on a partition each class is covered only from
+    inside, so G is Q's sample, and S is the one upper value.  On `cells`
+    the field is flat on every class, so S is Q's sample there too.
     """
     experiment = "finite-vp"
     rows: list[ResultRow] = []
@@ -474,7 +481,7 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
         for name, family in covers:
             for n, joined, f_field in box_sweep(sys, family, f, (cfg.n_max,), member_budget=m):
                 quad = quadruple_from_joined(joined, f_field, n)
-                for mode in ("Q", "S"):
+                for mode in ("Q",) if name == "cells" else ("Q", "S"):
                     rows.append(_sample_row(experiment, f"{tag}/{name}", mode, quad[mode]))
 
         # The singleton partition is its own join at every box: only the field deepens.
@@ -499,41 +506,59 @@ def run_finite_vp(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def judge_finite_vp(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> list[VerdictItem]:
     """Each seed's deep Q rate against its `cycles` row, within 1e-6; and
-    at each swept depth, Q(trivial) <= Q(coarse) <= Q(cells) and Q <= S for
-    each partition, within a relative 1e-12.  A finer partition splits a
-    class into classes whose minima are at least its minimum, and on a
-    partition S sums the class maxima where Q sums the class minima."""
-    last = {(r.cover, r.mode): r.rate for r in rows}  # a seed's deep Q is its last cells Q
-    tags = [f"seed{cfg.seed + s}" for s in range(cfg.seeds)]
-    gaps = [(tag, abs(last[f"{tag}/cells", "Q"] - last[f"{tag}/cycles", "Hrate"])) for tag in tags]
-    failures = [(tag, gap) for tag, gap in gaps if gap > 1e-6]
-    detail = (
-        f"{cfg.seeds} seeded systems, worst |topological - measure| gap "
-        f"{max(gap for _, gap in gaps):.3e} (tolerance 1e-06)"
-        + (f"; failures: {failures}" if failures else "")
-    )
-    # A deep box at a swept depth is written after its seed's sweep.
+    at each swept depth, Q(trivial) <= Q(coarse) <= Q(cells), and Q <= S for
+    `coarse` and `trivial`, within a relative 1e-12.  A finer partition
+    splits a class into classes whose minima are at least its minimum, and
+    on a partition S sums the class maxima where Q sums the class minima.
+    A row that a verdict reads and the CSV lacks fails that verdict."""
+    # Keyed by (cover, mode, depth); a deep box at a swept depth is written
+    # after its seed's sweep, so the last row at a key is the deep one and
+    # the first the swept one.
+    last = {(r.cover, r.mode, r.n[0]): r.rate for r in rows}
     swept: dict = {}
     for r in rows:
         swept.setdefault((r.cover, r.mode, r.n[0]), r.rate)
+    tags = [f"seed{cfg.seed + s}" for s in range(cfg.seeds)]
+    sides = {tag: ((f"{tag}/cells", "Q", 2**cfg.deep_exponent), (f"{tag}/cycles", "Hrate", 1)) for tag in tags}
+    missing = [key for pair in sides.values() for key in pair if key not in last]
+    gaps = [(tag, abs(last[a] - last[b])) for tag, (a, b) in sides.items() if a in last and b in last]
+    failures = [(tag, gap) for tag, gap in gaps if gap > 1e-6]
+    detail = (
+        f"{cfg.seeds} seeded systems, worst |topological - measure| gap "
+        f"{max((gap for _, gap in gaps), default=math.nan):.3e} (tolerance 1e-06)"
+        + (f"; failures: {failures}" if failures else "")
+        + (f"; missing: {', '.join(map(_row_key, missing))}" if missing else "")
+    )
     checks = [("trivial", "Q", "coarse", "Q"), ("coarse", "Q", "cells", "Q")]
-    checks += [(name, "Q", name, "S") for name in ("trivial", "coarse", "cells")]
-    broken = []
+    checks += [(name, "Q", name, "S") for name in ("trivial", "coarse")]
+    broken, unswept = [], {}
     for tag in tags:
         for d in range(1, cfg.n_max + 1):
             for lo, lo_mode, hi, hi_mode in checks:
-                a, b = swept[f"{tag}/{lo}", lo_mode, d], swept[f"{tag}/{hi}", hi_mode, d]
+                keys = (f"{tag}/{lo}", lo_mode, d), (f"{tag}/{hi}", hi_mode, d)
+                absent = [key for key in keys if key not in swept]
+                unswept.update(dict.fromkeys(absent))
+                if absent:
+                    continue
+                a, b = swept[keys[0]], swept[keys[1]]
                 if a - b > 1e-12 * max(abs(a), abs(b)):
                     broken.append(f"{tag} depth {d}: {lo} {lo_mode} {a!r} > {hi} {hi_mode} {b!r}")
     sweep_detail = (
         f"{cfg.seeds} seeds x {cfg.n_max} depths: Q(trivial) <= Q(coarse) <= Q(cells) and Q <= S "
         "per partition, relative slack 1e-12"
         + (f"; {len(broken)} broken, first: {broken[0]}" if broken else "")
+        + (f"; {len(unswept)} missing, first: {_row_key(next(iter(unswept)))}" if unswept else "")
     )
     return [
-        VerdictItem("finite-vp", not failures, detail),
-        VerdictItem("finite-vp-sweep", not broken, sweep_detail),
+        VerdictItem("finite-vp", not failures and not missing, detail),
+        VerdictItem("finite-vp-sweep", not broken and not unswept, sweep_detail),
     ]
+
+
+def _row_key(key: tuple) -> str:
+    """A (cover, mode, depth) key as a verdict names the row."""
+    cover, mode, depth = key
+    return f"{cover} {mode} at depth {depth}"
 
 
 # -- lattice check -----------------------------------------------------------
@@ -608,18 +633,29 @@ def run_fullshift(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def judge_fullshift(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> list[VerdictItem]:
-    """Every rate within 1e-9 of the closed-form pressure."""
+    """Every rate within 1e-9 of the closed-form pressure, over the origin's
+    Q, P, S and G at every diagonal box up to the period and the `gibbs` row."""
     spec = cfg.fullshift_spec()
     top = exact_pressure(spec)
+    period = cfg.fullshift_period()
     # A row that is not exact counts as an infinite gap.
-    worst = max(abs(r.rate - top) if r.solver_status == STATUS_EXACT else math.inf for r in rows)
-    gibbs = next(r for r in rows if r.cover == "gibbs")
-    detail = (
-        f"pressure {top:.6f} on the torus of side {cfg.fullshift_period()} in dim {cfg.dim}: "
-        f"worst |rate - pressure| {worst:.2e} over {len(rows)} rows, gibbs gap "
-        f"{abs(gibbs.rate - top):.2e}, p* = ({', '.join(f'{p:.4f}' for p in gibbs_optimizer(spec))})"
+    worst = max(
+        (abs(r.rate - top) if r.solver_status == STATUS_EXACT else math.inf for r in rows),
+        default=math.nan,
     )
-    return [VerdictItem("fullshift", worst <= 1e-9, detail)]
+    written = {(r.cover, r.mode, r.n) for r in rows}
+    needed = [("origin", mode, (t,) * cfg.dim) for t in range(1, period + 1) for mode in "QPSG"]
+    needed.append(("gibbs", "Hrate", (period,) * cfg.dim))
+    missing = [key for key in needed if key not in written]
+    gibbs = [r.rate for r in rows if r.cover == "gibbs"]
+    detail = (
+        f"pressure {top:.6f} on the torus of side {period} in dim {cfg.dim}: "
+        f"worst |rate - pressure| {worst:.2e} over {len(rows)} rows, gibbs gap "
+        f"{abs(gibbs[0] - top) if gibbs else math.nan:.2e}, "
+        f"p* = ({', '.join(f'{p:.4f}' for p in gibbs_optimizer(spec))})"
+        + (f"; missing: {', '.join(f'{c} {m} at box {n}' for c, m, n in missing)}" if missing else "")
+    )
+    return [VerdictItem("fullshift", worst <= 1e-9 and not missing, detail)]
 
 
 RUNNERS: dict[str, Callable[[ExperimentConfig], list[ResultRow]]] = {

@@ -743,7 +743,8 @@ def test_finite_vp_runs_systems_over_the_member_budget(tmp_path, capsys):
     assert main(["finite-vp", "--config", str(conf), "--out", str(out)]) == 0
     assert "VERDICT finite-vp: PASS" in capsys.readouterr().out
     lines = (out / "finite-vp.csv").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1 + 3 * (3 * 8 * 2 + 2)  # header, then per seed: swept Q/S, deep, cycles
+    # header, then per seed: swept cells Q and coarse and trivial Q/S, deep, cycles
+    assert len(lines) == 1 + 3 * (5 * 8 + 2)
 
 
 def test_finite_vp_refuses_a_cycle_measure_off_its_mean(monkeypatch):
@@ -763,7 +764,7 @@ def test_finite_vp_sweeps_to_n_max():
     assert all(v.passed for v in verdicts)
     swept = [r for r in rows if r.lam <= 10**6 and not r.cover.endswith("/cycles")]
     assert max(r.lam for r in swept) == 10
-    assert len([r for r in swept if r.lam == 10]) == 6  # 3 covers x (Q, S)
+    assert len([r for r in swept if r.lam == 10]) == 5  # cells Q, coarse and trivial Q and S
 
 
 def test_finite_vp_writes_no_g_row():
@@ -890,6 +891,64 @@ def test_one_edited_row_fails_its_verdict(experiment):
     assert all(v.passed for v in JUDGES[experiment](cfg, parsed))
     edit, passes = ROW_EDITS[experiment]
     assert [v.passed for v in JUDGES[experiment](cfg, edit(parsed))] == passes
+
+
+def without(rows, cover, mode=None, depth=None):
+    """The rows less those of this cover, and of this mode and depth when given."""
+    return [
+        r for r in rows
+        if not (r.cover == cover and mode in (None, r.mode) and depth in (None, r.n[0]))
+    ]
+
+
+TINY_LEAKAGE = {"rings": 8, "sectors": 16, "n_max": 4, "euclid_band": 2, "annulus_rings": 2, "slices": 2}
+
+# Per case: the experiment, a small config, the rows it drops, and the
+# verdicts and the end of the first failing detail that the judge then gives.
+ROW_DROPS = [
+    pytest.param(
+        "doubling", {"m": 101, "n_max": 4}, lambda rows: without(rows, "arcs", "Q"),
+        [False], "missing: every arcs Q row", id="doubling",
+    ),
+    pytest.param(
+        "leakage", TINY_LEAKAGE, lambda rows: without(rows, "pizza"),
+        [False, True, True], "missing: every pizza row", id="leakage",
+    ),
+    pytest.param(
+        "leakage", TINY_LEAKAGE, lambda rows: [r for r in rows if r.cover != "admissible" or r.n == (1,)],
+        [True, True, False], "missing: the last two admissible rows, 1 written", id="leakage-admissible",
+    ),
+    pytest.param(
+        "finite-vp", {"seeds": 2, "n_max": 3}, lambda rows: without(rows, "seed0/cycles"),
+        [False, True], "missing: seed0/cycles Hrate at depth 1", id="finite-vp",
+    ),
+    pytest.param(
+        "finite-vp", {"seeds": 2, "n_max": 3}, lambda rows: without(rows, "seed1/coarse", "S", 2),
+        [True, False], "1 missing, first: seed1/coarse S at depth 2", id="finite-vp-sweep",
+    ),
+    pytest.param(
+        "fullshift", {}, lambda rows: without(rows, "gibbs"),
+        [False], "missing: gibbs Hrate at box (4, 4)", id="fullshift",
+    ),
+]
+
+
+@pytest.mark.parametrize("experiment, overrides, drop, passes, missing", ROW_DROPS)
+def test_a_missing_row_fails_its_verdict_and_is_named(experiment, overrides, drop, passes, missing):
+    cfg = load_config(experiment, overrides=overrides)
+    rows, verdicts = run_experiment(cfg)
+    assert all(v.passed for v in verdicts)
+    judged = JUDGES[experiment](cfg, drop(rows))
+    assert [v.passed for v in judged] == passes
+    assert next(v for v in judged if not v.passed).detail.endswith(missing)
+
+
+def test_finite_vp_writes_no_cells_s_row():
+    # The field is flat on single-state classes, so S is Q's sample there.
+    cfg = load_config("finite-vp", overrides={"seeds": 2, "n_max": 3})
+    rows, _ = run_experiment(cfg)
+    assert {r.mode for r in rows if r.cover.endswith("/cells")} == {"Q"}
+    assert {r.mode for r in rows if r.cover.endswith(("/coarse", "/trivial"))} == {"Q", "S"}
 
 
 def test_finite_vp_sweep_verdict_reads_every_swept_row():
@@ -1170,7 +1229,7 @@ def test_perfbench_instruments_the_names_it_patches():
 GOLDEN_CSV_SHA256 = {
     "doubling": "a992f28a2822a58a0c86e62b27b4e523b105669d4aba6e118311911d52072230",
     "leakage": "c9a1f274ab06939bd42fdebda8f1adbe64b7bb2659417845b042436ab0ccd509",
-    "finite-vp": "605603536bde95a9673d24f9aa0d5dda1ebb8ec9f622a9645a3a4a777e8fade8",
+    "finite-vp": "e250a9e9a1651b1c8100f9dac3d5588027c167b8ca65ebf21ec6a0c4125376cf",
     "fullshift": "0b090f302a1e35accd309161cbc484cc98b8540ad1da079460a077e3045adb1c",
     "lattice-check": "502bba233ef48760e44283969dbc9d0aa8e743a4d56e58379a9cd5ab1512f43d",
 }

@@ -32,6 +32,7 @@ from covpress.dynsys import (
     iter_box_pullbacks,
     make_circle_doubling,
     make_disk_system,
+    make_full_shift_torus,
 )
 from covpress.experiments import annulus_cell_partition
 from covpress.lattice import EmptyBoxError, box_cardinality, diagonal
@@ -817,6 +818,107 @@ def test_flat_fields_keep_the_order_and_sign_of_each_term():
             assert state_field(*box_join(sys, family, f, n)).tobytes() == want
             assert state_field(*list(box_sweep(sys, family, f, n))[-1][1:]).tobytes() == want
     assert birkhoff_field(sys, Potential(np.full(6, -0.0)), (3,)).tobytes() == np.zeros(6).tobytes()
+
+
+@st.composite
+def full_code_systems(draw):
+    """The K-symbol full shift on a torus in 1 or 2 dimensions, alone or
+    times a small random system, its origin-symbol partition and a box
+    within the period: every window pattern over the box occurs, so at
+    every point the join's codes fill their code space."""
+    dim = draw(st.sampled_from([1, 2]))
+    symbols = draw(st.integers(2, 4))
+    period = tuple(draw(st.integers(1, 8 if dim == 1 else 3)) for _ in range(dim))
+    assume(symbols ** int(np.prod(period)) <= 1024)
+    torus = make_full_shift_torus(symbols, period)
+    # The second factor: r states under powers of one random map, which commute.
+    r = draw(st.integers(1, 4))
+    g = np.array(draw(st.lists(st.integers(0, r - 1), min_size=r, max_size=r)))
+    gens = []
+    for shift in torus.generators:
+        h = np.arange(r)
+        for _ in range(draw(st.integers(0, 2))):
+            h = g[h]
+        gens.append((shift[:, None] * r + h).ravel())
+    sys = FiniteSystem(generators=tuple(gens))
+    family = SetFamily.from_labels(np.arange(sys.state_count) // r % symbols)
+    n = tuple(draw(st.integers(1, side)) for side in period)
+    return sys, family, n
+
+
+@given(full_code_systems(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_flat_joins_over_a_full_code_space_are_the_birkhoff_bytes(case, data):
+    # Signed zeros and 1e16 next to 0.1: the outer sum must add each term
+    # as the per-state sum does, in the same order.
+    sys, family, n = case
+    k = family.atom_count
+    values = np.array(data.draw(st.lists(FIELD_VALUES, min_size=k, max_size=k)))[family.atoms]
+    signs = np.array(data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
+    values[(values == 0) & signs] = -0.0
+    f = Potential(values)
+    items = list(box_sweep(sys, family, f, n))
+    joined, field = box_join(sys, family, f, n)
+    assert joined.count == k ** box_cardinality(n)  # every pattern is a class
+    for box, swept_join, swept in items:
+        assert state_field(swept_join, swept).tobytes() == birkhoff_field(sys, f, box).tobytes()
+    assert state_field(joined, field).tobytes() == birkhoff_field(sys, f, n).tobytes()
+    assert joined.atoms.tobytes() == items[-1][1].atoms.tobytes()
+
+
+def test_only_a_sparse_flat_join_splits_its_pairs_with_divmod():
+    # On the torus of side 3 every code occurs: shells end ranked, the points
+    # between them stay unranked, and both extend the field as an outer sum.
+    torus = make_full_shift_torus(2, (3, 3))
+    symbol = np.arange(torus.state_count) % 2
+    origin, f = SetFamily.from_labels(symbol), Potential(0.37 * symbol)
+    ranked, sides = [], []
+
+    def join_atoms(*args):
+        result = join_atoms.wrapped(*args)
+        ranked.append(result[3] is not None)
+        return result
+
+    def outer_sum(vals, phi):
+        sides.append((len(vals), len(phi)))
+        return outer_sum.wrapped(vals, phi)
+
+    join_atoms.wrapped, outer_sum.wrapped = coveralg._join_atoms, coveralg._outer_sum
+    with (
+        mock.patch.object(coveralg, "_join_atoms", join_atoms),
+        mock.patch.object(coveralg, "_outer_sum", outer_sum),
+        mock.patch.object(np, "divmod", wraps=np.divmod) as divmod_spy,
+    ):
+        items = list(box_sweep(torus, origin, f, (3, 3)))
+    assert divmod_spy.call_count == 0
+    assert [joined.count for _, joined, _ in items] == [2, 16, 512]
+    # Shells of 1, 3 and 5 points: 8 joins, each shell's last one ranked.
+    assert ranked == [False, False, True, False, False, False, False, True]
+    # The left side refines the family, so phi is never the longer side.
+    assert sides == [(2, 2), (4, 2), (8, 2), (16, 2), (32, 2), (64, 2), (128, 2), (256, 2)]
+    # The annulus partition of leakage's disk is near-singleton: its codes are sparse.
+    disk = make_disk_system(8, 16)
+    annulus = annulus_cell_partition(disk, 8, 16, 2)
+    with mock.patch.object(np, "divmod", wraps=np.divmod) as divmod_spy:
+        list(box_sweep(disk, annulus, Potential.constant(0.0, disk.state_count), (4,)))
+    assert divmod_spy.call_count > 0
+
+
+def test_a_flat_join_over_the_4x4_torus_peaks_below_2_5_mib():
+    # Splitting the last point's 65,536 pair codes with divmod and gathering
+    # both halves peaked at 3.5 MiB; the outer sum writes the field alone.
+    torus = make_full_shift_torus(2, (4, 4))
+    symbol = np.arange(torus.state_count) % 2
+    origin, f = SetFamily.from_labels(symbol), Potential(0.37 * symbol)
+    box_join(torus, origin, f, (4, 4))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        joined, field = box_join(torus, origin, f, (4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joined.count == 65536 and isinstance(field, coveralg.AtomSums)
+    assert peak <= 2.5 * 2**20
 
 
 def test_a_potential_off_the_system_is_refused():
