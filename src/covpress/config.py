@@ -145,7 +145,7 @@ class ExperimentConfig:
         """
         split = (self.m + 1) // 2
         f = potential_from_spec(self.potential, self.m, arc_states=range(split, self.m))
-        arcs = SetFamily.from_labels(np.arange(self.m) >= split)
+        arcs = SetFamily(np.repeat(np.arange(2), (split, self.m - split)))
         if not self.potential.startswith("values:") or atom_values(arcs, f) is not None:
             return arcs, f, None
         # Python floats: a spread past the float range is inf, with no numpy overflow warning.

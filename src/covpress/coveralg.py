@@ -395,7 +395,7 @@ def _join_shells(
 ) -> Iterator[tuple[Coords, tuple, AtomSums | np.ndarray | None]]:
     """Yield (box, join state, field) for the boxes min(t, n), t = 1..max(n),
     from one walk of the box below n in shell order; the state is as
-    `_join_atoms` left it.
+    `_join_atoms` left it, or at the first box `_side(family)` itself.
 
     When f is flat on the family's atoms, f o T^k is phi[atoms o T^k] for
     phi, f's value per atom, so the field is a function of the joined atom:
@@ -458,15 +458,14 @@ def _join_shells(
         whole = every_shell or t == max(n)
         rank_at = lam - walked - 1 if whole else -1
         for i, (_, pulled) in enumerate(itertools.islice(walk, lam - walked)):
-            side = _side(family, pulled[0])
             if state is None:
-                state = side
+                state = _side(family)
             elif stable:
                 if phi is not None:
                     vals = vals + phi[pulled[0][reps]]
             else:
                 atoms, bound, incidence, pairs = _join_atoms(
-                    state, side, 0 if i == rank_at else defer, codes
+                    state, _side(family, pulled[0]), 0 if i == rank_at else defer, codes
                 )
                 stable = watch and ranked and pairs is not None and bound == state[1]
                 ranked = pairs is not None
@@ -520,7 +519,8 @@ def box_sweep(
     member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> Iterator[tuple[Coords, SetFamily, AtomSums | np.ndarray | None]]:
     """Yield (box, orbit join, ergodic-sum field) for the boxes min(t, n),
-    t = 1..max(n), from one walk of the box below n in shell order.
+    t = 1..max(n), from one walk of the box below n in shell order; the
+    first item's join is the family itself, its atoms array included.
 
     Each box point after the origin joins in the family pulled back through
     it, whose atom labels the walk carries from point to point, so states
@@ -722,7 +722,9 @@ class ClosenessGraph:
     def __init__(self, family: SetFamily, lowest: np.ndarray):
         """`lowest` is each atom's lowest state, as `lowest_states(family)` gives it."""
         self.class_atoms = np.argsort(lowest)
-        self.class_sizes = np.bincount(family.atoms)[self.class_atoms]
+        sizes = np.zeros(family.atom_count, dtype=np.int64)
+        np.add.at(sizes, family.atoms, 1)  # np.bincount copies read-only atoms
+        self.class_sizes = sizes[self.class_atoms]
         self.holds = None if family.is_partition else family.incidence[:, self.class_atoms]
 
     @functools.cached_property

@@ -239,8 +239,8 @@ def check_doubling_size(m: int) -> None:
 def make_circle_doubling(m: int) -> FiniteSystem:
     """Angle-doubling on m equally spaced circle points, m odd so it is a bijection."""
     check_doubling_size(m)
-    gen = (2 * np.arange(m, dtype=np.int64)) % m
-    return FiniteSystem(generators=(gen,))
+    # 2x mod m: the even points, then the odd ones.
+    return FiniteSystem(generators=(np.concatenate((np.arange(0, m, 2), np.arange(1, m, 2))),))
 
 
 def make_disk_system(rings: int, sectors: int) -> FiniteSystem:

@@ -589,14 +589,18 @@ def run_lattice_check(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def judge_lattice_check(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> list[VerdictItem]:
-    """No violated case, and no residue (a count above 1) in a unit-tile case."""
+    """No violated case, no residue (a count above 1) in a unit-tile case,
+    read off each row's cover `case<k>-N<d>`, and no case missing."""
+    cases = {int(r.cover[4:].partition("-")[0]): r for r in rows}
     violations = sum(r.solver_status != STATUS_EXACT for r in rows)
-    unit_residues = sum(r.raw_value != 1.0 for r in rows[::50])
+    unit_residues = sum(r.raw_value != 1.0 for k, r in cases.items() if k % 50 == 0)
+    missing = [f"case{k}" for k in range(cfg.cases) if k not in cases]
     detail = (
-        f"{cfg.cases} random tilings, {violations} violations; "
+        f"{len(rows)} random tilings, {violations} violations; "
         f"unit-tile cases with nonempty residue: {unit_residues}"
+        + (f"; missing: {', '.join(missing)}" if missing else "")
     )
-    return [VerdictItem("lattice-bounds", violations == 0 and unit_residues == 0, detail)]
+    return [VerdictItem("lattice-bounds", not violations and not unit_residues and not missing, detail)]
 
 
 # -- full shift ---------------------------------------------------------------

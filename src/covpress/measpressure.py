@@ -14,6 +14,9 @@ The module also houses the empirical measures of the variational lower-bound
 construction (the weighted sum of orbit Diracs over a separated set and its
 box average) together with their invariance-defect bound and the entropy
 identity that links separated sums to partition entropy.
+
+Class and image sums are `np.add.at` into zeros: `np.bincount` copies the
+read-only weights, atoms and generators, and both add in index order.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def pushforward(mu: FiniteMeasure, sys: FiniteSystem, k: Coords) -> FiniteMeasur
     if len(mu.weights) != sys.state_count:
         raise ValueError("measure does not live on this system")
     tk = power_map(sys, k)
-    w = np.bincount(tk, weights=mu.weights, minlength=sys.state_count)
+    w = np.zeros(sys.state_count)
+    np.add.at(w, tk, mu.weights)
     return FiniteMeasure(w)
 
 
@@ -106,9 +110,12 @@ def is_invariant(mu: FiniteMeasure, sys: FiniteSystem) -> bool:
     """
     if len(mu.weights) != sys.state_count:
         raise ValueError("measure does not live on this system")
+    image = np.empty(sys.state_count)
     for g in sys.generators:  # each generator is its unit step's power map
-        image = np.bincount(g, weights=mu.weights, minlength=sys.state_count)
-        if fsum_terms(np.abs(image - mu.weights), float) > INVARIANCE_TOL:
+        image.fill(0.0)
+        np.add.at(image, g, mu.weights)
+        image -= mu.weights
+        if fsum_terms(np.abs(image, out=image), float) > INVARIANCE_TOL:
             return False
     return True
 
@@ -124,7 +131,8 @@ def partition_entropy(mu: FiniteMeasure, family: SetFamily) -> float:
         raise ValueError("partition entropy needs a partition")
     if len(mu.weights) != family.state_count:
         raise ValueError(f"the measure has {len(mu.weights)} states, the partition {family.state_count}")
-    masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
+    masses = np.zeros(family.count)
+    np.add.at(masses, family.atoms, mu.weights)
     return fsum_terms(masses[masses > 0.0], lambda v: -v * math.log(v))
 
 

@@ -326,6 +326,22 @@ def test_doubling_inputs_check_only_a_values_potential_on_the_arcs(monkeypatch, 
     assert len(calls) == checks
 
 
+def test_doubling_arcs_are_the_upper_half_labels_built_in_one_array():
+    for m in [*range(3, 10002, 2), ExperimentConfig.m]:
+        arcs = ExperimentConfig("doubling", m=m).doubling_inputs()[0]
+        want = SetFamily.from_labels(np.arange(m) >= (m + 1) // 2)
+        assert np.array_equal(arcs.atoms, want.atoms) and arcs.count == want.count == 2
+    cfg = load_config("doubling")
+    tracemalloc.start()
+    try:
+        cfg.doubling_inputs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The potential and the arc labels, 8 bytes a state each, and no temporary.
+    assert peak < 2 * 8 * cfg.m + 2**16
+
+
 def count_lowest_states(monkeypatch):
     """The state count of each `lowest_states` call that the evaluator and the
     closeness graph make from here on."""
@@ -929,6 +945,17 @@ ROW_DROPS = [
     pytest.param(
         "fullshift", {}, lambda rows: without(rows, "gibbs"),
         [False], "missing: gibbs Hrate at box (4, 4)", id="fullshift",
+    ),
+    # Case 0 tiles by unit cubes, case 3 does not; neither shifts the unit-tile cases.
+    pytest.param(
+        "lattice-check", {}, lambda rows: rows[1:],
+        [False], "999 random tilings, 0 violations; unit-tile cases with nonempty residue: 0; missing: case0",
+        id="lattice-check-case0",
+    ),
+    pytest.param(
+        "lattice-check", {}, lambda rows: rows[:3] + rows[4:],
+        [False], "999 random tilings, 0 violations; unit-tile cases with nonempty residue: 0; missing: case3",
+        id="lattice-check-case3",
     ),
 ]
 

@@ -714,6 +714,19 @@ def test_a_2d_sweep_joins_at_every_point():
     assert spy.call_count == box_cardinality((2, 2)) - 1
 
 
+def test_the_first_box_is_the_family_itself():
+    # The origin's item shares the family's atoms array: no copy of the
+    # walk's narrow labels, for a partition or a cover, with any field.
+    sys = make_disk_system(8, 16)
+    partition = annulus_cell_partition(sys, 8, 16, 2)
+    for family in (partition, cover_from_partition(sys, partition)):
+        for f in (None, Potential.constant(0.5, sys.state_count), Potential(np.arange(sys.state_count) / 7.0)):
+            _, first, _ = next(box_sweep(sys, family, f, (3,)))
+            joined, _ = box_join(sys, family, f, (1,))
+            assert first.atoms is family.atoms and joined.atoms is family.atoms
+            assert first.incidence is family.incidence and joined.incidence is family.incidence
+
+
 def test_a_deferred_code_space_is_not_an_atom_count():
     # On the 7-cycle labelled 0000001 the joins of 2, 3 and 4 points have
     # 3, 4 and 5 atoms.  Under a budget of 7 the 2-point codes stay unranked
@@ -1374,6 +1387,19 @@ def test_closeness_graph_orders_classes_as_np_unique(case, partition):
     graph = ClosenessGraph(joined, coveralg.lowest_states(joined))
     assert graph.class_atoms.tobytes() == want_atoms.tobytes()
     assert graph.class_sizes.tobytes() == want_sizes.tobytes()
+
+
+def test_closeness_graph_counts_class_sizes_in_place():
+    # np.bincount would copy the read-only atoms, 0.5 MiB at 65,536 states.
+    halves = SetFamily.from_labels(np.arange(65536) & 1)
+    lowest = coveralg.lowest_states(halves)
+    tracemalloc.start()
+    try:
+        graph = ClosenessGraph(halves, lowest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.class_sizes.tolist() == [32768, 32768] and peak < 0.1 * 2**20
 
 
 def test_closeness_graph_extremes():

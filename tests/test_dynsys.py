@@ -200,6 +200,12 @@ def test_circle_doubling_is_bijection():
         assert len(set(gen.tolist())) == m
 
 
+def test_circle_doubling_is_twice_x_mod_m():
+    for m in [*range(3, 10002, 2), 100003]:
+        gen = make_circle_doubling(m).generators[0]
+        assert gen.dtype == np.int64 and np.array_equal(gen, (2 * np.arange(m)) % m)
+
+
 def test_disk_center_fixed_and_marked_ring():
     sys = make_disk_system(8, 16)
     assert sys.state_count == 8 * 16 + 1

@@ -33,7 +33,7 @@ from covpress.measpressure import (
     separated_entropy_link_check,
     variation_distance,
 )
-from covpress.solvers import STATUS_EXACT
+from covpress.solvers import STATUS_EXACT, fsum_terms
 from covpress.toppressure import PressureSample, pressure_quadruple
 from oracles import (
     conditional_entropy,
@@ -164,6 +164,54 @@ def test_partition_entropy_is_the_class_by_class_fsum(seed, m, pool):
     masses = np.bincount(family.atoms, weights=mu.weights, minlength=family.count)
     want = math.fsum(-v * math.log(v) for v in masses.tolist() if v > 0.0)
     assert repr(partition_entropy(mu, family)) == repr(want)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 65536),
+    st.floats(-300.0, 300.0),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_measure_sums_are_the_bytes_of_a_writable_bincount(seed, bins, exponent, uniform):
+    # Frozen weights of scale 10**exponent over `bins` classes or states: each
+    # sum adds a bin's terms in index order, as `np.bincount` does on
+    # writable copies.  A uniform measure under a permutation is invariant.
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.concatenate((np.arange(bins), rng.integers(0, bins, int(rng.integers(0, bins))))))
+    family = SetFamily.from_labels(labels)
+    scale = 10.0**exponent
+    w = np.full(len(labels), scale) if uniform else rng.random(len(labels)) * (rng.random(len(labels)) < 0.9) * scale
+    mu = FiniteMeasure(w)
+    assert not mu.weights.flags.writeable and not family.atoms.flags.writeable
+
+    def reference(index):
+        return np.bincount(index.copy(), weights=mu.weights.copy(), minlength=len(labels))
+
+    masses = reference(family.atoms)[: family.count]
+    want = fsum_terms(masses[masses > 0.0], lambda v: -v * math.log(v))
+    assert repr(partition_entropy(mu, family)) == repr(want)
+    g = rng.permutation(len(labels)) if uniform else rng.integers(0, len(labels), len(labels))
+    sys = FiniteSystem(generators=(g,))
+    assert pushforward(mu, sys, (1,)).weights.tobytes() == reference(sys.generators[0]).tobytes()
+    defect = fsum_terms(np.abs(reference(sys.generators[0]) - mu.weights), float)
+    assert is_invariant(mu, sys) == (defect <= measpressure.INVARIANCE_TOL)
+
+
+def test_measure_sums_read_frozen_arrays_in_place():
+    # np.bincount copies a read-only index or weight array; the sums do not.
+    sys = four_by_four_torus()
+    m = sys.state_count
+    mu = FiniteMeasure.uniform_on(range(m), m)
+    halves = SetFamily.from_labels(np.arange(m) & 1)
+    for run, limit in [(lambda: partition_entropy(mu, halves), 0.1), (lambda: pushforward(mu, sys, (1, 0)), 1.1)]:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20
 
 
 def test_conditional_entropy_cases():
